@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test vet race check bench churn-drill report-drill stream-drill fleet-drill adapt-drill
+.PHONY: build test vet race check bench bench-build churn-drill report-drill stream-drill fleet-drill adapt-drill
 
 build:
 	$(GO) build ./...
@@ -91,9 +91,18 @@ adapt-drill:
 	$(GO) test -race -count=1 -run 'TestPool|TestElastic|TestRetire|TestControls' ./internal/pipeline/...
 	@echo "adapt-drill: byte-identical convergence runs + elastic storm clean under -race"
 
-# The single CI entry point: build, vet, tests, race pass, churn drill,
-# report drill, stream drill, fleet drill, adapt drill.
-check: build vet test race churn-drill report-drill stream-drill fleet-drill adapt-drill
+# The repository benchmark (benchmark/, see BENCHMARK.json) is a module
+# of its own that imports internal/pipeline and internal/msgq through a
+# replace directive, so the root build, vet and test never compile it.
+# Vet it and run its quick mode (about 12 s: every workload end to end
+# with the correctness oracle on) so a refactor of those internals
+# cannot break the yardstick unnoticed.
+bench-build:
+	$(GO) -C benchmark vet ./... && $(GO) -C benchmark test ./...
+
+# The single CI entry point: build, vet, tests, benchmark module, race
+# pass, churn drill, report drill, stream drill, fleet drill, adapt drill.
+check: build vet test bench-build race churn-drill report-drill stream-drill fleet-drill adapt-drill
 
 # Human-readable benchmark run over the root suite (the paper figures,
 # the loopback pipeline, queues, LZ4).

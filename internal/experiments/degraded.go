@@ -348,7 +348,7 @@ func DegradedLoopbackInto(reg *metrics.Registry, chunks, chunkBytes int) (Degrad
 			Expect: chunks, Ready: ready, Metrics: reg,
 			DisableBufPool: DisableBufPool,
 			Sink: func(c pipeline.Chunk) error {
-				delivered++ // sinkMu-serialized by the receiver
+				delivered++ // one stream: serialized by its delivery lane
 				return nil
 			},
 		})

@@ -35,7 +35,6 @@ import (
 
 	"numastream/internal/bufpool"
 	"numastream/internal/metrics"
-	"numastream/internal/queue"
 	"numastream/internal/trace"
 )
 
@@ -788,8 +787,12 @@ type Delivery struct {
 // Pull is the bind-side socket: it accepts any number of PUSH peers and
 // fair-queues their messages into Recv.
 type Pull struct {
-	ln       net.Listener
-	inbox    *queue.Queue[Delivery]
+	ln net.Listener
+	// inbox holds every received frame: one ring until SetDispatch
+	// shards it (see shard.go). cursor is the drain position of
+	// Recv/RecvDelivery, advanced under the inbox's lock.
+	inbox    *shardedInbox
+	cursor   ShardCursor
 	mu       sync.Mutex
 	conns    map[net.Conn]struct{}
 	closed   bool
@@ -807,10 +810,6 @@ type Pull struct {
 	// to pooled frames.
 	pool       *bufpool.Pool
 	poolDomain int
-
-	// shards, set through SetDispatch, switches the read loops from the
-	// shared inbox to per-shard rings (see shard.go).
-	shards *shardedInbox
 }
 
 // SetBufferPool makes the read loops rent part buffers from pool (on
@@ -863,7 +862,7 @@ func NewPull(addr string) (*Pull, error) {
 func NewPullFromListener(ln net.Listener) *Pull {
 	p := &Pull{
 		ln:    ln,
-		inbox: queue.New[Delivery](256),
+		inbox: newShardedInbox(1, 256, nil),
 		conns: make(map[net.Conn]struct{}),
 	}
 	p.wg.Add(1)
@@ -917,7 +916,6 @@ func (p *Pull) readLoop(conn net.Conn) {
 	counters := p.counters
 	pool := p.pool
 	poolDomain := p.poolDomain
-	shards := p.shards
 	p.mu.Unlock()
 	ps, r, err := serverHandshake(conn, label)
 	if err != nil {
@@ -972,23 +970,16 @@ func (p *Pull) readLoop(conn net.Conn) {
 			RTT:         ps.rtt,
 			Frame:       frame,
 		}
-		if shards != nil {
-			// Sharded receive: classify on this connection's goroutine —
-			// a dispatch that blocks (a stream out of credit) stalls only
-			// this peer's connection, which is exactly the per-stream
-			// backpressure the gateway wants TCP to propagate.
-			idx, ok := shards.dispatch(&d)
-			if !ok {
-				frame.Release() // rejected (admission) or gate closed
-				continue
-			}
-			if err := shards.put(idx, d); err != nil {
-				frame.Release()
-				return
-			}
+		// Classify on this connection's goroutine — a dispatch that
+		// blocks (a stream out of credit) stalls only this peer's
+		// connection, which is exactly the per-stream backpressure the
+		// gateway wants TCP to propagate.
+		shard, ok := p.inbox.classify(&d)
+		if !ok {
+			frame.Release() // rejected (admission) or gate closed
 			continue
 		}
-		if err := p.inbox.Put(d); err != nil {
+		if err := p.inbox.put(shard, d); err != nil {
 			frame.Release() // socket closed; don't strand the leases
 			return
 		}
@@ -1006,15 +997,13 @@ func (p *Pull) Recv() (Message, error) {
 // RecvDelivery is Recv keeping the transport context: the auxiliary
 // part, arrival timestamp, peer label and clock-offset estimate.
 func (p *Pull) RecvDelivery() (Delivery, error) {
-	d, err := p.inbox.Get()
-	if err == queue.ErrClosed {
-		return Delivery{}, ErrClosed
-	}
-	return d, err
+	return p.inbox.get(&p.cursor)
 }
 
 // Close stops accepting, closes peers and the inbox (Recv drains
-// remaining messages first).
+// remaining messages first). The inbox closes before the read loops are
+// waited for: one parked on a full shard must fail out, not wait for a
+// consumer that may already be gone.
 func (p *Pull) Close() error {
 	p.mu.Lock()
 	if p.closed {
@@ -1032,13 +1021,7 @@ func (p *Pull) Close() error {
 	for _, c := range conns {
 		c.Close()
 	}
+	p.inbox.close()
 	p.wg.Wait()
-	p.inbox.Close()
-	p.mu.Lock()
-	si := p.shards
-	p.mu.Unlock()
-	if si != nil {
-		si.close()
-	}
 	return nil
 }

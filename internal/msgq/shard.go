@@ -2,14 +2,15 @@ package msgq
 
 import (
 	"sync"
-
-	"numastream/internal/queue"
+	"sync/atomic"
 )
 
-// Sharded receive: a Pull that serves hundreds of pushing peers through
-// one shared inbox serializes every stream behind a single FIFO — one
-// slow consumer's backlog is everyone's backlog (head-of-line
-// blocking). SetDispatch replaces the inbox with per-shard rings: a
+// The Pull's inbox is a set of per-shard rings. A fresh Pull has one
+// ring and no classifier: every frame lands on shard 0 and Recv drains
+// it in arrival order. A Pull that serves hundreds of pushing peers
+// through that one FIFO serializes every stream behind it — one slow
+// consumer's backlog is everyone's backlog (head-of-line blocking) — so
+// SetDispatch splits the same inbox into several rings: a
 // caller-supplied dispatch function classifies each frame on its
 // connection's read goroutine (cheap header peek, admission, credit)
 // and names the shard it lands on; receive workers drain the shards
@@ -68,10 +69,9 @@ func (r *shardRing) pop() Delivery {
 	return d
 }
 
-// shardedInbox is the per-shard replacement for the Pull's single
-// queue. One lock and two conditions cover all shards: the contention
-// profile is no worse than the single shared queue it replaces (every
-// operation is O(shards) at worst and O(1) typically), and what
+// shardedInbox is the Pull's inbox. One lock and two conditions cover
+// all shards: the contention profile is that of a single shared queue
+// (every operation is O(shards) at worst and O(1) typically), and what
 // sharding buys is isolation — Put blocks only when its own shard is
 // full.
 type shardedInbox struct {
@@ -80,17 +80,56 @@ type shardedInbox struct {
 	notFull  *sync.Cond
 	rings    []shardRing
 	closed   bool
-	dispatch DispatchFunc
+	// dispatch is loaded per frame by the read loops, outside mu (it may
+	// block); nil means everything lands on shard 0.
+	dispatch atomic.Pointer[DispatchFunc]
 }
 
 func newShardedInbox(shards, capPerShard int, fn DispatchFunc) *shardedInbox {
-	si := &shardedInbox{rings: make([]shardRing, shards), dispatch: fn}
+	si := &shardedInbox{}
+	si.notEmpty = sync.NewCond(&si.mu)
+	si.notFull = sync.NewCond(&si.mu)
+	si.configure(shards, capPerShard, fn)
+	return si
+}
+
+// configure sets the ring layout and the classifier. Frames queued
+// under the previous layout (a peer that connected and sent before
+// SetDispatch) move to shard 0 in arrival order, unclassified.
+func (si *shardedInbox) configure(shards, capPerShard int, fn DispatchFunc) {
+	si.mu.Lock()
+	defer si.mu.Unlock()
+	old := si.rings
+	queued := 0
+	for i := range old {
+		queued += old[i].count
+	}
+	si.rings = make([]shardRing, shards)
 	for i := range si.rings {
 		si.rings[i].buf = make([]Delivery, capPerShard)
 	}
-	si.notEmpty = sync.NewCond(&si.mu)
-	si.notFull = sync.NewCond(&si.mu)
-	return si
+	if queued > capPerShard {
+		si.rings[0].buf = make([]Delivery, queued)
+	}
+	for i := range old {
+		for old[i].count > 0 {
+			si.rings[0].push(old[i].pop())
+		}
+	}
+	if fn != nil {
+		si.dispatch.Store(&fn)
+	}
+	// Waiters parked under the old layout must recheck the new one.
+	si.notFull.Broadcast()
+	si.notEmpty.Broadcast()
+}
+
+// classify names the shard d goes to, or ok=false to drop it.
+func (si *shardedInbox) classify(d *Delivery) (shard int, ok bool) {
+	if fn := si.dispatch.Load(); fn != nil {
+		return (*fn)(d)
+	}
+	return 0, true
 }
 
 // put blocks while the target shard is full (only that shard), failing
@@ -98,14 +137,14 @@ func newShardedInbox(shards, capPerShard int, fn DispatchFunc) *shardedInbox {
 func (si *shardedInbox) put(shard int, d Delivery) error {
 	si.mu.Lock()
 	defer si.mu.Unlock()
-	r := &si.rings[shard]
-	for r.count == len(r.buf) && !si.closed {
+	// Re-read the ring after every wait: configure may have replaced it.
+	for si.rings[shard].count == len(si.rings[shard].buf) && !si.closed {
 		si.notFull.Wait()
 	}
 	if si.closed {
 		return ErrClosed
 	}
-	r.push(d)
+	si.rings[shard].push(d)
 	// Waiters may be parked for any shard; Broadcast so the one whose
 	// scan covers this shard is certain to wake (a Signal could pick a
 	// waiter that rechecks a different-shard view and sleeps again).
@@ -171,13 +210,12 @@ func (si *shardedInbox) close() {
 	si.mu.Unlock()
 }
 
-// SetDispatch switches this Pull to sharded receive: every frame is
+// SetDispatch splits this Pull's inbox into shards: every frame is
 // classified by fn on its connection's read goroutine and lands on the
-// returned shard's ring (capPerShard deep; <= 0 means 64). Call it
-// right after construction, like SetBufferPool: connections accepted
-// earlier keep feeding the shared inbox. With dispatch set, consume
-// with RecvSharded — RecvDelivery only sees frames from pre-dispatch
-// connections. shards must be >= 1 or SetDispatch panics.
+// returned shard's ring (capPerShard deep; <= 0 means 64). Connections
+// already accepted switch over with their next frame. Consume with
+// RecvSharded, one cursor per worker. shards must be >= 1 and fn
+// non-nil, or SetDispatch panics.
 func (p *Pull) SetDispatch(shards, capPerShard int, fn DispatchFunc) {
 	if shards < 1 {
 		panic("msgq: SetDispatch needs >= 1 shard")
@@ -188,38 +226,19 @@ func (p *Pull) SetDispatch(shards, capPerShard int, fn DispatchFunc) {
 	if capPerShard <= 0 {
 		capPerShard = 64
 	}
-	p.mu.Lock()
-	p.shards = newShardedInbox(shards, capPerShard, fn)
-	p.mu.Unlock()
+	p.inbox.configure(shards, capPerShard, fn)
 }
 
-// RecvSharded returns the next message from the sharded inbox, drained
+// RecvSharded returns the next message from the inbox, drained
 // weighted-round-robin from the worker's cursor. It returns ErrClosed
-// after Close once every shard has drained, and panics if SetDispatch
-// was never called.
+// after Close once every shard has drained.
 func (p *Pull) RecvSharded(cur *ShardCursor) (Delivery, error) {
-	p.mu.Lock()
-	si := p.shards
-	p.mu.Unlock()
-	if si == nil {
-		panic("msgq: RecvSharded without SetDispatch")
-	}
-	d, err := si.get(cur)
-	if err == queue.ErrClosed || err == ErrClosed {
-		return Delivery{}, ErrClosed
-	}
-	return d, err
+	return p.inbox.get(cur)
 }
 
 // ShardDepth returns the current occupancy of one shard's ring (0 for
-// an out-of-range index or an unsharded Pull) — the per-shard depth
-// gauge the pipeline exports.
+// an out-of-range index) — the per-shard depth gauge the pipeline
+// exports.
 func (p *Pull) ShardDepth(shard int) int {
-	p.mu.Lock()
-	si := p.shards
-	p.mu.Unlock()
-	if si == nil {
-		return 0
-	}
-	return si.depth(shard)
+	return p.inbox.depth(shard)
 }

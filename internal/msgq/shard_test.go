@@ -183,3 +183,99 @@ func TestPullShardedDispatch(t *testing.T) {
 		t.Fatalf("received %d messages, want %d", got, msgs+1)
 	}
 }
+
+// TestSetDispatchTakesOverLiveConnection: the Pull has one inbox, so a
+// peer that connected and sent before SetDispatch neither loses its
+// queued frames (they move to shard 0 in arrival order, even past the new
+// ring depth) nor keeps feeding a pre-dispatch queue — its next frame is
+// classified. Recv drains the sharded inbox like any cursor.
+func TestSetDispatchTakesOverLiveConnection(t *testing.T) {
+	pull, err := NewPull("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pull.Close()
+	push := NewPush()
+	defer push.Close()
+	push.Connect(pull.Addr().String())
+
+	waitDepth := func(shard, want int) {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		for pull.ShardDepth(shard) != want {
+			if time.Now().After(deadline) {
+				t.Fatalf("shard %d depth = %d, want %d", shard, pull.ShardDepth(shard), want)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	const early, late = 3, 2
+	for i := 0; i < early; i++ {
+		if err := push.Send(Message{[]byte{byte(i)}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitDepth(0, early)
+
+	var classified sync.WaitGroup
+	classified.Add(late)
+	pull.SetDispatch(2, early-1, func(d *Delivery) (int, bool) {
+		classified.Done()
+		return 1, true
+	})
+	waitDepth(0, early)
+	for i := early; i < early+late; i++ {
+		if err := push.Send(Message{[]byte{byte(i)}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	classified.Wait()
+	waitDepth(1, late)
+
+	seen := make(map[byte]bool)
+	last := -1
+	for i := 0; i < early+late; i++ {
+		msg, err := pull.Recv()
+		if err != nil {
+			t.Fatalf("Recv %d: %v", i, err)
+		}
+		id := msg[0][0]
+		seen[id] = true
+		if id < early { // the carried-over frames keep their order
+			if int(id) < last {
+				t.Fatalf("pre-dispatch frame %d after frame %d", id, last)
+			}
+			last = int(id)
+		}
+	}
+	if len(seen) != early+late {
+		t.Fatalf("received %d distinct frames, want %d", len(seen), early+late)
+	}
+}
+
+// TestSetDispatchWakesParkedPut: a read loop parked on the full
+// pre-dispatch ring must notice that the reconfigured ring has room, not
+// wait for a consumer to drain a ring that is no longer full.
+func TestSetDispatchWakesParkedPut(t *testing.T) {
+	si := newShardedInbox(1, 2, nil)
+	for i := 0; i < 2; i++ {
+		if err := si.put(0, Delivery{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	parked := make(chan error, 1)
+	go func() { parked <- si.put(0, Delivery{}) }()
+	time.Sleep(20 * time.Millisecond) // let it reach notFull.Wait
+	si.configure(1, 8, func(*Delivery) (int, bool) { return 0, true })
+	select {
+	case err := <-parked:
+		if err != nil {
+			t.Fatalf("parked put: %v", err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("put parked on the old full ring never woke after configure")
+	}
+	if got := si.depth(0); got != 3 {
+		t.Fatalf("shard 0 depth = %d, want 3", got)
+	}
+}

@@ -10,6 +10,7 @@ import (
 	"numastream/internal/adapt"
 	"numastream/internal/bufpool"
 	"numastream/internal/fleet"
+	"numastream/internal/lz4"
 	"numastream/internal/metrics"
 	"numastream/internal/obs"
 	"numastream/internal/runtime"
@@ -151,8 +152,25 @@ func TestSteadyStateZeroChunkAllocs(t *testing.T) {
 	defer agg.Stop()
 
 	pool := bufpool.New(1)
-	// Warm-up: populate the buffer pool, frame pool, connection scratch
-	// and every lazily-built structure on both sides.
+	// Pool growth is not per-chunk cost. How many payload buffers are
+	// leased at once depends on scheduling — the sender's send queue or
+	// the receiver's delivery lane (16 deep each) backing up for a moment
+	// — and whichever run first reaches a new high-water mark pays for
+	// it. Stock the two payload classes to that bound (one queue plus the
+	// workers either side of it); it is well under the slope's 72 chunks,
+	// so a stage that rents per chunk without returning still shows.
+	const inFlight = 16 + 4
+	for _, n := range []int{size, lz4.CompressBound(size)} {
+		var stock [inFlight]*bufpool.Buf
+		for i := range stock {
+			stock[i] = pool.Get(0, n)
+		}
+		for _, b := range stock {
+			b.Release()
+		}
+	}
+	// Warm-up: populate the frame pool, connection scratch and every
+	// lazily-built structure on both sides.
 	allocLoopback(t, reg, ctl, pool, false, shortRun, size)
 
 	pooledShort := allocLoopback(t, reg, ctl, pool, false, shortRun, size)
@@ -168,6 +186,9 @@ func TestSteadyStateZeroChunkAllocs(t *testing.T) {
 	// noise (scheduler, timer wheels) far below one chunk.
 	if perChunk > 32<<10 {
 		t.Errorf("pooled pipeline allocates %d B per chunk at steady state, want ~0 (< 32768)", perChunk)
+	}
+	if out := pool.Outstanding(); out != 0 {
+		t.Errorf("pool outstanding = %d after the pooled runs; a stage leaks leases", out)
 	}
 
 	// Harness sanity: the same measurement must catch the unpooled

@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"fmt"
 	"hash/crc32"
 	"net"
 	"strings"
@@ -16,6 +17,16 @@ import (
 // Failure injection: a receiver confronted with malformed traffic must
 // quarantine it and keep streaming (the default), or fail cleanly (no
 // hang, no panic) under FailHard — never silently deliver bad data.
+
+// eachInbox runs one receiver case on both intake shapes: the single
+// inbox with no credit gate (Shards 0) and a sharded intake under the
+// default per-stream credit (Shards 2).
+func eachInbox(t *testing.T, run func(t *testing.T, shards int)) {
+	for _, shards := range []int{0, 2} {
+		shards := shards
+		t.Run(fmt.Sprintf("shards%d", shards), func(t *testing.T) { run(t, shards) })
+	}
+}
 
 func startReceiver(t *testing.T, nDec, expect int, mut func(*ReceiverOptions)) (addr string, reg *metrics.Registry, done chan error) {
 	t.Helper()
@@ -44,112 +55,120 @@ func corruptLZ4Message() msgq.Message {
 	return msgq.Message{hdr, payload}
 }
 
-func TestReceiverQuarantinesCorruptCompressedChunk(t *testing.T) {
-	addr, reg, done := startReceiver(t, 1, 1, nil)
-	push := newTestPush(t, addr)
-
-	if err := push.Send(corruptLZ4Message()); err != nil {
-		t.Fatalf("Send: %v", err)
-	}
-	if err := <-done; err != nil {
-		t.Fatalf("quarantine mode must not abort the node: %v", err)
-	}
-	if n := reg.CounterValue(CtrQuarantined); n != 1 {
-		t.Fatalf("quarantined = %d, want 1", n)
-	}
-}
-
-func TestReceiverFailHardOnCorruptCompressedChunk(t *testing.T) {
-	addr, _, done := startReceiver(t, 1, 1, func(o *ReceiverOptions) { o.FailHard = true })
-	push := newTestPush(t, addr)
-
-	if err := push.Send(corruptLZ4Message()); err != nil {
-		t.Fatalf("Send: %v", err)
-	}
-	err := <-done
-	if err == nil {
-		t.Fatal("FailHard receiver accepted a corrupt compressed chunk")
-	}
-	if !strings.Contains(err.Error(), "decompress") {
-		t.Fatalf("error does not identify the stage: %v", err)
-	}
-}
-
-func TestReceiverQuarantinesCRCMismatch(t *testing.T) {
-	addr, reg, done := startReceiver(t, 0, 1, nil)
-	push := newTestPush(t, addr)
-
+// crcMismatchMessage is a raw chunk whose header carries the wrong
+// payload checksum.
+func crcMismatchMessage() msgq.Message {
 	payload := []byte("plain payload, wrong checksum")
 	hdr := encodeHeader(Chunk{Seq: 0, RawLen: len(payload)}, crc32.Checksum(payload, crcTable)+1)
-	if err := push.Send(msgq.Message{hdr, payload}); err != nil {
-		t.Fatalf("Send: %v", err)
+	return msgq.Message{hdr, payload}
+}
+
+// malformedMessage has the wrong part count: no header to peek, so
+// dispatch never charges a stream's credit for it.
+func malformedMessage() msgq.Message { return msgq.Message{[]byte("lonely")} }
+
+// TestReceiverQuarantines: every kind of undeliverable chunk is counted
+// and dropped without aborting the node. Each case sends more bad chunks
+// of one stream than the default credit window, so a disposal path that
+// kept the credit dispatch charged would stall the stream short of
+// Expect; the credit gauge must read zero when the run ends.
+func TestReceiverQuarantines(t *testing.T) {
+	const bad = DefaultStreamCredit + 4
+	cases := []struct {
+		name string
+		nDec int
+		msg  func() msgq.Message
+	}{
+		{"CorruptCompressedChunk", 1, corruptLZ4Message},
+		{"CRCMismatch", 0, crcMismatchMessage},
+		{"MalformedMessage", 0, malformedMessage},
 	}
-	if err := <-done; err != nil {
-		t.Fatalf("quarantine mode must not abort the node: %v", err)
-	}
-	if n := reg.CounterValue(CtrQuarantined); n != 1 {
-		t.Fatalf("quarantined = %d, want 1", n)
+	for _, tc := range cases {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			eachInbox(t, func(t *testing.T, shards int) {
+				addr, reg, done := startReceiver(t, tc.nDec, bad, func(o *ReceiverOptions) { o.Shards = shards })
+				push := newTestPush(t, addr)
+				for i := 0; i < bad; i++ {
+					if err := push.Send(tc.msg()); err != nil {
+						t.Fatalf("Send %d: %v", i, err)
+					}
+				}
+				if err := <-done; err != nil {
+					t.Fatalf("quarantine mode must not abort the node: %v", err)
+				}
+				if n := reg.CounterValue(CtrQuarantined); n != bad {
+					t.Fatalf("quarantined = %d, want %d", n, bad)
+				}
+				if n := gaugeValue(t, reg, GaugeCreditBlocked); n != 0 {
+					t.Fatalf("credit_blocked_streams = %g after the run, want 0", n)
+				}
+			})
+		})
 	}
 }
 
-func TestReceiverQuarantinesMalformedMessage(t *testing.T) {
-	addr, reg, done := startReceiver(t, 0, 1, nil)
-	push := newTestPush(t, addr)
-
-	// Wrong part count.
-	if err := push.Send(msgq.Message{[]byte("lonely")}); err != nil {
-		t.Fatalf("Send: %v", err)
+// TestReceiverFailHard: under FailHard the first undeliverable chunk
+// aborts the node cleanly (no hang, no panic), naming the stage.
+func TestReceiverFailHard(t *testing.T) {
+	cases := []struct {
+		name    string
+		nDec    int
+		msg     msgq.Message
+		errHas  string
+		failMsg string
+	}{
+		{"CorruptCompressedChunk", 1, corruptLZ4Message(), "decompress", "a corrupt compressed chunk"},
+		{"MalformedMessage", 0, malformedMessage(), "", "a one-part message"},
+		{"ShortHeader", 0, msgq.Message{[]byte{1, 2, 3}, []byte("data")}, "", "a short header"},
 	}
-	if err := <-done; err != nil {
-		t.Fatalf("quarantine mode must not abort the node: %v", err)
-	}
-	if n := reg.CounterValue(CtrQuarantined); n != 1 {
-		t.Fatalf("quarantined = %d, want 1", n)
-	}
-}
-
-func TestReceiverFailHardOnMalformedMessage(t *testing.T) {
-	addr, _, done := startReceiver(t, 0, 1, func(o *ReceiverOptions) { o.FailHard = true })
-	push := newTestPush(t, addr)
-
-	if err := push.Send(msgq.Message{[]byte("lonely")}); err != nil {
-		t.Fatalf("Send: %v", err)
-	}
-	if err := <-done; err == nil {
-		t.Fatal("FailHard receiver accepted a one-part message")
-	}
-}
-
-func TestReceiverFailHardOnShortHeader(t *testing.T) {
-	addr, _, done := startReceiver(t, 0, 1, func(o *ReceiverOptions) { o.FailHard = true })
-	push := newTestPush(t, addr)
-
-	if err := push.Send(msgq.Message{[]byte{1, 2, 3}, []byte("data")}); err != nil {
-		t.Fatalf("Send: %v", err)
-	}
-	if err := <-done; err == nil {
-		t.Fatal("FailHard receiver accepted a short header")
+	for _, tc := range cases {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			eachInbox(t, func(t *testing.T, shards int) {
+				addr, _, done := startReceiver(t, tc.nDec, 1, func(o *ReceiverOptions) {
+					o.FailHard = true
+					o.Shards = shards
+				})
+				push := newTestPush(t, addr)
+				if err := push.Send(tc.msg); err != nil {
+					t.Fatalf("Send: %v", err)
+				}
+				err := <-done
+				if err == nil {
+					t.Fatalf("FailHard receiver accepted %s", tc.failMsg)
+				}
+				if !strings.Contains(err.Error(), tc.errHas) {
+					t.Fatalf("error does not identify the stage: %v", err)
+				}
+			})
+		})
 	}
 }
 
 func TestReceiverMaxBadChunksAborts(t *testing.T) {
-	addr, _, done := startReceiver(t, 0, 10, func(o *ReceiverOptions) { o.MaxBadChunks = 1 })
-	push := newTestPush(t, addr)
+	eachInbox(t, func(t *testing.T, shards int) {
+		addr, _, done := startReceiver(t, 0, 10, func(o *ReceiverOptions) {
+			o.MaxBadChunks = 1
+			o.Shards = shards
+		})
+		push := newTestPush(t, addr)
 
-	// Two bad chunks: the first is quarantined, the second crosses the
-	// threshold and must abort the node.
-	for i := 0; i < 2; i++ {
-		if err := push.Send(msgq.Message{[]byte("lonely")}); err != nil {
-			t.Fatalf("Send %d: %v", i, err)
+		// Two bad chunks: the first is quarantined, the second crosses the
+		// threshold and must abort the node.
+		for i := 0; i < 2; i++ {
+			if err := push.Send(malformedMessage()); err != nil {
+				t.Fatalf("Send %d: %v", i, err)
+			}
 		}
-	}
-	err := <-done
-	if err == nil {
-		t.Fatal("receiver survived past MaxBadChunks")
-	}
-	if !strings.Contains(err.Error(), "MaxBadChunks") {
-		t.Fatalf("error does not identify the threshold: %v", err)
-	}
+		err := <-done
+		if err == nil {
+			t.Fatal("receiver survived past MaxBadChunks")
+		}
+		if !strings.Contains(err.Error(), "MaxBadChunks") {
+			t.Fatalf("error does not identify the threshold: %v", err)
+		}
+	})
 }
 
 // TestReceiverDecompressAbortUnblocksReceivers is the regression test
@@ -160,31 +179,34 @@ func TestReceiverMaxBadChunksAborts(t *testing.T) {
 // QueueCap of 1 plus a burst of corrupt-LZ4 chunks forces the blocked
 // producer; the receiver must still return the threshold error.
 func TestReceiverDecompressAbortUnblocksReceivers(t *testing.T) {
-	addr, _, done := startReceiver(t, 1, 64, func(o *ReceiverOptions) {
-		o.QueueCap = 1
-		o.MaxBadChunks = 1
-	})
-	push := msgq.NewPush()
-	push.SendHorizon = 2 * time.Second
-	t.Cleanup(func() { push.Close() })
-	push.Connect(addr)
+	eachInbox(t, func(t *testing.T, shards int) {
+		addr, _, done := startReceiver(t, 1, 64, func(o *ReceiverOptions) {
+			o.QueueCap = 1
+			o.MaxBadChunks = 1
+			o.Shards = shards
+		})
+		push := msgq.NewPush()
+		push.SendHorizon = 2 * time.Second
+		t.Cleanup(func() { push.Close() })
+		push.Connect(addr)
 
-	// Every chunk passes the wire CRC and dies in decompress: the second
-	// crosses MaxBadChunks and aborts that stage while later chunks are
-	// still piling into the cap-1 queue.
-	for i := 0; i < 16; i++ {
-		if err := push.Send(corruptLZ4Message()); err != nil {
-			break // receiver already aborted and tore the socket down
+		// Every chunk passes the wire CRC and dies in decompress: the second
+		// crosses MaxBadChunks and aborts that stage while later chunks are
+		// still piling into the cap-1 queue.
+		for i := 0; i < 16; i++ {
+			if err := push.Send(corruptLZ4Message()); err != nil {
+				break // receiver already aborted and tore the socket down
+			}
 		}
-	}
-	select {
-	case err := <-done:
-		if err == nil || !strings.Contains(err.Error(), "MaxBadChunks") {
-			t.Fatalf("RunReceiver = %v, want MaxBadChunks abort", err)
+		select {
+		case err := <-done:
+			if err == nil || !strings.Contains(err.Error(), "MaxBadChunks") {
+				t.Fatalf("RunReceiver = %v, want MaxBadChunks abort", err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatal("RunReceiver wedged: receive worker stuck in decQ.Put after the decompress stage aborted")
 		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("RunReceiver wedged: receive worker stuck in decQ.Put after the decompress stage aborted")
-	}
+	})
 }
 
 // TestReceiverSurvivesRefusedAccepts drives the pipeline through a
@@ -192,48 +214,51 @@ func TestReceiverDecompressAbortUnblocksReceivers(t *testing.T) {
 // restarting gateway looks like): the sender's redial loop must get
 // through on the second attempt and every chunk must arrive.
 func TestReceiverSurvivesRefusedAccepts(t *testing.T) {
-	base, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("Listen: %v", err)
-	}
-	inj := faults.NewInjector(faults.Plan{Refuse: []faults.AcceptWindow{{From: 0, To: 1}}})
+	eachInbox(t, func(t *testing.T, shards int) {
+		base, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatalf("Listen: %v", err)
+		}
+		inj := faults.NewInjector(faults.Plan{Refuse: []faults.AcceptWindow{{From: 0, To: 1}}})
 
-	const chunks = 8
-	var mu sync.Mutex
-	delivered := 0
-	done := make(chan error, 1)
-	go func() {
-		done <- RunReceiver(ReceiverOptions{
-			Cfg: receiverCfg(1, 1), Topo: testTopo(),
-			Listener: inj.Listener(base),
-			Expect:   chunks,
-			Sink: func(c Chunk) error {
-				mu.Lock()
-				delivered++
-				mu.Unlock()
-				return nil
-			},
-		})
-	}()
+		const chunks = 8
+		var mu sync.Mutex
+		delivered := 0
+		done := make(chan error, 1)
+		go func() {
+			done <- RunReceiver(ReceiverOptions{
+				Cfg: receiverCfg(1, 1), Topo: testTopo(),
+				Listener: inj.Listener(base),
+				Expect:   chunks,
+				Shards:   shards,
+				Sink: func(c Chunk) error {
+					mu.Lock()
+					delivered++
+					mu.Unlock()
+					return nil
+				},
+			})
+		}()
 
-	if err := RunSender(SenderOptions{
-		Cfg: senderCfg(1, 1), Topo: testTopo(),
-		Peers:  []string{base.Addr().String()},
-		Source: chunkSource(chunks, 4<<10),
-	}); err != nil {
-		t.Fatalf("RunSender: %v", err)
-	}
-	if err := <-done; err != nil {
-		t.Fatalf("RunReceiver: %v", err)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if delivered != chunks {
-		t.Fatalf("delivered %d of %d chunks", delivered, chunks)
-	}
-	if st := inj.Stats(); st.RefusedAccepts != 1 {
-		t.Fatalf("RefusedAccepts = %d, want 1", st.RefusedAccepts)
-	}
+		if err := RunSender(SenderOptions{
+			Cfg: senderCfg(1, 1), Topo: testTopo(),
+			Peers:  []string{base.Addr().String()},
+			Source: chunkSource(chunks, 4<<10),
+		}); err != nil {
+			t.Fatalf("RunSender: %v", err)
+		}
+		if err := <-done; err != nil {
+			t.Fatalf("RunReceiver: %v", err)
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		if delivered != chunks {
+			t.Fatalf("delivered %d of %d chunks", delivered, chunks)
+		}
+		if st := inj.Stats(); st.RefusedAccepts != 1 {
+			t.Fatalf("RefusedAccepts = %d, want 1", st.RefusedAccepts)
+		}
+	})
 }
 
 // TestSenderDistributesAcrossPeers: a sender with two receiver peers

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/rand"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -85,131 +84,20 @@ func TestAdmissionStickyBothWays(t *testing.T) {
 	}
 }
 
-// TestShardedGatewayDeliversAllStreams is the sharded twin of
-// TestGatewayServesMultipleSenders: several senders into a sharded
-// exactly-once gateway, every chunk of every stream delivered intact.
-func TestShardedGatewayDeliversAllStreams(t *testing.T) {
-	const (
-		senders     = 6
-		perSender   = 20
-		chunkSize   = 16 << 10
-		totalChunks = senders * perSender
-	)
-	topo := testTopo()
-	reg := metrics.NewRegistry()
-	ledger := NewLedger(reg, 0)
-
-	ready := make(chan string, 1)
-	var mu sync.Mutex
-	type key struct {
-		stream uint32
-		seq    uint64
-	}
-	got := make(map[key][]byte)
-	recvDone := make(chan error, 1)
-	go func() {
-		recvDone <- RunReceiver(ReceiverOptions{
-			Cfg:         receiverCfg(2, 2),
-			Topo:        topo,
-			Bind:        "127.0.0.1:0",
-			Expect:      totalChunks,
-			Metrics:     reg,
-			Ready:       ready,
-			Shards:      4,
-			ExactlyOnce: true,
-			Ledger:      ledger,
-			Sink: func(c Chunk) error {
-				mu.Lock()
-				defer mu.Unlock()
-				k := key{c.Stream, c.Seq}
-				if _, dup := got[k]; dup {
-					return fmt.Errorf("duplicate chunk %v", k)
-				}
-				data := make([]byte, len(c.Data))
-				copy(data, c.Data)
-				got[k] = data
-				return nil
-			},
-		})
-	}()
-	addr := <-ready
-
-	mkChunk := func(stream uint32, i int) []byte {
-		pat := []byte(fmt.Sprintf("s%d-c%04d|", stream, i))
-		return bytes.Repeat(pat, chunkSize/len(pat)+1)[:chunkSize]
-	}
-	errs := make(chan error, senders)
-	for s := uint32(0); s < senders; s++ {
-		go func(stream uint32) {
-			i := 0
-			errs <- RunSender(SenderOptions{
-				Cfg:      senderCfg(1, 1),
-				Topo:     topo,
-				Peers:    []string{addr},
-				StreamID: stream,
-				Source: func() []byte {
-					if i >= perSender {
-						return nil
-					}
-					c := mkChunk(stream, i)
-					i++
-					return c
-				},
-			})
-		}(s)
-	}
-	for s := 0; s < senders; s++ {
-		if err := <-errs; err != nil {
-			t.Fatalf("sender: %v", err)
-		}
-	}
-	if err := <-recvDone; err != nil {
-		t.Fatalf("receiver: %v", err)
-	}
-
-	if len(got) != totalChunks {
-		t.Fatalf("delivered %d chunks, want %d", len(got), totalChunks)
-	}
-	for s := uint32(0); s < senders; s++ {
-		if d := ledger.DeliveredStream(s); d != perSender {
-			t.Fatalf("stream %d: ledger has %d, want %d", s, d, perSender)
-		}
-		if h := ledger.Holes(s); len(h) != 0 {
-			t.Fatalf("stream %d: %d holes", s, len(h))
-		}
-		for i := 0; i < perSender; i++ {
-			if !bytes.Equal(got[key{s, uint64(i)}], mkChunk(s, i)) {
-				t.Fatalf("stream %d chunk %d corrupted or misattributed", s, i)
-			}
-		}
-	}
-	if rej := reg.CounterValue(CtrStreamsRejected); rej != 0 {
-		t.Fatalf("streams_rejected = %d with no admission limit", rej)
-	}
-	// The per-shard depth gauges must exist (drained to zero by now).
-	for i := 0; i < 4; i++ {
-		name := fmt.Sprintf("shard_%d_depth", i)
-		found := false
-		for _, g := range reg.GaugeSnapshots() {
-			if g.Name == name {
-				found = true
-				if g.Value != 0 {
-					t.Fatalf("%s = %g after drain", name, g.Value)
-				}
-			}
-		}
-		if !found {
-			t.Fatalf("gauge %s not registered", name)
-		}
-	}
-}
-
 // TestShardedGatewayAdmissionLimit: with MaxStreams 2 and 4 pushing
 // senders, exactly two streams are admitted and delivered whole; the
 // others are rejected at dispatch with the reject counters accounting
 // for them, and the rejected senders complete without error (their
-// frames drop at the gateway, they are not punished with a stall).
+// frames drop at the gateway, they are not punished with a stall). The
+// limit holds on the single inbox as on a sharded intake.
 func TestShardedGatewayAdmissionLimit(t *testing.T) {
+	for _, shards := range []int{0, 4} {
+		shards := shards
+		t.Run(fmt.Sprintf("shards%d", shards), func(t *testing.T) { testAdmissionLimit(t, shards) })
+	}
+}
+
+func testAdmissionLimit(t *testing.T, shards int) {
 	const (
 		senders   = 4
 		admitted  = 2
@@ -231,7 +119,7 @@ func TestShardedGatewayAdmissionLimit(t *testing.T) {
 			Stop:        stop,
 			Metrics:     reg,
 			Ready:       ready,
-			Shards:      4,
+			Shards:      shards,
 			MaxStreams:  admitted,
 			ExactlyOnce: true,
 			Ledger:      ledger,
@@ -309,23 +197,25 @@ func TestShardedGatewayAdmissionLimit(t *testing.T) {
 // still deliver its full share while the victim is stalled, and the
 // victim's backlog must be absorbed by its own credit window — its
 // transport connection blocks — not by the shared shard queues, which
-// must drain to empty.
+// must drain to empty. An explicit StreamCredit puts the same gate in
+// front of the single inbox.
 func TestShardedGatewayFairBackpressure(t *testing.T) {
-	for _, seed := range []int64{1, 2, 3} {
-		seed := seed
-		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			testFairBackpressure(t, seed)
-		})
+	for _, shards := range []int{0, 4} {
+		for _, seed := range []int64{1, 2, 3} {
+			shards, seed := shards, seed
+			t.Run(fmt.Sprintf("shards%d/seed%d", shards, seed), func(t *testing.T) {
+				testFairBackpressure(t, shards, seed)
+			})
+		}
 	}
 }
 
-func testFairBackpressure(t *testing.T, seed int64) {
+func testFairBackpressure(t *testing.T, shards int, seed int64) {
 	const (
 		streams   = 5
 		perStream = 30
 		chunkSize = 4 << 10
 		credit    = 4
-		shards    = 4
 	)
 	rng := rand.New(rand.NewSource(seed))
 	victim := uint32(rng.Intn(streams))
@@ -420,7 +310,7 @@ func testFairBackpressure(t *testing.T, seed int64) {
 	quiet := time.Now().Add(5 * time.Second)
 	for {
 		depths := 0.0
-		for i := 0; i < shards; i++ {
+		for i := 0; i < shards || i == 0; i++ { // Shards 0 is one ring
 			depths += gaugeValue(t, reg, fmt.Sprintf("shard_%d_depth", i))
 		}
 		blocked := gaugeValue(t, reg, GaugeCreditBlocked)

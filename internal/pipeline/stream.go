@@ -6,6 +6,7 @@ import (
 	"hash/crc32"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"numastream/internal/bufpool"
@@ -607,8 +608,10 @@ type ReceiverOptions struct {
 	// Stop, when non-nil, ends an open-ended receiver: intake closes,
 	// in-flight chunks drain, RunReceiver returns.
 	Stop <-chan struct{}
-	// Sink receives each delivered (decompressed) chunk. It is called
-	// from multiple workers; nil discards.
+	// Sink receives each delivered (decompressed) chunk; nil discards.
+	// Chunks of one stream arrive one call at a time, on that stream's
+	// delivery lane (an unpinned goroutine, not a stage worker); calls
+	// for different streams run concurrently.
 	Sink func(Chunk) error
 	// Metrics, when non-nil, receives "receive" and "decompress"
 	// meters plus the failure counters (CtrQuarantined, CtrSeqGaps,
@@ -641,7 +644,10 @@ type ReceiverOptions struct {
 	// Ledger, when non-nil (implies ExactlyOnce), is the accounting
 	// ledger to use — pass one in to keep dedup state across receiver
 	// passes and to inspect Holes()/Delivered() after the run. Nil with
-	// ExactlyOnce set builds a private ledger over Metrics.
+	// ExactlyOnce set builds a private ledger over Metrics. A ledger
+	// shared with a later pass wants Stop, or an Expect no smaller than
+	// what is sent: chunks racing for the last Expect slot are recorded
+	// and then dropped.
 	Ledger *Ledger
 	// BufPool overrides the buffer pool backing frame receives and
 	// decompression output; nil uses bufpool.Default().
@@ -656,25 +662,24 @@ type ReceiverOptions struct {
 	// Data freely, as before PR 5.
 	DisableBufPool bool
 
-	// Shards switches the receiver to the sharded gateway path (see
-	// gateway.go): per-shard receive queues keyed by stream hash,
-	// admission control and per-stream credit backpressure, with
-	// delivery on per-stream lanes. 0 keeps the legacy single fan-in
-	// exactly as before; > 0 is an explicit shard count; ShardsAuto
-	// aligns it with the host's NUMA domains.
+	// Shards is the number of receive queues the intake spreads streams
+	// over by stream hash (see gateway.go): 0 is a single inbox; > 0 is
+	// an explicit shard count; ShardsAuto aligns it with the host's NUMA
+	// domains.
 	Shards int
-	// ShardQueueCap is the per-shard ring depth (sharded path only;
-	// default DefaultShardQueueCap).
+	// ShardQueueCap is the per-shard ring depth (default
+	// DefaultShardQueueCap).
 	ShardQueueCap int
 	// MaxStreams is the admission limit: at most this many distinct
 	// streams are ever admitted; later streams are rejected at dispatch
 	// and counted (CtrStreamsRejected, CtrChunksRejected). 0 means
-	// unlimited. Sharded path only.
+	// unlimited.
 	MaxStreams int
 	// StreamCredit is each stream's in-flight chunk window past
-	// dispatch (default DefaultStreamCredit). A stream at its limit
-	// blocks only its own connection — per-stream backpressure.
-	// Sharded path only.
+	// dispatch. A stream at its limit blocks only its own connection —
+	// per-stream backpressure. 0 means DefaultStreamCredit when Shards
+	// is set and no credit gate on a single inbox, where the bounded
+	// queues alone push back.
 	StreamCredit int
 	// Controls, when non-nil, receives this run's stage pools so the
 	// adaptive placement controller can Grow/Shrink/re-pin them live.
@@ -701,12 +706,16 @@ const (
 	CtrRelayFailovers = "relay_failovers"
 )
 
-// RunReceiver accepts chunks until Expect have been delivered, then
-// returns.
+// RunReceiver accepts chunks until Expect have been accounted for
+// (delivered or quarantined) or Stop closes, drains what is in flight,
+// and returns.
+//
+// Intake is the transport's dispatch hook (header peek → Admission →
+// credit gate → ShardHash) feeding per-shard rings; receive and
+// decompress workers are the configured pools; delivery runs on one
+// lane per stream (see gateway.go for all three). A single inbox is the
+// one-shard, no-credit case of the same path.
 func RunReceiver(opts ReceiverOptions) error {
-	if opts.Shards != 0 {
-		return runShardedReceiver(opts)
-	}
 	if err := opts.Cfg.Validate(len(opts.Topo.Nodes)); err != nil {
 		return err
 	}
@@ -722,6 +731,22 @@ func RunReceiver(opts ReceiverOptions) error {
 	if opts.Metrics == nil {
 		opts.Metrics = metrics.NewRegistry()
 	}
+	shards := resolveShards(opts)
+	credit := opts.StreamCredit
+	if credit <= 0 && opts.Shards != 0 {
+		credit = DefaultStreamCredit
+	}
+	// With credit in force a lane as deep as the credit never blocks its
+	// producer; without, a full lane is the backpressure a slow Sink
+	// exerts on the decompress stage.
+	laneCap := credit
+	if laneCap <= 0 {
+		laneCap = opts.QueueCap
+	}
+	shardCap := opts.ShardQueueCap
+	if shardCap <= 0 {
+		shardCap = DefaultShardQueueCap
+	}
 	pool := effectivePool(opts.BufPool, opts.DisableBufPool)
 	pool.Register(opts.Metrics)
 
@@ -735,12 +760,17 @@ func RunReceiver(opts ReceiverOptions) error {
 	if err != nil {
 		return err
 	}
+	var decPin PinSpec
+	if hasDec && decGroup.Count > 0 {
+		if decPin, err = pinFor(opts.Topo, decGroup.Placement); err != nil {
+			return err
+		}
+	}
 
 	var pull *msgq.Pull
 	if opts.Listener != nil {
 		pull = msgq.NewPullFromListener(opts.Listener)
 	} else {
-		var err error
 		pull, err = msgq.NewPull(opts.Bind)
 		if err != nil {
 			return err
@@ -754,6 +784,36 @@ func RunReceiver(opts ReceiverOptions) error {
 		// domain: the read loop does the first touch, but the pages are
 		// recycled within the domain that consumes them.
 		pull.SetBufferPool(pool, recvPin.DomainFor(0))
+	}
+
+	adm := NewAdmission(opts.Metrics, opts.MaxStreams)
+	gate := newCreditGate(opts.Metrics, credit)
+	// Dispatch runs on each connection's read goroutine: peek the
+	// header, admit, take credit, route by stream hash. A frame that
+	// cannot carry a header (wrong shape) passes through uncredited and
+	// is quarantined by a receive worker — the credited predicate here
+	// and in the worker must match exactly: len(Msg) == 2 and a
+	// decodable header.
+	pull.SetDispatch(shards, shardCap, func(d *msgq.Delivery) (int, bool) {
+		if len(d.Msg) != 2 {
+			return 0, true
+		}
+		c, _, err := decodeHeader(d.Msg[0])
+		if err != nil {
+			return 0, true
+		}
+		if !adm.Admit(c.Stream) {
+			return 0, false
+		}
+		if gate.acquire(c.Stream) != nil {
+			return 0, false // tearing down
+		}
+		return ShardHash(c.Stream, shards), true
+	})
+	for i := 0; i < shards; i++ {
+		i := i
+		opts.Metrics.RegisterGauge(fmt.Sprintf("shard_%d_depth", i),
+			func() float64 { return float64(pull.ShardDepth(i)) })
 	}
 	if opts.Ready != nil {
 		opts.Ready <- pull.Addr().String()
@@ -775,90 +835,54 @@ func RunReceiver(opts ReceiverOptions) error {
 		ledger = NewLedger(opts.Metrics, 0)
 	}
 
-	// Accounting, guarded by sinkMu. A chunk is accounted once it is
-	// either delivered or quarantined; with Expect set, the receiver is
-	// done when Expect chunks are accounted — a quarantined chunk must
-	// not leave the node waiting forever for a delivery that can never
-	// happen.
-	var sinkMu sync.Mutex
-	delivered := 0
-	quarantined := 0
-	nextSeq := make(map[uint32]uint64) // per-stream next expected sequence
-	// Per-stream delivered meters, the health scoreboard's throughput
-	// series ("delivered_stream_<id>", folded past the registry's
-	// stream cap). Cached here because building the name costs an
-	// allocation the per-chunk path must not pay; the map is guarded by
-	// sinkMu like the rest of the delivery accounting.
-	streamMeters := make(map[uint32]*metrics.Meter)
+	// Accounting: atomics, not a shared mutex — a thousand delivery lanes
+	// must not serialize. A chunk is accounted once it is delivered or
+	// quarantined, and with Expect set the receiver is done when Expect
+	// chunks are: a quarantined chunk must not leave the node waiting
+	// forever for a delivery that can never happen.
+	var accounted, quarantined atomic.Int64
+	expect := int64(opts.Expect)
 	done := make(chan struct{})
 	var doneOnce sync.Once
 	markDone := func() { doneOnce.Do(func() { close(done) }) }
-	deliver := func(c Chunk) error {
-		sinkMu.Lock()
-		defer sinkMu.Unlock()
-		if opts.Expect > 0 && delivered+quarantined >= opts.Expect {
-			return nil
-		}
-		// Exactly-once gate: a repeat of an already-delivered (stream,
-		// seq) is dropped before the sink and counted by the ledger. It
-		// does not advance Expect or the seq-gap accounting — as far as
-		// delivery is concerned it never happened.
-		if ledger != nil && !ledger.Admit(c.Stream, c.Seq) {
-			return nil
-		}
-		if opts.Sink != nil {
-			if err := opts.Sink(c); err != nil {
-				return err
+	expectMet := func(n int64) bool { return expect > 0 && n >= expect }
+	// reserve claims one of the Expect accounting slots before the Sink
+	// call, so that N lanes racing for the last slot hand the Sink
+	// exactly Expect chunks. Without Expect every claim succeeds.
+	reserve := func() bool {
+		for {
+			n := accounted.Load()
+			if expectMet(n) {
+				return false
+			}
+			if accounted.CompareAndSwap(n, n+1) {
+				return true
 			}
 		}
-		delivered++
-		sm := streamMeters[c.Stream]
-		if sm == nil {
-			sm = opts.Metrics.StreamMeter("delivered", c.Stream)
-			streamMeters[c.Stream] = sm
-		}
-		sm.Add(len(c.Data))
-		// Sequence-gap accounting: a jump past the stream's expected
-		// sequence means chunks were lost or quarantined on the way; a
-		// regression is a late (reordered/duplicate) arrival. With
-		// several decompress workers minor reordering shows up as
-		// late counts, not data loss.
-		next, tracked := nextSeq[c.Stream]
-		switch {
-		case !tracked && c.Seq == 0, tracked && c.Seq == next:
-			nextSeq[c.Stream] = c.Seq + 1
-		case !tracked || c.Seq > next:
-			if tracked {
-				gapCtr.Add(int64(c.Seq - next))
-			} else {
-				gapCtr.Add(int64(c.Seq))
-			}
-			nextSeq[c.Stream] = c.Seq + 1
-		default:
-			lateCtr.Inc()
-		}
-		if opts.Expect > 0 && delivered+quarantined == opts.Expect {
-			markDone()
-		}
-		return nil
 	}
-	if opts.Stop != nil {
-		go func() {
-			<-opts.Stop
-			markDone()
-		}()
+	// dispose hands back what a chunk past dispatch holds: the
+	// decompressed lease, the wire frame still backing a chunk that
+	// traveled raw (both nil-safe), and the stream's credit.
+	dispose := func(c Chunk) {
+		c.lease.Release()
+		c.frame.Release()
+		gate.release(c.Stream)
 	}
-	// A failing worker must stop the intake too, or healthy workers
-	// would wait forever on a stream that can no longer complete. It must
-	// also close decQ: pull.Close only wakes workers blocked in Recv, so
-	// without this a receive worker parked in decQ.Put on a full queue
-	// would wedge forever when the decompress stage aborts (FailHard,
-	// MaxBadChunks, a Sink error) — exactly the corrupt-peer scenario the
-	// thresholds are meant to bound. The clean path never comes through
-	// here, so drain-on-success is unaffected: there decQ closes only
-	// after the last receive worker exits.
+
+	// A failing worker or lane must stop the intake too, or healthy
+	// workers would wait forever on a stream that can no longer complete.
+	// It must also close decQ: pull.Close only wakes workers blocked in
+	// RecvSharded, so without this a receive worker parked in decQ.Put on
+	// a full queue would wedge forever when the decompress stage aborts
+	// (FailHard, MaxBadChunks, a Sink error) — exactly the corrupt-peer
+	// scenario the thresholds are meant to bound. The clean path never
+	// comes through here, so drain-on-success is unaffected: there decQ
+	// closes only after the last receive worker exits. Once aborted, the
+	// lanes stop calling the Sink and only hand leases and credit back.
+	var aborted atomic.Bool
 	failStop := func(err error) error {
 		if err != nil {
+			aborted.Store(true)
 			markDone()
 			if decQ != nil {
 				decQ.Close()
@@ -866,32 +890,111 @@ func RunReceiver(opts ReceiverOptions) error {
 		}
 		return err
 	}
-	// quarantine disposes of a chunk that cannot be delivered. The
+	// quarantine disposes of a chunk that cannot be delivered; credited
+	// says whether dispatch charged the stream's credit for it (decodable
+	// header), which must be given back on every disposal path. The
 	// returned error is nil in quarantine mode (count and continue) and
 	// the original cause under FailHard or past the MaxBadChunks
 	// threshold, in which case the node aborts.
-	quarantine := func(cause error) error {
+	quarantine := func(cause error, credited bool, stream uint32) error {
+		if credited {
+			gate.release(stream)
+		}
 		if opts.FailHard {
 			return failStop(cause)
 		}
 		quarantinedCtr.Inc()
-		sinkMu.Lock()
-		quarantined++
-		bad := quarantined
-		accounted := delivered + quarantined
-		sinkMu.Unlock()
-		if opts.MaxBadChunks > 0 && bad > opts.MaxBadChunks {
+		bad := quarantined.Add(1)
+		total := accounted.Add(1)
+		if opts.MaxBadChunks > 0 && bad > int64(opts.MaxBadChunks) {
 			return failStop(fmt.Errorf("pipeline: %d chunks quarantined exceeds MaxBadChunks %d; last cause: %w",
 				bad, opts.MaxBadChunks, cause))
 		}
-		if opts.Expect > 0 && accounted >= opts.Expect {
+		if expectMet(total) {
 			markDone()
 		}
 		return nil
 	}
 
-	var pools []*Pool
+	// The per-stream delivery lane: ledger admission, Sink, sequence and
+	// throughput accounting, credit release — all single-threaded per
+	// stream, so none of it needs a lock shared between streams, and a
+	// Sink that stalls parks exactly one lane.
+	var laneErrOnce sync.Once
+	var laneErr error
+	lanes := newLaneSet(laneCap, func(stream uint32, q *queue.Queue[Chunk]) {
+		// The health scoreboard's throughput series
+		// ("delivered_stream_<id>", folded past the registry's stream
+		// cap); resolved once per lane because building the name costs an
+		// allocation the per-chunk path must not pay.
+		meter := opts.Metrics.StreamMeter("delivered", stream)
+		var next uint64
+		tracked := false
+		for {
+			c, err := q.Get()
+			if err != nil {
+				return // lane closed and drained
+			}
+			// Dropped before the Sink: anything after an abort or once
+			// Expect is met, and a repeat of an already-delivered
+			// (stream, seq), which the ledger counts; a repeat takes no
+			// Expect slot and leaves the seq-gap accounting alone. The
+			// ledger is asked before the slot is reserved: a repeat
+			// holding the last slot even briefly would get a first
+			// arrival on another lane dropped and Expect never met. The
+			// price: a lane that loses the race for the last slot has
+			// already recorded its chunk, so up to lanes-1 chunks beyond
+			// Expect read as delivered though no Sink saw them.
+			deliver := !aborted.Load() && !expectMet(accounted.Load()) &&
+				(ledger == nil || ledger.Admit(c.Stream, c.Seq)) &&
+				reserve()
+			if deliver && opts.Sink != nil {
+				if err := opts.Sink(c); err != nil {
+					laneErrOnce.Do(func() { laneErr = err })
+					failStop(err)
+					deliver = false
+				}
+			}
+			if deliver {
+				meter.Add(len(c.Data))
+				// Sequence-gap accounting: a jump past the stream's
+				// expected sequence means chunks were lost or quarantined
+				// on the way; a regression is a late (reordered or
+				// duplicate) arrival. With several decompress workers
+				// minor reordering shows up as late counts, not data loss.
+				switch {
+				case !tracked && c.Seq == 0, tracked && c.Seq == next:
+					next, tracked = c.Seq+1, true
+				case !tracked || c.Seq > next:
+					if tracked {
+						gapCtr.Add(int64(c.Seq - next))
+					} else {
+						gapCtr.Add(int64(c.Seq))
+					}
+					next, tracked = c.Seq+1, true
+				default:
+					lateCtr.Inc()
+				}
+				if expectMet(accounted.Load()) {
+					markDone()
+				}
+				journeys.finish(c.journey, trace.NowNanos())
+			}
+			// The Sink has returned (and copied anything it keeps).
+			dispose(c)
+		}
+	})
 
+	// toLane hands a verified chunk to its delivery lane. The set only
+	// refuses after closeAll, which follows the last producer's exit;
+	// dispose anyway so nothing leaks if that ordering ever changes.
+	toLane := func(c Chunk) {
+		if !lanes.enqueue(c) {
+			dispose(c)
+		}
+	}
+
+	var pools []*Pool
 	{
 		obs := newStageObserver(opts.Metrics, tracer, "receive")
 		recv := StartPool(PoolConfig{
@@ -905,11 +1008,12 @@ func RunReceiver(opts ReceiverOptions) error {
 			},
 		}, func(w *Worker) error {
 			worker := w.ID()
+			cur := msgq.NewShardCursor(worker)
 			for {
 				if w.Retiring() {
 					return nil
 				}
-				d, err := pull.RecvDelivery()
+				d, err := pull.RecvSharded(cur)
 				if err == msgq.ErrClosed {
 					return nil
 				}
@@ -925,7 +1029,7 @@ func RunReceiver(opts ReceiverOptions) error {
 				// releases it.
 				if len(msg) != 2 {
 					d.Frame.Release()
-					if err := quarantine(fmt.Errorf("pipeline: message with %d parts", len(msg))); err != nil {
+					if err := quarantine(fmt.Errorf("pipeline: message with %d parts", len(msg)), false, 0); err != nil {
 						return err
 					}
 					continue
@@ -933,14 +1037,14 @@ func RunReceiver(opts ReceiverOptions) error {
 				c, wantCRC, err := decodeHeader(msg[0])
 				if err != nil {
 					d.Frame.Release()
-					if err := quarantine(err); err != nil {
+					if err := quarantine(err, false, 0); err != nil {
 						return err
 					}
 					continue
 				}
 				if sum := crc32.Checksum(msg[1], crcTable); sum != wantCRC {
 					d.Frame.Release()
-					if err := quarantine(fmt.Errorf("pipeline: chunk %d payload CRC %08x, want %08x", c.Seq, sum, wantCRC)); err != nil {
+					if err := quarantine(fmt.Errorf("pipeline: chunk %d payload CRC %08x, want %08x", c.Seq, sum, wantCRC), true, c.Stream); err != nil {
 						return err
 					}
 					continue
@@ -972,19 +1076,12 @@ func RunReceiver(opts ReceiverOptions) error {
 				if decQ != nil {
 					c.enqAt = time.Now()
 					if err := decQ.Put(c); err != nil {
-						c.frame.Release() // decompress stage gone
+						dispose(c) // decompress stage gone
 						return nil
 					}
 					continue
 				}
-				if err := deliver(c); err != nil {
-					c.frame.Release()
-					return failStop(err)
-				}
-				journeys.finish(c.journey, trace.NowNanos())
-				// Delivered straight from the wire: the sink has copied
-				// what it wants, the frame can go home.
-				c.frame.Release()
+				toLane(c)
 			}
 		})
 		pools = append(pools, recv)
@@ -992,13 +1089,9 @@ func RunReceiver(opts ReceiverOptions) error {
 	}
 
 	if decQ != nil {
-		pin, err := pinFor(opts.Topo, decGroup.Placement)
-		if err != nil {
-			return err
-		}
 		obs := newStageObserver(opts.Metrics, tracer, "decompress")
 		dec := StartPool(PoolConfig{
-			Name: "decompress", Workers: decGroup.Count, Pin: pin, Topo: opts.Topo,
+			Name: "decompress", Workers: decGroup.Count, Pin: decPin, Topo: opts.Topo,
 		}, func(w *Worker) error {
 			worker, dom := w.ID(), w.Domain()
 			for {
@@ -1021,66 +1114,57 @@ func RunReceiver(opts ReceiverOptions) error {
 					// and the output pages should live there, not where
 					// the wire frame landed.
 					var raw []byte
+					var derr error
 					if pool != nil {
-						lease := pool.Get(dom, c.RawLen)
-						n, derr := lz4.DecompressBlock(c.Data, lease.Bytes())
+						c.lease = pool.Get(dom, c.RawLen)
+						raw = c.lease.Bytes()
+						var n int
+						n, derr = lz4.DecompressBlock(c.Data, raw)
 						if derr == nil && n != c.RawLen {
 							derr = fmt.Errorf("lz4: decompressed %d bytes, want %d", n, c.RawLen)
 						}
-						if derr != nil {
-							lease.Release()
-							c.frame.Release()
-							if err := quarantine(fmt.Errorf("decompressing chunk %d: %w", c.Seq, derr)); err != nil {
-								return err
-							}
-							continue
-						}
-						c.lease = lease
-						raw = lease.Bytes()
 					} else {
-						var derr error
 						raw, derr = lz4.Decompress(c.Data, c.RawLen)
-						if derr != nil {
-							c.frame.Release()
-							if err := quarantine(fmt.Errorf("decompressing chunk %d: %w", c.Seq, derr)); err != nil {
-								return err
-							}
-							continue
-						}
 					}
-					// The wire frame backed only the compressed block;
-					// it is done the moment the block is unpacked.
+					// The wire frame backed only the compressed block; it
+					// is done the moment the block is unpacked (or found
+					// to be garbage).
 					c.frame.Release()
 					c.frame = nil
+					if derr != nil {
+						c.lease.Release()
+						if err := quarantine(fmt.Errorf("decompressing chunk %d: %w", c.Seq, derr), true, c.Stream); err != nil {
+							return err
+						}
+						continue
+					}
 					c.Data = raw
 					c.Packed = false
 				}
 				obs.done(worker, t0, c.RawLen, c.Seq)
-				if err := deliver(c); err != nil {
-					c.lease.Release()
-					c.frame.Release()
-					return failStop(err)
-				}
-				journeys.finish(c.journey, trace.NowNanos())
-				// The sink has returned (and copied anything it keeps):
-				// the decompressed lease — and, for chunks that traveled
-				// raw, the wire frame still backing Data — go home.
-				c.lease.Release()
-				c.frame.Release()
+				toLane(c)
 			}
 		})
 		pools = append(pools, dec)
 		opts.Controls.attach("decompress", dec, opts.Metrics)
 	}
 
-	// Stop the intake once the expected chunks have been accounted for;
-	// this unblocks workers waiting in Recv. Only the pull socket closes
-	// here: the decompress queue stays open so chunks already pulled off
-	// the wire drain through decompress and delivery (graceful drain).
-	// The receive workers close decQ themselves once the last of them
-	// exits (on an abort, failStop closes it immediately instead).
+	// Stop the intake once the expected chunks have been accounted for,
+	// Stop closes, or a stage aborts. The gate unblocks first (dispatchers
+	// parked on credit must fail out before the transport can drain its
+	// read loops), then the transport, which wakes workers waiting in
+	// RecvSharded. The decompress queue stays open so chunks already
+	// pulled off the wire drain through decompress and delivery (graceful
+	// drain): the receive workers close it once the last of them exits
+	// (on an abort, failStop closes it immediately instead).
+	intakeClosed := make(chan struct{})
 	go func() {
-		<-done
+		defer close(intakeClosed)
+		select {
+		case <-done:
+		case <-opts.Stop:
+		}
+		gate.close()
 		pull.Close()
 	}()
 
@@ -1090,14 +1174,30 @@ func RunReceiver(opts ReceiverOptions) error {
 			firstErr = err
 		}
 	}
+	markDone()
+	<-intakeClosed
+	// An abort leaves chunks behind in the queues the exited workers
+	// served; nothing will consume them now, so their frames go home
+	// here. Lanes close only after every producer has exited.
+	if decQ != nil {
+		for c, err := decQ.Get(); err == nil; c, err = decQ.Get() {
+			dispose(c)
+		}
+	}
+	cur := msgq.NewShardCursor(0)
+	for d, err := pull.RecvSharded(cur); err == nil; d, err = pull.RecvSharded(cur) {
+		d.Frame.Release()
+	}
+	lanes.closeAll()
+	if firstErr == nil {
+		firstErr = laneErr
+	}
 	if firstErr != nil {
 		return firstErr
 	}
-	sinkMu.Lock()
-	defer sinkMu.Unlock()
-	if opts.Expect > 0 && delivered+quarantined < opts.Expect {
+	if n, bad := accounted.Load(), quarantined.Load(); expect > 0 && n < expect {
 		return fmt.Errorf("pipeline: accounted for %d of %d expected chunks (%d delivered, %d quarantined)",
-			delivered+quarantined, opts.Expect, delivered, quarantined)
+			n, expect, n-bad, bad)
 	}
 	return nil
 }
