@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test vet race check bench bench-build churn-drill report-drill stream-drill fleet-drill adapt-drill
+.PHONY: build test vet race check bench bench-build lz4-fuzz churn-drill report-drill stream-drill fleet-drill adapt-drill
 
 build:
 	$(GO) build ./...
@@ -100,9 +100,20 @@ adapt-drill:
 bench-build:
 	$(GO) -C benchmark vet ./... && $(GO) -C benchmark test ./...
 
-# The single CI entry point: build, vet, tests, benchmark module, race
-# pass, churn drill, report drill, stream drill, fleet drill, adapt drill.
-check: build vet test bench-build race churn-drill report-drill stream-drill fleet-drill adapt-drill
+# The LZ4 decoder stores 8 bytes at a time right up to the slack it has
+# checked for, and the compressor's inline emit does the same into dst:
+# the kind of code that grows out-of-bounds bugs. Under `go test` the two
+# fuzz targets only replay their seed corpus; here each mutates for 15 s,
+# comparing the decoder with the byte-wise reference decoder on every
+# input and checking every compressed block against the format's rules.
+lz4-fuzz:
+	$(GO) test ./internal/lz4 -run '^$$' -fuzz FuzzRoundTrip -fuzztime 15s
+	$(GO) test ./internal/lz4 -run '^$$' -fuzz FuzzDecompressNeverPanics -fuzztime 15s
+
+# The single CI entry point: build, vet, tests, benchmark module, LZ4
+# fuzzers, race pass, churn drill, report drill, stream drill, fleet
+# drill, adapt drill.
+check: build vet test bench-build lz4-fuzz race churn-drill report-drill stream-drill fleet-drill adapt-drill
 
 # Human-readable benchmark run over the root suite (the paper figures,
 # the loopback pipeline, queues, LZ4).

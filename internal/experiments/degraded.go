@@ -266,6 +266,8 @@ type DegradedRealResult struct {
 	Redials     int64
 	Resends     int64
 	SeqGaps     int64
+	SeqLate     int64
+	Seqs        []uint64 // sequence number of every chunk the Sink saw, in delivery order
 	Faults      faults.Stats
 	E2EGbps     float64
 	Timeline    *metrics.Timeline // sampled registry state over the run
@@ -335,7 +337,7 @@ func DegradedLoopbackInto(reg *metrics.Registry, chunks, chunkBytes int) (Degrad
 	ready := make(chan string, 1)
 	recvErr := make(chan error, 1)
 	var mu sync.Mutex
-	delivered := 0
+	var seqs []uint64
 	// The dip-and-recovery curve: a Sampler snapshots the shared
 	// registry every 2ms into a Timeline; the "decompress" meter's
 	// cumulative bytes resample into the bucketed rate below. This is
@@ -348,7 +350,7 @@ func DegradedLoopbackInto(reg *metrics.Registry, chunks, chunkBytes int) (Degrad
 			Expect: chunks, Ready: ready, Metrics: reg,
 			DisableBufPool: DisableBufPool,
 			Sink: func(c pipeline.Chunk) error {
-				delivered++ // one stream: serialized by its delivery lane
+				seqs = append(seqs, c.Seq) // one stream: serialized by its delivery lane
 				return nil
 			},
 		})
@@ -382,11 +384,13 @@ func DegradedLoopbackInto(reg *metrics.Registry, chunks, chunkBytes int) (Degrad
 
 	res := DegradedRealResult{
 		Chunks:      chunks,
-		Delivered:   delivered,
+		Delivered:   len(seqs),
 		Quarantined: reg.CounterValue(pipeline.CtrQuarantined),
 		Redials:     reg.CounterValue(msgq.CtrRedials),
 		Resends:     reg.CounterValue(msgq.CtrResends),
 		SeqGaps:     reg.CounterValue(pipeline.CtrSeqGaps),
+		SeqLate:     reg.CounterValue(pipeline.CtrSeqLate),
+		Seqs:        seqs,
 		Faults:      inj.Stats(),
 		Timeline:    sampler.Timeline(),
 	}
@@ -402,8 +406,8 @@ func DegradedLoopbackInto(reg *metrics.Registry, chunks, chunkBytes int) (Degrad
 // FormatDegradedReal renders the real-mode fault run.
 func FormatDegradedReal(r DegradedRealResult) string {
 	out := "Degraded-mode real loopback (reset + corrupt mid-stream)\n"
-	out += fmt.Sprintf("  chunks %d: delivered %d, quarantined %d (CRC), seq gaps %d\n",
-		r.Chunks, r.Delivered, r.Quarantined, r.SeqGaps)
+	out += fmt.Sprintf("  chunks %d: delivered %d, quarantined %d (CRC), seq gaps %d, late %d\n",
+		r.Chunks, r.Delivered, r.Quarantined, r.SeqGaps, r.SeqLate)
 	out += fmt.Sprintf("  faults fired: %d reset, %d corrupt; recovery: %d redials, %d resends\n",
 		r.Faults.Resets, r.Faults.Corruptions, r.Redials, r.Resends)
 	out += fmt.Sprintf("  end-to-end %.2f Gbps\n", r.E2EGbps)

@@ -85,7 +85,30 @@ func TestDegradedLoopbackAcceptance(t *testing.T) {
 	if res.Resends < 1 {
 		t.Fatalf("resends = %d, want >= 1 (the reset message must be retransmitted)", res.Resends)
 	}
-	if res.SeqGaps != 1 {
-		t.Fatalf("seq gaps = %d, want 1 (the quarantined chunk's hole)", res.SeqGaps)
+	// Exactly once, minus the corrupted chunk: every sequence number but
+	// one reached the Sink, none twice. Order is not asserted: the frame
+	// resent on the redialed connection can overtake frames still unread
+	// on the reset one, so how many gaps open (and are later filled) is
+	// timing. What is fact is that every hole but the quarantined one
+	// closes: gaps opened minus late arrivals is the hole that is left.
+	seen := make(map[uint64]bool, chunks)
+	for _, seq := range res.Seqs {
+		if seq >= chunks || seen[seq] {
+			t.Fatalf("sink saw seq %d out of range or twice (all: %v)", seq, res.Seqs)
+		}
+		seen[seq] = true
+	}
+	if len(seen) != chunks-1 {
+		t.Fatalf("sink saw %d distinct seqs, want %d", len(seen), chunks-1)
+	}
+	for seq := uint64(0); seq < chunks; seq++ {
+		// The plan corrupts a payload after the reset at chunk N/2.
+		if !seen[seq] && seq <= chunks/2 {
+			t.Fatalf("missing seq %d is not the corrupted chunk, which follows the reset at %d", seq, chunks/2)
+		}
+	}
+	if res.SeqGaps-res.SeqLate != res.Quarantined {
+		t.Fatalf("seq gaps %d - late %d = %d, want %d (the quarantined chunk's hole)",
+			res.SeqGaps, res.SeqLate, res.SeqGaps-res.SeqLate, res.Quarantined)
 	}
 }

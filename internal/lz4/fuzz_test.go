@@ -14,27 +14,18 @@ func FuzzRoundTrip(f *testing.F) {
 	f.Add(bytes.Repeat([]byte("abc"), 100))
 	f.Add(bytes.Repeat([]byte{0}, 1000))
 	f.Add([]byte("the quick brown fox jumps over the lazy dog"))
+	f.Add(corpora()["projection"][:512])
 	f.Fuzz(func(t *testing.T, src []byte) {
+		// A legal block that both decoders turn back into src.
+		roundTrip(t, src)
+		// HC must agree with the same decoders.
 		dst := make([]byte, CompressBound(len(src)))
-		n, err := CompressBlock(src, dst)
-		if err != nil {
-			t.Fatalf("CompressBlock: %v", err)
-		}
-		got, err := Decompress(dst[:n], len(src))
-		if err != nil {
-			t.Fatalf("Decompress: %v", err)
-		}
-		if !bytes.Equal(got, src) {
-			t.Fatal("round trip mismatch")
-		}
-		// HC must agree with the same decoder.
 		nhc, err := CompressBlockHC(src, dst, 16)
 		if err != nil {
 			t.Fatalf("CompressBlockHC: %v", err)
 		}
-		got, err = Decompress(dst[:nhc], len(src))
-		if err != nil || !bytes.Equal(got, src) {
-			t.Fatalf("HC round trip: %v", err)
+		if got := diffDecode(t, dst[:nhc], len(src)); !bytes.Equal(got, src) {
+			t.Fatal("HC round trip mismatch")
 		}
 	})
 }
@@ -43,12 +34,15 @@ func FuzzDecompressNeverPanics(f *testing.F) {
 	f.Add([]byte{0x60, 'a', 'b', 'c', 'd', 'e', 'f'}, 6)
 	f.Add([]byte{0x1f, 'a', 0x01, 0x00, 0x00}, 20)
 	f.Add([]byte{0xff, 0xff, 0xff}, 100)
+	// Valid blocks to mutate, long enough for the fast loop to run.
+	f.Add(Compress(corpora()["projection"][:512]), 512)
+	f.Add(Compress(bytes.Repeat([]byte("abcabcd"), 40)), 280)
 	f.Fuzz(func(t *testing.T, junk []byte, size int) {
 		if size < 0 || size > 1<<20 {
 			return
 		}
-		dst := make([]byte, size)
-		// Must error or succeed, never panic or write out of bounds.
-		_, _ = DecompressBlock(junk, dst)
+		// Must error or succeed, never panic or write out of bounds,
+		// and do exactly what the byte-wise oracle does.
+		diffDecode(t, junk, size)
 	})
 }

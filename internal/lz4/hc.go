@@ -13,6 +13,13 @@ package lz4
 // reference implementation's mid-level.
 const HCDefaultDepth = 64
 
+// The chain heads: 64 Ki entries over 4-byte windows (Knuth's
+// multiplicative hash), sized apart from the fast path's table.
+const (
+	hcHashLog = 16
+	hcHashMul = 2654435761
+)
+
 // CompressBlockHC compresses src into dst with hash-chain matching at
 // the given search depth (<=0 selects HCDefaultDepth). Output is a
 // standard LZ4 block, decodable by DecompressBlock. dst must be at
@@ -31,11 +38,11 @@ func CompressBlockHC(src, dst []byte, depth int) (int, error) {
 		depth = HCDefaultDepth
 	}
 
-	head := make([]int32, hashSize) // position+1 of most recent occurrence
+	head := make([]int32, 1<<hcHashLog) // position+1 of most recent occurrence
 	chain := make([]int32, len(src))
 
 	insert := func(i int) {
-		h := hash4(load32(src, i))
+		h := (load32(src, i) * hcHashMul) >> (32 - hcHashLog)
 		chain[i] = head[h] - 1 // previous occurrence, -1 terminates
 		head[h] = int32(i + 1)
 	}

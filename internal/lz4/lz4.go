@@ -7,18 +7,34 @@
 // token byte (literal length high nibble, match length - 4 low nibble,
 // 15 meaning "extended by 255-value bytes"), the literals, a 2-byte
 // little-endian match offset, and the match-length extension bytes. The
-// final sequence carries literals only. The compressor uses a 64 Ki-entry
-// hash table over 4-byte windows, the same strategy as the reference
-// "fast" (level 1) compressor, so compression ratios and the roughly 3:1
-// decompress-to-compress speed asymmetry the paper reports both carry
-// over.
+// final sequence carries literals only.
+//
+// The two kernels are sized to the data the pipeline streams: 16-bit
+// projections, which compress to some 80 000 sequences per MiB, so what
+// a block costs is set per sequence, not per byte. CompressBlock is the
+// reference "fast" (level 1) strategy, one candidate per hash bucket,
+// with a 4 Ki-entry (16 KiB) table — the reference's LZ4_HASHLOG 12 —
+// that lives on the caller's stack, a 7-byte hash window, matches
+// extended 8 bytes at a time, and the usual sequence (at most 8
+// literals, no length extension) written by one token and one 8-byte
+// store; it assumes nothing of its input and needs CompressBound bytes of
+// output. DecompressBlock decodes sequences without length extension
+// with 8-byte loads and stores for as long as both buffers have 17 and
+// 38 bytes left, and everything else (extended lengths, the tail, every
+// malformed block) in a careful loop that checks each length before each
+// copy; it needs no slack beyond the decoded size. On this repository's
+// 2.1 GHz benchmark host a 1 MiB projection compresses in 1.8 ms and
+// decompresses in 0.96 ms per core, 1.9 : 1 (16 KiB blocks: 27 and 14 µs)
+// — short of the 3 : 1 the paper reports for the C library, whose decoder
+// copies with 16- and 32-byte vector moves Go does not offer without
+// assembly.
 package lz4
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sync"
+	"math/bits"
 )
 
 const (
@@ -27,10 +43,12 @@ const (
 	mfLimit      = 12 // spec: no match may start within 12 bytes of the end
 	maxOffset    = 65535
 
-	hashLog  = 16
+	// The fast compressor's match table: 4 Ki positions, 16 KiB, the
+	// reference library's LZ4_HASHLOG 12. It is a local array of
+	// compressBlock, so it lives on the calling worker's stack, stays
+	// in L1 next to the data, and is zeroed by its declaration.
+	hashLog  = 12
 	hashSize = 1 << hashLog
-	// Knuth multiplicative hash constant for 32-bit keys.
-	hashMul = 2654435761
 )
 
 // Errors returned by this package.
@@ -48,12 +66,30 @@ func CompressBound(n int) int {
 	return n + n/255 + 16
 }
 
-func hash4(u uint32) uint32 {
-	return (u * hashMul) >> (32 - hashLog)
+// hash7 hashes the low 7 bytes of u, the window a match candidate must
+// share. Matches are still verified, and taken, from 4 bytes up; the wide
+// window is for choosing the candidate. On 16-bit projections any two
+// pixels recur within a few rows, so a 4-byte window fills the table with
+// candidates good for a 4-byte match that costs 3 bytes to write; 7 bytes
+// (the reference LZ4 hashes 5 on 64-bit hosts; zstd's fast strategy,
+// whose 7-byte hash this is, up to 8) picks the ones that run on. Measured on
+// 1 MiB projections, window → ratio, sequences per MiB: 4 → 2.18,
+// 139 000; 5 → 2.47, 105 000; 6 → 2.40, 97 000; 7 → 2.61, 80 000;
+// 8 → 2.53, 76 000. Time follows the sequence count.
+func hash7(u uint64) uint32 {
+	return uint32(((u << 8) * 58295818150454627) >> (64 - hashLog))
 }
 
 func load32(b []byte, i int) uint32 {
-	return binary.LittleEndian.Uint32(b[i:])
+	return binary.LittleEndian.Uint32(b[i : i+4 : len(b)])
+}
+
+func load64(b []byte, i int) uint64 {
+	return binary.LittleEndian.Uint64(b[i : i+8 : len(b)])
+}
+
+func store64(b []byte, i int, v uint64) {
+	binary.LittleEndian.PutUint64(b[i:i+8:len(b)], v)
 }
 
 // CompressBlock compresses src into dst using the LZ4 block format and
@@ -72,38 +108,42 @@ func CompressBlock(src, dst []byte) (int, error) {
 	if len(src) < mfLimit {
 		return emitLastLiterals(src, dst, 0, 0), nil
 	}
-
-	// The 256 KiB hash table is too large for the stack, and one heap
-	// allocation per block would dominate the steady-state allocation
-	// profile of a pipeline compressing thousands of chunks. Rent a
-	// table and clear it (a memclr is far cheaper than an allocation
-	// plus the GC pressure it brings).
-	table := tablePool.Get().(*[hashSize]int32)
-	clear(table[:])
-	n := compressBlock(src, dst, table)
-	tablePool.Put(table)
-	return n, nil
+	return compressBlock(src, dst), nil
 }
 
-// tablePool recycles fast-path hash tables across CompressBlock calls;
-// candidate position + 1 per entry, 0 means empty.
-var tablePool = sync.Pool{New: func() any { return new([hashSize]int32) }}
-
-func compressBlock(src, dst []byte, table *[hashSize]int32) int {
+// compressBlock is the fast compressor. It is written for blocks made
+// of many short sequences (a projection compresses to about 80 000
+// sequences per MiB: nine in ten without a literal, mean match 11
+// bytes), where the cost is per sequence, not per byte: one 8-byte load
+// serves the hash, the 4-byte match test and the first 8 bytes of
+// extension, the common sequence is emitted inline, and the position
+// after a match is probed at once, with the position two bytes back
+// entered first (the reference compressor's _next_match step; on
+// projections it costs 4 % of the time and is worth 1.7 % of the ratio).
+// len(src) >= mfLimit and len(dst) >= CompressBound(len(src)).
+func compressBlock(src, dst []byte) int {
+	// table[h] is the last position whose 7 bytes hashed to h. A zeroed
+	// entry reads as position 0, which is a real position: a candidate
+	// is always verified against the bytes, so no "empty" mark is
+	// needed, and the search starts at 1 so a candidate lies before si.
+	// Positions are kept modulo 2^32; a wrapped one fails the offset test.
+	var table [hashSize]uint32
 
 	sn := len(src) - mfLimit // last position where a match may start
 	matchEnd := len(src) - lastLiterals
 
 	di := 0
 	anchor := 0
-	si := 0
+	si := 1
 	searchSteps := 0
 
 	for si <= sn {
-		h := hash4(load32(src, si))
-		ref := int(table[h]) - 1
-		table[h] = int32(si + 1)
-		if ref < 0 || si-ref > maxOffset || load32(src, ref) != load32(src, si) {
+		cur := load64(src, si) // si+8 <= len(src)-4
+		h := hash7(cur)
+		ref := int(table[h])
+		table[h] = uint32(si)
+		x := cur ^ load64(src, ref)
+		if uint32(x) != 0 || si-ref > maxOffset {
 			// No usable match: advance. The skip strength grows
 			// slowly through incompressible regions, mirroring the
 			// reference compressor's acceleration behaviour.
@@ -113,23 +153,64 @@ func compressBlock(src, dst []byte, table *[hashSize]int32) int {
 		}
 		searchSteps = 0
 
-		// Extend the match backwards over bytes we already counted
-		// as literals.
+		// Extend the match forwards, 8 bytes at a time, stopping before
+		// the mandatory trailing literal region. x already holds the
+		// comparison of the first 8. (The goto skips the byte loop; the
+		// form without it, falling through that loop, measured 15 %
+		// slower on projections.)
+		end := si + 8
+		if x != 0 {
+			end = si + bits.TrailingZeros64(x)>>3
+		} else {
+			r := ref + 8
+			for end+8 <= matchEnd {
+				if y := load64(src, end) ^ load64(src, r); y != 0 {
+					end += bits.TrailingZeros64(y) >> 3
+					goto extended
+				}
+				end += 8
+				r += 8
+			}
+			for end < matchEnd && src[end] == src[r] {
+				end++
+				r++
+			}
+		}
+		if end > matchEnd { // si+8 can be matchEnd+1
+			end = matchEnd
+		}
+	extended:
+
+		// Extend the match backwards over bytes already counted as
+		// literals.
 		for si > anchor && ref > 0 && src[si-1] == src[ref-1] {
 			si--
 			ref--
 		}
 
-		// Extend the match forwards, stopping before the mandatory
-		// trailing literal region.
-		mLen := minMatch
-		for si+mLen < matchEnd && src[ref+mLen] == src[si+mLen] {
-			mLen++
+		litLen := si - anchor
+		mCode := end - si - minMatch
+		if litLen <= 8 && mCode < 15 {
+			// One token, at most 8 literals by one wide store. The
+			// store may run past the literals into bytes the offset
+			// and the next sequence overwrite; CompressBound's 16
+			// spare bytes keep it inside dst, and anchor+8 <= sn+8.
+			dst[di] = byte(litLen<<4 | mCode)
+			store64(dst, di+1, load64(src, anchor))
+			di += 1 + litLen
+			binary.LittleEndian.PutUint16(dst[di:], uint16(si-ref))
+			di += 2
+		} else {
+			di = emitSequence(dst, di, src[anchor:si], si-ref, end-si)
 		}
-
-		di = emitSequence(dst, di, src[anchor:si], si-ref, mLen)
-		si += mLen
-		anchor = si
+		si = end
+		anchor = end
+		if si > sn {
+			break
+		}
+		// The next iteration probes si itself; position si-2, inside
+		// the match just emitted, is entered first.
+		table[hash7(load64(src, si-2))] = uint32(si - 2)
 	}
 
 	return emitLastLiterals(src, dst, anchor, di)
@@ -190,14 +271,88 @@ func emitLastLiterals(src, dst []byte, anchor, di int) int {
 	return di
 }
 
+const (
+	// What the decoder's fast loop needs left in each buffer to decode
+	// one unextended sequence with 8-byte loads and stores and no
+	// further checks. src: the token, two 8-byte literal loads (a run
+	// is at most 14), and the offset, which starts no later than byte
+	// 15. dst: 14 literals, then a match of at most 18 written as
+	// three 8-byte stores.
+	fastSrcSlack = 1 + 16
+	fastDstSlack = 14 + 24
+)
+
+// periodStep[offset] is the smallest multiple of offset that is at
+// least 8: copying 8 bytes from that far back continues a pattern of
+// period offset without the load overlapping its own store.
+var periodStep = [8]int{8, 8, 8, 9, 8, 10, 12, 14}
+
 // DecompressBlock decompresses the LZ4 block src into dst and returns the
 // number of bytes written. dst must be large enough for the whole
 // uncompressed payload (callers carry the uncompressed size out of band,
-// as the chunk transport does). It returns ErrCorrupt on malformed input
-// and ErrDstTooSmall when dst cannot hold the output.
+// as the chunk transport does); it needs no slack beyond that. It returns
+// ErrCorrupt on malformed input and ErrDstTooSmall when dst cannot hold
+// the output. Bytes of dst past the returned count are unspecified: the
+// decoder stores 8 bytes at a time and may have written there.
 func DecompressBlock(src, dst []byte) (int, error) {
 	di, si := 0, 0
-	for si < len(src) {
+
+	for {
+		// Fast loop: while both buffers have slack for the widest access, a
+		// sequence whose token carries no length extension (nearly all of
+		// them on projection data) is decoded with 8-byte loads and stores
+		// and no calls. Anything else, the tail of the block and every
+		// malformed sequence is left, undecoded, to the careful code below
+		// (one sequence, then back here), the only place errors are made.
+		for si+fastSrcSlack <= len(src) && di+fastDstSlack <= len(dst) {
+			token := src[si]
+			litLen := int(token >> 4)
+			mLen := int(token&0xf) + minMatch
+			if litLen == 15 || mLen == 15+minMatch {
+				break
+			}
+			store64(dst, di, load64(src, si+1))
+			if litLen > 8 {
+				store64(dst, di+8, load64(src, si+9))
+			}
+			// At least two bytes follow the literals, so this is not the
+			// final sequence and an offset is there to read.
+			s := si + 1 + litLen
+			d := di + litLen
+			offset := int(binary.LittleEndian.Uint16(src[s:]))
+			m := d - offset
+			if offset == 0 || m < 0 {
+				break
+			}
+			// The first 8 bytes, branch-free over every offset: below 8
+			// the match overlaps its own output, a pattern of period
+			// offset, and 8 bytes of it are built in a register by
+			// doubling; from 8 up the shifts are by 64 or more, which
+			// yield 0 and leave the loaded bytes as they are.
+			sh := uint(offset) * 8
+			v := load64(dst, m) & (1<<sh - 1)
+			v |= v << sh
+			v |= v << (2 * sh)
+			v |= v << (4 * sh)
+			store64(dst, d, v)
+			// Continue from a whole number of periods back, so the
+			// load does not overlap its own store.
+			step := offset
+			if offset < 8 {
+				step = periodStep[offset]
+			}
+			m = d + 8 - step
+			store64(dst, d+8, load64(dst, m))
+			if mLen > 16 {
+				store64(dst, d+16, load64(dst, m+8))
+			}
+			si = s + 2
+			di = d + mLen
+		}
+
+		if si >= len(src) {
+			return di, nil
+		}
 		token := src[si]
 		si++
 
@@ -251,19 +406,15 @@ func DecompressBlock(src, dst []byte) (int, error) {
 		if di+mLen > len(dst) {
 			return 0, ErrDstTooSmall
 		}
-		// Overlapping copies must proceed byte-wise; they are how LZ4
-		// encodes runs (offset < length repeats a short period).
-		if offset >= mLen {
-			copy(dst[di:di+mLen], dst[di-offset:])
-			di += mLen
-		} else {
-			for i := 0; i < mLen; i++ {
-				dst[di] = dst[di-offset]
-				di++
-			}
+		// A match longer than its offset overlaps its own output; that
+		// is how LZ4 encodes runs (a short period repeated). Copy the
+		// period, then double what has been written until it is done.
+		out := dst[di-offset : di+mLen]
+		for n := offset; n < len(out); n *= 2 {
+			copy(out[n:], out[:n])
 		}
+		di += mLen
 	}
-	return di, nil
 }
 
 // readLenExt accumulates 255-value extension bytes onto base.

@@ -2,26 +2,206 @@ package lz4
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"numastream/internal/tomo"
 )
 
-func roundTrip(t *testing.T, src []byte) {
+// roundTrip compresses src into a buffer of exactly CompressBound bytes
+// (a wide store past it would panic), checks the block is a legal one,
+// and decodes it with both decoders.
+func roundTrip(t testing.TB, src []byte) {
 	t.Helper()
 	dst := make([]byte, CompressBound(len(src)))
 	n, err := CompressBlock(src, dst)
 	if err != nil {
 		t.Fatalf("CompressBlock: %v", err)
 	}
-	got, err := Decompress(dst[:n], len(src))
-	if err != nil {
-		t.Fatalf("Decompress: %v", err)
-	}
+	checkLegalBlock(t, src, dst[:n])
+	got := diffDecode(t, dst[:n], len(src))
 	if !bytes.Equal(got, src) {
 		t.Fatalf("round trip mismatch: got %d bytes, want %d", len(got), len(src))
 	}
+}
+
+// referenceDecode is the decoder this package had before its fast loop:
+// one sequence at a time, every length checked before every copy,
+// overlapping matches byte by byte. It is the oracle DecompressBlock is
+// compared against, on valid and on malformed blocks.
+func referenceDecode(src, dst []byte) (int, error) {
+	di, si := 0, 0
+	for si < len(src) {
+		token := src[si]
+		si++
+
+		litLen := int(token >> 4)
+		if litLen == 15 {
+			var err error
+			litLen, si, err = readLenExt(src, si, litLen)
+			if err != nil {
+				return 0, err
+			}
+		}
+		if litLen > 0 {
+			if si+litLen > len(src) {
+				return 0, fmt.Errorf("%w: literal run of %d overruns input", ErrCorrupt, litLen)
+			}
+			if di+litLen > len(dst) {
+				return 0, ErrDstTooSmall
+			}
+			copy(dst[di:], src[si:si+litLen])
+			si += litLen
+			di += litLen
+		}
+		if si == len(src) {
+			return di, nil
+		}
+
+		if si+2 > len(src) {
+			return 0, fmt.Errorf("%w: truncated match offset", ErrCorrupt)
+		}
+		offset := int(binary.LittleEndian.Uint16(src[si:]))
+		si += 2
+		if offset == 0 {
+			return 0, fmt.Errorf("%w: zero match offset", ErrCorrupt)
+		}
+		if offset > di {
+			return 0, fmt.Errorf("%w: match offset %d exceeds output position %d", ErrCorrupt, offset, di)
+		}
+
+		mLen := int(token & 0xf)
+		if mLen == 15 {
+			var err error
+			mLen, si, err = readLenExt(src, si, mLen)
+			if err != nil {
+				return 0, err
+			}
+		}
+		mLen += minMatch
+		if di+mLen > len(dst) {
+			return 0, ErrDstTooSmall
+		}
+		for i := 0; i < mLen; i++ {
+			dst[di] = dst[di-offset]
+			di++
+		}
+	}
+	return di, nil
+}
+
+// diffDecode decodes block with DecompressBlock and with the oracle,
+// each into its own buffer of exactly size bytes — what the pipeline's
+// lease gives the decoder, so the fast loop may assume no slack — and
+// fails unless both return the same count and bytes, or both the same
+// kind of error. It returns the decoded bytes (nil on error).
+func diffDecode(t testing.TB, block []byte, size int) []byte {
+	t.Helper()
+	want, got := make([]byte, size), make([]byte, size)
+	wn, werr := referenceDecode(block, want)
+	gn, gerr := DecompressBlock(block, got)
+	if werr != nil || gerr != nil {
+		if errors.Is(gerr, ErrCorrupt) != errors.Is(werr, ErrCorrupt) ||
+			errors.Is(gerr, ErrDstTooSmall) != errors.Is(werr, ErrDstTooSmall) {
+			t.Fatalf("size %d: DecompressBlock error %v, oracle error %v\nblock %x", size, gerr, werr, block)
+		}
+		return nil
+	}
+	if gn != wn || !bytes.Equal(got[:gn], want[:wn]) {
+		t.Fatalf("size %d: DecompressBlock returned %d bytes, oracle %d, or the bytes differ\nblock %x", size, gn, wn, block)
+	}
+	return got[:gn]
+}
+
+// checkLegalBlock parses block, the compressor's output for src, and
+// checks the rules of the format a decoder may rely on.
+func checkLegalBlock(t testing.TB, src, block []byte) {
+	t.Helper()
+	if len(block) > CompressBound(len(src)) {
+		t.Fatalf("%d bytes compressed to %d, above CompressBound %d", len(src), len(block), CompressBound(len(src)))
+	}
+	if len(src) == 0 {
+		if len(block) != 0 {
+			t.Fatalf("empty input compressed to %d bytes", len(block))
+		}
+		return
+	}
+	seqs, err := ParseBlock(block)
+	if err != nil {
+		t.Fatalf("ParseBlock: %v", err)
+	}
+	last := seqs[len(seqs)-1]
+	if last.MatchLen != 0 || last.Pos != len(src) {
+		t.Fatalf("last sequence %+v does not end the %d input bytes with literals", last, len(src))
+	}
+	if last.LitLen < lastLiterals && last.LitLen < len(src) {
+		t.Fatalf("last literal run is %d bytes, want >= %d", last.LitLen, lastLiterals)
+	}
+	for _, q := range seqs[:len(seqs)-1] {
+		if q.Offset < 1 || q.Offset > maxOffset || q.Offset > q.Pos {
+			t.Fatalf("sequence %+v: offset outside 1..min(%d, position)", q, maxOffset)
+		}
+		if q.Pos > len(src)-mfLimit {
+			t.Fatalf("sequence %+v: match starts within %d bytes of the end (%d)", q, mfLimit, len(src))
+		}
+		if q.Pos+q.MatchLen > len(src)-lastLiterals {
+			t.Fatalf("sequence %+v: match runs into the last %d bytes of %d", q, lastLiterals, len(src))
+		}
+	}
+}
+
+// corpora are the package's named unit inputs.
+func corpora() map[string][]byte {
+	c := map[string][]byte{
+		"text":     []byte(strings.Repeat("the quick brown fox jumps over the lazy dog. ", 100)),
+		"zeros":    bytes.Repeat([]byte{0}, 1<<16),
+		"same":     bytes.Repeat([]byte{0xaa}, 12345),
+		"abcdabcd": bytes.Repeat([]byte("abcdabcd"), 4096),
+	}
+	noise := make([]byte, 1<<15)
+	rand.New(rand.NewSource(1)).Read(noise)
+	c["noise"] = noise
+
+	// Mix of runs, periodic patterns and noise, like detector frames.
+	rng := rand.New(rand.NewSource(2))
+	var b bytes.Buffer
+	for b.Len() < 1<<18 {
+		switch rng.Intn(3) {
+		case 0:
+			b.Write(bytes.Repeat([]byte{byte(rng.Intn(4))}, rng.Intn(500)+1))
+		case 1:
+			pat := make([]byte, rng.Intn(9)+1)
+			rng.Read(pat)
+			b.Write(bytes.Repeat(pat, rng.Intn(50)+1))
+		default:
+			noise := make([]byte, rng.Intn(200))
+			rng.Read(noise)
+			b.Write(noise)
+		}
+	}
+	c["structured"] = b.Bytes()
+
+	// A pattern repeated far apart exercises the 64 KiB offset limit.
+	block := make([]byte, 1000)
+	rand.New(rand.NewSource(3)).Read(block)
+	var far bytes.Buffer
+	for i := 0; i < 100; i++ {
+		far.Write(block)
+		far.Write(bytes.Repeat([]byte{byte(i)}, 700))
+	}
+	c["far"] = far.Bytes()
+
+	// A projection, the data the pipeline streams: short matches at
+	// pixel (2, 4, 6) and row offsets, hardly any literals.
+	cfg := tomo.DefaultProjectionConfig()
+	cfg.Width, cfg.Height = 512, 128
+	c["projection"] = tomo.Projection(tomo.RandomPhantom(1, 60), 0.3, cfg)
+	return c
 }
 
 func TestRoundTripEmpty(t *testing.T) {
@@ -40,53 +220,10 @@ func TestRoundTripTiny(t *testing.T) {
 	}
 }
 
-func TestRoundTripText(t *testing.T) {
-	roundTrip(t, []byte(strings.Repeat("the quick brown fox jumps over the lazy dog. ", 100)))
-}
-
-func TestRoundTripAllSame(t *testing.T) {
-	roundTrip(t, bytes.Repeat([]byte{0}, 1<<16))
-	roundTrip(t, bytes.Repeat([]byte{0xaa}, 12345))
-}
-
-func TestRoundTripIncompressible(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	buf := make([]byte, 1<<15)
-	rng.Read(buf)
-	roundTrip(t, buf)
-}
-
-func TestRoundTripStructured(t *testing.T) {
-	// Mix of runs, periodic patterns and noise, like detector frames.
-	rng := rand.New(rand.NewSource(2))
-	var b bytes.Buffer
-	for b.Len() < 1<<18 {
-		switch rng.Intn(3) {
-		case 0:
-			b.Write(bytes.Repeat([]byte{byte(rng.Intn(4))}, rng.Intn(500)+1))
-		case 1:
-			pat := make([]byte, rng.Intn(9)+1)
-			rng.Read(pat)
-			b.Write(bytes.Repeat(pat, rng.Intn(50)+1))
-		default:
-			noise := make([]byte, rng.Intn(200))
-			rng.Read(noise)
-			b.Write(noise)
-		}
+func TestRoundTripCorpora(t *testing.T) {
+	for name, src := range corpora() {
+		t.Run(name, func(t *testing.T) { roundTrip(t, src) })
 	}
-	roundTrip(t, b.Bytes())
-}
-
-func TestRoundTripLongMatchOffsets(t *testing.T) {
-	// A pattern repeated far apart exercises the 64 KiB offset limit.
-	block := make([]byte, 1000)
-	rand.New(rand.NewSource(3)).Read(block)
-	var b bytes.Buffer
-	for i := 0; i < 100; i++ {
-		b.Write(block)
-		b.Write(bytes.Repeat([]byte{byte(i)}, 700))
-	}
-	roundTrip(t, b.Bytes())
 }
 
 func TestCompressionRatioOnRuns(t *testing.T) {
@@ -195,6 +332,108 @@ func TestDecompressWrongSize(t *testing.T) {
 	src := Compress([]byte("hello world hello world hello world"))
 	if _, err := Decompress(src, 1000); err == nil {
 		t.Fatal("Decompress accepted wrong uncompressed size")
+	}
+}
+
+// TestCompressLegalOnSeededInputs is the compressor's half of the
+// contract on 1 000 seeded inputs at the sizes where its special cases
+// live: 0…70 bytes (no room for a match, mfLimit, the last literals) and
+// just past 64 KiB, one phrase at the start and again 65 535 ± 12 bytes
+// on — the first positions where a candidate, or a zeroed table entry
+// read as position 0, can be too far back to encode.
+func TestCompressLegalOnSeededInputs(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	for i := 0; i < 900; i++ {
+		// Few distinct bytes and frequent runs, so short inputs match.
+		src := make([]byte, i%71)
+		for j := range src {
+			if j > 0 && rng.Intn(3) == 0 {
+				src[j] = src[j-1]
+			} else {
+				src[j] = byte(rng.Intn(4))
+			}
+		}
+		roundTrip(t, src)
+	}
+	for i := 0; i < 100; i++ {
+		const phrase = 24
+		at := maxOffset - 12 + i%25
+		src := make([]byte, at+phrase+mfLimit+i%5)
+		rng.Read(src[:phrase])
+		copy(src[at:], src[:phrase]) // zeros between: one long match, so the phrase stays in the table
+		rng.Read(src[at+phrase:])
+		roundTrip(t, src)
+	}
+}
+
+// TestDecodeMatchesReferenceOnCorpora compares the decoders on every
+// corpus at the exact size and, for the error paths, one byte short and
+// with the block cut anywhere in its last 40 bytes.
+func TestDecodeMatchesReferenceOnCorpora(t *testing.T) {
+	for name, src := range corpora() {
+		for _, block := range [][]byte{Compress(src), CompressHC(src, 8)} {
+			if got := diffDecode(t, block, len(src)); !bytes.Equal(got, src) {
+				t.Fatalf("%s: decoded bytes differ from the input", name)
+			}
+			diffDecode(t, block, len(src)-1)
+			for cut := 1; cut <= 40 && cut < len(block); cut++ {
+				diffDecode(t, block[:len(block)-cut], len(src))
+			}
+		}
+	}
+}
+
+// TestDecodeMatchesReferenceOnBuiltBlocks compares the decoders on a
+// matrix of hand-built blocks around every width the fast loop copies
+// by: match offsets 0…20 (0 is an error for both; period building below
+// 8, overlapping 8-byte copies from 8 to 15), match lengths 4…40 (one, two and three stores,
+// and the extended lengths the fast loop leaves alone), literal runs on
+// both sides of 8 and of the 15 that extends the token, with the
+// sequence first in the block (an offset beyond the output is an error
+// for both), in the middle, and last before the closing literals.
+func TestDecodeMatchesReferenceOnBuiltBlocks(t *testing.T) {
+	lits := make([]byte, 270)
+	for i := range lits {
+		lits[i] = byte(i*7 + 1)
+	}
+	head := func(dst []byte) int { // 24 literals and a match, so every offset up to 20 is legal
+		return emitSequence(dst, 0, lits[100:124], 3, 9)
+	}
+	tail := func(dst []byte, di int) int { // slack for the fast loop, then the closing literals
+		for i := 0; i < 4; i++ {
+			di = emitSequence(dst, di, lits[i:i+3], 5+i, 6)
+		}
+		return di
+	}
+	buf := make([]byte, 1024)
+	for _, litLen := range []int{0, 8, 9, 14, 15, 270} {
+		for offset := 0; offset <= 20; offset++ {
+			for mLen := 4; mLen <= 40; mLen++ {
+				for _, where := range []string{"first", "middle", "last"} {
+					di := 0
+					if where != "first" {
+						di = head(buf)
+					}
+					di = emitSequence(buf, di, lits[:litLen], offset, mLen)
+					if where != "last" {
+						di = tail(buf, di)
+					}
+					di = emitLastLiterals(lits[:lastLiterals], buf, 0, di)
+					block := buf[:di]
+
+					seqs, err := ParseBlock(block)
+					if err != nil {
+						t.Fatalf("lit %d offset %d len %d %s: built a block that does not parse: %v", litLen, offset, mLen, where, err)
+					}
+					size := seqs[len(seqs)-1].Pos
+					got := diffDecode(t, block, size)
+					if legal := offset >= 1 && (where != "first" || offset <= litLen); legal != (got != nil) {
+						t.Fatalf("lit %d offset %d len %d %s: decoded = %v, want %v", litLen, offset, mLen, where, got != nil, legal)
+					}
+					diffDecode(t, block, size-1)
+				}
+			}
+		}
 	}
 }
 
@@ -348,4 +587,53 @@ func TestRatio(t *testing.T) {
 	if r := Ratio(noise); r > 1.05 {
 		t.Fatalf("Ratio of noise = %v, want ~1", r)
 	}
+}
+
+// Sequence is one sequence of a compressed block: LitLen literals, then
+// MatchLen bytes copied from Offset back. Pos is the output position
+// where the match starts. The final sequence has MatchLen 0.
+type Sequence struct {
+	LitLen, Offset, MatchLen, Pos int
+}
+
+// ParseBlock walks the sequences of a block without decoding it. It is
+// exported (to tests only) for the benchmarks in package lz4_test.
+func ParseBlock(block []byte) ([]Sequence, error) {
+	var seqs []Sequence
+	si, pos := 0, 0
+	for si < len(block) {
+		token := block[si]
+		si++
+		litLen := int(token >> 4)
+		if litLen == 15 {
+			var err error
+			if litLen, si, err = readLenExt(block, si, litLen); err != nil {
+				return nil, err
+			}
+		}
+		si += litLen
+		pos += litLen
+		if si > len(block) {
+			return nil, fmt.Errorf("%w: literal run overruns block", ErrCorrupt)
+		}
+		if si == len(block) {
+			return append(seqs, Sequence{LitLen: litLen, Pos: pos}), nil
+		}
+		if si+2 > len(block) {
+			return nil, fmt.Errorf("%w: truncated offset", ErrCorrupt)
+		}
+		offset := int(binary.LittleEndian.Uint16(block[si:]))
+		si += 2
+		mLen := int(token & 0xf)
+		if mLen == 15 {
+			var err error
+			if mLen, si, err = readLenExt(block, si, mLen); err != nil {
+				return nil, err
+			}
+		}
+		mLen += minMatch
+		seqs = append(seqs, Sequence{LitLen: litLen, Offset: offset, MatchLen: mLen, Pos: pos})
+		pos += mLen
+	}
+	return seqs, fmt.Errorf("%w: block does not end in a literal run", ErrCorrupt)
 }
