@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test vet race check bench bench-build lz4-fuzz churn-drill report-drill stream-drill fleet-drill adapt-drill
+.PHONY: build test vet race check bench bench-build handoff-bench lz4-fuzz churn-drill report-drill stream-drill fleet-drill adapt-drill
 
 build:
 	$(GO) build ./...
@@ -10,8 +10,11 @@ build:
 test:
 	$(GO) test ./...
 
+# The second line type-checks the non-Linux affinity stubs, which no
+# native build on the CI host compiles.
 vet:
 	$(GO) vet ./...
+	GOOS=darwin $(GO) vet ./internal/numa ./internal/pipeline
 
 # Race-detector pass over the concurrent transport/pipeline paths
 # (reconnect, send horizons, quarantine accounting, queues), the buffer
@@ -21,9 +24,10 @@ vet:
 # observer (scrape-while-streaming), and the fleet aggregator
 # (Start/Stop ticker, concurrent Status/Alerts reads, HTTP scraping),
 # and the adaptive placement controller (window callbacks racing pool
-# resizes; the elastic-pool storm tests live in internal/pipeline).
+# resizes; the elastic-pool storm tests live in internal/pipeline), and
+# thread placement (internal/numa).
 race:
-	$(GO) test -race ./internal/adapt/... ./internal/bufpool/... ./internal/chunk/... ./internal/faults/... ./internal/fleet/... ./internal/metrics/... ./internal/msgq/... ./internal/obs/... ./internal/pipeline/... ./internal/queue/... ./internal/telemetry/... ./internal/trace/...
+	$(GO) test -race ./internal/adapt/... ./internal/bufpool/... ./internal/chunk/... ./internal/faults/... ./internal/fleet/... ./internal/metrics/... ./internal/msgq/... ./internal/numa/... ./internal/obs/... ./internal/pipeline/... ./internal/queue/... ./internal/telemetry/... ./internal/trace/...
 	$(GO) test -race -run 'TestChurn|TestMultiHop|TestThousand|TestAdapt' ./internal/cluster/... ./internal/experiments/...
 
 # Churn drill: the seeded netsim churn storm (multi-hop topology events,
@@ -100,6 +104,12 @@ adapt-drill:
 bench-build:
 	$(GO) -C benchmark vet ./... && $(GO) -C benchmark test ./...
 
+# One iteration of the queue → worker → queue hand-off benchmark
+# (unpinned, whole-host CPU set, one-CPU set), so it keeps compiling and
+# running; `-benchtime 1s` gives the numbers DESIGN.md quotes.
+handoff-bench:
+	$(GO) test ./internal/pipeline -run '^$$' -bench PoolHandoff -benchtime 1x
+
 # The LZ4 decoder stores 8 bytes at a time right up to the slack it has
 # checked for, and the compressor's inline emit does the same into dst:
 # the kind of code that grows out-of-bounds bugs. Under `go test` the two
@@ -110,10 +120,10 @@ lz4-fuzz:
 	$(GO) test ./internal/lz4 -run '^$$' -fuzz FuzzRoundTrip -fuzztime 15s
 	$(GO) test ./internal/lz4 -run '^$$' -fuzz FuzzDecompressNeverPanics -fuzztime 15s
 
-# The single CI entry point: build, vet, tests, benchmark module, LZ4
-# fuzzers, race pass, churn drill, report drill, stream drill, fleet
-# drill, adapt drill.
-check: build vet test bench-build lz4-fuzz race churn-drill report-drill stream-drill fleet-drill adapt-drill
+# The single CI entry point: build, vet, tests, benchmark module,
+# hand-off benchmark, LZ4 fuzzers, race pass, churn drill, report drill,
+# stream drill, fleet drill, adapt drill.
+check: build vet test bench-build handoff-bench lz4-fuzz race churn-drill report-drill stream-drill fleet-drill adapt-drill
 
 # Human-readable benchmark run over the root suite (the paper figures,
 # the loopback pipeline, queues, LZ4).

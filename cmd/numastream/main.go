@@ -113,6 +113,15 @@ func main() {
 		fmt.Fprintln(os.Stderr, "numastream: NUMA discovery unavailable; placement will be best-effort")
 	}
 
+	// A config error surfaces from RunSender/RunReceiver below.
+	if pinned, total, err := pipeline.PinnedWorkers(topo, cfg); err == nil {
+		allowed := "unknown"
+		if cpus, err := numa.Allowed(); err == nil {
+			allowed = numa.FormatCPUList(cpus)
+		}
+		fmt.Printf("placement: %d of %d workers own a pinned thread; CPUs allowed: %s\n", pinned, total, allowed)
+	}
+
 	reg := metrics.NewRegistry()
 	if *streamCap > 0 {
 		reg.SetStreamCap(*streamCap)

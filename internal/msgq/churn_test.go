@@ -83,6 +83,48 @@ func TestPushPeerCallbacksFireOnUpAndDeath(t *testing.T) {
 	waitFor(t, "peer-up after rebind", func() bool { up, _ := log.counts(); return up >= 2 })
 }
 
+// TestPushFinishingPeerCloseIsNotADeath: a receiver that closes once the
+// sender has said its last Sends are under way is ending the session,
+// not dying — no OnPeerDown, no conn-drop count — while the same close
+// without Finishing is still a death (the test above).
+func TestPushFinishingPeerCloseIsNotADeath(t *testing.T) {
+	pull, err := NewPull("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := pull.Addr().String()
+
+	var log peerLog
+	reg := metrics.NewRegistry()
+	push := NewPush()
+	push.RetryInterval = 10 * time.Millisecond
+	push.OnPeerDown = log.down
+	push.Counters = reg
+	defer push.Close()
+	push.Connect(addr)
+	if err := push.WaitLive(1); err != nil {
+		t.Fatal(err)
+	}
+
+	push.Finishing()
+	if err := push.Send(Message{[]byte("last")}); err != nil {
+		t.Fatalf("Send after Finishing: %v", err)
+	}
+	if _, err := pull.Recv(); err != nil {
+		t.Fatalf("Recv: %v", err)
+	}
+	pull.Close()
+	waitFor(t, "connection teardown", func() bool { return push.Live() == 0 })
+	// drop unlists the connection before it counts and calls back.
+	time.Sleep(50 * time.Millisecond)
+	if _, down := log.counts(); down != 0 {
+		t.Fatalf("peer close after Finishing fired %d OnPeerDown callbacks, want 0", down)
+	}
+	if v := reg.Counter(CtrConnDrops).Value(); v != 0 {
+		t.Fatalf("peer close after Finishing counted %d conn drops, want 0", v)
+	}
+}
+
 func TestPushDisconnectIsNotADeath(t *testing.T) {
 	pull, err := NewPull("127.0.0.1:0")
 	if err != nil {

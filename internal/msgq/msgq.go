@@ -288,6 +288,7 @@ type Push struct {
 	conns     []*pushConn
 	next      int
 	closed    bool
+	finishing bool          // set by Finishing: a peer that leaves now is not a death
 	done      chan struct{} // closed by Close; unblocks backoff sleeps
 	dialers   sync.WaitGroup
 	endpoints map[string]chan struct{} // addr -> its maintainer's stop channel
@@ -546,9 +547,13 @@ func (p *Push) drop(pc *pushConn) {
 	for i, c := range p.conns {
 		if c == pc {
 			p.conns = append(p.conns[:i], p.conns[i+1:]...)
+			finishing := p.finishing
 			p.mu.Unlock()
 			pc.conn.Close()
 			close(pc.gone)
+			if finishing {
+				return
+			}
 			p.count(CtrConnDrops)
 			if f := p.OnPeerDown; f != nil {
 				f(pc.addr)
@@ -556,6 +561,24 @@ func (p *Push) drop(pc *pushConn) {
 			return
 		}
 	}
+	p.mu.Unlock()
+}
+
+// Finishing declares that no Send will start after the ones now under
+// way or about to begin on the calling goroutine: the stream's last
+// messages are in the transport's hands. A peer that closes from here
+// on is ending the session in its own time (a receiver that has counted
+// its last expected message closes without waiting for the sender), not
+// dying mid-stream, so OnPeerDown stays silent and CtrConnDrops does not
+// count. It must be called before the last write starts — afterwards
+// the peer's FIN can overtake the writer's return from the syscall — so
+// Sends other goroutines have under way at that moment are covered too:
+// a peer that dies during them goes uncounted. A write that fails after
+// Finishing is still retried, redialing if need be, and still shows in
+// CtrResends and CtrRedials.
+func (p *Push) Finishing() {
+	p.mu.Lock()
+	p.finishing = true
 	p.mu.Unlock()
 }
 

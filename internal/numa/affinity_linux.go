@@ -24,18 +24,6 @@ func newCPUMask(cpus []int) (cpuMask, error) {
 	return m, nil
 }
 
-func (m cpuMask) cpus() []int {
-	var cpus []int
-	for w, bits := range m {
-		for b := 0; b < 64; b++ {
-			if bits&(1<<uint(b)) != 0 {
-				cpus = append(cpus, w*64+b)
-			}
-		}
-	}
-	return cpus
-}
-
 func setAffinity(cpus []int) error {
 	if len(cpus) == 0 {
 		return fmt.Errorf("numa: empty CPU set")

@@ -4,7 +4,10 @@
 // memory exclusively from the specified NUMA sockets").
 //
 // On Linux the topology is read from sysfs and placement uses
-// sched_setaffinity on the calling goroutine's locked OS thread; other
+// sched_setaffinity on the calling goroutine's locked OS thread — when
+// the CPU set restricts the thread at all (PinEffect): a set covering
+// every CPU the process may run on places nothing, and a goroutine that
+// owns a thread pays for it on every wake-up (see Pin). Other
 // platforms (and hosts without NUMA sysfs) fall back to a synthetic
 // topology, which is all the simulator-driven experiments need. Real
 // memory binding (mbind) is approximated by first-touch: binding a thread
@@ -284,7 +287,15 @@ func RunOn(cpus []int, fn func()) error {
 
 // Pin restricts the current OS thread (which the caller must have locked
 // with runtime.LockOSThread) to the given CPUs for the remainder of its
-// life. Long-lived pipeline workers use Pin once at start-up.
+// life. Long-lived pipeline workers use Pin once at start-up, and only
+// when PinEffect says the set Constrains: a goroutine that owns a locked
+// thread is woken through Go's locked-thread hand-off (another thread is
+// woken first, finds the goroutine locked, passes its P to the owner and
+// parks again — two futex round trips per wake-up), which is worth paying
+// for a placement and for nothing else. A thread pinned this way must
+// not be unlocked again: it would rejoin the scheduler's pool and run
+// arbitrary goroutines on the narrowed mask. Let the goroutine exit
+// locked and the runtime retires the thread with it.
 func Pin(cpus []int) error {
 	return setAffinity(cpus)
 }
@@ -297,4 +308,98 @@ func PinToNode(t HostTopology, node int) error {
 		return fmt.Errorf("numa: no such node %d", node)
 	}
 	return Pin(n.CPUs)
+}
+
+// Effect is what pinning a thread to a CPU set would do in this process.
+type Effect int
+
+const (
+	// Unconstrained: the set covers every CPU the process may run on,
+	// so the pin would restrict nothing (a whole-host set, or a
+	// one-socket host's only domain), or it is empty and no placement
+	// was asked for. Nothing to apply and nothing lost.
+	Unconstrained Effect = iota
+	// Constrains: the set holds some but not all of the allowed CPUs.
+	Constrains
+	// Inapplicable: the set shares no CPU with the allowed ones (a
+	// topology describing another host), or the platform has no thread
+	// affinity. The placement is lost.
+	Inapplicable
+)
+
+// Allowed returns the CPUs the calling thread may run on, ascending.
+// Every thread the Go scheduler owns inherits the process's mask, so
+// from an ordinary goroutine this is the process's allowed set.
+func Allowed() ([]int, error) {
+	m, err := getAffinity()
+	if err != nil {
+		return nil, err
+	}
+	return m.cpus(), nil
+}
+
+// cpus lists the mask's set bits, ascending.
+func (m cpuMask) cpus() []int {
+	var cpus []int
+	for w, bits := range m {
+		for b := 0; b < 64; b++ {
+			if bits&(1<<uint(b)) != 0 {
+				cpus = append(cpus, w*64+b)
+			}
+		}
+	}
+	return cpus
+}
+
+// PinEffect compares cpus with Allowed(). It reads the mask on every
+// call: callers decide once per worker spawn, and a cpuset may have
+// changed since the last one.
+func PinEffect(cpus []int) Effect {
+	if len(cpus) == 0 {
+		return Unconstrained
+	}
+	allowed, err := Allowed()
+	if err != nil {
+		return Inapplicable
+	}
+	want := make(map[int]bool, len(cpus))
+	for _, c := range cpus {
+		want[c] = true
+	}
+	shared := 0
+	for _, c := range allowed {
+		if want[c] {
+			shared++
+		}
+	}
+	switch shared {
+	case 0:
+		return Inapplicable
+	case len(allowed):
+		return Unconstrained
+	default:
+		return Constrains
+	}
+}
+
+// FormatCPUList renders CPU ids in Linux cpulist syntax ("0-3,8"), the
+// inverse of ParseCPUList. cpus must be ascending.
+func FormatCPUList(cpus []int) string {
+	var b strings.Builder
+	for i := 0; i < len(cpus); {
+		j := i
+		for j+1 < len(cpus) && cpus[j+1] == cpus[j]+1 {
+			j++
+		}
+		if b.Len() > 0 {
+			b.WriteByte(',')
+		}
+		b.WriteString(strconv.Itoa(cpus[i]))
+		if j > i {
+			b.WriteByte('-')
+			b.WriteString(strconv.Itoa(cpus[j]))
+		}
+		i = j + 1
+	}
+	return b.String()
 }

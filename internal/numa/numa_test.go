@@ -200,3 +200,62 @@ func TestParseDistanceRow(t *testing.T) {
 		t.Fatal("bad distance accepted")
 	}
 }
+
+func TestFormatCPUList(t *testing.T) {
+	for _, tc := range []struct {
+		in   []int
+		want string
+	}{
+		{nil, ""},
+		{[]int{3}, "3"},
+		{[]int{0, 1}, "0-1"},
+		{[]int{0, 1, 2, 3, 8, 10, 11}, "0-3,8,10-11"},
+	} {
+		if got := FormatCPUList(tc.in); got != tc.want {
+			t.Errorf("FormatCPUList(%v) = %q, want %q", tc.in, got, tc.want)
+		}
+		back, err := ParseCPUList(FormatCPUList(tc.in))
+		if err != nil || !reflect.DeepEqual(back, tc.in) {
+			t.Errorf("ParseCPUList(FormatCPUList(%v)) = %v, %v", tc.in, back, err)
+		}
+	}
+}
+
+// TestPinEffect walks the three cases against whatever this process is
+// allowed: a covering set constrains nothing, a proper subset does, and
+// a set that shares no CPU with the allowed ones cannot be applied.
+func TestPinEffect(t *testing.T) {
+	allowed, err := Allowed()
+	if err != nil {
+		if got := PinEffect([]int{0}); got != Inapplicable {
+			t.Fatalf("PinEffect without thread affinity (%v) = %v, want Inapplicable", err, got)
+		}
+		t.Skipf("no thread affinity here: %v", err)
+	}
+	if len(allowed) == 0 {
+		t.Fatal("Allowed() returned no CPUs and no error")
+	}
+	top := allowed[len(allowed)-1]
+
+	if got := PinEffect(allowed); got != Unconstrained {
+		t.Errorf("PinEffect(allowed %v) = %v, want Unconstrained", allowed, got)
+	}
+	// A superset — a topology describing a bigger host than the cpuset
+	// grants — still covers everything the process may use.
+	if got := PinEffect(append([]int{top + 1, top + 2}, allowed...)); got != Unconstrained {
+		t.Errorf("PinEffect(superset) = %v, want Unconstrained", got)
+	}
+	if got := PinEffect([]int{top + 1, top + 2}); got != Inapplicable {
+		t.Errorf("PinEffect(disjoint) = %v, want Inapplicable", got)
+	}
+	if len(allowed) < 2 {
+		t.Skip("one allowed CPU: no set can constrain")
+	}
+	if got := PinEffect(allowed[:1]); got != Constrains {
+		t.Errorf("PinEffect(%v) = %v, want Constrains", allowed[:1], got)
+	}
+	// Partly outside the allowed set, partly inside: still a constraint.
+	if got := PinEffect([]int{allowed[0], top + 1}); got != Constrains {
+		t.Errorf("PinEffect(straddling) = %v, want Constrains", got)
+	}
+}

@@ -24,9 +24,19 @@ func NewControls() *Controls {
 }
 
 // attach registers (or replaces) the pool for a stage and publishes a
-// pool_<stage>_workers gauge when a registry is given.
+// pool_<stage>_workers gauge when a registry is given. With or without
+// a controller (nil c) it publishes <stage>_workers_pinned — how many
+// of the stage's workers own a pinned OS thread — so a /status reader
+// can tell a run whose placement took effect from one where the host
+// left nothing to place.
 func (c *Controls) attach(stage string, p *Pool, reg *metrics.Registry) {
-	if c == nil || p == nil {
+	if p == nil {
+		return
+	}
+	if reg != nil {
+		reg.RegisterGauge(stage+"_workers_pinned", func() float64 { return float64(p.Pinned()) })
+	}
+	if c == nil {
 		return
 	}
 	c.mu.Lock()

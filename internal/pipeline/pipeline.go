@@ -1,9 +1,10 @@
 // Package pipeline runs the runtime's heterogeneous software pipeline on
-// real goroutine workers: worker pools whose OS threads are (optionally)
-// pinned to NUMA domains or explicit cores, connected by the bounded
-// queues of package queue. This is the real-execution counterpart of the
-// simulated executor in package runtime — the same NodeConfig drives
-// both.
+// real goroutine workers: worker pools placed on NUMA domains or
+// explicit cores — each worker owning a pinned OS thread when, and only
+// when, its CPU set narrows where it may run (see spawnLocked) —
+// connected by the bounded queues of package queue. This is the
+// real-execution counterpart of the simulated executor in package
+// runtime — the same NodeConfig drives both.
 //
 // Pools are elastic: Grow spawns additional workers on a controller-
 // chosen NUMA domain and Shrink retires workers lazily — a retiring
@@ -103,6 +104,9 @@ type Worker struct {
 	// view by Shrink (vs exiting naturally on drain/error). Guarded by
 	// the owning pool's mu.
 	retired bool
+	// pinned marks a worker that owns a pinned OS thread (counted in the
+	// pool's pinned). Guarded by the owning pool's mu.
+	pinned bool
 }
 
 // ID returns the worker's pool-unique id. Ids are never reused, so a
@@ -159,6 +163,7 @@ type Pool struct {
 	mu       sync.Mutex
 	errs     []error
 	pinFails int
+	pinned   int // live workers that own a pinned OS thread
 	nextID   int
 	workers  map[int]*Worker // live (spawned, not yet exited)
 	retiring int             // live workers marked by Shrink
@@ -167,10 +172,13 @@ type Pool struct {
 	drained  bool            // OnDrained already ran
 }
 
-// Start launches n workers running body. Each worker locks its OS
-// thread and applies the PinSpec before running. Pinning failures
-// (unsupported platform, restricted sandbox) are counted, not fatal —
-// the stage still runs, merely unpinned, and PinFailures reports it.
+// Start launches n workers running body. A worker whose PinSpec CPU set
+// restricts where it may run locks an OS thread and pins it; one whose
+// set covers every CPU the process is allowed runs as a plain goroutine
+// (see spawnLocked). Pinning failures (unsupported platform, a set
+// naming no CPU of this host, restricted sandbox) are counted, not
+// fatal — the stage still runs, as plain goroutines, and PinFailures
+// reports it.
 func Start(name string, n int, pin PinSpec, body func(w *Worker) error) *Pool {
 	return StartPool(PoolConfig{Name: name, Workers: n, Pin: pin}, body)
 }
@@ -201,19 +209,39 @@ func StartPool(cfg PoolConfig, body func(w *Worker) error) *Pool {
 
 // spawnLocked launches one worker. Caller holds p.mu; the worker's exit
 // path also takes p.mu, so no exit can interleave with a spawn batch.
+//
+// Whether the worker owns an OS thread follows from what its CPU set
+// would do here, not from its having one (numa.PinEffect, read now — a
+// spawn is rare and a cpuset can change): a set that restricts nothing
+// runs as an ordinary goroutine, exactly like an unpinned worker; a set
+// that cannot be applied is a pin failure and also runs unlocked; only
+// a set that constrains the thread is worth the locked-thread hand-off
+// every queue wake-up then costs (numa.Pin). The worker's domain label,
+// and with it bufpool sharding, is the same in all three cases.
 func (p *Pool) spawnLocked(domain int, cpus []int, body func(w *Worker) error) {
 	w := &Worker{id: p.nextID, domain: domain, retire: make(chan struct{})}
+	switch numa.PinEffect(cpus) {
+	case numa.Constrains:
+		w.pinned = true
+		p.pinned++
+	case numa.Inapplicable:
+		p.pinFails++
+	}
 	p.nextID++
 	p.workers[w.id] = w
 	p.domains[domain]++
 	p.wg.Add(1)
 	go func() {
 		defer p.exit(w)
-		if len(cpus) > 0 {
+		if w.pinned {
+			// No deferred unlock: the pinned thread ends with this
+			// goroutine instead of rejoining the scheduler narrowed.
 			runtime.LockOSThread()
-			defer runtime.UnlockOSThread()
 			if err := numa.Pin(cpus); err != nil {
+				runtime.UnlockOSThread()
 				p.mu.Lock()
+				w.pinned = false
+				p.pinned--
 				p.pinFails++
 				p.mu.Unlock()
 			}
@@ -233,6 +261,9 @@ func (p *Pool) spawnLocked(domain int, cpus []int, body func(w *Worker) error) {
 func (p *Pool) exit(w *Worker) {
 	p.mu.Lock()
 	delete(p.workers, w.id)
+	if w.pinned {
+		p.pinned--
+	}
 	if w.retired {
 		p.retiring--
 	} else {
@@ -387,6 +418,15 @@ func (p *Pool) PinFailures() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.pinFails
+}
+
+// Pinned returns how many live workers own a pinned OS thread — the
+// workers whose CPU set constrains them. Zero on a host whose only NUMA
+// domain is the whole machine, whatever the config says.
+func (p *Pool) Pinned() int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.pinned
 }
 
 // Name returns the pool's stage name.

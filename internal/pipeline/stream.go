@@ -252,6 +252,28 @@ func pinFor(topo numa.HostTopology, p runtime.Placement) (PinSpec, error) {
 	}
 }
 
+// PinnedWorkers reports how many of cfg's stage workers will own a
+// pinned OS thread on this host, out of how many it configures: the
+// workers whose placement names a CPU set that constrains them
+// (numa.PinEffect, the rule Pool applies at spawn). It is what a
+// start-up line or a benchmark's host description needs to tell a
+// placed run from one the host left nothing to place.
+func PinnedWorkers(topo numa.HostTopology, cfg runtime.NodeConfig) (pinned, total int, err error) {
+	for _, g := range cfg.Groups {
+		pin, err := pinFor(topo, g.Placement)
+		if err != nil {
+			return 0, 0, err
+		}
+		for i := 0; i < g.Count; i++ {
+			total++
+			if numa.PinEffect(pin.CPUsFor(i)) == numa.Constrains {
+				pinned++
+			}
+		}
+	}
+	return pinned, total, nil
+}
+
 // Codec selects the compression algorithm for the sender's compress
 // stage.
 type Codec int
@@ -380,6 +402,28 @@ func RunSender(opts SenderOptions) error {
 		failoverStreamCtr.Inc()
 	}
 	defer push.Close()
+	// unstarted is the number of chunks the Source has yielded that no
+	// send worker has begun writing, plus one until the Source is
+	// exhausted. The worker that takes it to zero holds the stream's last
+	// unwritten chunk and tells the socket so before writing it: a
+	// receiver that closes after its last expected chunk routinely beats
+	// the deferred Close above (its FIN can even overtake the writer's
+	// return from the syscall), and a peer that leaves a stream with
+	// nothing left to divert is neither a failover nor a msgq_conn_drops
+	// churn event. The rule counts writes started, not writes returned, so
+	// with n send workers up to n-1 earlier chunks can still be mid-write
+	// when it fires: a peer that really dies inside that window is retried
+	// and redialed as always (msgq_resends, msgq_redials) but not counted
+	// as a failover. Counting returns instead would close the window and
+	// reopen the race — the worker whose return mutes the socket can be
+	// descheduled past the receiver's FIN.
+	var unstarted atomic.Int64
+	unstarted.Store(1)
+	started := func() {
+		if unstarted.Add(-1) == 0 {
+			push.Finishing()
+		}
+	}
 	for _, peer := range opts.Peers {
 		push.Connect(peer)
 	}
@@ -410,8 +454,10 @@ func RunSender(opts SenderOptions) error {
 		for {
 			raw := opts.Source()
 			if raw == nil {
+				started()
 				return
 			}
+			unstarted.Add(1)
 			c := Chunk{Seq: seq, Stream: opts.StreamID, Data: raw, RawLen: len(raw)}
 			if opts.WireTrace {
 				c.wire = &wireCtx{Version: wireCtxVersion, Seq: c.Seq, Stream: c.Stream}
@@ -556,6 +602,7 @@ func RunSender(opts SenderOptions) error {
 					return err
 				}
 				obs.dequeued(c, worker)
+				started()
 				t0 := time.Now()
 				if c.wire != nil {
 					c.wire.Dequeue = trace.NowNanos()
