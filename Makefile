@@ -104,11 +104,13 @@ adapt-drill:
 bench-build:
 	$(GO) -C benchmark vet ./... && $(GO) -C benchmark test ./...
 
-# One iteration of the queue → worker → queue hand-off benchmark
-# (unpinned, whole-host CPU set, one-CPU set), so it keeps compiling and
-# running; `-benchtime 1s` gives the numbers DESIGN.md quotes.
+# One iteration each of internal/pipeline's two micro-benchmarks, so
+# they keep compiling and running: the queue → worker → queue hand-off
+# (unpinned, whole-host CPU set, one-CPU set) and the raw loopback stream
+# (1 MiB incompressible chunks, no compress stage, one send worker).
+# `-benchtime 1s` gives numbers (DESIGN.md quotes the hand-off ones).
 handoff-bench:
-	$(GO) test ./internal/pipeline -run '^$$' -bench PoolHandoff -benchtime 1x
+	$(GO) test ./internal/pipeline -run '^$$' -bench 'PoolHandoff|LoopbackRaw' -benchtime 1x
 
 # The LZ4 decoder stores 8 bytes at a time right up to the slack it has
 # checked for, and the compressor's inline emit does the same into dst:
@@ -121,7 +123,7 @@ lz4-fuzz:
 	$(GO) test ./internal/lz4 -run '^$$' -fuzz FuzzDecompressNeverPanics -fuzztime 15s
 
 # The single CI entry point: build, vet, tests, benchmark module,
-# hand-off benchmark, LZ4 fuzzers, race pass, churn drill, report drill,
+# pipeline micro-benchmarks, LZ4 fuzzers, race pass, churn drill, report drill,
 # stream drill, fleet drill, adapt drill.
 check: build vet test bench-build handoff-bench lz4-fuzz race churn-drill report-drill stream-drill fleet-drill adapt-drill
 

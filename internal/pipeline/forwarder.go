@@ -435,9 +435,9 @@ func RunForwarder(opts ForwarderOptions) error {
 				stopAll()
 				return err
 			}
-			if len(msg) != 2 {
+			if _, _, err := parseFrame(msg); err != nil {
 				stopAll()
-				return fmt.Errorf("pipeline: forwarder saw a message with %d parts", len(msg))
+				return fmt.Errorf("forwarder intake: %w", err)
 			}
 			if err := relayQ.Put(msg); err != nil {
 				return nil

@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"hash/crc32"
+	"math/rand"
 	"testing"
 
 	"numastream/internal/numa"
@@ -13,7 +14,7 @@ var handoffSink uint32
 // BenchmarkPoolHandoff times one chunk through queue → worker → queue
 // with one chunk in flight, so every Put wakes a parked worker — the
 // state the real stages live in, where each consumer is faster than its
-// producer. The work is a send worker's own per-chunk compute (CRC-32C
+// producer. The work is a stage's smallest per-chunk compute (CRC-32C
 // of a 16 KiB chunk, about a microsecond), small enough that the
 // wake-up is most of the time. unpinned and whole-host must agree
 // within noise: a CPU set covering every allowed CPU runs as a plain
@@ -68,5 +69,49 @@ func BenchmarkPoolHandoff(b *testing.B) {
 				b.Fatal(err)
 			}
 		})
+	}
+}
+
+// BenchmarkLoopbackRaw streams incompressible 1 MiB chunks through a
+// sender with no compress stage and one send worker, over real loopback
+// TCP, into a receiver with no decompress stage: the shape of the
+// repository benchmark's raw_passthrough, where the only per-byte work
+// is the CRC on each side and the socket copy. The chunks cycle through
+// a 64 MiB ring, so the feeder's checksum is the first touch of its data
+// as it is there. The MB/s column is supporting evidence for a change to
+// that path; claims are made with benchmark/run.sh.
+func BenchmarkLoopbackRaw(b *testing.B) {
+	const size, ringLen = 1 << 20, 64
+	ring := make([]byte, size*ringLen)
+	rand.New(rand.NewSource(1)).Read(ring)
+	topo := testTopo()
+	ready := make(chan string, 1)
+	recvDone := make(chan error, 1)
+	go func() {
+		recvDone <- RunReceiver(ReceiverOptions{
+			Cfg: receiverCfg(1, 0), Topo: topo, Bind: "127.0.0.1:0",
+			Expect: b.N, Ready: ready,
+		})
+	}()
+	addr := <-ready
+	b.SetBytes(size)
+	b.ResetTimer()
+	sent := 0
+	err := RunSender(SenderOptions{
+		Cfg: senderCfg(0, 1), Topo: topo, Peers: []string{addr},
+		Source: func() []byte {
+			if sent == b.N {
+				return nil
+			}
+			off := sent % ringLen * size
+			sent++
+			return ring[off : off+size]
+		},
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := <-recvDone; err != nil {
+		b.Fatal(err)
 	}
 }

@@ -148,6 +148,13 @@ type Chunk struct {
 	// across failovers; empty on the send path.
 	Peer string
 
+	// crc is the sender-side CRC-32C of Data as it will travel the wire,
+	// set together with Data by the stage that produced those bytes (the
+	// compress worker, or the feeder when there is no compress stage)
+	// while they are in its cache; the send worker only copies it into
+	// the header. Unused on the receive path.
+	crc uint32
+
 	// enqAt is stamped just before the chunk enters an inter-stage
 	// queue; the consuming stage turns it into a queue-wait observation.
 	enqAt time.Time
@@ -178,7 +185,9 @@ type Chunk struct {
 // wire (the LZ4 block when packed). The WAN path the paper streams over
 // flips bits for real; TCP's 16-bit checksum misses enough of them at
 // 100 Gbps rates that a payload CRC is the difference between a
-// quarantined chunk and a silently corrupt projection.
+// quarantined chunk and a silently corrupt projection. The sender takes
+// it where the wire bytes are produced (Chunk.crc), not where they are
+// written, so it also covers the chunk's stay in the send queue.
 const (
 	headerLen  = 21
 	flagPacked = 1
@@ -205,6 +214,20 @@ func encodeHeader(c Chunk, crc uint32) []byte {
 	var h [headerLen]byte
 	encodeHeaderInto(&h, c, crc)
 	return h[:]
+}
+
+// parseFrame is the one test of a chunk frame's shape — two parts, the
+// first a decodable header — and returns the header's chunk fields and
+// payload CRC. The receiver's dispatch hook, its receive workers and the
+// forwarder's intake all call it, and the first two must agree exactly:
+// dispatch charges a stream's credit only for a frame that passes, and a
+// receive worker gives credit back only for a frame that passes, so a
+// frame judged differently in the two places leaks or invents credit.
+func parseFrame(msg msgq.Message) (Chunk, uint32, error) {
+	if len(msg) != 2 {
+		return Chunk{}, 0, fmt.Errorf("pipeline: message with %d parts", len(msg))
+	}
+	return decodeHeader(msg[0])
 }
 
 func decodeHeader(h []byte) (Chunk, uint32, error) {
@@ -293,7 +316,12 @@ type SenderOptions struct {
 	Topo numa.HostTopology
 	// Peers are receiver PULL addresses to connect to.
 	Peers []string
-	// Source yields successive raw chunks; nil ends the stream.
+	// Source yields successive raw chunks; nil ends the stream. A yielded
+	// buffer must keep its bytes until its chunk has been sent: an
+	// uncompressed chunk travels from that buffer, and its CRC is taken
+	// before the send queue (by the feeder, or by the compress worker that
+	// found it incompressible), so a buffer rewritten while its chunk is
+	// still queued arrives as a CRC mismatch and is quarantined.
 	Source func() []byte
 	// StreamID tags every chunk so a gateway serving several senders
 	// can separate them (Figure 13's four concurrent streams).
@@ -448,6 +476,15 @@ func RunSender(opts SenderOptions) error {
 		watchQueue(opts.Metrics, "compq", compQ)
 		feedTo = compQ
 	}
+	// With no compress stage the Source's buffer is the wire payload and
+	// the feeder is the stage that sums it. Its time gets a histogram of
+	// its own rather than a stage: the feeder is not a pool obs could
+	// name, and a feeder too slow to keep the send workers fed already
+	// reads as sendq get-blocked time.
+	var sumHist *metrics.Histogram
+	if compQ == nil {
+		sumHist = opts.Metrics.Histogram("source_crc_ns")
+	}
 	go func() {
 		defer feedTo.Close()
 		var seq uint64
@@ -461,13 +498,18 @@ func RunSender(opts SenderOptions) error {
 			c := Chunk{Seq: seq, Stream: opts.StreamID, Data: raw, RawLen: len(raw)}
 			if opts.WireTrace {
 				c.wire = &wireCtx{Version: wireCtxVersion, Seq: c.Seq, Stream: c.Stream}
-				if feedTo == sendQ {
-					// No compress stage: the feeder's Put is the
-					// send-queue entry.
+			}
+			seq++
+			if compQ == nil {
+				t0 := time.Now()
+				c.crc = crc32.Checksum(raw, crcTable)
+				sumHist.ObserveDuration(time.Since(t0))
+				if c.wire != nil {
+					// The feeder's Put is the send-queue entry.
 					c.wire.Enqueue = trace.NowNanos()
 				}
 			}
-			seq++
+			// Stamped after the sum, so queue wait stays queue time.
 			c.enqAt = time.Now()
 			if err := feedTo.Put(c); err != nil {
 				return
@@ -549,6 +591,9 @@ func RunSender(opts SenderOptions) error {
 					c.Data = packed
 					c.Packed = true
 				}
+				// Whichever of the three it was, Data is final and was
+				// just written (or, unpackable, just read) by this worker.
+				c.crc = crc32.Checksum(c.Data, crcTable)
 				obs.done(worker, t0, c.RawLen, c.Seq)
 				if c.wire != nil {
 					now := trace.NowNanos()
@@ -607,8 +652,7 @@ func RunSender(opts SenderOptions) error {
 				if c.wire != nil {
 					c.wire.Dequeue = trace.NowNanos()
 				}
-				sum := crc32.Checksum(c.Data, crcTable)
-				encodeHeaderInto(&hdr, c, sum)
+				encodeHeaderInto(&hdr, c, c.crc)
 				msg[0], msg[1] = hdr[:], c.Data
 				var sendErr error
 				if c.wire != nil {
@@ -836,16 +880,11 @@ func RunReceiver(opts ReceiverOptions) error {
 	adm := NewAdmission(opts.Metrics, opts.MaxStreams)
 	gate := newCreditGate(opts.Metrics, credit)
 	// Dispatch runs on each connection's read goroutine: peek the
-	// header, admit, take credit, route by stream hash. A frame that
-	// cannot carry a header (wrong shape) passes through uncredited and
-	// is quarantined by a receive worker — the credited predicate here
-	// and in the worker must match exactly: len(Msg) == 2 and a
-	// decodable header.
+	// header, admit, take credit, route by stream hash. A frame of the
+	// wrong shape (parseFrame) passes through uncredited and is
+	// quarantined by a receive worker.
 	pull.SetDispatch(shards, shardCap, func(d *msgq.Delivery) (int, bool) {
-		if len(d.Msg) != 2 {
-			return 0, true
-		}
-		c, _, err := decodeHeader(d.Msg[0])
+		c, _, err := parseFrame(d.Msg)
 		if err != nil {
 			return 0, true
 		}
@@ -1074,14 +1113,7 @@ func RunReceiver(opts ReceiverOptions) error {
 				// quarantine it is released here; once it becomes
 				// c.frame, the stage that finishes with the payload
 				// releases it.
-				if len(msg) != 2 {
-					d.Frame.Release()
-					if err := quarantine(fmt.Errorf("pipeline: message with %d parts", len(msg)), false, 0); err != nil {
-						return err
-					}
-					continue
-				}
-				c, wantCRC, err := decodeHeader(msg[0])
+				c, wantCRC, err := parseFrame(msg)
 				if err != nil {
 					d.Frame.Release()
 					if err := quarantine(err, false, 0); err != nil {
