@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test vet race check bench bench-build handoff-bench lz4-fuzz churn-drill report-drill stream-drill fleet-drill adapt-drill
+.PHONY: build test vet race check bench bench-build handoff-bench lz4-fuzz sim-golden churn-drill report-drill stream-drill fleet-drill adapt-drill
 
 build:
 	$(GO) build ./...
@@ -95,6 +95,20 @@ adapt-drill:
 	$(GO) test -race -count=1 -run 'TestPool|TestElastic|TestRetire|TestControls' ./internal/pipeline/...
 	@echo "adapt-drill: byte-identical convergence runs + elastic storm clean under -race"
 
+# Simulator golden: every simulated figure and drill the quick CLI run
+# prints (about 0.3 s), compared byte for byte with the committed
+# internal/experiments/testdata/quick.golden. It pins every simulated
+# number the way benchmark/layers.go pins Fig 12 and Fig 14, so neither
+# a refactor of the harnesses nor a recalibration of the machine model
+# moves a figure unnoticed. When a change means to move numbers,
+# regenerate the file with
+#   go run ./cmd/experiments $(SIM_GOLDEN_FLAGS) > internal/experiments/testdata/quick.golden
+# and say in the change's description why they moved.
+SIM_GOLDEN_FLAGS = -quick -fig all -rss 8 -dual-nic -degraded -churn -fleet -adapt
+sim-golden:
+	$(GO) run ./cmd/experiments $(SIM_GOLDEN_FLAGS) | diff -u internal/experiments/testdata/quick.golden -
+	@echo "sim-golden: simulated figures and drills match internal/experiments/testdata/quick.golden"
+
 # The repository benchmark (benchmark/, see BENCHMARK.json) is a module
 # of its own that imports internal/pipeline and internal/msgq through a
 # replace directive, so the root build, vet and test never compile it.
@@ -122,10 +136,10 @@ lz4-fuzz:
 	$(GO) test ./internal/lz4 -run '^$$' -fuzz FuzzRoundTrip -fuzztime 15s
 	$(GO) test ./internal/lz4 -run '^$$' -fuzz FuzzDecompressNeverPanics -fuzztime 15s
 
-# The single CI entry point: build, vet, tests, benchmark module,
-# pipeline micro-benchmarks, LZ4 fuzzers, race pass, churn drill, report drill,
-# stream drill, fleet drill, adapt drill.
-check: build vet test bench-build handoff-bench lz4-fuzz race churn-drill report-drill stream-drill fleet-drill adapt-drill
+# The single CI entry point: build, vet, tests, simulator golden,
+# benchmark module, pipeline micro-benchmarks, LZ4 fuzzers, race pass,
+# churn drill, report drill, stream drill, fleet drill, adapt drill.
+check: build vet test sim-golden bench-build handoff-bench lz4-fuzz race churn-drill report-drill stream-drill fleet-drill adapt-drill
 
 # Human-readable benchmark run over the root suite (the paper figures,
 # the loopback pipeline, queues, LZ4).

@@ -125,12 +125,13 @@ func (m *MultiHop) NodeNames() []string {
 	return append(out, GatewayName)
 }
 
-// LinkNames returns every link name in the deployment.
+// LinkNames returns every link name in the deployment, sorted.
 func (m *MultiHop) LinkNames() []string {
-	var out []string
+	out := make([]string, 0, len(m.links))
 	for name := range m.links {
 		out = append(out, name)
 	}
+	sort.Strings(out)
 	return out
 }
 
@@ -223,11 +224,13 @@ func (m *MultiHop) LinkDelay(name string) float64 {
 }
 
 // FaultDelay sums the cumulative fault-inflicted delay across all
-// links, the deployment-wide cost of the churn storm.
+// links, the deployment-wide cost of the churn storm. The sum runs in
+// link-name order: float addition is not associative, so summing in map
+// order would change the last bits from run to run.
 func (m *MultiHop) FaultDelay() float64 {
 	total := 0.0
-	for _, nl := range m.links {
-		total += nl.link.FaultDelay()
+	for _, name := range m.LinkNames() {
+		total += m.links[name].link.FaultDelay()
 	}
 	return total
 }

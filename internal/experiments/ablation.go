@@ -1,12 +1,8 @@
 package experiments
 
 import (
-	"fmt"
-
 	"numastream/internal/hw"
-	"numastream/internal/netsim"
 	"numastream/internal/runtime"
-	"numastream/internal/sim"
 )
 
 // Ablations: each figure's headline effect traced to the model mechanism
@@ -30,28 +26,14 @@ type mutator func(*hw.Config)
 // B-over-A boost at 2 thread pairs) on machines built with mutate.
 func ablationNetworkGap(mutate mutator) (float64, error) {
 	run := func(recvSocket int) (float64, error) {
-		eng := sim.NewEngine()
-		sndCfg := hw.UpdraftConfig("updraft1")
-		rcvCfg := hw.LynxdtnConfig()
-		if mutate != nil {
-			mutate(&sndCfg)
-			mutate(&rcvCfg)
-		}
-		snd := runtime.NewSimNode(hw.New(eng, sndCfg), 11)
-		rcv := runtime.NewSimNode(hw.New(eng, rcvCfg), 12)
-		link := netsim.NewLink(eng, "aps", hw.BytesPerSec(100), 0.45e-3)
-		path := netsim.NewPath(eng, snd.M, hw.DataNIC(snd.M), link, rcv.M, hw.DataNIC(rcv.M))
-		st := &runtime.Stream{
-			Spec:   runtime.StreamSpec{Name: "abl", Chunks: 200, ChunkBytes: Fig11ChunkBytes},
-			Sender: snd,
-			SenderCfg: runtime.NodeConfig{Node: "s", Role: runtime.Sender,
-				Groups: []runtime.TaskGroup{{Type: runtime.Send, Count: 2, Placement: runtime.SplitAll()}}},
-			Receiver: rcv,
-			ReceiverCfg: runtime.NodeConfig{Node: "r", Role: runtime.Receiver,
-				Groups: []runtime.TaskGroup{{Type: runtime.Receive, Count: 2, Placement: runtime.PinTo(recvSocket)}}},
-			Path: path,
-		}
-		if err := (&runtime.Runner{Eng: eng, Streams: []*runtime.Stream{st}}).Run(); err != nil {
+		st, err := pairCell{
+			seed:   11,
+			mutate: mutate,
+			spec:   runtime.StreamSpec{Name: "abl", Chunks: 200, ChunkBytes: Fig11ChunkBytes},
+			snd:    sender("s", group(runtime.Send, 2, runtime.SplitAll())),
+			rcv:    receiver("r", group(runtime.Receive, 2, runtime.PinTo(recvSocket))),
+		}.run()
+		if err != nil {
 			return 0, err
 		}
 		return st.EndToEndBps(), nil
@@ -91,42 +73,8 @@ func AblateRemotePenalty() (AblationResult, error) {
 // 16 decompression threads on a machine built with mutate.
 func ablationDecompressGap(mutate mutator) float64 {
 	run := func(exec runtime.Placement) float64 {
-		eng := sim.NewEngine()
-		cfg := hw.LynxdtnConfig()
-		if mutate != nil {
-			mutate(&cfg)
-		}
-		node := runtime.NewSimNode(hw.New(eng, cfg), 21)
-		cores, _ := runtime.PlaceGroup(node, runtime.TaskGroup{
-			Type: runtime.Decompress, Count: 16, Placement: exec})
-		chunks := 512
-		remaining := chunks
-		var finish float64
-		for _, core := range cores {
-			core := core
-			var loop func()
-			loop = func() {
-				if remaining == 0 {
-					return
-				}
-				remaining--
-				done := node.M.Exec(eng.Now(), core, hw.Op{
-					Compute:       ChunkBytes / node.Rates.Decompress,
-					ReadBytes:     ChunkBytes / hw.CompressionRatio,
-					ReadSocket:    0,
-					WriteBytes:    ChunkBytes,
-					WriteSocket:   core.Socket,
-					Prefetchable:  true,
-					WriteAllocate: true,
-				})
-				if done > finish {
-					finish = done
-				}
-				eng.Schedule(done, loop)
-			}
-			eng.After(0, loop)
-		}
-		eng.Run()
+		const chunks = 512
+		_, finish := codecRun(mutate, 21, opDecompress, 16, exec, 0, chunks)
 		return float64(chunks) * ChunkBytes / finish
 	}
 	single := run(runtime.PinTo(0))
@@ -151,42 +99,8 @@ func AblateUncoreContention() AblationResult {
 // mutate.
 func ablationCompressDecline(mutate mutator) float64 {
 	run := func(threads int) float64 {
-		eng := sim.NewEngine()
-		cfg := hw.LynxdtnConfig()
-		if mutate != nil {
-			mutate(&cfg)
-		}
-		node := runtime.NewSimNode(hw.New(eng, cfg), 31)
-		cores, _ := runtime.PlaceGroup(node, runtime.TaskGroup{
-			Type: runtime.Compress, Count: threads, Placement: runtime.PinTo(0)})
-		chunks := 512
-		remaining := chunks
-		var finish float64
-		for _, core := range cores {
-			core := core
-			var loop func()
-			loop = func() {
-				if remaining == 0 {
-					return
-				}
-				remaining--
-				done := node.M.Exec(eng.Now(), core, hw.Op{
-					Compute:       ChunkBytes / node.Rates.Compress,
-					ReadBytes:     ChunkBytes,
-					ReadSocket:    0,
-					WriteBytes:    ChunkBytes / hw.CompressionRatio,
-					WriteSocket:   core.Socket,
-					Prefetchable:  true,
-					WriteAllocate: true,
-				})
-				if done > finish {
-					finish = done
-				}
-				eng.Schedule(done, loop)
-			}
-			eng.After(0, loop)
-		}
-		eng.Run()
+		const chunks = 512
+		_, finish := codecRun(mutate, 31, opCompress, threads, runtime.PinTo(0), 0, chunks)
 		return float64(chunks) * ChunkBytes / finish
 	}
 	at16 := run(16)
@@ -228,61 +142,13 @@ func AblateMigrationTax() (AblationResult, error) {
 // fig14Totals reruns the Figure 14 deployment with mutated machine
 // configs and returns cumulative end-to-end Gbps for both modes.
 func fig14Totals(mutate mutator) (rtTotal, osTotal float64, err error) {
-	for _, mode := range []Fig14Mode{ModeRuntime, ModeOS} {
-		eng := sim.NewEngine()
-		rcvCfg := hw.LynxdtnConfig()
-		if mutate != nil {
-			mutate(&rcvCfg)
-		}
-		rcv := runtime.NewSimNode(hw.New(eng, rcvCfg), 31)
-		link := netsim.NewLink(eng, "aps-alcf", hw.BytesPerSec(200), 0.45e-3)
-
-		senderCfgs := []hw.Config{
-			hw.UpdraftConfig("updraft1"), hw.UpdraftConfig("updraft2"),
-			hw.PolarisConfig("polaris1"), hw.PolarisConfig("polaris2"),
-		}
-		var streams []*runtime.Stream
-		for i, scfg := range senderCfgs {
-			if mutate != nil {
-				mutate(&scfg)
-			}
-			snd := runtime.NewSimNode(hw.New(eng, scfg), int64(41+i))
-			sCfg := runtime.NodeConfig{Node: scfg.Name, Role: runtime.Sender,
-				Groups: []runtime.TaskGroup{
-					{Type: runtime.Compress, Count: 32, Placement: runtime.SplitAll()},
-					{Type: runtime.Send, Count: 4, Placement: runtime.SplitAll()},
-				}}
-			rCfg := runtime.NodeConfig{Node: "lynxdtn", Role: runtime.Receiver,
-				Groups: []runtime.TaskGroup{
-					{Type: runtime.Receive, Count: 4, Placement: runtime.PinTo(1)},
-					{Type: runtime.Decompress, Count: 4, Placement: runtime.PinTo(0)},
-				}}
-			if mode == ModeOS {
-				sCfg = runtime.GenerateOSBaseline(sCfg)
-				rCfg = runtime.GenerateOSBaseline(rCfg)
-			}
-			streams = append(streams, &runtime.Stream{
-				Spec: runtime.StreamSpec{
-					Name: fmt.Sprintf("s%d", i), Chunks: 120,
-					ChunkBytes: ChunkBytes, Ratio: hw.CompressionRatio,
-				},
-				Sender: snd, SenderCfg: sCfg,
-				Receiver: rcv, ReceiverCfg: rCfg,
-				Path: netsim.NewPath(eng, snd.M, hw.DataNIC(snd.M), link, rcv.M, hw.DataNIC(rcv.M)),
-			})
-		}
-		if err := (&runtime.Runner{Eng: eng, Streams: streams}).Run(); err != nil {
-			return 0, 0, err
-		}
-		total := 0.0
-		for _, st := range streams {
-			total += hw.Gbps(st.EndToEndBps())
-		}
-		if mode == ModeRuntime {
-			rtTotal = total
-		} else {
-			osTotal = total
-		}
+	rt, err := fig14Run(ModeRuntime, 120, nil, mutate)
+	if err != nil {
+		return 0, 0, err
 	}
-	return rtTotal, osTotal, nil
+	os, err := fig14Run(ModeOS, 120, nil, mutate)
+	if err != nil {
+		return 0, 0, err
+	}
+	return rt.TotalE2E, os.TotalE2E, nil
 }

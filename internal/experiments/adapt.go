@@ -6,7 +6,6 @@ import (
 
 	"numastream/internal/adapt"
 	"numastream/internal/hw"
-	"numastream/internal/netsim"
 	"numastream/internal/obs"
 	"numastream/internal/runtime"
 	"numastream/internal/sim"
@@ -82,49 +81,21 @@ func (r AdaptSimResult) Check() error {
 	return nil
 }
 
-// adaptBadSender is the deliberately bad sender config: one compress
+// adaptBadSender/Receiver is the deliberately bad config: one compress
 // worker, everything on socket 0.
 func adaptBadSender() runtime.NodeConfig {
-	return runtime.NodeConfig{
-		Node: "updraft1", Role: runtime.Sender,
-		Groups: []runtime.TaskGroup{
-			{Type: runtime.Compress, Count: 1, Placement: runtime.PinTo(0)},
-			{Type: runtime.Send, Count: 4, Placement: runtime.PinTo(0)},
-		},
-	}
+	return sender("updraft1", group(runtime.Compress, 1, runtime.PinTo(0)), group(runtime.Send, 4, runtime.PinTo(0)))
 }
 
 func adaptBadReceiver() runtime.NodeConfig {
-	return runtime.NodeConfig{
-		Node: "lynxdtn", Role: runtime.Receiver,
-		Groups: []runtime.TaskGroup{
-			{Type: runtime.Receive, Count: 4, Placement: runtime.PinTo(0)},
-			{Type: runtime.Decompress, Count: 2, Placement: runtime.PinTo(0)},
-		},
-	}
+	return receiver("lynxdtn", group(runtime.Receive, 4, runtime.PinTo(0)), group(runtime.Decompress, 2, runtime.PinTo(0)))
 }
 
-// adaptTunedSender/Receiver is the known-good config (the degraded
-// drill's, with send pinned to the NIC domain so wire-bound windows
-// have nothing to migrate).
+// adaptTunedSender with drillReceiver is the known-good config: the
+// drill configuration with send pinned to the NIC domain, so wire-bound
+// windows have nothing to migrate.
 func adaptTunedSender() runtime.NodeConfig {
-	return runtime.NodeConfig{
-		Node: "updraft1", Role: runtime.Sender,
-		Groups: []runtime.TaskGroup{
-			{Type: runtime.Compress, Count: 8, Placement: runtime.SplitAll()},
-			{Type: runtime.Send, Count: 4, Placement: runtime.PinTo(1)},
-		},
-	}
-}
-
-func adaptTunedReceiver() runtime.NodeConfig {
-	return runtime.NodeConfig{
-		Node: "lynxdtn", Role: runtime.Receiver,
-		Groups: []runtime.TaskGroup{
-			{Type: runtime.Receive, Count: 4, Placement: runtime.PinTo(0)},
-			{Type: runtime.Decompress, Count: 8, Placement: runtime.PinTo(1)},
-		},
-	}
+	return sender("updraft1", group(runtime.Compress, 8, runtime.SplitAll()), group(runtime.Send, 4, runtime.PinTo(1)))
 }
 
 // adaptPolicy is the drill's controller tuning. Hysteresis 2 and a
@@ -132,10 +103,10 @@ func adaptTunedReceiver() runtime.NodeConfig {
 // both gates fire (the unit tests pin their exact behavior); the caps
 // equal the tuned worker counts, so the controller can reach — but
 // never overshoot — the paper's configuration.
-func adaptPolicy(sampleEvery float64) adapt.Policy {
+func adaptPolicy(every float64) adapt.Policy {
 	return adapt.Policy{
 		Hysteresis: 2,
-		Cooldown:   2 * sampleEvery,
+		Cooldown:   2 * every,
 		MaxStep:    2,
 		ActFloor:   0.35,
 		MaxWorkers: map[string]int{"compress": 8, "send": 4, "receive": 4, "decompress": 8},
@@ -180,17 +151,11 @@ type adaptCellResult struct {
 	windows  int
 }
 
-// runAdaptCell runs one cell: the given configs on the standard
-// 100 Gbps updraft→lynxdtn path, optionally sampled into an obs engine
-// with the adaptive controller subscribed.
-func runAdaptCell(seed int64, snd, rcv runtime.NodeConfig, sampleEvery float64, withController bool) (adaptCellResult, error) {
+// runAdaptCell runs one cell: the given configs on the Fig 12 pair,
+// sampled every `every` virtual seconds into an obs engine when every > 0,
+// with the adaptive controller subscribed when withController is set.
+func runAdaptCell(seed int64, snd, rcv runtime.NodeConfig, every float64, withController bool) (adaptCellResult, error) {
 	var res adaptCellResult
-	eng := sim.NewEngine()
-	sndNode := runtime.NewSimNode(hw.NewUpdraft(eng, "updraft1"), seed)
-	rcvNode := runtime.NewSimNode(hw.NewLynxdtn(eng), seed+1)
-	link := netsim.NewLink(eng, "aps", hw.BytesPerSec(100), 0.45e-3)
-	path := netsim.NewPath(eng, sndNode.M, hw.DataNIC(sndNode.M), link, rcvNode.M, hw.DataNIC(rcvNode.M))
-
 	// Tail-throughput accounting: delivery times for the last
 	// AdaptTailFrac of chunks.
 	tailN := int(float64(AdaptChunks) * AdaptTailFrac)
@@ -199,56 +164,38 @@ func runAdaptCell(seed int64, snd, rcv runtime.NodeConfig, sampleEvery float64, 
 	}
 	var times []float64
 	var rawBytes, items int64
+	var obsEng *obs.Engine
+	var ctl *adapt.Controller
 
-	st := &runtime.Stream{
-		Spec: runtime.StreamSpec{
-			Name:       "adapt",
-			Chunks:     AdaptChunks,
-			ChunkBytes: ChunkBytes,
-			Ratio:      hw.CompressionRatio,
-		},
-		Sender: sndNode, SenderCfg: snd,
-		Receiver: rcvNode, ReceiverCfg: rcv,
-		Path: path,
-		OnDeliver: func(t, raw, wire float64) {
+	cell := pairCell{
+		seed: seed,
+		spec: runtime.StreamSpec{Name: "adapt", Chunks: AdaptChunks, ChunkBytes: ChunkBytes, Ratio: hw.CompressionRatio},
+		snd:  snd,
+		rcv:  rcv,
+		onDeliver: func(t, raw, wire float64) {
 			times = append(times, t)
 			rawBytes += int64(raw)
 			items++
 		},
 	}
-
-	var obsEng *obs.Engine
-	var ctl *adapt.Controller
-	if sampleEvery > 0 {
-		workers := map[string]int{}
-		for _, g := range snd.Groups {
-			workers[string(g.Type)] = g.Count
-		}
-		for _, g := range rcv.Groups {
-			workers[string(g.Type)] = g.Count
-		}
-		if withController {
-			ctl = adapt.New(adaptPolicy(sampleEvery), simActuator{st})
-		}
-		opts := obs.Options{Node: "adapt-sim", Workers: workers}
-		if ctl != nil {
-			opts.OnWindow = ctl.OnWindow
-		}
-		obsEng = obs.NewEngine(nil, opts)
-		if ctl != nil {
-			ctl.BindEngine(obsEng)
-		}
-		var tick func()
-		tick = func() {
-			obsEng.Observe(simSnapshot(eng.Now(), st, rawBytes, items))
-			if st.Delivered < st.Spec.Chunks {
-				eng.After(sampleEvery, tick)
+	if every > 0 {
+		cell.observe = func(eng *sim.Engine, st *runtime.Stream) {
+			opts := obs.Options{Node: "adapt-sim", Workers: stageWorkers(snd, rcv)}
+			if withController {
+				ctl = adapt.New(adaptPolicy(every), simActuator{st})
+				opts.OnWindow = ctl.OnWindow
 			}
+			obsEng = obs.NewEngine(nil, opts)
+			if ctl != nil {
+				ctl.BindEngine(obsEng)
+			}
+			sampleEvery(eng, every, 1, delivered(st), func(t float64) {
+				obsEng.Observe(simSnapshot(t, st, rawBytes, items))
+			})
 		}
-		eng.Schedule(0, tick)
 	}
-
-	if err := (&runtime.Runner{Eng: eng, Streams: []*runtime.Stream{st}}).Run(); err != nil {
+	st, err := cell.run()
+	if err != nil {
 		return res, err
 	}
 
@@ -296,7 +243,7 @@ func AdaptSim(seed int64) (AdaptSimResult, error) {
 	r.Regimes = adapted.regimes
 	r.Windows = adapted.windows
 
-	tuned, err := runAdaptCell(seed, adaptTunedSender(), adaptTunedReceiver(), r.SampleEvery, true)
+	tuned, err := runAdaptCell(seed, adaptTunedSender(), drillReceiver(), r.SampleEvery, true)
 	if err != nil {
 		return r, fmt.Errorf("tuned cell: %w", err)
 	}

@@ -48,7 +48,7 @@ func TestAdaptSimTunedSilent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := runAdaptCell(3, adaptTunedSender(), adaptTunedReceiver(), bad.finish/96, true)
+	res, err := runAdaptCell(3, adaptTunedSender(), drillReceiver(), bad.finish/96, true)
 	if err != nil {
 		t.Fatal(err)
 	}

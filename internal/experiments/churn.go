@@ -1,21 +1,16 @@
 package experiments
 
 import (
-	"bytes"
 	"fmt"
-	"math/rand"
-	"sort"
 	"strings"
 	"sync"
 	"time"
 
 	"numastream/internal/cluster"
 	"numastream/internal/faults"
-	"numastream/internal/hw"
 	"numastream/internal/metrics"
 	"numastream/internal/pipeline"
 	"numastream/internal/runtime"
-	"numastream/internal/sim"
 
 	hostnuma "numastream/internal/numa"
 )
@@ -55,9 +50,6 @@ type ChurnSimResult struct {
 	Impacts    []ChurnEventImpact
 }
 
-// churnSimChunks is the per-stream chunk count of the simulator drill.
-const churnSimChunks = 200
-
 // ChurnSim streams two senders through two relays into the gateway,
 // first healthy to learn the finish time, then under a seeded churn
 // storm that crashes every sender and relay at least once (four
@@ -67,7 +59,8 @@ const churnSimChunks = 200
 // A non-nil sched overrides the generated storm (e.g. a parsed
 // topology-event file); its names must match the deployment's.
 func ChurnSim(seed int64, sched faults.TopoSchedule) (ChurnSimResult, error) {
-	base, err := runChurnCell(seed, nil)
+	h := hopSpec{name: "churn", senders: []cluster.SenderKind{cluster.Updraft, cluster.Polaris}, seed: seed}
+	base, err := runHopCell(h)
 	if err != nil {
 		return ChurnSimResult{}, err
 	}
@@ -86,7 +79,8 @@ func ChurnSim(seed int64, sched faults.TopoSchedule) (ChurnSimResult, error) {
 			return ChurnSimResult{}, err
 		}
 	}
-	faulted, err := runChurnCell(seed, sched)
+	h.topo = sched
+	faulted, err := runHopCell(h)
 	if err != nil {
 		return ChurnSimResult{}, err
 	}
@@ -120,13 +114,13 @@ func ChurnSim(seed int64, sched faults.TopoSchedule) (ChurnSimResult, error) {
 	for _, name := range faulted.mh.LinkNames() {
 		res.PerLink = append(res.PerLink, ChurnLinkDelay{Name: name, Delay: faulted.mh.LinkDelay(name)})
 	}
-	sort.Slice(res.PerLink, func(i, j int) bool { return res.PerLink[i].Name < res.PerLink[j].Name })
 	return res, nil
 }
 
 // linksTouching resolves the links a down event darkens: the named link
 // itself, or — for a node event — every link with the node as an
 // endpoint (link names are "<a>-<b>" and node names carry no hyphen).
+// Sorted links give sorted results.
 func linksTouching(links []string, e faults.TopoEvent) []string {
 	var out []string
 	for _, l := range links {
@@ -143,65 +137,7 @@ func linksTouching(links []string, e faults.TopoEvent) []string {
 			}
 		}
 	}
-	sort.Strings(out)
 	return out
-}
-
-type churnCell struct {
-	mh     *cluster.MultiHop
-	finish float64
-}
-
-func runChurnCell(seed int64, sched faults.TopoSchedule) (churnCell, error) {
-	eng := sim.NewEngine()
-	mh, err := cluster.NewMultiHop(eng, []cluster.SenderKind{cluster.Updraft, cluster.Polaris}, cluster.MultiHopOptions{Seed: seed})
-	if err != nil {
-		return churnCell{}, err
-	}
-	if sched != nil {
-		if err := mh.ApplyTopology(sched); err != nil {
-			return churnCell{}, err
-		}
-	}
-	var streams []*runtime.Stream
-	for i, s := range mh.Senders {
-		node := s.Sim.M.Cfg.Name
-		st, err := mh.Stream(i,
-			runtime.StreamSpec{
-				Name:       fmt.Sprintf("churn-%s", node),
-				Chunks:     churnSimChunks,
-				ChunkBytes: ChunkBytes,
-				Ratio:      hw.CompressionRatio,
-			},
-			runtime.NodeConfig{
-				Node: node, Role: runtime.Sender,
-				Groups: []runtime.TaskGroup{
-					{Type: runtime.Compress, Count: 8, Placement: runtime.SplitAll()},
-					{Type: runtime.Send, Count: 4, Placement: runtime.SplitAll()},
-				},
-			},
-			runtime.NodeConfig{
-				Node: "lynxdtn", Role: runtime.Receiver,
-				Groups: []runtime.TaskGroup{
-					{Type: runtime.Receive, Count: 4, Placement: runtime.PinTo(0)},
-					{Type: runtime.Decompress, Count: 8, Placement: runtime.PinTo(1)},
-				},
-			})
-		if err != nil {
-			return churnCell{}, err
-		}
-		streams = append(streams, st)
-	}
-	if err := mh.Run(streams); err != nil {
-		return churnCell{}, err
-	}
-	finish := 0.0
-	for _, st := range streams {
-		if st.FinishTime > finish {
-			finish = st.FinishTime
-		}
-	}
-	return churnCell{mh: mh, finish: finish}, nil
 }
 
 // FormatChurnSim renders the simulated churn storm.
@@ -270,16 +206,6 @@ const (
 	churnDrainQuiet = 300 * time.Millisecond
 )
 
-// churnPayload builds the half-structured, half-noise ~2:1 payload the
-// real-mode harnesses stream.
-func churnPayload(chunkBytes int) []byte {
-	rng := rand.New(rand.NewSource(7))
-	payload := make([]byte, chunkBytes)
-	rng.Read(payload[:chunkBytes/2])
-	copy(payload[chunkBytes/2:], bytes.Repeat([]byte{0x11, 0x11, 0x22, 0x22}, chunkBytes/8+1)[:chunkBytes-chunkBytes/2])
-	return payload
-}
-
 // realRelay is one live forwarder the storm can kill and restart.
 type realRelay struct {
 	name string
@@ -336,11 +262,7 @@ func ChurnLoopbackInto(reg *metrics.Registry, chunks, chunkBytes int, sched faul
 	gwErr := make(chan error, 1)
 	go func() {
 		gwErr <- pipeline.RunReceiver(pipeline.ReceiverOptions{
-			Cfg: runtime.NodeConfig{Node: "churn-gw", Role: runtime.Receiver,
-				Groups: []runtime.TaskGroup{
-					{Type: runtime.Receive, Count: 2, Placement: runtime.OS()},
-					{Type: runtime.Decompress, Count: 2, Placement: runtime.OS()},
-				}},
+			Cfg:  receiver("churn-gw", group(runtime.Receive, 2, runtime.OS()), group(runtime.Decompress, 2, runtime.OS())),
 			Topo: topo, Bind: "127.0.0.1:0",
 			Stop: gwStop, Ready: gwReady, Metrics: reg,
 			ExactlyOnce: true, Ledger: ledger,
@@ -354,8 +276,7 @@ func ChurnLoopbackInto(reg *metrics.Registry, chunks, chunkBytes int, sched faul
 		ready := make(chan string, 1)
 		go func() {
 			r.done <- pipeline.RunForwarder(pipeline.ForwarderOptions{
-				Cfg: runtime.NodeConfig{Node: name, Role: runtime.Receiver,
-					Groups: []runtime.TaskGroup{{Type: runtime.Receive, Count: 1, Placement: runtime.OS()}}},
+				Cfg:  receiver(name, group(runtime.Receive, 1, runtime.OS())),
 				Topo: topo, Bind: bind,
 				Downstream:    []string{gwAddr},
 				MinDownstream: 1,
@@ -434,34 +355,13 @@ func ChurnLoopbackInto(reg *metrics.Registry, chunks, chunkBytes int, sched faul
 		errs := make(chan error, churnStreams)
 		for s := 0; s < churnStreams; s++ {
 			go func(s int) {
-				var mu sync.Mutex
-				sent := 0
-				payload := churnPayload(chunkBytes)
 				errs <- pipeline.RunSender(pipeline.SenderOptions{
-					Cfg: runtime.NodeConfig{Node: fmt.Sprintf("churn-src%d", s), Role: runtime.Sender,
-						Groups: []runtime.TaskGroup{
-							{Type: runtime.Compress, Count: 1, Placement: runtime.OS()},
-							{Type: runtime.Send, Count: 1, Placement: runtime.OS()},
-						}},
+					Cfg:  sender(fmt.Sprintf("churn-src%d", s), group(runtime.Compress, 1, runtime.OS()), group(runtime.Send, 1, runtime.OS())),
 					Topo: topo, Peers: relayAddrs, StreamID: uint32(s),
 					Metrics:        reg,
 					SendHorizon:    15 * time.Second,
 					DisableBufPool: DisableBufPool,
-					Source: func() []byte {
-						mu.Lock()
-						done := sent >= chunks
-						if !done {
-							sent++
-						}
-						mu.Unlock()
-						if done {
-							return nil
-						}
-						if throttle > 0 {
-							time.Sleep(throttle)
-						}
-						return payload
-					},
+					Source:         repeatSource(chunks, mixedPayload(chunkBytes), throttle),
 				})
 			}(s)
 		}

@@ -43,52 +43,55 @@ const (
 // through the dataset and the aggregate uncompressed-side throughput is
 // reported.
 func runCodec(cfg MemExecConfig, threads int, op codecOp, seed int64) CodecResult {
+	chunks := int(math.Round(DatasetBytes / ChunkBytes))
+	node, finish := codecRun(nil, seed, op, threads, cfg.Exec, cfg.MemDomain, chunks)
+	return CodecResult{
+		Config:    cfg.Label,
+		Threads:   threads,
+		Gbps:      hw.Gbps(float64(chunks) * ChunkBytes / finish),
+		CoreStats: node.M.CoreStats(finish),
+		Horizon:   finish,
+	}
+}
+
+// codecRun drives `chunks` codec operations through `threads` workers
+// placed by exec on a lynxdtn built after mutate, each reading its chunk
+// from memDomain and writing the result to its own domain. It returns
+// the node and the virtual time the last operation finished.
+func codecRun(mutate mutator, seed int64, op codecOp, threads int, exec runtime.Placement, memDomain, chunks int) (*runtime.SimNode, float64) {
 	eng := sim.NewEngine()
-	node := runtime.NewSimNode(hw.NewLynxdtn(eng), seed)
+	node := runtime.NewSimNode(newMachine(eng, hw.LynxdtnConfig(), mutate), seed)
 	m := node.M
 
-	cores, unpinned := runtime.PlaceGroup(node, runtime.TaskGroup{
-		Type:      runtime.Compress,
-		Count:     threads,
-		Placement: cfg.Exec,
-	})
+	task := runtime.Compress
+	if op == opDecompress {
+		task = runtime.Decompress
+	}
+	cores, unpinned := runtime.PlaceGroup(node, runtime.TaskGroup{Type: task, Count: threads, Placement: exec})
 
-	chunks := int(math.Round(DatasetBytes / ChunkBytes))
 	remaining := chunks
 	var finish float64
-
 	for _, core := range cores {
-		core := core
 		var loop func()
 		loop = func() {
 			if remaining == 0 {
 				return
 			}
 			remaining--
-			var o hw.Op
+			o := hw.Op{
+				ReadSocket:    memDomain,
+				WriteSocket:   core.Socket,
+				Unpinned:      unpinned,
+				Prefetchable:  true,
+				WriteAllocate: true,
+			}
 			switch op {
 			case opCompress:
-				o = hw.Op{
-					Compute:       ChunkBytes / node.Rates.Compress,
-					ReadBytes:     ChunkBytes,
-					ReadSocket:    cfg.MemDomain,
-					WriteBytes:    ChunkBytes / hw.CompressionRatio,
-					WriteSocket:   core.Socket,
-					Unpinned:      unpinned,
-					Prefetchable:  true,
-					WriteAllocate: true,
-				}
+				o.Compute = ChunkBytes / node.Rates.Compress
+				o.ReadBytes, o.WriteBytes = ChunkBytes, ChunkBytes/hw.CompressionRatio
 			case opDecompress:
-				o = hw.Op{
-					Compute:       ChunkBytes / node.Rates.Decompress,
-					ReadBytes:     ChunkBytes / hw.CompressionRatio,
-					ReadSocket:    cfg.MemDomain,
-					WriteBytes:    ChunkBytes,
-					WriteSocket:   core.Socket,
-					Unpinned:      unpinned,
-					Prefetchable:  true,
-					WriteAllocate: true,
-				}
+				o.Compute = ChunkBytes / node.Rates.Decompress
+				o.ReadBytes, o.WriteBytes = ChunkBytes/hw.CompressionRatio, ChunkBytes
 			}
 			done := m.Exec(eng.Now(), core, o)
 			finish = math.Max(finish, done)
@@ -97,14 +100,7 @@ func runCodec(cfg MemExecConfig, threads int, op codecOp, seed int64) CodecResul
 		eng.After(0, loop)
 	}
 	eng.Run()
-
-	return CodecResult{
-		Config:    cfg.Label,
-		Threads:   threads,
-		Gbps:      hw.Gbps(float64(chunks) * ChunkBytes / finish),
-		CoreStats: m.CoreStats(finish),
-		Horizon:   finish,
-	}
+	return node, finish
 }
 
 // Fig8ThreadCounts is the paper's Fig 8a sweep.

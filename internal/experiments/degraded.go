@@ -1,23 +1,17 @@
 package experiments
 
 import (
-	"bytes"
 	"fmt"
-	"math/rand"
-	"sync"
 	"time"
 
 	"numastream/internal/faults"
 	"numastream/internal/hw"
 	"numastream/internal/metrics"
 	"numastream/internal/msgq"
-	"numastream/internal/netsim"
 	"numastream/internal/obs"
 	"numastream/internal/pipeline"
 	"numastream/internal/runtime"
 	"numastream/internal/sim"
-
-	hostnuma "numastream/internal/numa"
 )
 
 // Degraded-mode harnesses: the robustness counterpart of Figure 12.
@@ -60,7 +54,7 @@ type DegradedSimResult struct {
 // simulation is fully deterministic: the same schedule replays
 // byte-for-byte.
 func DegradedSim() (DegradedSimResult, error) {
-	base, err := runDegradedCell(nil, nil, 0, nil)
+	base, err := degradedCell(nil).run()
 	if err != nil {
 		return DegradedSimResult{}, err
 	}
@@ -87,31 +81,34 @@ func DegradedSim() (DegradedSimResult, error) {
 // into an obs engine, yielding per-window verdicts and the regime log
 // (the simulation is deterministic, so the probe replays exactly).
 func DegradedSimWithSchedule(sched faults.LinkSchedule) (DegradedSimResult, error) {
-	probe, err := runDegradedCell(sched, nil, 0, nil)
+	probe, err := degradedCell(sched).run()
 	if err != nil {
 		return DegradedSimResult{}, err
 	}
-	sampleEvery := probe.FinishTime / 48
+	every := probe.FinishTime / 48
 
 	tl := metrics.NewTimeline(4096)
 	raw := int64(0)
 	items := int64(0)
+	cell := degradedCell(sched)
 	obsEng := obs.NewEngine(nil, obs.Options{
-		Node: "degraded-sim",
-		// Worker counts from runDegradedCell's task groups, for
-		// utilization shares.
-		Workers: map[string]int{"compress": 8, "send": 4, "receive": 4, "decompress": 8},
+		Node:    "degraded-sim",
+		Workers: stageWorkers(cell.snd, cell.rcv),
 	})
-	st, err := runDegradedCell(sched, func(t, r, wire float64) {
+	cell.onDeliver = func(t, r, _ float64) {
 		raw += int64(r)
 		items++
 		tl.Append(metrics.TimelinePoint{
 			T:      t,
 			Meters: map[string]metrics.MeterSample{"delivered": {Bytes: raw}},
 		})
-	}, sampleEvery, func(t float64, s *runtime.Stream) {
-		obsEng.Observe(simSnapshot(t, s, raw, items))
-	})
+	}
+	cell.observe = func(eng *sim.Engine, st *runtime.Stream) {
+		sampleEvery(eng, every, 1, delivered(st), func(t float64) {
+			obsEng.Observe(simSnapshot(t, st, raw, items))
+		})
+	}
+	st, err := cell.run()
 	if err != nil {
 		return DegradedSimResult{}, err
 	}
@@ -128,85 +125,16 @@ func DegradedSimWithSchedule(sched faults.LinkSchedule) (DegradedSimResult, erro
 	return res, nil
 }
 
-// simSnapshot synthesizes an obs.Snapshot from a simulated stream's
-// live state: the same series names a real registry scrape produces, on
-// virtual time — which is all the diff engine needs.
-func simSnapshot(t float64, st *runtime.Stream, rawBytes, items int64) obs.Snapshot {
-	s := obs.Snapshot{
-		T:      t,
-		Meters: map[string]obs.MeterState{"delivered": {Bytes: rawBytes, Items: items}},
-		Gauges: map[string]float64{},
+// degradedCell is the degraded drill's stream: 400 chunks on the Fig 12
+// pair in the drill configuration, under sched.
+func degradedCell(sched faults.LinkSchedule) pairCell {
+	return pairCell{
+		seed:   21,
+		faults: sched,
+		spec:   runtime.StreamSpec{Name: "degraded", Chunks: 400, ChunkBytes: ChunkBytes, Ratio: hw.CompressionRatio},
+		snd:    drillSender("updraft1"),
+		rcv:    drillReceiver(),
 	}
-	for _, q := range st.SampleQueues() {
-		s.Gauges[q.Queue+"_depth"] = float64(q.Depth)
-		s.Gauges[q.Queue+"_put_blocked_secs"] = q.PutBlockedSecs
-		s.Gauges[q.Queue+"_get_blocked_secs"] = q.GetBlockedSecs
-	}
-	return s
-}
-
-// runDegradedCell runs one faulted (or healthy, nil sched) stream.
-// onDeliver fires per delivered chunk. When sampleEvery > 0, onSample
-// fires on the virtual clock every sampleEvery seconds from t=0 until
-// one tick past delivery completing — the observation loop degraded-sim
-// self-diagnosis hangs off. The sampler must not reschedule forever:
-// sim.Engine.Run drains the event heap, so an unconditional reschedule
-// would never terminate.
-func runDegradedCell(sched faults.LinkSchedule, onDeliver func(t, raw, wire float64), sampleEvery float64, onSample func(t float64, st *runtime.Stream)) (*runtime.Stream, error) {
-	eng := sim.NewEngine()
-	snd := runtime.NewSimNode(hw.NewUpdraft(eng, "updraft1"), 21)
-	rcv := runtime.NewSimNode(hw.NewLynxdtn(eng), 22)
-	link := netsim.NewLink(eng, "aps", hw.BytesPerSec(100), 0.45e-3)
-	if sched != nil {
-		if err := link.SetFaults(sched); err != nil {
-			return nil, err
-		}
-	}
-	path := netsim.NewPath(eng, snd.M, hw.DataNIC(snd.M), link, rcv.M, hw.DataNIC(rcv.M))
-
-	st := &runtime.Stream{
-		Spec: runtime.StreamSpec{
-			Name:       "degraded",
-			Chunks:     400,
-			ChunkBytes: ChunkBytes,
-			Ratio:      hw.CompressionRatio,
-		},
-		Sender: snd,
-		SenderCfg: runtime.NodeConfig{
-			Node: "updraft1", Role: runtime.Sender,
-			Groups: []runtime.TaskGroup{
-				{Type: runtime.Compress, Count: 8, Placement: runtime.SplitAll()},
-				{Type: runtime.Send, Count: 4, Placement: runtime.SplitAll()},
-			},
-		},
-		Receiver: rcv,
-		ReceiverCfg: runtime.NodeConfig{
-			Node: "lynxdtn", Role: runtime.Receiver,
-			Groups: []runtime.TaskGroup{
-				{Type: runtime.Receive, Count: 4, Placement: runtime.PinTo(0)},
-				{Type: runtime.Decompress, Count: 8, Placement: runtime.PinTo(1)},
-			},
-		},
-		Path:      path,
-		OnDeliver: onDeliver,
-	}
-	if sampleEvery > 0 && onSample != nil {
-		var tick func()
-		tick = func() {
-			onSample(eng.Now(), st)
-			// Stop rescheduling once the stream finishes; this tick
-			// already covered the tail.
-			if st.Delivered < st.Spec.Chunks {
-				eng.After(sampleEvery, tick)
-			}
-		}
-		// Fires inside eng.Run, after Runner.build wired the queues.
-		eng.Schedule(0, tick)
-	}
-	if err := (&runtime.Runner{Eng: eng, Streams: []*runtime.Stream{st}}).Run(); err != nil {
-		return nil, err
-	}
-	return st, nil
 }
 
 // FormatDegradedSim renders the simulated dip-and-recovery curve.
@@ -297,8 +225,6 @@ func DegradedLoopbackInto(reg *metrics.Registry, chunks, chunkBytes int) (Degrad
 	if reg == nil {
 		reg = metrics.NewRegistry()
 	}
-	topo, _ := hostnuma.Discover()
-
 	// A two-part msgq message costs five Write calls: part-count header,
 	// header length, header payload, data length, data payload. Reset in
 	// the middle of the message carrying chunk N/2 (the data-length
@@ -315,72 +241,33 @@ func DegradedLoopbackInto(reg *metrics.Registry, chunks, chunkBytes int) (Degrad
 	}
 	inj := faults.NewInjector(plan)
 
-	// Single-threaded stages keep chunk order strict, so the counter
-	// assertions (exactly one gap at the quarantined chunk) are
-	// deterministic rather than subject to worker interleaving.
-	sCfg := runtime.NodeConfig{Node: "deg-src", Role: runtime.Sender,
-		Groups: []runtime.TaskGroup{
-			{Type: runtime.Compress, Count: 1, Placement: runtime.OS()},
-			{Type: runtime.Send, Count: 1, Placement: runtime.OS()},
-		}}
-	rCfg := runtime.NodeConfig{Node: "deg-gw", Role: runtime.Receiver,
-		Groups: []runtime.TaskGroup{
-			{Type: runtime.Receive, Count: 1, Placement: runtime.OS()},
-			{Type: runtime.Decompress, Count: 1, Placement: runtime.OS()},
-		}}
-
-	rng := rand.New(rand.NewSource(7))
-	payload := make([]byte, chunkBytes)
-	rng.Read(payload[:chunkBytes/2])
-	copy(payload[chunkBytes/2:], bytes.Repeat([]byte{0x11, 0x11, 0x22, 0x22}, chunkBytes/8+1)[:chunkBytes-chunkBytes/2])
-
-	ready := make(chan string, 1)
-	recvErr := make(chan error, 1)
-	var mu sync.Mutex
-	var seqs []uint64
 	// The dip-and-recovery curve: a Sampler snapshots the shared
 	// registry every 2ms into a Timeline; the "decompress" meter's
 	// cumulative bytes resample into the bucketed rate below. This is
 	// the reusable path any run can take — no private accumulation.
 	sampler := metrics.NewSampler(reg, 2*time.Millisecond, 1<<14)
 	sampler.Start()
-	go func() {
-		recvErr <- pipeline.RunReceiver(pipeline.ReceiverOptions{
-			Cfg: rCfg, Topo: topo, Bind: "127.0.0.1:0",
-			Expect: chunks, Ready: ready, Metrics: reg,
-			DisableBufPool: DisableBufPool,
-			Sink: func(c pipeline.Chunk) error {
-				seqs = append(seqs, c.Seq) // one stream: serialized by its delivery lane
-				return nil
-			},
-		})
-	}()
-	addr := <-ready
-
-	sent := 0
-	if err := pipeline.RunSender(pipeline.SenderOptions{
-		Cfg: sCfg, Topo: topo, Peers: []string{addr}, Metrics: reg,
-		Dial:           inj.Dialer(nil),
-		SendHorizon:    10 * time.Second,
-		DisableBufPool: DisableBufPool,
-		Source: func() []byte {
-			mu.Lock()
-			defer mu.Unlock()
-			if sent >= chunks {
-				return nil
-			}
-			sent++
-			return payload
+	var seqs []uint64
+	// Single-threaded stages keep chunk order strict, so the counter
+	// assertions (exactly one gap at the quarantined chunk) are
+	// deterministic rather than subject to worker interleaving.
+	err := loopbackPair(pipeline.SenderOptions{
+		Cfg:         sender("deg-src", group(runtime.Compress, 1, runtime.OS()), group(runtime.Send, 1, runtime.OS())),
+		Metrics:     reg,
+		Dial:        inj.Dialer(nil),
+		SendHorizon: 10 * time.Second,
+	}, pipeline.ReceiverOptions{
+		Cfg:     receiver("deg-gw", group(runtime.Receive, 1, runtime.OS()), group(runtime.Decompress, 1, runtime.OS())),
+		Metrics: reg,
+		Sink: func(c pipeline.Chunk) error {
+			seqs = append(seqs, c.Seq) // one stream: serialized by its delivery lane
+			return nil
 		},
-	}); err != nil {
-		sampler.Stop()
-		return DegradedRealResult{}, fmt.Errorf("degraded sender: %w", err)
-	}
-	if err := <-recvErr; err != nil {
-		sampler.Stop()
-		return DegradedRealResult{}, fmt.Errorf("degraded receiver: %w", err)
-	}
+	}, chunks, mixedPayload(chunkBytes))
 	sampler.Stop()
+	if err != nil {
+		return DegradedRealResult{}, fmt.Errorf("degraded %w", err)
+	}
 
 	res := DegradedRealResult{
 		Chunks:      chunks,

@@ -86,27 +86,17 @@ func runDualNICCell(mode DualNICMode) (float64, error) {
 			Spec: runtime.StreamSpec{
 				Name: fmt.Sprintf("s%d", i), Chunks: 100, ChunkBytes: Fig11ChunkBytes,
 			},
-			Sender: snd,
-			SenderCfg: runtime.NodeConfig{Node: "src", Role: runtime.Sender,
-				Groups: []runtime.TaskGroup{
-					{Type: runtime.Send, Count: 2, Placement: runtime.SplitAll()},
-				}},
-			Receiver: rcv,
-			ReceiverCfg: runtime.NodeConfig{Node: "lynxdtn", Role: runtime.Receiver,
-				Groups: []runtime.TaskGroup{
-					{Type: runtime.Receive, Count: 2, Placement: runtime.PinTo(recvSocket)},
-				}},
-			Path: netsim.NewPath(eng, snd.M, hw.DataNIC(snd.M), link, rcv.M, nic),
+			Sender:      snd,
+			SenderCfg:   sender("src", group(runtime.Send, 2, runtime.SplitAll())),
+			Receiver:    rcv,
+			ReceiverCfg: receiver("lynxdtn", group(runtime.Receive, 2, runtime.PinTo(recvSocket))),
+			Path:        netsim.NewPath(eng, snd.M, hw.DataNIC(snd.M), link, rcv.M, nic),
 		})
 	}
 	if err := (&runtime.Runner{Eng: eng, Streams: sts}).Run(); err != nil {
 		return 0, err
 	}
-	total := 0.0
-	for _, st := range sts {
-		total += st.EndToEndBps()
-	}
-	return hw.Gbps(total), nil
+	return hw.Gbps(sumE2E(sts)), nil
 }
 
 // FormatDualNIC renders the study.

@@ -4,9 +4,7 @@ import (
 	"fmt"
 
 	"numastream/internal/hw"
-	"numastream/internal/netsim"
 	"numastream/internal/runtime"
-	"numastream/internal/sim"
 )
 
 // Fig 11 (§3.4): network throughput between updraft1 and lynxdtn (100
@@ -36,47 +34,17 @@ func Fig11Network(threadCounts []int) ([]Fig11Result, error) {
 	var out []Fig11Result
 	for _, cfg := range Table2Configs() {
 		for _, n := range threadCounts {
-			gbps, err := runFig11Cell(cfg, n)
+			st, err := pairCell{
+				seed: 11,
+				spec: runtime.StreamSpec{Name: fmt.Sprintf("fig11-%s-%d", cfg.Label, n), Chunks: 300, ChunkBytes: Fig11ChunkBytes},
+				snd:  sender("updraft1", group(runtime.Send, n, cfg.Sender)),
+				rcv:  receiver("lynxdtn", group(runtime.Receive, n, cfg.Receiver)),
+			}.run()
 			if err != nil {
 				return nil, err
 			}
-			out = append(out, Fig11Result{Config: cfg.Label, Threads: n, Gbps: gbps})
+			out = append(out, Fig11Result{Config: cfg.Label, Threads: n, Gbps: hw.Gbps(st.EndToEndBps())})
 		}
 	}
 	return out, nil
-}
-
-func runFig11Cell(cfg NetPlacementConfig, threads int) (float64, error) {
-	eng := sim.NewEngine()
-	snd := runtime.NewSimNode(hw.NewUpdraft(eng, "updraft1"), 11)
-	rcv := runtime.NewSimNode(hw.NewLynxdtn(eng), 12)
-	link := netsim.NewLink(eng, "aps", hw.BytesPerSec(100), 0.45e-3)
-	path := netsim.NewPath(eng, snd.M, hw.DataNIC(snd.M), link, rcv.M, hw.DataNIC(rcv.M))
-
-	st := &runtime.Stream{
-		Spec: runtime.StreamSpec{
-			Name:       fmt.Sprintf("fig11-%s-%d", cfg.Label, threads),
-			Chunks:     300,
-			ChunkBytes: Fig11ChunkBytes,
-		},
-		Sender: snd,
-		SenderCfg: runtime.NodeConfig{
-			Node: "updraft1", Role: runtime.Sender,
-			Groups: []runtime.TaskGroup{
-				{Type: runtime.Send, Count: threads, Placement: cfg.Sender},
-			},
-		},
-		Receiver: rcv,
-		ReceiverCfg: runtime.NodeConfig{
-			Node: "lynxdtn", Role: runtime.Receiver,
-			Groups: []runtime.TaskGroup{
-				{Type: runtime.Receive, Count: threads, Placement: cfg.Receiver},
-			},
-		},
-		Path: path,
-	}
-	if err := (&runtime.Runner{Eng: eng, Streams: []*runtime.Stream{st}}).Run(); err != nil {
-		return 0, err
-	}
-	return hw.Gbps(st.EndToEndBps()), nil
 }

@@ -4,9 +4,7 @@ import (
 	"fmt"
 
 	"numastream/internal/hw"
-	"numastream/internal/netsim"
 	"numastream/internal/runtime"
-	"numastream/internal/sim"
 )
 
 // Fig 12 (§4.1): end-to-end single-stream throughput on the
@@ -53,38 +51,22 @@ func Fig12EndToEnd(threadCounts []int) ([]Fig12Result, error) {
 }
 
 func runFig12Cell(cfg ThreadsConfig, threads, recvDomain int) (Fig12Result, error) {
-	eng := sim.NewEngine()
-	snd := runtime.NewSimNode(hw.NewUpdraft(eng, "updraft1"), 21)
-	rcv := runtime.NewSimNode(hw.NewLynxdtn(eng), 22)
-	link := netsim.NewLink(eng, "aps", hw.BytesPerSec(100), 0.45e-3)
-	path := netsim.NewPath(eng, snd.M, hw.DataNIC(snd.M), link, rcv.M, hw.DataNIC(rcv.M))
-
-	st := &runtime.Stream{
-		Spec: runtime.StreamSpec{
+	st, err := pairCell{
+		seed: 21,
+		spec: runtime.StreamSpec{
 			Name:       fmt.Sprintf("fig12-%s-%dt-N%d", cfg.Label, threads, recvDomain),
 			Chunks:     200,
 			ChunkBytes: ChunkBytes,
 			Ratio:      hw.CompressionRatio,
 		},
-		Sender: snd,
-		SenderCfg: runtime.NodeConfig{
-			Node: "updraft1", Role: runtime.Sender,
-			Groups: []runtime.TaskGroup{
-				{Type: runtime.Compress, Count: cfg.Compress, Placement: runtime.SplitAll()},
-				{Type: runtime.Send, Count: threads, Placement: runtime.SplitAll()},
-			},
-		},
-		Receiver: rcv,
-		ReceiverCfg: runtime.NodeConfig{
-			Node: "lynxdtn", Role: runtime.Receiver,
-			Groups: []runtime.TaskGroup{
-				{Type: runtime.Receive, Count: threads, Placement: runtime.PinTo(recvDomain)},
-				{Type: runtime.Decompress, Count: cfg.Decompress, Placement: runtime.PinTo(1 - recvDomain)},
-			},
-		},
-		Path: path,
-	}
-	if err := (&runtime.Runner{Eng: eng, Streams: []*runtime.Stream{st}}).Run(); err != nil {
+		snd: sender("updraft1",
+			group(runtime.Compress, cfg.Compress, runtime.SplitAll()),
+			group(runtime.Send, threads, runtime.SplitAll())),
+		rcv: receiver("lynxdtn",
+			group(runtime.Receive, threads, runtime.PinTo(recvDomain)),
+			group(runtime.Decompress, cfg.Decompress, runtime.PinTo(1-recvDomain))),
+	}.run()
+	if err != nil {
 		return Fig12Result{}, err
 	}
 	return Fig12Result{

@@ -1,12 +1,7 @@
 package experiments
 
 import (
-	"fmt"
-
 	"numastream/internal/hw"
-	"numastream/internal/netsim"
-	"numastream/internal/runtime"
-	"numastream/internal/sim"
 	"numastream/internal/trace"
 )
 
@@ -47,7 +42,7 @@ type Fig14Result struct {
 
 // Fig14MultiStream reproduces Figure 14 for one placement mode.
 func Fig14MultiStream(mode Fig14Mode) (Fig14Result, error) {
-	return fig14Run(mode, 120, nil)
+	return fig14Run(mode, 120, nil, nil)
 }
 
 // Fig14Trace runs the Figure 14 deployment with a tracer attached to
@@ -55,7 +50,7 @@ func Fig14MultiStream(mode Fig14Mode) (Fig14Result, error) {
 // trace (cmd/experiments -trace).
 func Fig14Trace(mode Fig14Mode) (*trace.Tracer, Fig14Result, error) {
 	tr := trace.New(200000)
-	res, err := fig14Run(mode, 120, tr)
+	res, err := fig14Run(mode, 120, tr, nil)
 	return tr, res, err
 }
 
@@ -74,76 +69,4 @@ func Fig14Speedup() (rt, os Fig14Result, factor float64, err error) {
 		factor = rt.TotalE2E / os.TotalE2E
 	}
 	return
-}
-
-func fig14Run(mode Fig14Mode, chunksPerStream int, tracer *trace.Tracer) (Fig14Result, error) {
-	eng := sim.NewEngine()
-	rcv := runtime.NewSimNode(hw.NewLynxdtn(eng), 31)
-	rcv.M.Tracer = tracer
-	link := netsim.NewLink(eng, "aps-alcf", hw.BytesPerSec(200), 0.45e-3)
-
-	senders := []*runtime.SimNode{
-		runtime.NewSimNode(hw.NewUpdraft(eng, "updraft1"), 41),
-		runtime.NewSimNode(hw.NewUpdraft(eng, "updraft2"), 42),
-		runtime.NewSimNode(hw.NewPolaris(eng, "polaris1"), 43),
-		runtime.NewSimNode(hw.NewPolaris(eng, "polaris2"), 44),
-	}
-
-	var streams []*runtime.Stream
-	for i, snd := range senders {
-		senderCfg := runtime.NodeConfig{
-			Node: snd.M.Cfg.Name, Role: runtime.Sender,
-			Groups: []runtime.TaskGroup{
-				{Type: runtime.Compress, Count: 32, Placement: runtime.SplitAll()},
-				{Type: runtime.Send, Count: 4, Placement: runtime.SplitAll()},
-			},
-		}
-		receiverCfg := runtime.NodeConfig{
-			Node: "lynxdtn", Role: runtime.Receiver,
-			Groups: []runtime.TaskGroup{
-				{Type: runtime.Receive, Count: 4, Placement: runtime.PinTo(1)},
-				{Type: runtime.Decompress, Count: 4, Placement: runtime.PinTo(0)},
-			},
-		}
-		if mode == ModeOS {
-			senderCfg = runtime.GenerateOSBaseline(senderCfg)
-			receiverCfg = runtime.GenerateOSBaseline(receiverCfg)
-		}
-		streams = append(streams, &runtime.Stream{
-			Spec: runtime.StreamSpec{
-				Name:       fmt.Sprintf("stream-%d", i+1),
-				Chunks:     chunksPerStream,
-				ChunkBytes: ChunkBytes,
-				Ratio:      hw.CompressionRatio,
-			},
-			Sender:      snd,
-			SenderCfg:   senderCfg,
-			Receiver:    rcv,
-			ReceiverCfg: receiverCfg,
-			Path:        netsim.NewPath(eng, snd.M, hw.DataNIC(snd.M), link, rcv.M, hw.DataNIC(rcv.M)),
-		})
-	}
-
-	if err := (&runtime.Runner{Eng: eng, Streams: streams}).Run(); err != nil {
-		return Fig14Result{}, err
-	}
-
-	res := Fig14Result{Mode: mode}
-	var horizon float64
-	for _, st := range streams {
-		sr := Fig14StreamResult{
-			Stream:  st.Spec.Name,
-			NetGbps: hw.Gbps(st.NetworkBps()),
-			E2EGbps: hw.Gbps(st.EndToEndBps()),
-		}
-		res.Streams = append(res.Streams, sr)
-		res.TotalNet += sr.NetGbps
-		res.TotalE2E += sr.E2EGbps
-		if st.FinishTime > horizon {
-			horizon = st.FinishTime
-		}
-	}
-	res.Horizon = horizon
-	res.CoreStats = rcv.M.CoreStats(horizon)
-	return res, nil
 }

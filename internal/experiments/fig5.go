@@ -98,38 +98,21 @@ func runFig5Cell(processes int, scenario string, recvOverride func(proc int) run
 				ChunkBytes: ChunkBytes,
 				GenRate:    hw.StreamGenRate,
 			},
-			Sender: snd,
-			SenderCfg: runtime.NodeConfig{
-				Node: snd.M.Cfg.Name, Role: runtime.Sender,
-				Groups: []runtime.TaskGroup{
-					{Type: runtime.Send, Count: 1, Placement: runtime.SplitAll()},
-				},
-			},
-			Receiver: bed.rcv,
-			ReceiverCfg: runtime.NodeConfig{
-				Node: "lynxdtn", Role: runtime.Receiver,
-				Groups: []runtime.TaskGroup{
-					{Type: runtime.Receive, Count: 1, Placement: place},
-				},
-			},
-			Path: bed.paths[p%len(bed.paths)],
+			Sender:      snd,
+			SenderCfg:   sender(snd.M.Cfg.Name, group(runtime.Send, 1, runtime.SplitAll())),
+			Receiver:    bed.rcv,
+			ReceiverCfg: receiver("lynxdtn", group(runtime.Receive, 1, place)),
+			Path:        bed.paths[p%len(bed.paths)],
 		})
 	}
 	if err := (&runtime.Runner{Eng: bed.eng, Streams: streams}).Run(); err != nil {
 		return Fig5Result{}, err
 	}
-	var total float64
-	var horizon float64
-	for _, st := range streams {
-		total += st.EndToEndBps()
-		if st.FinishTime > horizon {
-			horizon = st.FinishTime
-		}
-	}
+	horizon := lastFinish(streams)
 	return Fig5Result{
 		Processes: processes,
 		Placement: scenario,
-		Gbps:      hw.Gbps(total),
+		Gbps:      hw.Gbps(sumE2E(streams)),
 		CoreStats: bed.rcv.M.CoreStats(horizon),
 		Horizon:   horizon,
 	}, nil

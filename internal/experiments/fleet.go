@@ -7,10 +7,8 @@ import (
 	"numastream/internal/cluster"
 	"numastream/internal/faults"
 	"numastream/internal/fleet"
-	"numastream/internal/hw"
 	"numastream/internal/obs"
 	"numastream/internal/runtime"
-	"numastream/internal/sim"
 )
 
 // Fleet drills: the cluster-observability counterpart of the churn and
@@ -21,9 +19,6 @@ import (
 // alert while the injury is live, resolve it when the injury lifts, and
 // leave a profile artifact behind. Both drills run on virtual time and
 // are fully deterministic.
-
-// fleetSimChunks is the per-stream chunk count of the fleet drills.
-const fleetSimChunks = 200
 
 // fleetSampleDivisor sets the sampling cadence: healthy-finish / this
 // many windows.
@@ -56,7 +51,8 @@ type FleetSimResult struct {
 // entirely when profileDir is empty).
 func FleetThrottledUplinkSim(profileDir string) (FleetSimResult, error) {
 	senders := []cluster.SenderKind{cluster.Updraft, cluster.Updraft}
-	base, err := runFleetCell(senders, "", nil, nil, 0, nil)
+	h := hopSpec{name: "fleet", senders: senders, seed: 9}
+	base, err := runHopCell(h)
 	if err != nil {
 		return FleetSimResult{}, err
 	}
@@ -74,7 +70,9 @@ func FleetThrottledUplinkSim(profileDir string) (FleetSimResult, error) {
 		BurnWindow: 4, FireBurn: 0.5, ClearWindows: 6,
 	}}
 	agg, sampler := newFleetObserver("throttled-uplink-sim", senders, slos, profileDir)
-	cell, err := runFleetCell(senders, link, sched, nil, base.finish/fleetSampleDivisor, sampler)
+	h.throttleLink, h.throttle = link, sched
+	h.every, h.onSample = base.finish/fleetSampleDivisor, sampler
+	cell, err := runHopCell(h)
 	if err != nil {
 		return FleetSimResult{}, err
 	}
@@ -101,7 +99,8 @@ func FleetThrottledUplinkSim(profileDir string) (FleetSimResult, error) {
 // criterion demands.
 func FleetChurnAlertSim(profileDir string) (FleetSimResult, error) {
 	senders := []cluster.SenderKind{cluster.Updraft, cluster.Polaris}
-	base, err := runFleetCell(senders, "", nil, nil, 0, nil)
+	h := hopSpec{name: "fleet", senders: senders, seed: 9}
+	base, err := runHopCell(h)
 	if err != nil {
 		return FleetSimResult{}, err
 	}
@@ -125,7 +124,9 @@ func FleetChurnAlertSim(profileDir string) (FleetSimResult, error) {
 		BurnWindow: 4, FireBurn: 0.25, ClearWindows: 2,
 	}}
 	agg, sampler := newFleetObserver("churn-alert-sim", senders, slos, profileDir)
-	cell, err := runFleetCell(senders, "", nil, topo, base.finish/fleetSampleDivisor, sampler)
+	h.topo = topo
+	h.every, h.onSample = base.finish/fleetSampleDivisor, sampler
+	cell, err := runHopCell(h)
 	if err != nil {
 		return FleetSimResult{}, err
 	}
@@ -143,16 +144,12 @@ func FleetChurnAlertSim(profileDir string) (FleetSimResult, error) {
 	return res, nil
 }
 
-// fleetSample is the per-tick callback runFleetCell drives: virtual
-// time, the deployment, and the live streams.
-type fleetSample func(t float64, mh *cluster.MultiHop, streams []*runtime.Stream, raw, items []int64)
-
 // newFleetObserver assembles the observability plane of a fleet drill:
 // one obs engine per node fed synthesized snapshots, a fleet aggregator
 // over those engines plus the deployment's hop stats, and (when
 // profileDir is set) a regime/alert-triggered profiler. The returned
-// sampler is handed to runFleetCell.
-func newFleetObserver(name string, senders []cluster.SenderKind, slos []fleet.SLO, profileDir string) (*fleet.Aggregator, fleetSample) {
+// sampler is handed to runHopCell.
+func newFleetObserver(name string, senders []cluster.SenderKind, slos []fleet.SLO, profileDir string) (*fleet.Aggregator, hopSample) {
 	opts := fleet.Options{Fleet: name, SLOs: slos}
 	if profileDir != "" {
 		// A short CPU sample: the capture blocks the (virtual-time)
@@ -215,14 +212,7 @@ func fleetSenderNames(senders []cluster.SenderKind) []string {
 // stream's compress- and send-side queues, on virtual time.
 func fleetSenderSnapshot(t float64, st *runtime.Stream) obs.Snapshot {
 	s := obs.Snapshot{T: t, Gauges: map[string]float64{}}
-	for _, q := range st.SampleQueues() {
-		if q.Queue != "compq" && q.Queue != "sendq" {
-			continue
-		}
-		s.Gauges[q.Queue+"_depth"] = float64(q.Depth)
-		s.Gauges[q.Queue+"_put_blocked_secs"] = q.PutBlockedSecs
-		s.Gauges[q.Queue+"_get_blocked_secs"] = q.GetBlockedSecs
-	}
+	addQueues(s, st, "compq", "sendq")
 	return s
 }
 
@@ -241,120 +231,10 @@ func fleetGatewaySnapshot(t float64, streams []*runtime.Stream, raw, items []int
 		s.Meters[fmt.Sprintf("delivered_stream_%d", i)] = obs.MeterState{Bytes: raw[i], Items: items[i]}
 		totB += raw[i]
 		totI += items[i]
-		for _, q := range st.SampleQueues() {
-			if q.Queue != "recvq" && q.Queue != "decq" {
-				continue
-			}
-			s.Gauges[q.Queue+"_depth"] += float64(q.Depth)
-			s.Gauges[q.Queue+"_put_blocked_secs"] += q.PutBlockedSecs
-			s.Gauges[q.Queue+"_get_blocked_secs"] += q.GetBlockedSecs
-		}
+		addQueues(s, st, "recvq", "decq")
 	}
 	s.Meters["delivered"] = obs.MeterState{Bytes: totB, Items: totI}
 	return s
-}
-
-type fleetCell struct {
-	mh     *cluster.MultiHop
-	finish float64
-}
-
-// runFleetCell runs one multi-hop pass: the given senders into two
-// relays into the gateway, with an optional capacity throttle on one
-// named link, an optional topology storm, and an optional sampler fired
-// every sampleEvery virtual seconds until every stream finishes (one
-// tick past, covering the tail — and never rescheduling forever, since
-// sim.Engine.Run drains the event heap).
-func runFleetCell(senders []cluster.SenderKind, throttleLink string, throttle faults.LinkSchedule, topo faults.TopoSchedule, sampleEvery float64, onSample fleetSample) (fleetCell, error) {
-	eng := sim.NewEngine()
-	mh, err := cluster.NewMultiHop(eng, senders, cluster.MultiHopOptions{Seed: 9})
-	if err != nil {
-		return fleetCell{}, err
-	}
-	if throttleLink != "" {
-		if err := mh.SetLinkFaults(throttleLink, throttle); err != nil {
-			return fleetCell{}, err
-		}
-	}
-	if topo != nil {
-		if err := mh.ApplyTopology(topo); err != nil {
-			return fleetCell{}, err
-		}
-	}
-
-	raw := make([]int64, len(senders))
-	items := make([]int64, len(senders))
-	var streams []*runtime.Stream
-	for i, s := range mh.Senders {
-		node := s.Sim.M.Cfg.Name
-		st, err := mh.Stream(i,
-			runtime.StreamSpec{
-				Name:       fmt.Sprintf("fleet-%s", node),
-				Chunks:     fleetSimChunks,
-				ChunkBytes: ChunkBytes,
-				Ratio:      hw.CompressionRatio,
-			},
-			runtime.NodeConfig{
-				Node: node, Role: runtime.Sender,
-				Groups: []runtime.TaskGroup{
-					{Type: runtime.Compress, Count: 8, Placement: runtime.SplitAll()},
-					{Type: runtime.Send, Count: 4, Placement: runtime.SplitAll()},
-				},
-			},
-			runtime.NodeConfig{
-				Node: "lynxdtn", Role: runtime.Receiver,
-				Groups: []runtime.TaskGroup{
-					{Type: runtime.Receive, Count: 4, Placement: runtime.PinTo(0)},
-					{Type: runtime.Decompress, Count: 8, Placement: runtime.PinTo(1)},
-				},
-			})
-		if err != nil {
-			return fleetCell{}, err
-		}
-		idx := i
-		st.OnDeliver = func(_, r, _ float64) {
-			raw[idx] += int64(r)
-			items[idx]++
-		}
-		streams = append(streams, st)
-	}
-
-	if sampleEvery > 0 && onSample != nil {
-		done := func() bool {
-			for _, st := range streams {
-				if st.Delivered < st.Spec.Chunks {
-					return false
-				}
-			}
-			return true
-		}
-		// The observer outlives the work by a few grace windows so
-		// still-firing alerts see clean windows and resolve, and the
-		// regime log closes on a healthy state.
-		grace := 8
-		var tick func()
-		tick = func() {
-			onSample(eng.Now(), mh, streams, raw, items)
-			if done() {
-				grace--
-			}
-			if grace > 0 {
-				eng.After(sampleEvery, tick)
-			}
-		}
-		eng.Schedule(0, tick)
-	}
-
-	if err := mh.Run(streams); err != nil {
-		return fleetCell{}, err
-	}
-	finish := 0.0
-	for _, st := range streams {
-		if st.FinishTime > finish {
-			finish = st.FinishTime
-		}
-	}
-	return fleetCell{mh: mh, finish: finish}, nil
 }
 
 // Check asserts the drill's contract — the acceptance criteria of the

@@ -1,18 +1,13 @@
 package experiments
 
 import (
-	"bytes"
 	"fmt"
-	"math/rand"
-	"sync"
 	"time"
 
 	"numastream/internal/metrics"
 	"numastream/internal/pipeline"
 	"numastream/internal/runtime"
 	"numastream/internal/trace"
-
-	hostnuma "numastream/internal/numa"
 )
 
 // Wire-journey harness: the real pipeline on loopback with WireTrace on,
@@ -42,58 +37,20 @@ func WireJourneyLoopback(reg *metrics.Registry, chunks, chunkBytes int) (*trace.
 	if chunks < 1 || chunkBytes < 1 {
 		return nil, JourneyResult{}, fmt.Errorf("experiments: invalid journey parameters")
 	}
-	topo, _ := hostnuma.Discover()
 	if reg == nil {
 		reg = metrics.NewRegistry()
 	}
 	tr := trace.New(1 << 20)
-
-	sCfg := runtime.NodeConfig{Node: "journey-src", Role: runtime.Sender,
-		Groups: []runtime.TaskGroup{
-			{Type: runtime.Compress, Count: 2, Placement: runtime.OS()},
-			{Type: runtime.Send, Count: 2, Placement: runtime.OS()},
-		}}
-	rCfg := runtime.NodeConfig{Node: "journey-gw", Role: runtime.Receiver,
-		Groups: []runtime.TaskGroup{
-			{Type: runtime.Receive, Count: 2, Placement: runtime.OS()},
-			{Type: runtime.Decompress, Count: 2, Placement: runtime.OS()},
-		}}
-
-	rng := rand.New(rand.NewSource(11))
-	payload := make([]byte, chunkBytes)
-	rng.Read(payload[:chunkBytes/2])
-	copy(payload[chunkBytes/2:], bytes.Repeat([]byte{0x33, 0x33, 0x44, 0x44}, chunkBytes/8+1)[:chunkBytes-chunkBytes/2])
-
-	ready := make(chan string, 1)
-	recvErr := make(chan error, 1)
-	go func() {
-		recvErr <- pipeline.RunReceiver(pipeline.ReceiverOptions{
-			Cfg: rCfg, Topo: topo, Bind: "127.0.0.1:0",
-			Expect: chunks, Ready: ready, Metrics: reg, Tracer: tr,
-			DisableBufPool: DisableBufPool,
-		})
-	}()
-	addr := <-ready
-
-	var mu sync.Mutex
-	sent := 0
-	if err := pipeline.RunSender(pipeline.SenderOptions{
-		Cfg: sCfg, Topo: topo, Peers: []string{addr},
-		Metrics: metrics.NewRegistry(), WireTrace: true,
-		DisableBufPool: DisableBufPool,
-		Source: func() []byte {
-			mu.Lock()
-			defer mu.Unlock()
-			if sent >= chunks {
-				return nil
-			}
-			sent++
-			return payload
-		},
-	}); err != nil {
-		return nil, JourneyResult{}, err
-	}
-	if err := <-recvErr; err != nil {
+	err := loopbackPair(pipeline.SenderOptions{
+		Cfg:       sender("journey-src", group(runtime.Compress, 2, runtime.OS()), group(runtime.Send, 2, runtime.OS())),
+		Metrics:   metrics.NewRegistry(),
+		WireTrace: true,
+	}, pipeline.ReceiverOptions{
+		Cfg:     receiver("journey-gw", group(runtime.Receive, 2, runtime.OS()), group(runtime.Decompress, 2, runtime.OS())),
+		Metrics: reg,
+		Tracer:  tr,
+	}, chunks, mixedPayload(chunkBytes))
+	if err != nil {
 		return nil, JourneyResult{}, err
 	}
 

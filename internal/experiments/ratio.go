@@ -4,9 +4,7 @@ import (
 	"fmt"
 
 	"numastream/internal/hw"
-	"numastream/internal/netsim"
 	"numastream/internal/runtime"
-	"numastream/internal/sim"
 )
 
 // Compression-ratio sweep (extension of §1's arithmetic): "consider a
@@ -49,32 +47,17 @@ func RatioSweep(ratios []float64) ([]RatioResult, error) {
 }
 
 func runRatioCell(ratio float64) (RatioResult, error) {
-	eng := sim.NewEngine()
-	snd := runtime.NewSimNode(hw.NewUpdraft(eng, "updraft1"), 51)
-	rcv := runtime.NewSimNode(hw.NewLynxdtn(eng), 52)
-	link := netsim.NewLink(eng, "aps", hw.BytesPerSec(100), 0.45e-3)
-	path := netsim.NewPath(eng, snd.M, hw.DataNIC(snd.M), link, rcv.M, hw.DataNIC(rcv.M))
-
-	st := &runtime.Stream{
-		Spec: runtime.StreamSpec{
-			Name: fmt.Sprintf("ratio-%.1f", ratio), Chunks: 150,
-			ChunkBytes: ChunkBytes, Ratio: ratio,
-		},
-		Sender: snd,
-		SenderCfg: runtime.NodeConfig{Node: "updraft1", Role: runtime.Sender,
-			Groups: []runtime.TaskGroup{
-				{Type: runtime.Compress, Count: 32, Placement: runtime.SplitAll()},
-				{Type: runtime.Send, Count: 8, Placement: runtime.SplitAll()},
-			}},
-		Receiver: rcv,
-		ReceiverCfg: runtime.NodeConfig{Node: "lynxdtn", Role: runtime.Receiver,
-			Groups: []runtime.TaskGroup{
-				{Type: runtime.Receive, Count: 8, Placement: runtime.PinTo(1)},
-				{Type: runtime.Decompress, Count: 16, Placement: runtime.PinTo(0)},
-			}},
-		Path: path,
-	}
-	if err := (&runtime.Runner{Eng: eng, Streams: []*runtime.Stream{st}}).Run(); err != nil {
+	st, err := pairCell{
+		seed: 51,
+		spec: runtime.StreamSpec{Name: fmt.Sprintf("ratio-%.1f", ratio), Chunks: 150, ChunkBytes: ChunkBytes, Ratio: ratio},
+		snd: sender("updraft1",
+			group(runtime.Compress, 32, runtime.SplitAll()),
+			group(runtime.Send, 8, runtime.SplitAll())),
+		rcv: receiver("lynxdtn",
+			group(runtime.Receive, 8, runtime.PinTo(1)),
+			group(runtime.Decompress, 16, runtime.PinTo(0))),
+	}.run()
+	if err != nil {
 		return RatioResult{}, err
 	}
 	return RatioResult{

@@ -1,16 +1,11 @@
 package experiments
 
 import (
-	"bytes"
 	"fmt"
-	"math/rand"
-	"sync"
 
 	"numastream/internal/metrics"
 	"numastream/internal/pipeline"
 	"numastream/internal/runtime"
-
-	hostnuma "numastream/internal/numa"
 )
 
 // Real-execution measurement: unlike the figure harnesses (which drive
@@ -43,56 +38,15 @@ func RealLoopback(compressThreads, chunks, chunkBytes int) (RealResult, error) {
 	if compressThreads < 1 || chunks < 1 || chunkBytes < 1 {
 		return RealResult{}, fmt.Errorf("experiments: invalid real-mode parameters")
 	}
-	topo, _ := hostnuma.Discover()
-
-	sCfg := runtime.NodeConfig{Node: "real-src", Role: runtime.Sender,
-		Groups: []runtime.TaskGroup{
-			{Type: runtime.Compress, Count: compressThreads, Placement: runtime.OS()},
-			{Type: runtime.Send, Count: 2, Placement: runtime.OS()},
-		}}
-	rCfg := runtime.NodeConfig{Node: "real-gw", Role: runtime.Receiver,
-		Groups: []runtime.TaskGroup{
-			{Type: runtime.Receive, Count: 2, Placement: runtime.OS()},
-			{Type: runtime.Decompress, Count: compressThreads, Placement: runtime.OS()},
-		}}
-
-	// Projection-like payload: half structured, half noise, ~2:1.
-	rng := rand.New(rand.NewSource(7))
-	payload := make([]byte, chunkBytes)
-	rng.Read(payload[:chunkBytes/2])
-	copy(payload[chunkBytes/2:], bytes.Repeat([]byte{0x11, 0x11, 0x22, 0x22}, chunkBytes/8+1)[:chunkBytes-chunkBytes/2])
-
-	ready := make(chan string, 1)
 	recvReg := metrics.NewRegistry()
-	sndReg := metrics.NewRegistry()
-	recvErr := make(chan error, 1)
-	go func() {
-		recvErr <- pipeline.RunReceiver(pipeline.ReceiverOptions{
-			Cfg: rCfg, Topo: topo, Bind: "127.0.0.1:0",
-			Expect: chunks, Ready: ready, Metrics: recvReg,
-			DisableBufPool: DisableBufPool,
-		})
-	}()
-	addr := <-ready
-
-	var mu sync.Mutex
-	sent := 0
-	if err := pipeline.RunSender(pipeline.SenderOptions{
-		Cfg: sCfg, Topo: topo, Peers: []string{addr}, Metrics: sndReg,
-		DisableBufPool: DisableBufPool,
-		Source: func() []byte {
-			mu.Lock()
-			defer mu.Unlock()
-			if sent >= chunks {
-				return nil
-			}
-			sent++
-			return payload
-		},
-	}); err != nil {
-		return RealResult{}, err
-	}
-	if err := <-recvErr; err != nil {
+	err := loopbackPair(pipeline.SenderOptions{
+		Cfg:     sender("real-src", group(runtime.Compress, compressThreads, runtime.OS()), group(runtime.Send, 2, runtime.OS())),
+		Metrics: metrics.NewRegistry(),
+	}, pipeline.ReceiverOptions{
+		Cfg:     receiver("real-gw", group(runtime.Receive, 2, runtime.OS()), group(runtime.Decompress, compressThreads, runtime.OS())),
+		Metrics: recvReg,
+	}, chunks, mixedPayload(chunkBytes))
+	if err != nil {
 		return RealResult{}, err
 	}
 

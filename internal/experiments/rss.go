@@ -92,27 +92,17 @@ func runRSSCell(mode RSSMode, streams int) (float64, error) {
 			Spec: runtime.StreamSpec{
 				Name: fmt.Sprintf("s%d", i), Chunks: 120, ChunkBytes: Fig11ChunkBytes,
 			},
-			Sender: snd,
-			SenderCfg: runtime.NodeConfig{Node: "snd", Role: runtime.Sender,
-				Groups: []runtime.TaskGroup{
-					{Type: runtime.Send, Count: 4, Placement: runtime.SplitAll()},
-				}},
-			Receiver: rcv,
-			ReceiverCfg: runtime.NodeConfig{Node: "lynxdtn", Role: runtime.Receiver,
-				Groups: []runtime.TaskGroup{
-					{Type: runtime.Receive, Count: 4, Placement: runtime.PinTo(1)},
-				}},
-			Path: path,
+			Sender:      snd,
+			SenderCfg:   sender("snd", group(runtime.Send, 4, runtime.SplitAll())),
+			Receiver:    rcv,
+			ReceiverCfg: receiver("lynxdtn", group(runtime.Receive, 4, runtime.PinTo(1))),
+			Path:        path,
 		})
 	}
 	if err := (&runtime.Runner{Eng: eng, Streams: sts}).Run(); err != nil {
 		return 0, err
 	}
-	total := 0.0
-	for _, st := range sts {
-		total += st.EndToEndBps()
-	}
-	return hw.Gbps(total), nil
+	return hw.Gbps(sumE2E(sts)), nil
 }
 
 // FormatRSS renders the study.

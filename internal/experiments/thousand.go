@@ -468,11 +468,7 @@ func ThousandStreamLoopback(cfg ThousandStreamConfig) (ThousandStreamResult, err
 	recvDone := make(chan error, 1)
 	go func() {
 		recvDone <- pipeline.RunReceiver(pipeline.ReceiverOptions{
-			Cfg: runtime.NodeConfig{Node: "thousand-gw", Role: runtime.Receiver,
-				Groups: []runtime.TaskGroup{
-					{Type: runtime.Receive, Count: 4, Placement: runtime.OS()},
-					{Type: runtime.Decompress, Count: 2, Placement: runtime.OS()},
-				}},
+			Cfg:  receiver("thousand-gw", group(runtime.Receive, 4, runtime.OS()), group(runtime.Decompress, 2, runtime.OS())),
 			Topo: topo, Bind: "127.0.0.1:0",
 			Expect: expect, Ready: ready, Metrics: reg,
 			Shards:       cfg.Shards,
@@ -513,11 +509,7 @@ func ThousandStreamLoopback(cfg ThousandStreamConfig) (ThousandStreamResult, err
 				defer func() { <-sem }()
 			}
 			opts := pipeline.SenderOptions{
-				Cfg: runtime.NodeConfig{Node: fmt.Sprintf("thousand-src%d", id), Role: runtime.Sender,
-					Groups: []runtime.TaskGroup{
-						{Type: runtime.Compress, Count: 1, Placement: runtime.OS()},
-						{Type: runtime.Send, Count: 1, Placement: runtime.OS()},
-					}},
+				Cfg:  sender(fmt.Sprintf("thousand-src%d", id), group(runtime.Compress, 1, runtime.OS()), group(runtime.Send, 1, runtime.OS())),
 				Topo: topo, Peers: []string{addr}, StreamID: id,
 				Metrics:        reg,
 				QueueCap:       4,
@@ -527,15 +519,7 @@ func ThousandStreamLoopback(cfg ThousandStreamConfig) (ThousandStreamResult, err
 			if p, ok := plans[id]; ok {
 				opts.Dial = faults.NewInjector(p).Dialer(nil)
 			}
-			sent := 0
-			payload := churnPayload(cfg.ChunkBytes)
-			opts.Source = func() []byte {
-				if sent >= cfg.Chunks {
-					return nil
-				}
-				sent++
-				return payload
-			}
+			opts.Source = repeatSource(cfg.Chunks, mixedPayload(cfg.ChunkBytes), 0)
 			errs <- pipeline.RunSender(opts)
 		}(uint32(s))
 	}

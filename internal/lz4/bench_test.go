@@ -85,21 +85,6 @@ func BenchmarkDecompressBlock(b *testing.B) {
 	}
 }
 
-func BenchmarkFrameWriter(b *testing.B) {
-	src := benchCorpus(256 << 10)
-	b.SetBytes(int64(len(src)))
-	for i := 0; i < b.N; i++ {
-		var buf bytes.Buffer
-		w := lz4.NewWriter(&buf)
-		if err := w.WriteBlock(src); err != nil {
-			b.Fatal(err)
-		}
-		if err := w.Close(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // tomoProjections returns n seeded 1 MiB projections (1024×512 uint16),
 // generated the way the repository benchmark fills its input ring.
 func tomoProjections(n int) [][]byte {

@@ -496,84 +496,6 @@ func TestPropertyDecompressNeverPanics(t *testing.T) {
 	}
 }
 
-func TestFrameRoundTrip(t *testing.T) {
-	blocks := [][]byte{
-		[]byte("first block"),
-		bytes.Repeat([]byte("tomography "), 1000),
-		make([]byte, 4096), // zeros
-	}
-	rand.New(rand.NewSource(5)).Read(blocks[2][:2048])
-
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
-	for _, b := range blocks {
-		if err := w.WriteBlock(b); err != nil {
-			t.Fatalf("WriteBlock: %v", err)
-		}
-	}
-	if err := w.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-
-	r := NewReader(&buf)
-	for i, want := range blocks {
-		got, err := r.ReadBlock()
-		if err != nil {
-			t.Fatalf("ReadBlock %d: %v", i, err)
-		}
-		if !bytes.Equal(got, want) {
-			t.Fatalf("block %d mismatch", i)
-		}
-	}
-	if _, err := r.ReadBlock(); err == nil {
-		t.Fatal("ReadBlock after terminator succeeded")
-	}
-}
-
-func TestFrameEmpty(t *testing.T) {
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
-	if err := w.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-	r := NewReader(&buf)
-	if _, err := r.ReadBlock(); err == nil {
-		t.Fatal("empty frame returned a block")
-	}
-}
-
-func TestFrameRejectsBadMagic(t *testing.T) {
-	r := NewReader(bytes.NewReader([]byte("XXXX\x01\x00\x00\x00\x00")))
-	if _, err := r.ReadBlock(); err == nil {
-		t.Fatal("bad magic accepted")
-	}
-}
-
-func TestFrameDetectsCorruption(t *testing.T) {
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
-	if err := w.WriteBlock(bytes.Repeat([]byte("data"), 500)); err != nil {
-		t.Fatalf("WriteBlock: %v", err)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-	raw := buf.Bytes()
-	raw[20] ^= 0xff // flip a payload byte
-	r := NewReader(bytes.NewReader(raw))
-	if _, err := r.ReadBlock(); err == nil {
-		t.Fatal("corrupted payload accepted")
-	}
-}
-
-func TestFrameWriteAfterClose(t *testing.T) {
-	w := NewWriter(&bytes.Buffer{})
-	w.Close()
-	if err := w.WriteBlock([]byte("x")); err == nil {
-		t.Fatal("WriteBlock after Close succeeded")
-	}
-}
-
 func TestRatio(t *testing.T) {
 	if r := Ratio(nil); r != 1 {
 		t.Fatalf("Ratio(nil) = %v, want 1", r)

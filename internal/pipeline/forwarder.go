@@ -303,13 +303,20 @@ func RunForwarder(opts ForwarderOptions) error {
 		opts.PeerHorizon = 5 * time.Second
 	}
 
+	// Every goroutine started below ends when done closes, and every
+	// return closes it — a run that ends by Expect, an error or the
+	// start-up deadline while Stop stays open leaves nothing behind.
 	done := make(chan struct{})
 	var doneOnce sync.Once
 	stopAll := func() { doneOnce.Do(func() { close(done) }) }
+	defer stopAll()
 	if opts.Stop != nil {
 		go func() {
-			<-opts.Stop
-			stopAll()
+			select {
+			case <-opts.Stop:
+				stopAll()
+			case <-done:
+			}
 		}()
 	}
 

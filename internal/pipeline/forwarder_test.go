@@ -2,8 +2,14 @@ package pipeline
 
 import (
 	"bytes"
+	"net"
+	goruntime "runtime"
+	"strings"
 	"sync"
 	"testing"
+	"time"
+
+	"numastream/internal/msgq"
 )
 
 // TestForwarderRelaysAndLoadBalances wires the full Figure-1 chain:
@@ -160,5 +166,99 @@ func TestForwarderRejectsMalformedUpstream(t *testing.T) {
 	}
 	if err := <-fwdDone; err == nil {
 		t.Fatal("forwarder accepted a malformed message")
+	}
+}
+
+// TestForwarderTeardownInvariant: whatever ends the run, RunForwarder
+// returns promptly and every goroutine it started is gone — no Stop or
+// Peers watcher, health monitor or lane left behind. Every case sets
+// Stop and Peers and neither is closed unless the case says so, which is
+// how a relay under a supervisor runs.
+func TestForwarderTeardownInvariant(t *testing.T) {
+	const (
+		streams   = 3
+		perStream = 64
+		horizon   = 200 * time.Millisecond
+	)
+	payload := []byte(strings.Repeat("z", 1024))
+	frame := func(_ uint32, seq uint64) msgq.Message { return fwdFrame(seq, payload) }
+	malformed := func(uint32, uint64) msgq.Message { return testMessage("only-one-part") }
+	cases := []struct {
+		name    string
+		msg     func(uint32, uint64) msgq.Message
+		expect  int
+		stopAt  int  // close Stop once downstream has this many chunks
+		killAt  int  // stop the only downstream once it has this many chunks
+		dead    bool // downstream address with no listener
+		wantErr bool
+	}{
+		{name: "Expect reached", msg: frame, expect: 24},
+		{name: "Stop closed", msg: frame, stopAt: 24},
+		{name: "below MinDownstream mid-stream", msg: frame, killAt: 8, wantErr: true},
+		{name: "MinDownstream never met", msg: frame, dead: true, wantErr: true},
+		{name: "malformed upstream", msg: malformed, wantErr: true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			baseline := goruntime.NumGoroutine()
+			ds := startCountingReceiver(t)
+			dsAddr := ds.addr
+			if tc.dead {
+				ln, err := net.Listen("tcp", "127.0.0.1:0")
+				if err != nil {
+					t.Fatal(err)
+				}
+				dsAddr = ln.Addr().String()
+				ln.Close()
+			}
+			stop := make(chan struct{})
+			peers := make(chan PeerChange)
+			ready := make(chan string, 1)
+			done := make(chan error, 1)
+			go func() {
+				done <- RunForwarder(ForwarderOptions{
+					Cfg: receiverCfg(1, 0), Topo: testTopo(), Bind: "127.0.0.1:0",
+					Downstream:    []string{dsAddr},
+					MinDownstream: 1,
+					PeerHorizon:   horizon,
+					Peers:         peers,
+					Expect:        tc.expect,
+					Stop:          stop,
+					Ready:         ready,
+				})
+			}()
+			stopSenders := pushStreams(<-ready, streams, perStream, tc.msg)
+			switch {
+			case tc.stopAt > 0:
+				waitCond(t, "chunks downstream", func() bool { return ds.n() >= tc.stopAt })
+				close(stop)
+			case tc.killAt > 0:
+				waitCond(t, "chunks downstream", func() bool { return ds.n() >= tc.killAt })
+				close(ds.stop)
+			}
+			select {
+			case err := <-done:
+				if (err != nil) != tc.wantErr {
+					t.Errorf("RunForwarder = %v, want error: %v", err, tc.wantErr)
+				}
+			case <-time.After(2 * time.Second):
+				t.Fatal("RunForwarder did not return within 2s of its exit cause")
+			}
+			stopSenders()
+			if tc.killAt == 0 {
+				close(ds.stop)
+			}
+			<-ds.done
+
+			deadline := time.Now().Add(2 * time.Second)
+			for goruntime.NumGoroutine() > baseline {
+				if time.Now().After(deadline) {
+					buf := make([]byte, 1<<16)
+					t.Fatalf("%d goroutines, %d before the run:\n%s", goruntime.NumGoroutine(), baseline,
+						buf[:goruntime.Stack(buf, true)])
+				}
+				time.Sleep(5 * time.Millisecond)
+			}
+		})
 	}
 }

@@ -330,7 +330,8 @@ type SenderOptions struct {
 	Codec Codec
 	// MinPeers, when positive, delays streaming until that many peer
 	// connections are live, so chunks distribute across all receivers
-	// instead of piling onto whichever dialed first.
+	// instead of piling onto whichever dialed first. With SendHorizon set
+	// the wait is bounded by it too, failing with msgq.ErrNoPeers.
 	MinPeers int
 	// HCDepth is the CodecHC chain-search depth (0 = default).
 	HCDepth int
@@ -459,7 +460,13 @@ func RunSender(opts SenderOptions) error {
 		if opts.MinPeers > len(opts.Peers) {
 			return fmt.Errorf("pipeline: MinPeers %d exceeds peer count %d", opts.MinPeers, len(opts.Peers))
 		}
-		if err := push.WaitLive(opts.MinPeers); err != nil {
+		var err error
+		if opts.SendHorizon > 0 {
+			err = push.WaitLiveTimeout(opts.MinPeers, opts.SendHorizon)
+		} else {
+			err = push.WaitLive(opts.MinPeers)
+		}
+		if err != nil {
 			return err
 		}
 	}
