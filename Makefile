@@ -10,11 +10,14 @@ build:
 test:
 	$(GO) test ./...
 
-# The second line type-checks the non-Linux affinity stubs, which no
-# native build on the CI host compiles.
+# The first line also runs asmdecl over the bitshuffle kernels. The
+# other two type-check what no native build on the CI host compiles: the
+# non-Linux affinity stubs, and the portable bitshuffle path every
+# non-amd64 build runs.
 vet:
 	$(GO) vet ./...
-	GOOS=darwin $(GO) vet ./internal/numa ./internal/pipeline
+	GOOS=darwin $(GO) vet ./internal/numa ./internal/pipeline ./internal/bitshuffle
+	GOARCH=arm64 $(GO) vet ./internal/bitshuffle ./internal/pipeline
 
 # Race-detector pass over the concurrent transport/pipeline paths
 # (reconnect, send horizons, quarantine accounting, queues), the buffer
@@ -128,16 +131,19 @@ handoff-bench:
 
 # The LZ4 decoder stores 8 bytes at a time right up to the slack it has
 # checked for, and the compressor's inline emit does the same into dst:
-# the kind of code that grows out-of-bounds bugs. Under `go test` the two
-# fuzz targets only replay their seed corpus; here each mutates for 15 s,
-# comparing the decoder with the byte-wise reference decoder on every
-# input and checking every compressed block against the format's rules.
+# the kind of code that grows out-of-bounds bugs. The bitshuffle kernels
+# that run before and after it are assembly. Under `go test` the fuzz
+# targets only replay their seed corpus; here each mutates for 15 s,
+# comparing the LZ4 decoder with the byte-wise reference decoder and the
+# bitshuffle kernels with the portable Go code on every input, and
+# checking every compressed block against the format's rules.
 lz4-fuzz:
 	$(GO) test ./internal/lz4 -run '^$$' -fuzz FuzzRoundTrip -fuzztime 15s
 	$(GO) test ./internal/lz4 -run '^$$' -fuzz FuzzDecompressNeverPanics -fuzztime 15s
+	$(GO) test ./internal/bitshuffle -run '^$$' -fuzz FuzzBitshuffle -fuzztime 15s
 
 # The single CI entry point: build, vet, tests, simulator golden,
-# benchmark module, pipeline micro-benchmarks, LZ4 fuzzers, race pass,
+# benchmark module, pipeline micro-benchmarks, LZ4 and bitshuffle fuzzers, race pass,
 # churn drill, report drill, stream drill, fleet drill, adapt drill.
 check: build vet test sim-golden bench-build handoff-bench lz4-fuzz race churn-drill report-drill stream-drill fleet-drill adapt-drill
 

@@ -63,6 +63,24 @@ func crcMismatchMessage() msgq.Message {
 	return msgq.Message{hdr, payload}
 }
 
+// unknownFlagsMessage is a raw chunk whose flags byte sets a bit no
+// encoding defines, under the CRC of its payload: a receiver that read
+// only the bits it knows would deliver it as raw.
+func unknownFlagsMessage() msgq.Message {
+	payload := []byte("payload in an encoding nobody defined")
+	hdr := encodeHeader(Chunk{Seq: 0, RawLen: len(payload)}, crc32.Checksum(payload, crcTable))
+	hdr[flagsAt] |= 4
+	return msgq.Message{hdr, payload}
+}
+
+// rawLenMismatchMessage is a raw chunk with an intact CRC whose payload
+// is shorter than the RawLen its header claims.
+func rawLenMismatchMessage() msgq.Message {
+	payload := []byte("raw payload one byte short")
+	hdr := encodeHeader(Chunk{Seq: 0, RawLen: len(payload) + 1}, crc32.Checksum(payload, crcTable))
+	return msgq.Message{hdr, payload}
+}
+
 // malformedMessage has the wrong part count: no header to peek, so
 // dispatch never charges a stream's credit for it.
 func malformedMessage() msgq.Message { return msgq.Message{[]byte("lonely")} }
@@ -82,6 +100,8 @@ func TestReceiverQuarantines(t *testing.T) {
 		{"CorruptCompressedChunk", 1, corruptLZ4Message},
 		{"CRCMismatch", 0, crcMismatchMessage},
 		{"MalformedMessage", 0, malformedMessage},
+		{"UnknownFlags", 1, unknownFlagsMessage},
+		{"RawLenMismatch", 0, rawLenMismatchMessage},
 	}
 	for _, tc := range cases {
 		tc := tc

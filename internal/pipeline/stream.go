@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"numastream/internal/bufpool"
-	"numastream/internal/lz4"
 	"numastream/internal/metrics"
 	"numastream/internal/msgq"
 	"numastream/internal/numa"
@@ -142,6 +141,11 @@ type Chunk struct {
 	Data   []byte // current payload: raw or LZ4 block
 	RawLen int    // uncompressed length of the original chunk
 	Packed bool   // Data is an LZ4 block
+	// Shuffled: the LZ4 block in Data holds the chunk's bit-planes
+	// (internal/bitshuffle), not its samples. Set only with Packed, between
+	// the compress and decompress stages; a receiver without a decompress
+	// stage hands it to the Sink with the block.
+	Shuffled bool
 	// Peer, set on the receive path, is the advertised label (or remote
 	// address) of the connection the chunk arrived on — which relay or
 	// sender delivered it. Churn drills use it to attribute deliveries
@@ -181,21 +185,59 @@ type Chunk struct {
 //
 //	seq uint64 | rawLen uint32 | stream uint32 | flags uint8 | crc uint32
 //
+// flags is 0 (raw payload of rawLen bytes), flagPacked (an LZ4 block) or
+// flagPacked|flagShuffled (an LZ4 block of the chunk's bit-planes); a
+// receiver quarantines any other value, and a raw payload of any other
+// length than rawLen.
+//
 // crc is a CRC-32C (Castagnoli) over the payload part as it travels the
-// wire (the LZ4 block when packed). The WAN path the paper streams over
+// wire (the LZ4 block when packed) — and, for a bitshuffled frame, over
+// the flags byte after it (wireCRC). The WAN path the paper streams over
 // flips bits for real; TCP's 16-bit checksum misses enough of them at
 // 100 Gbps rates that a payload CRC is the difference between a
 // quarantined chunk and a silently corrupt projection. The sender takes
 // it where the wire bytes are produced (Chunk.crc), not where they are
 // written, so it also covers the chunk's stay in the send queue.
 const (
-	headerLen  = 21
-	flagPacked = 1
+	headerLen    = 21
+	flagsAt      = 16
+	flagPacked   = 1
+	flagShuffled = 2
 )
 
 // crcTable is shared by senders and receivers (CRC-32C, hardware
 // accelerated on amd64/arm64).
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
+
+// shuffledFlags is the one flags byte a bitshuffled frame carries, as
+// the trailer its CRC covers.
+var shuffledFlags = [1]byte{flagPacked | flagShuffled}
+
+// wireCRC is the header CRC of a frame with this payload and these
+// (valid) flags: the payload's CRC-32C, extended over the flags byte for
+// a bitshuffled frame. A receiver that predates the filter sums the
+// payload alone, so it quarantines a bitshuffled frame instead of
+// delivering bit-planes as samples, while raw and plain LZ4 frames keep
+// the sum they always had and interoperate both ways.
+func wireCRC(payload []byte, flags uint8) uint32 {
+	sum := crc32.Checksum(payload, crcTable)
+	if flags&flagShuffled != 0 {
+		sum = crc32.Update(sum, crcTable, shuffledFlags[:])
+	}
+	return sum
+}
+
+// flags is the header flags byte describing c's payload.
+func (c Chunk) flags() uint8 {
+	var f uint8
+	if c.Packed {
+		f |= flagPacked
+	}
+	if c.Shuffled {
+		f |= flagShuffled
+	}
+	return f
+}
 
 // encodeHeaderInto fills a caller-owned (typically stack) header array
 // — the send worker's per-frame path, which must not allocate.
@@ -203,10 +245,7 @@ func encodeHeaderInto(h *[headerLen]byte, c Chunk, crc uint32) {
 	binary.LittleEndian.PutUint64(h[0:], c.Seq)
 	binary.LittleEndian.PutUint32(h[8:], uint32(c.RawLen))
 	binary.LittleEndian.PutUint32(h[12:], c.Stream)
-	h[16] = 0
-	if c.Packed {
-		h[16] = flagPacked
-	}
+	h[flagsAt] = c.flags()
 	binary.LittleEndian.PutUint32(h[17:], crc)
 }
 
@@ -235,11 +274,29 @@ func decodeHeader(h []byte) (Chunk, uint32, error) {
 		return Chunk{}, 0, fmt.Errorf("pipeline: header of %d bytes", len(h))
 	}
 	return Chunk{
-		Seq:    binary.LittleEndian.Uint64(h[0:]),
-		RawLen: int(binary.LittleEndian.Uint32(h[8:])),
-		Stream: binary.LittleEndian.Uint32(h[12:]),
-		Packed: h[16] == flagPacked,
+		Seq:      binary.LittleEndian.Uint64(h[0:]),
+		RawLen:   int(binary.LittleEndian.Uint32(h[8:])),
+		Stream:   binary.LittleEndian.Uint32(h[12:]),
+		Packed:   h[flagsAt]&flagPacked != 0,
+		Shuffled: h[flagsAt]&flagShuffled != 0,
 	}, binary.LittleEndian.Uint32(h[17:]), nil
+}
+
+// verifyPayload is the receive worker's test of a frame parseFrame has
+// passed (so dispatch took credit for it): flags it knows, a raw payload
+// exactly RawLen long, and the header CRC. A frame that fails is
+// quarantined, never delivered — an unknown flag could mean any encoding.
+func verifyPayload(msg msgq.Message, c Chunk, want uint32) error {
+	switch flags := msg[0][flagsAt]; {
+	case flags != 0 && flags != flagPacked && flags != flagPacked|flagShuffled:
+		return fmt.Errorf("pipeline: chunk %d header flags %#02x", c.Seq, flags)
+	case !c.Packed && len(msg[1]) != c.RawLen:
+		return fmt.Errorf("pipeline: raw chunk %d has %d payload bytes, header says %d", c.Seq, len(msg[1]), c.RawLen)
+	}
+	if sum := wireCRC(msg[1], c.flags()); sum != want {
+		return fmt.Errorf("pipeline: chunk %d payload CRC %08x, want %08x", c.Seq, sum, want)
+	}
+	return nil
 }
 
 // pinFor maps a runtime placement onto host CPUs, carrying each
@@ -509,7 +566,7 @@ func RunSender(opts SenderOptions) error {
 			seq++
 			if compQ == nil {
 				t0 := time.Now()
-				c.crc = crc32.Checksum(raw, crcTable)
+				c.crc = wireCRC(raw, 0)
 				sumHist.ObserveDuration(time.Since(t0))
 				if c.wire != nil {
 					// The feeder's Put is the send-queue entry.
@@ -538,15 +595,11 @@ func RunSender(opts SenderOptions) error {
 			// closes the send queue.
 			OnDrained: func() { sendQ.Close() },
 		}, func(w *Worker) error {
-			// Pooled mode rents a CompressBound-sized buffer per chunk
-			// (local to this worker's pinned domain) and ships the
-			// compressed block without a packed copy; the send worker
-			// releases the lease after the frame leaves. The escape
-			// hatch keeps the legacy exact-size copy, but out of a
-			// grow-once worker-local scratch instead of per-chunk
-			// make([]byte, bound) regrows.
-			worker, dom := w.ID(), w.Domain()
-			var scratch growBuf
+			// The worker's codec state (codec.go): output buffers rented
+			// on its domain, its bit-plane scratch, its filter decision.
+			worker := w.ID()
+			z := newCompressor(opts, pool, w.Domain())
+			defer z.close()
 			for {
 				if w.Retiring() {
 					return nil
@@ -563,44 +616,9 @@ func RunSender(opts SenderOptions) error {
 				if c.wire != nil {
 					c.wire.CompressStart = trace.NowNanos()
 				}
-				bound := lz4.CompressBound(len(c.Data))
-				var buf []byte
-				var lease *bufpool.Buf
-				if pool != nil {
-					lease = pool.Get(dom, bound)
-					buf = lease.Bytes()
-				} else {
-					buf = scratch.ensure(bound)
+				if err := z.compress(&c); err != nil {
+					return err
 				}
-				var n int
-				switch opts.Codec {
-				case CodecHC:
-					n, err = lz4.CompressBlockHC(c.Data, buf, opts.HCDepth)
-				default:
-					n, err = lz4.CompressBlock(c.Data, buf)
-				}
-				if err != nil {
-					lease.Release()
-					return fmt.Errorf("compressing chunk %d: %w", c.Seq, err)
-				}
-				switch {
-				case n >= len(c.Data):
-					// Incompressible: the raw chunk ships as-is.
-					lease.Release()
-				case lease != nil:
-					lease.SetLen(n)
-					c.Data = lease.Bytes()
-					c.lease = lease // released by the send worker
-					c.Packed = true
-				default:
-					packed := make([]byte, n)
-					copy(packed, buf[:n])
-					c.Data = packed
-					c.Packed = true
-				}
-				// Whichever of the three it was, Data is final and was
-				// just written (or, unpackable, just read) by this worker.
-				c.crc = crc32.Checksum(c.Data, crcTable)
 				obs.done(worker, t0, c.RawLen, c.Seq)
 				if c.wire != nil {
 					now := trace.NowNanos()
@@ -1128,9 +1146,9 @@ func RunReceiver(opts ReceiverOptions) error {
 					}
 					continue
 				}
-				if sum := crc32.Checksum(msg[1], crcTable); sum != wantCRC {
+				if err := verifyPayload(msg, c, wantCRC); err != nil {
 					d.Frame.Release()
-					if err := quarantine(fmt.Errorf("pipeline: chunk %d payload CRC %08x, want %08x", c.Seq, sum, wantCRC), true, c.Stream); err != nil {
+					if err := quarantine(err, true, c.Stream); err != nil {
 						return err
 					}
 					continue
@@ -1180,6 +1198,8 @@ func RunReceiver(opts ReceiverOptions) error {
 			Name: "decompress", Workers: decGroup.Count, Pin: decPin, Topo: opts.Topo,
 		}, func(w *Worker) error {
 			worker, dom := w.ID(), w.Domain()
+			planes := leaseScratch{pool: pool, dom: dom}
+			defer planes.release()
 			for {
 				if w.Retiring() {
 					return nil
@@ -1194,24 +1214,11 @@ func RunReceiver(opts ReceiverOptions) error {
 				obs.dequeued(c, worker)
 				t0 := time.Now()
 				if c.Packed {
-					// Pooled mode decompresses into a rented buffer on
-					// this worker's domain — the paper's split-domain
-					// placement (Obs. 3) decompresses on the far domain,
-					// and the output pages should live there, not where
-					// the wire frame landed.
-					var raw []byte
-					var derr error
-					if pool != nil {
-						c.lease = pool.Get(dom, c.RawLen)
-						raw = c.lease.Bytes()
-						var n int
-						n, derr = lz4.DecompressBlock(c.Data, raw)
-						if derr == nil && n != c.RawLen {
-							derr = fmt.Errorf("lz4: decompressed %d bytes, want %d", n, c.RawLen)
-						}
-					} else {
-						raw, derr = lz4.Decompress(c.Data, c.RawLen)
-					}
+					// The output lease lives on this worker's domain — the
+					// paper's split-domain placement (Obs. 3) decompresses
+					// on the far domain, and the output pages should live
+					// there, not where the wire frame landed.
+					derr := decompress(&c, pool, dom, &planes)
 					// The wire frame backed only the compressed block; it
 					// is done the moment the block is unpacked (or found
 					// to be garbage).
@@ -1224,8 +1231,6 @@ func RunReceiver(opts ReceiverOptions) error {
 						}
 						continue
 					}
-					c.Data = raw
-					c.Packed = false
 				}
 				obs.done(worker, t0, c.RawLen, c.Seq)
 				toLane(c)

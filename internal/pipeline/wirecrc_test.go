@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"numastream/internal/bitshuffle"
 	"numastream/internal/faults"
 	"numastream/internal/metrics"
 	"numastream/internal/msgq"
@@ -63,7 +64,8 @@ func keepSink(got map[uint64][]byte) func(Chunk) error {
 
 // TestWireCRCEveryProducer: whichever stage and branch produced a
 // chunk's wire bytes, the header carries the CRC-32C of exactly those
-// bytes and the chunk arrives intact.
+// bytes — followed, for a bitshuffled chunk, by its flags byte — and the
+// chunk arrives intact.
 func TestWireCRCEveryProducer(t *testing.T) {
 	const chunks = 3
 	compressible := func(i, size int) []byte {
@@ -74,18 +76,24 @@ func TestWireCRCEveryProducer(t *testing.T) {
 		rand.New(rand.NewSource(int64(i + 1))).Read(b)
 		return b
 	}
+	// What the wire must carry: a 1-byte chunk never packs, and only a
+	// host with the vector encoder filters.
 	cases := []struct {
-		name   string
-		nComp  int
-		data   func(i, size int) []byte
-		packed bool // what the wire must carry (a 1-byte chunk never packs)
-		mut    func(*SenderOptions)
+		name     string
+		nComp    int
+		data     func(i, size int) []byte
+		packed   bool
+		shuffled bool
+		mut      func(*SenderOptions)
 	}{
-		{"lz4-fast", 1, compressible, true, nil},
-		{"lz4-hc", 1, compressible, true, func(o *SenderOptions) { o.Codec = CodecHC }},
-		{"raw-fallback", 1, incompressible, false, nil},
-		{"no-compress-stage", 0, incompressible, false, nil},
-		{"bufpool-off", 1, compressible, true, func(o *SenderOptions) { o.DisableBufPool = true }},
+		{"lz4-fast", 1, compressible, true, false, nil},
+		{"lz4-hc", 1, compressible, true, false, func(o *SenderOptions) { o.Codec = CodecHC }},
+		{"raw-fallback", 1, incompressible, false, false, nil},
+		{"no-compress-stage", 0, incompressible, false, false, nil},
+		{"bufpool-off", 1, compressible, true, false, func(o *SenderOptions) { o.DisableBufPool = true }},
+		{"lz4-bitshuffle", 1, projectionChunk, true, true, nil},
+		{"lz4-hc-bitshuffle", 1, projectionChunk, true, true, func(o *SenderOptions) { o.Codec = CodecHC }},
+		{"bitshuffle-bufpool-off", 1, projectionChunk, true, true, func(o *SenderOptions) { o.DisableBufPool = true }},
 	}
 	for _, tc := range cases {
 		tc := tc
@@ -104,11 +112,18 @@ func TestWireCRCEveryProducer(t *testing.T) {
 						t.Errorf("frame on the wire: %v", err)
 						return
 					}
-					if have := crc32.Checksum(msg[1], crcTable); sum != have {
+					have := crc32.Checksum(msg[1], crcTable)
+					if c.Shuffled {
+						have = crc32.Update(have, crcTable, msg[0][flagsAt:flagsAt+1])
+					}
+					if sum != have {
 						t.Errorf("chunk %d: header CRC %08x, payload as received sums to %08x", c.Seq, sum, have)
 					}
 					if wantPacked := tc.packed && size > 1; c.Packed != wantPacked {
 						t.Errorf("chunk %d: packed = %v, want %v — the case is not exercising the producer it names", c.Seq, c.Packed, wantPacked)
+					}
+					if wantShuffled := tc.shuffled && size > 1 && bitshuffle.Vectorized(); c.Shuffled != wantShuffled {
+						t.Errorf("chunk %d: shuffled = %v, want %v", c.Seq, c.Shuffled, wantShuffled)
 					}
 				})
 				next := 0
