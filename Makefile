@@ -10,11 +10,15 @@ build:
 test:
 	$(GO) test ./...
 
-# The first line also runs asmdecl over the bitshuffle kernels. The
-# other two type-check what no native build on the CI host compiles: the
-# non-Linux affinity stubs, and the portable bitshuffle path every
-# non-amd64 build runs.
+# The first line fails on any Go file (benchmark module included) that
+# is not gofmt-clean. `go vet` also runs asmdecl over the bitshuffle
+# kernels. The last two lines type-check what no native build on the CI
+# host compiles: the non-Linux affinity stubs, and the portable
+# bitshuffle path every non-amd64 build runs.
 vet:
+	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
+		echo "gofmt -l found unformatted files:"; echo "$$unformatted"; exit 1; \
+	fi
 	$(GO) vet ./...
 	GOOS=darwin $(GO) vet ./internal/numa ./internal/pipeline ./internal/bitshuffle
 	GOARCH=arm64 $(GO) vet ./internal/bitshuffle ./internal/pipeline

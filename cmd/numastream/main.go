@@ -44,7 +44,7 @@ func main() {
 		synthetic   = flag.Bool("synthetic", false, "use patterned chunks instead of tomography projections")
 		serve       = flag.Bool("serve", false, "receiver: serve until interrupted instead of expecting -chunks")
 		tracePath   = flag.String("trace", "", "write a Chrome trace of this node's workers to the file; on a receiver fed by a -trace-wire sender this is the merged cross-host journey trace")
-		traceWire   = flag.Bool("trace-wire", false, "sender: ship a per-chunk trace context on every frame so a new-protocol receiver can stitch cross-host chunk journeys (no effect against legacy receivers)")
+		traceWire   = flag.Bool("trace-wire", false, "sender: ship a per-chunk trace context on every frame so the receiver can stitch cross-host chunk journeys (a forwarder hop drops it)")
 		bufpoolMode = flag.String("bufpool", "on", "NUMA-aware buffer pooling on the hot path: on | off (off = per-chunk allocation, the pre-pooling behaviour; for A/B runs and leak triage)")
 
 		// Adaptive placement (the feedback controller).

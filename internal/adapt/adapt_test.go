@@ -354,11 +354,11 @@ func TestDecideOnRealDegenerateWindows(t *testing.T) {
 // policy corners: it must never panic and every step must be positive
 // and within MaxStep.
 func FuzzDecide(f *testing.F) {
-	f.Add(uint8(1), uint64(0x7FF8000000000000), 1, 4, int8(1), false)  // NaN share
-	f.Add(uint8(2), uint64(0x7FF0000000000000), 0, 0, int8(-1), true)  // +Inf, empty pools
-	f.Add(uint8(3), math.Float64bits(0.9), -3, 2, int8(0), false)      // negative workers
-	f.Add(uint8(4), math.Float64bits(0.5), 100, -5, int8(9), true)     // out-of-range domains
-	f.Add(uint8(9), math.Float64bits(0.35), 2, 2, int8(1), false)      // unknown verdict at the floor
+	f.Add(uint8(1), uint64(0x7FF8000000000000), 1, 4, int8(1), false) // NaN share
+	f.Add(uint8(2), uint64(0x7FF0000000000000), 0, 0, int8(-1), true) // +Inf, empty pools
+	f.Add(uint8(3), math.Float64bits(0.9), -3, 2, int8(0), false)     // negative workers
+	f.Add(uint8(4), math.Float64bits(0.5), 100, -5, int8(9), true)    // out-of-range domains
+	f.Add(uint8(9), math.Float64bits(0.35), 2, 2, int8(1), false)     // unknown verdict at the floor
 	f.Fuzz(func(t *testing.T, vi uint8, shareBits uint64, workers, domWorkers int, nic int8, idle bool) {
 		verdicts := []obs.Verdict{
 			obs.VerdictIdle, obs.VerdictCompressBound,

@@ -45,7 +45,7 @@ func BenchmarkWireEncode(b *testing.B) {
 	var sink countWriter
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := writeMessage(&sink, msg); err != nil {
+		if err := writeMessage(&sink, msg, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

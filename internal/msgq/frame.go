@@ -1,12 +1,12 @@
 package msgq
 
-// Pooled receive path: when a Pull has a buffer pool attached
-// (SetBufferPool), each incoming frame's part buffers are rented from
-// the pool instead of allocated, and the whole frame is handed to the
-// consumer as a Frame that must be Released once the payload bytes are
-// done with. This is the receiver half of the zero-allocation hot path:
-// at a steady state every frame reuses the previous frames' buffers and
-// the read loop stops generating garbage at wire rate.
+// Receive path: every incoming frame is handed to the consumer as a
+// Frame. When a Pull has a buffer pool attached (SetBufferPool), the
+// frame's part buffers are rented from the pool instead of allocated,
+// and the Frame must be Released once the payload bytes are done with.
+// This is the receiver half of the zero-allocation hot path: at a steady
+// state every frame reuses the previous frames' buffers and the read
+// loop stops generating garbage at wire rate.
 
 import (
 	"encoding/binary"
@@ -18,9 +18,9 @@ import (
 	"numastream/internal/bufpool"
 )
 
-// Frame is one received message whose part buffers are leased from a
-// buffer pool. Msg/Aux return views into the leased buffers; they are
-// valid until Release, which returns every buffer to the pool and
+// Frame is one received message whose part buffers may be leased from
+// a buffer pool. Msg/Aux return views into those buffers; they are
+// valid until Release, which returns every buffer to its pool and
 // recycles the Frame itself. Release panics on a second call — after
 // the first, the buffers may already back a different frame, and a
 // double release is how two frames end up aliasing one buffer.
@@ -43,8 +43,8 @@ func (f *Frame) Msg() Message { return f.msg }
 func (f *Frame) Aux() []byte { return f.aux }
 
 // Release returns the frame's part buffers to their pool and the Frame
-// to the frame pool. Safe on a nil Frame (a Delivery from the unpooled
-// path), so consumers can release unconditionally.
+// to the frame pool. Safe on a nil Frame, so a holder whose frame may
+// already have been handed back can release unconditionally.
 func (f *Frame) Release() {
 	if f == nil {
 		return
@@ -58,7 +58,7 @@ func (f *Frame) Release() {
 	}
 	f.bufs = f.bufs[:0]
 	// Clear to cap: the aux entry sits past len after the hasAux
-	// truncation in readMessagePooled.
+	// truncation in readFrame.
 	clearMsg := f.msg[:cap(f.msg)]
 	for i := range clearMsg {
 		clearMsg[i] = nil
@@ -68,26 +68,25 @@ func (f *Frame) Release() {
 	framePool.Put(f)
 }
 
-// readMessagePooled is readMessageFrom with part buffers rented from
-// pool on behalf of domain. The returned Frame owns the leases; a
-// mid-frame error releases whatever was already rented.
-func readMessagePooled(r io.Reader, allowAux bool, pool *bufpool.Pool, domain int) (*Frame, error) {
+// readFrame deserializes one frame from r, renting its part buffers
+// from pool on behalf of domain (a nil pool allocates them). A part
+// count carrying auxFlag means the frame's last part is auxiliary
+// metadata, returned by Aux rather than Msg. The returned Frame owns
+// the leases; a mid-frame error releases whatever was already rented.
+func readFrame(r io.Reader, pool *bufpool.Pool, domain int) (*Frame, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, err
 	}
 	n := binary.LittleEndian.Uint32(hdr[:])
-	hasAux := false
-	if allowAux && n&auxFlag != 0 {
-		hasAux = true
+	hasAux := n&auxFlag != 0
+	limit := uint32(MaxParts)
+	if hasAux {
 		n &^= auxFlag
 		if n == 0 {
 			return nil, fmt.Errorf("msgq: aux-flagged message with no parts")
 		}
-	}
-	limit := uint32(MaxParts)
-	if hasAux {
-		limit++
+		limit++ // the aux part rides above the application-part limit
 	}
 	if n > limit {
 		return nil, fmt.Errorf("msgq: message with %d parts exceeds limit", n)

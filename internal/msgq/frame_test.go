@@ -40,24 +40,18 @@ func frameCases() []frameCase {
 	}
 }
 
-// referenceBytes serializes via the scalar reference writers.
+// referenceBytes serializes via the scalar reference writer.
 func referenceBytes(t testing.TB, c frameCase) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	var err error
-	if c.aux != nil {
-		err = writeMessageAux(&buf, c.msg, c.aux)
-	} else {
-		err = writeMessage(&buf, c.msg)
-	}
-	if err != nil {
+	if err := writeMessage(&buf, c.msg, c.aux); err != nil {
 		t.Fatalf("reference writer: %v", err)
 	}
 	return buf.Bytes()
 }
 
 // TestWriteVectoredEquivalence diffs the vectored writer against the
-// scalar reference implementations byte for byte, including scratch
+// scalar reference implementation byte for byte, including scratch
 // reuse across frames on one connection.
 func TestWriteVectoredEquivalence(t *testing.T) {
 	pc := &pushConn{} // one conn: scratch persists across subtests
@@ -71,22 +65,17 @@ func TestWriteVectoredEquivalence(t *testing.T) {
 			if !bytes.Equal(got.Bytes(), want) {
 				t.Fatalf("wire bytes differ:\n got %x\nwant %x", got.Bytes(), want)
 			}
-			// And the frame must read back intact on both read paths.
-			msg, aux, err := readMessageFrom(bytes.NewReader(got.Bytes()), true)
-			if err != nil {
-				t.Fatalf("readMessageFrom: %v", err)
-			}
-			assertFrameEqual(t, "readMessageFrom", msg, aux, c)
-
-			pool := bufpool.New(1)
-			f, err := readMessagePooled(bytes.NewReader(got.Bytes()), true, pool, 0)
-			if err != nil {
-				t.Fatalf("readMessagePooled: %v", err)
-			}
-			assertFrameEqual(t, "readMessagePooled", f.Msg(), f.Aux(), c)
-			f.Release()
-			if n := pool.Outstanding(); n != 0 {
-				t.Errorf("pool outstanding = %d after Release", n)
+			// And the frame must read back intact, unpooled and pooled.
+			for _, pool := range []*bufpool.Pool{nil, bufpool.New(1)} {
+				f, err := readFrame(bytes.NewReader(got.Bytes()), pool, 0)
+				if err != nil {
+					t.Fatalf("readFrame (pool %v): %v", pool != nil, err)
+				}
+				assertFrameEqual(t, "readFrame", f.Msg(), f.Aux(), c)
+				f.Release()
+				if n := pool.Outstanding(); n != 0 {
+					t.Errorf("pool outstanding = %d after Release", n)
+				}
 			}
 		})
 	}
@@ -105,32 +94,6 @@ func assertFrameEqual(t *testing.T, path string, msg Message, aux []byte, c fram
 	wantAux := c.aux
 	if !bytes.Equal(aux, wantAux) {
 		t.Errorf("%s: aux = %x, want %x", path, aux, wantAux)
-	}
-}
-
-// TestWriteVectoredLegacyFraming pins the legacy fallback: a version-1
-// connection writes plain framing with the aux dropped by send(), and a
-// version-1 reader (allowAux=false) must parse a vectored no-aux frame.
-func TestWriteVectoredLegacyFraming(t *testing.T) {
-	pc := &pushConn{version: 1}
-	msg := Message{[]byte("hdr"), []byte("payload")}
-	var got bytes.Buffer
-	if err := pc.writeVectored(&got, msg, nil); err != nil {
-		t.Fatalf("writeVectored: %v", err)
-	}
-	var want bytes.Buffer
-	if err := writeMessage(&want, msg); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got.Bytes(), want.Bytes()) {
-		t.Fatalf("legacy wire bytes differ")
-	}
-	rd, err := readMessage(bytes.NewReader(got.Bytes()))
-	if err != nil {
-		t.Fatalf("legacy readMessage: %v", err)
-	}
-	if len(rd) != 2 || !bytes.Equal(rd[1], msg[1]) {
-		t.Fatalf("legacy read mismatch: %v", rd)
 	}
 }
 
@@ -218,34 +181,40 @@ func TestPooledRecvRoundTrip(t *testing.T) {
 	}
 }
 
+// TestFrameDoubleReleasePanics: pooled or not, a second Release of one
+// Frame panics — the first may already have recycled it for another
+// frame.
 func TestFrameDoubleReleasePanics(t *testing.T) {
-	pool := bufpool.New(1)
 	var wire bytes.Buffer
-	if err := writeMessage(&wire, Message{[]byte("x")}); err != nil {
+	if err := writeMessage(&wire, Message{[]byte("x")}, nil); err != nil {
 		t.Fatal(err)
 	}
-	f, err := readMessagePooled(bytes.NewReader(wire.Bytes()), false, pool, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f.Release()
-	defer func() {
-		if recover() == nil {
-			t.Error("double Release did not panic")
+	for _, pool := range []*bufpool.Pool{nil, bufpool.New(1)} {
+		f, err := readFrame(bytes.NewReader(wire.Bytes()), pool, 0)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}()
-	f.Release()
+		f.Release()
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("double Release did not panic (pool %v)", pool != nil)
+				}
+			}()
+			f.Release()
+		}()
+	}
 }
 
 func TestNilFrameRelease(t *testing.T) {
 	var f *Frame
-	f.Release() // must not panic: unpooled Deliveries carry nil Frames
+	f.Release() // must not panic: a holder whose frame is gone releases unconditionally
 }
 
 // FuzzVectoredFrame cross-checks the vectored writer against the scalar
-// reference writers and both readers, over fuzzer-chosen frame shapes:
-// part sizing/count from a byte recipe, optional aux, and the legacy
-// (allowAux=false, aux dropped) fallback.
+// reference writer and the reader, unpooled and pooled, over
+// fuzzer-chosen frame shapes: part sizing/count from a byte recipe and
+// an optional aux part.
 func FuzzVectoredFrame(f *testing.F) {
 	for _, c := range frameCases() {
 		recipe := []byte{byte(len(c.msg))}
@@ -294,49 +263,26 @@ func FuzzVectoredFrame(f *testing.F) {
 			t.Fatalf("writeVectored: %v", err)
 		}
 		var refBuf bytes.Buffer
-		var refErr error
-		if aux != nil {
-			refErr = writeMessageAux(&refBuf, msg, aux)
-		} else {
-			refErr = writeMessage(&refBuf, msg)
-		}
-		if refErr != nil {
-			t.Fatalf("reference writer: %v", refErr)
+		if err := writeMessage(&refBuf, msg, aux); err != nil {
+			t.Fatalf("reference writer: %v", err)
 		}
 		if !bytes.Equal(vecBuf.Bytes(), refBuf.Bytes()) {
 			t.Fatalf("vectored wire bytes diverge from reference")
 		}
 
-		// Round-trip through the allocating reader...
-		rMsg, rAux, err := readMessageFrom(bytes.NewReader(vecBuf.Bytes()), true)
-		if err != nil {
-			t.Fatalf("readMessageFrom: %v", err)
+		// Round-trip through the reader, unpooled and pooled; the pooled
+		// read must also drain its leases.
+		for _, pool := range []*bufpool.Pool{nil, bufpool.New(2)} {
+			fr, err := readFrame(bytes.NewReader(vecBuf.Bytes()), pool, 1)
+			if err != nil {
+				t.Fatalf("readFrame (pool %v): %v", pool != nil, err)
+			}
+			checkMsg(t, "readFrame", fr.Msg(), fr.Aux(), msg, aux)
+			fr.Release()
+			if n := pool.Outstanding(); n != 0 {
+				t.Fatalf("pool outstanding = %d after Release", n)
+			}
 		}
-		checkMsg(t, "readMessageFrom", rMsg, rAux, msg, aux)
-
-		// ...and the pooled reader, which must also drain its leases.
-		pool := bufpool.New(2)
-		fr, err := readMessagePooled(bytes.NewReader(vecBuf.Bytes()), true, pool, 1)
-		if err != nil {
-			t.Fatalf("readMessagePooled: %v", err)
-		}
-		checkMsg(t, "readMessagePooled", fr.Msg(), fr.Aux(), msg, aux)
-		fr.Release()
-		if n := pool.Outstanding(); n != 0 {
-			t.Fatalf("pool outstanding = %d after Release", n)
-		}
-
-		// Legacy-peer fallback: aux dropped, version-1 framing, readable
-		// by a version-1 reader.
-		var legacyBuf bytes.Buffer
-		if err := pc.writeVectored(&legacyBuf, msg, nil); err != nil {
-			t.Fatalf("legacy writeVectored: %v", err)
-		}
-		lMsg, err := readMessage(bytes.NewReader(legacyBuf.Bytes()))
-		if err != nil {
-			t.Fatalf("legacy readMessage: %v", err)
-		}
-		checkMsg(t, "legacy", lMsg, nil, msg, nil)
 	})
 }
 
@@ -374,7 +320,7 @@ func BenchmarkWriteScalarReference(b *testing.B) {
 	b.SetBytes(int64(21 + 1<<20))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if err := writeMessageAux(io.Discard, msg, aux); err != nil {
+		if err := writeMessage(io.Discard, msg, aux); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,9 +1,7 @@
 package msgq
 
 import (
-	"bytes"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -12,26 +10,12 @@ import (
 	"numastream/internal/trace"
 )
 
-// Protocol negotiation. Version 1 is the original raw frame stream: the
-// first bytes a PUSH peer ever sends are a message's part count, and the
-// PULL side never writes at all. Version 2 prefixes the stream with a
-// handshake — hello banners in both directions, then a clock-offset
-// probe — and allows frames to carry one auxiliary part (the pipeline's
-// wire trace context) flagged in the part-count word.
-//
-// Interop is sniff-based, so mixed fleets keep streaming:
-//
-//   - A v2 Pull writes its hello immediately after accept, then reads
-//     the peer's first 4 bytes. The hello magic cannot be a legal v1
-//     part count (it decodes far above MaxParts), so those 4 bytes
-//     unambiguously classify the peer: magic → v2 handshake; anything
-//     else → a legacy sender whose first frame has already begun, and
-//     the 4 bytes are re-interpreted as its part count. The unread
-//     hello is harmless to the legacy sender, which never reads.
-//   - A v2 Push reads the server hello after dialing, bounded by
-//     HelloTimeout. A legacy Pull never writes, so the timeout (with
-//     zero bytes received) classifies it; the connection degrades to
-//     v1 framing and no auxiliary parts are ever sent on it.
+// The handshake. Every connection opens with one before any frame flows:
+// the Pull writes its hello banner immediately after accept, the Push
+// reads it and answers with its own, then the Pull runs a clock-offset
+// probe. A peer whose first bytes are not a hello of version ≥ 2 — a
+// frame, garbage, or nothing at all within handshakeGuard — is hung up
+// on, and the Pull counts it in ReadErrors.
 //
 // The clock-offset probe runs inside every handshake — including every
 // redial, so the estimate re-samples when a connection is rebuilt. The
@@ -47,33 +31,28 @@ import (
 // below the millisecond-scale stage latencies the merged journeys are
 // read for.
 const (
-	// ProtoVersion is the highest protocol version this build speaks.
+	// ProtoVersion is the protocol version this build speaks.
 	ProtoVersion = 2
 
 	// maxLabelLen bounds the advertised peer label.
 	maxLabelLen = 256
 
-	// handshakeGuard bounds every read and write between hello
-	// detection and handshake completion, so a wedged or malicious
-	// half-handshake cannot park a goroutine forever.
-	handshakeGuard = 5 * time.Second
-
 	// probeRounds is the number of ping/pong clock samples per
 	// handshake.
 	probeRounds = 4
-
-	// DefaultHelloTimeout is how long a Push waits for a server hello
-	// before concluding the peer is a legacy (v1) receiver.
-	DefaultHelloTimeout = time.Second
 )
 
-// helloMagic opens every hello banner. Interpreted as a v1 part count it
-// reads as 0x4851534e (≈1.2 billion), far beyond MaxParts, which is what
-// makes version sniffing unambiguous.
+// handshakeGuard bounds a whole handshake on either side, from accept or
+// dial to the last probe byte, so a peer that stalls — or never speaks
+// at all — cannot park a goroutine forever. A variable only so tests can
+// shorten it.
+var handshakeGuard = 5 * time.Second
+
+// helloMagic opens every hello banner.
 var helloMagic = [4]byte{'N', 'S', 'Q', 'H'}
 
-// auxFlag marks a v2 frame whose last part is auxiliary metadata rather
-// than an application part. Never set on v1 connections.
+// auxFlag marks a frame whose last part is auxiliary metadata rather
+// than an application part.
 const auxFlag = uint32(1) << 31
 
 // Probe opcodes (Pull → Push direction for ping/done, Push → Pull for
@@ -84,17 +63,11 @@ const (
 	opDone = 0x03
 )
 
-// CtrLegacyPeers counts connections that negotiated down to protocol
-// version 1 (legacy peer detected by hello sniffing).
-const CtrLegacyPeers = "msgq_legacy_peers"
-
 // peerState is what a completed handshake learned about the remote end.
 type peerState struct {
-	version     uint16
-	label       string
-	offset      time.Duration // remote clock − local clock (midpoint estimate)
-	offsetValid bool
-	rtt         time.Duration // RTT of the winning probe sample
+	label  string
+	offset time.Duration // remote clock − local clock (midpoint estimate)
+	rtt    time.Duration // RTT of the winning probe sample
 }
 
 // writeHello writes one hello banner: magic, speaker's version, label.
@@ -111,69 +84,48 @@ func writeHello(w io.Writer, label string) error {
 	return err
 }
 
-// readHelloBody parses the remainder of a hello banner once its magic
-// has been consumed.
-func readHelloBody(r io.Reader) (version uint16, label string, err error) {
-	var hdr [4]byte
+// readHello reads one hello banner and returns the peer's label. Anything
+// that is not a hello of version ≥ 2 is an error. A peer that closes
+// before sending a byte yields a bare io.EOF.
+func readHello(r io.Reader) (string, error) {
+	var hdr [8]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return 0, "", err
+		return "", err
 	}
-	version = binary.LittleEndian.Uint16(hdr[0:])
-	n := binary.LittleEndian.Uint16(hdr[2:])
-	if version == 0 {
-		return 0, "", fmt.Errorf("msgq: hello with version 0")
+	if [4]byte(hdr[:4]) != helloMagic {
+		return "", fmt.Errorf("msgq: hello has bad magic %q", hdr[:4])
+	}
+	version := binary.LittleEndian.Uint16(hdr[4:])
+	n := binary.LittleEndian.Uint16(hdr[6:])
+	if version < 2 {
+		return "", fmt.Errorf("msgq: hello with version %d, need ≥ 2", version)
 	}
 	if n > maxLabelLen {
-		return 0, "", fmt.Errorf("msgq: hello label of %d bytes exceeds limit", n)
+		return "", fmt.Errorf("msgq: hello label of %d bytes exceeds limit", n)
 	}
 	lb := make([]byte, n)
 	if _, err := io.ReadFull(r, lb); err != nil {
-		return 0, "", err
+		return "", err
 	}
-	return version, string(lb), nil
+	return string(lb), nil
 }
 
-// negotiate returns the protocol version both ends speak.
-func negotiate(mine, theirs uint16) uint16 {
-	if theirs < mine {
-		return theirs
-	}
-	return mine
-}
-
-// serverHandshake runs the accept-side handshake on conn. It returns the
-// learned peer state and the reader to continue framing on (for a legacy
-// peer this replays the sniffed prefix bytes). The hello write happens
-// before any read, so a v2 dialer never waits on us.
-func serverHandshake(conn net.Conn, label string) (peerState, io.Reader, error) {
-	conn.SetWriteDeadline(time.Now().Add(handshakeGuard))
-	err := writeHello(conn, label)
-	conn.SetWriteDeadline(time.Time{})
-	if err != nil {
-		return peerState{}, nil, err
-	}
-
-	// Classify the peer by its first 4 bytes. No deadline: an idle
-	// legacy sender may take arbitrarily long before its first frame,
-	// exactly like the pre-handshake protocol allowed.
-	var first [4]byte
-	if _, err := io.ReadFull(conn, first[:]); err != nil {
-		return peerState{}, nil, err
-	}
-	if first != helloMagic {
-		return peerState{version: 1}, io.MultiReader(bytes.NewReader(first[:]), conn), nil
-	}
-
+// serverHandshake runs the accept-side handshake on conn. The hello
+// write happens before any read, so the dialer never waits on us.
+func serverHandshake(conn net.Conn, label string) (peerState, error) {
 	conn.SetDeadline(time.Now().Add(handshakeGuard))
 	defer conn.SetDeadline(time.Time{})
-	theirVersion, theirLabel, err := readHelloBody(conn)
+	if err := writeHello(conn, label); err != nil {
+		return peerState{}, err
+	}
+	theirLabel, err := readHello(conn)
 	if err != nil {
-		return peerState{}, nil, fmt.Errorf("msgq: client hello: %w", err)
+		if err == io.EOF {
+			return peerState{}, err // closed without a word: not a framing error
+		}
+		return peerState{}, fmt.Errorf("msgq: client hello: %w", err)
 	}
-	ps := peerState{version: negotiate(ProtoVersion, theirVersion), label: theirLabel}
-	if ps.version < 2 {
-		return ps, conn, nil
-	}
+	ps := peerState{label: theirLabel}
 
 	// Clock-offset probe: keep the minimum-RTT sample.
 	var ping [9]byte
@@ -183,67 +135,43 @@ func serverHandshake(conn net.Conn, label string) (peerState, io.Reader, error) 
 		ping[0] = opPing
 		binary.LittleEndian.PutUint64(ping[1:], uint64(t0))
 		if _, err := conn.Write(ping[:]); err != nil {
-			return peerState{}, nil, fmt.Errorf("msgq: clock probe ping: %w", err)
+			return peerState{}, fmt.Errorf("msgq: clock probe ping: %w", err)
 		}
 		if _, err := io.ReadFull(conn, pong[:]); err != nil {
-			return peerState{}, nil, fmt.Errorf("msgq: clock probe pong: %w", err)
+			return peerState{}, fmt.Errorf("msgq: clock probe pong: %w", err)
 		}
 		t1 := trace.NowNanos()
 		if pong[0] != opPong {
-			return peerState{}, nil, fmt.Errorf("msgq: clock probe got op 0x%02x, want pong", pong[0])
+			return peerState{}, fmt.Errorf("msgq: clock probe got op 0x%02x, want pong", pong[0])
 		}
 		if echo := int64(binary.LittleEndian.Uint64(pong[1:])); echo != t0 {
-			return peerState{}, nil, fmt.Errorf("msgq: clock probe echo mismatch")
+			return peerState{}, fmt.Errorf("msgq: clock probe echo mismatch")
 		}
 		ts := int64(binary.LittleEndian.Uint64(pong[9:]))
 		rtt := time.Duration(t1 - t0)
-		if !ps.offsetValid || rtt < ps.rtt {
+		if i == 0 || rtt < ps.rtt {
 			ps.rtt = rtt
 			ps.offset = time.Duration(ts - (t0+t1)/2)
-			ps.offsetValid = true
 		}
 	}
 	if _, err := conn.Write([]byte{opDone}); err != nil {
-		return peerState{}, nil, fmt.Errorf("msgq: clock probe done: %w", err)
+		return peerState{}, fmt.Errorf("msgq: clock probe done: %w", err)
 	}
-	return ps, conn, nil
+	return ps, nil
 }
 
-// clientHandshake runs the dial-side handshake on conn. A peer that
-// stays silent for helloTimeout is classified as a legacy v1 receiver.
-func clientHandshake(conn net.Conn, label string, helloTimeout time.Duration) (peerState, error) {
-	if helloTimeout <= 0 {
-		helloTimeout = DefaultHelloTimeout
-	}
-	conn.SetReadDeadline(time.Now().Add(helloTimeout))
-	var first [4]byte
-	n, err := io.ReadFull(conn, first[:])
-	if err != nil {
-		conn.SetReadDeadline(time.Time{})
-		var ne net.Error
-		if n == 0 && errors.As(err, &ne) && ne.Timeout() {
-			// Silent peer: a legacy Pull never writes. Degrade to v1.
-			return peerState{version: 1}, nil
-		}
-		return peerState{}, fmt.Errorf("msgq: server hello: %w", err)
-	}
-	if first != helloMagic {
-		conn.SetReadDeadline(time.Time{})
-		return peerState{}, fmt.Errorf("msgq: server hello has bad magic %q", first[:])
-	}
-
-	conn.SetDeadline(time.Now().Add(handshakeGuard))
-	defer conn.SetDeadline(time.Time{})
-	theirVersion, theirLabel, err := readHelloBody(conn)
-	if err != nil {
-		return peerState{}, fmt.Errorf("msgq: server hello: %w", err)
+// clientHandshake runs the dial-side handshake on conn. The guard is a
+// read deadline only: the write deadline belongs to Push.WriteTimeout,
+// and the handshake's writes — a hello and a few 17-byte pongs — go
+// into an empty send buffer and cannot wait.
+func clientHandshake(conn net.Conn, label string) error {
+	conn.SetReadDeadline(time.Now().Add(handshakeGuard))
+	defer conn.SetReadDeadline(time.Time{})
+	if _, err := readHello(conn); err != nil {
+		return fmt.Errorf("msgq: server hello: %w", err)
 	}
 	if err := writeHello(conn, label); err != nil {
-		return peerState{}, fmt.Errorf("msgq: client hello: %w", err)
-	}
-	ps := peerState{version: negotiate(ProtoVersion, theirVersion), label: theirLabel}
-	if ps.version < 2 {
-		return ps, nil
+		return fmt.Errorf("msgq: client hello: %w", err)
 	}
 
 	// Answer the server's clock probe until it signals done. The round
@@ -253,24 +181,24 @@ func clientHandshake(conn net.Conn, label string, helloTimeout time.Duration) (p
 	var pong [17]byte
 	for i := 0; i <= 4*probeRounds; i++ {
 		if _, err := io.ReadFull(conn, op[:]); err != nil {
-			return peerState{}, fmt.Errorf("msgq: clock probe: %w", err)
+			return fmt.Errorf("msgq: clock probe: %w", err)
 		}
 		switch op[0] {
 		case opDone:
-			return ps, nil
+			return nil
 		case opPing:
 			if _, err := io.ReadFull(conn, body[:]); err != nil {
-				return peerState{}, fmt.Errorf("msgq: clock probe ping: %w", err)
+				return fmt.Errorf("msgq: clock probe ping: %w", err)
 			}
 			pong[0] = opPong
 			copy(pong[1:9], body[:])
 			binary.LittleEndian.PutUint64(pong[9:], uint64(trace.NowNanos()))
 			if _, err := conn.Write(pong[:]); err != nil {
-				return peerState{}, fmt.Errorf("msgq: clock probe pong: %w", err)
+				return fmt.Errorf("msgq: clock probe pong: %w", err)
 			}
 		default:
-			return peerState{}, fmt.Errorf("msgq: clock probe got op 0x%02x", op[0])
+			return fmt.Errorf("msgq: clock probe got op 0x%02x", op[0])
 		}
 	}
-	return peerState{}, fmt.Errorf("msgq: clock probe never finished")
+	return fmt.Errorf("msgq: clock probe never finished")
 }

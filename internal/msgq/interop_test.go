@@ -1,19 +1,56 @@
 package msgq
 
 import (
+	"bytes"
+	"encoding/hex"
+	"errors"
 	"io"
 	"net"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"numastream/internal/metrics"
 )
 
-// legacyPull is a hand-rolled protocol-version-1 receiver: it accepts
-// connections and reads raw frames, and — critically — never writes a
-// hello (the original Pull never wrote anything). Dialers must classify
-// it by silence and degrade to version-1 framing.
+// shortGuard lowers handshakeGuard for one test. Every Push and Pull the
+// test starts must be closed before it returns (deferred), so no
+// handshake is still reading the variable when the cleanup restores it.
+func shortGuard(t *testing.T, d time.Duration) {
+	t.Helper()
+	old := handshakeGuard
+	handshakeGuard = d
+	t.Cleanup(func() { handshakeGuard = old })
+}
+
+// TestWireBytesPinned pins the bytes a connection carries: a hello
+// banner and a tagged two-part frame. Deployed peers send and expect
+// exactly these; a change here breaks interop with every one of them.
+func TestWireBytesPinned(t *testing.T) {
+	var hello bytes.Buffer
+	if err := writeHello(&hello, "gw"); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := hex.EncodeToString(hello.Bytes()), "4e535148020002006777"; got != want {
+		t.Errorf("hello = %s, want %s", got, want)
+	}
+	var frame bytes.Buffer
+	pc := &pushConn{}
+	if err := pc.writeVectored(&frame, Message{[]byte("hdr"), []byte("payload")}, []byte{0xAA, 0xBB}); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := hex.EncodeToString(frame.Bytes()),
+		"0300008003000000686472070000007061796c6f616402000000aabb"; got != want {
+		t.Errorf("tagged frame = %s, want %s", got, want)
+	}
+}
+
+// legacyPull is a receiver of the original frame-only protocol: it
+// accepts connections and counts the bytes that arrive, and never
+// writes a hello.
 type legacyPull struct {
-	ln   net.Listener
-	msgs chan Message
+	ln       net.Listener
+	received atomic.Int64
 }
 
 func newLegacyPull(t *testing.T) *legacyPull {
@@ -22,7 +59,7 @@ func newLegacyPull(t *testing.T) *legacyPull {
 	if err != nil {
 		t.Fatalf("listen: %v", err)
 	}
-	lp := &legacyPull{ln: ln, msgs: make(chan Message, 64)}
+	lp := &legacyPull{ln: ln}
 	go func() {
 		for {
 			conn, err := ln.Accept()
@@ -31,13 +68,8 @@ func newLegacyPull(t *testing.T) *legacyPull {
 			}
 			go func() {
 				defer conn.Close()
-				for {
-					msg, err := readMessage(conn)
-					if err != nil {
-						return
-					}
-					lp.msgs <- msg
-				}
+				n, _ := io.Copy(io.Discard, conn)
+				lp.received.Add(n)
 			}()
 		}
 	}()
@@ -45,85 +77,101 @@ func newLegacyPull(t *testing.T) *legacyPull {
 	return lp
 }
 
-// TestInteropNewPushToLegacyPull: a version-2 sender against an
-// old-frame receiver. The hello timeout classifies the silent peer, the
-// connection degrades to v1 framing, and SendTagged's aux part is
-// dropped rather than corrupting the legacy frame stream.
+// TestInteropNewPushToLegacyPull: a receiver that never writes a hello
+// never becomes a live peer. Each dial fails its handshake within
+// handshakeGuard and counts as a dial error, no byte reaches the
+// receiver, and a Send with a horizon fails with ErrNoPeers.
 func TestInteropNewPushToLegacyPull(t *testing.T) {
+	shortGuard(t, 100*time.Millisecond)
 	lp := newLegacyPull(t)
+	reg := metrics.NewRegistry()
 	push := NewPush()
-	push.Label = "newsender"
-	push.HelloTimeout = 100 * time.Millisecond
+	push.RetryInterval = 10 * time.Millisecond
+	push.SendHorizon = 500 * time.Millisecond
+	push.Counters = reg
 	push.Connect(lp.ln.Addr().String())
 	defer push.Close()
 
-	if err := push.SendTagged(Message{[]byte("hdr"), []byte("data")}, []byte("TRACECTX")); err != nil {
-		t.Fatalf("SendTagged: %v", err)
+	err := push.SendTagged(Message{[]byte("hdr"), []byte("data")}, []byte("TRACECTX"))
+	if !errors.Is(err, ErrNoPeers) {
+		t.Fatalf("SendTagged to a silent receiver: err = %v, want ErrNoPeers", err)
 	}
-	if err := push.Send(Message{[]byte("plain")}); err != nil {
-		t.Fatalf("Send: %v", err)
+	if n := reg.CounterValue(CtrDialErrors); n < 1 {
+		t.Errorf("%s = %d, want ≥ 1", CtrDialErrors, n)
 	}
-
-	for i, want := range []int{2, 1} {
-		select {
-		case msg := <-lp.msgs:
-			if len(msg) != want {
-				t.Fatalf("legacy message %d has %d parts, want %d (aux must not leak): %q", i, len(msg), want, msg)
-			}
-		case <-time.After(5 * time.Second):
-			t.Fatalf("legacy pull never received message %d", i)
-		}
+	if n := reg.CounterValue(CtrDials); n != 0 {
+		t.Errorf("%s = %d, want 0", CtrDials, n)
+	}
+	push.Close()
+	if n := lp.received.Load(); n != 0 {
+		t.Errorf("legacy receiver got %d bytes", n)
 	}
 }
 
-// TestInteropLegacyPushToNewPull: an old-frame sender against a
-// version-2 receiver. The sniffed first frame classifies the peer; the
-// receiver's unread hello bytes are harmless; deliveries carry no aux
-// and no clock offset.
-func TestInteropLegacyPushToNewPull(t *testing.T) {
-	pull, err := NewPull("127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("NewPull: %v", err)
+// slowAcceptListener hands each accepted connection to the Pull only
+// after delay — a loaded gateway whose hello goes out late.
+type slowAcceptListener struct {
+	net.Listener
+	delay time.Duration
+}
+
+func (l slowAcceptListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err == nil {
+		time.Sleep(l.delay)
 	}
+	return c, err
+}
+
+// TestSlowHelloKeepsProtocol: a server hello that arrives 1.5 s after
+// the dial is still a handshake. The tagged message arrives with its
+// aux part, and the connection is never counted as a dropped or dead
+// peer. (A dialer that gave up on the hello after 1 s used to fall back
+// to raw frames, lose the aux part, and then read the late hello as a
+// peer death.)
+func TestSlowHelloKeepsProtocol(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pull := NewPullFromListener(slowAcceptListener{ln, 1500 * time.Millisecond})
 	defer pull.Close()
-	pull.SetLabel("newreceiver")
+	pull.SetLabel("slow-gw")
 
-	// Hand-rolled legacy dialer: writes frames immediately, reads
-	// nothing, ever.
-	conn, err := net.Dial("tcp", pull.Addr().String())
-	if err != nil {
-		t.Fatalf("dial: %v", err)
-	}
-	defer conn.Close()
-	if err := writeMessage(conn, Message{[]byte("old"), []byte("frame")}); err != nil {
-		t.Fatalf("writeMessage: %v", err)
-	}
+	reg := metrics.NewRegistry()
+	var log peerLog
+	push := NewPush()
+	push.Counters = reg
+	push.OnPeerDown = log.down
+	push.Connect(pull.Addr().String())
+	defer push.Close()
 
+	if err := push.SendTagged(Message{[]byte("payload")}, []byte("TRACECTX")); err != nil {
+		t.Fatalf("SendTagged: %v", err)
+	}
 	d, err := pull.RecvDelivery()
 	if err != nil {
 		t.Fatalf("RecvDelivery: %v", err)
 	}
-	if len(d.Msg) != 2 || string(d.Msg[0]) != "old" {
-		t.Fatalf("msg = %q", d.Msg)
+	if len(d.Msg) != 1 || string(d.Msg[0]) != "payload" {
+		t.Errorf("msg = %q", d.Msg)
 	}
-	if d.Aux != nil {
-		t.Fatalf("legacy delivery has aux %q", d.Aux)
+	if string(d.Aux) != "TRACECTX" {
+		t.Errorf("aux = %q, want the trace context", d.Aux)
 	}
-	if d.OffsetValid {
-		t.Fatal("legacy delivery claims a valid clock offset")
+	if d.RTT <= 0 {
+		t.Errorf("RTT = %v: the clock probe did not run", d.RTT)
 	}
-	if d.Peer != conn.LocalAddr().String() {
-		t.Fatalf("Peer = %q, want remote addr %q", d.Peer, conn.LocalAddr().String())
+	push.Close()
+	if n := reg.CounterValue(CtrConnDrops); n != 0 {
+		t.Errorf("%s = %d, want 0", CtrConnDrops, n)
 	}
-	if d.RecvNanos <= 0 {
-		t.Fatalf("RecvNanos = %d", d.RecvNanos)
-	}
-	if pull.LegacyPeers() != 1 {
-		t.Fatalf("LegacyPeers = %d, want 1", pull.LegacyPeers())
+	if _, downs := log.counts(); downs != 0 {
+		t.Errorf("OnPeerDown fired %d times", downs)
 	}
 }
 
-// TestHandshakeNegotiatesV2 checks the full new↔new path: labels are
+// TestHandshakeNegotiatesV2 checks the full handshake: labels are
 // exchanged, the clock probe yields a plausible loopback offset, and an
 // aux part round-trips flagged — invisible to Recv, visible to
 // RecvDelivery.
@@ -155,9 +203,6 @@ func TestHandshakeNegotiatesV2(t *testing.T) {
 	if d.Peer != "src" {
 		t.Fatalf("Peer = %q, want hello label", d.Peer)
 	}
-	if !d.OffsetValid {
-		t.Fatal("no clock offset from a v2 handshake")
-	}
 	// Same process, same trace clock: the offset is pure probe error,
 	// bounded by loopback RTT noise.
 	if off := d.ClockOffset; off < -time.Second || off > time.Second {
@@ -166,11 +211,8 @@ func TestHandshakeNegotiatesV2(t *testing.T) {
 	if d.RTT <= 0 {
 		t.Fatalf("RTT = %v", d.RTT)
 	}
-	if pull.LegacyPeers() != 0 {
-		t.Fatalf("LegacyPeers = %d, want 0", pull.LegacyPeers())
-	}
 
-	// An untagged Send on the same v2 connection delivers nil aux.
+	// An untagged Send on the same connection delivers nil aux.
 	if err := push.Send(Message{[]byte("plain")}); err != nil {
 		t.Fatalf("Send: %v", err)
 	}
@@ -184,7 +226,7 @@ func TestHandshakeNegotiatesV2(t *testing.T) {
 }
 
 // TestHandshakeOffsetResampledOnRedial restarts the Pull and checks the
-// replacement connection negotiated v2 again with a fresh valid offset.
+// replacement connection ran the clock probe again.
 func TestHandshakeOffsetResampledOnRedial(t *testing.T) {
 	pull, err := NewPull("127.0.0.1:0")
 	if err != nil {
@@ -200,8 +242,8 @@ func TestHandshakeOffsetResampledOnRedial(t *testing.T) {
 	if err := push.Send(Message{[]byte("one")}); err != nil {
 		t.Fatalf("Send: %v", err)
 	}
-	if d, err := pull.RecvDelivery(); err != nil || !d.OffsetValid {
-		t.Fatalf("first delivery: err=%v offsetValid=%v", err, d.OffsetValid)
+	if d, err := pull.RecvDelivery(); err != nil || d.RTT <= 0 {
+		t.Fatalf("first delivery: err=%v rtt=%v", err, d.RTT)
 	}
 	pull.Close()
 
@@ -236,42 +278,84 @@ func TestHandshakeOffsetResampledOnRedial(t *testing.T) {
 	if err != nil {
 		t.Fatalf("RecvDelivery after redial: %v", err)
 	}
-	if !d.OffsetValid {
-		t.Fatal("redialed connection has no clock offset (handshake must re-run)")
+	if d.RTT <= 0 {
+		t.Fatal("redialed connection has no clock sample (handshake must re-run)")
 	}
 }
 
-// TestHelloRejectsOversizeLabel: a malformed hello (label length beyond
-// the bound) must fail the handshake, not allocate per the wire claim.
-func TestHelloRejectsOversizeLabel(t *testing.T) {
-	pull, err := NewPull("127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("NewPull: %v", err)
-	}
-	defer pull.Close()
+// hello builds a raw hello banner with arbitrary fields.
+func hello(magic string, version, labelLen uint16) []byte {
+	b := []byte(magic)
+	b = append(b, byte(version), byte(version>>8), byte(labelLen), byte(labelLen>>8))
+	return b
+}
 
-	conn, err := net.Dial("tcp", pull.Addr().String())
-	if err != nil {
-		t.Fatalf("dial: %v", err)
+// TestHelloRejectsMalformed: a dialer that does not open with a hello of
+// version ≥ 2, or does not finish its handshake within handshakeGuard,
+// is hung up on and counted in ReadErrors. Nothing it sent is
+// delivered, and its read loop exits.
+func TestHelloRejectsMalformed(t *testing.T) {
+	shortGuard(t, 300*time.Millisecond)
+	frame := func() []byte {
+		var b bytes.Buffer
+		writeMessage(&b, Message{[]byte("old"), []byte("frame")}, nil)
+		return b.Bytes()
 	}
-	defer conn.Close()
-	// Drain the server hello, then send a client hello claiming a
-	// label longer than maxLabelLen.
-	buf := make([]byte, 8)
-	if _, err := io.ReadFull(conn, buf); err != nil {
-		t.Fatalf("read server hello: %v", err)
+	cases := []struct {
+		name  string
+		open  []byte // what the dialer writes; nil writes nothing
+		close bool   // then half-close the dialer's side
+	}{
+		{"bad-magic", hello("NSQX", 2, 0), false},
+		{"version-0", hello("NSQH", 0, 0), false},
+		{"version-1", hello("NSQH", 1, 0), false},
+		// The server must hang up instead of reading 64 KiB of label.
+		{"oversize-label", hello("NSQH", 2, 0xFFFF), false},
+		{"truncated-banner", hello("NSQH", 2, 0)[:6], true},
+		// The original frame-only sender: a frame, and never a read.
+		{"frame-first", frame(), false},
+		{"silent", nil, false},
 	}
-	bad := append([]byte{}, helloMagic[:]...)
-	bad = append(bad, 2, 0, 0xFF, 0xFF) // version 2, labelLen 65535
-	if _, err := conn.Write(bad); err != nil {
-		t.Fatalf("write: %v", err)
-	}
-	// The server must hang up instead of reading 64 KiB of label.
-	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	if _, err := io.ReadFull(conn, buf[:1]); err == nil {
-		t.Fatal("server kept talking to a malformed hello")
-	}
-	if pull.ReadErrors() != 1 {
-		t.Fatalf("ReadErrors = %d, want 1 (handshake failure counted)", pull.ReadErrors())
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			pull, err := NewPull("127.0.0.1:0")
+			if err != nil {
+				t.Fatalf("NewPull: %v", err)
+			}
+			defer pull.Close()
+			conn, err := net.Dial("tcp", pull.Addr().String())
+			if err != nil {
+				t.Fatalf("dial: %v", err)
+			}
+			defer conn.Close()
+			if c.open != nil {
+				if _, err := conn.Write(c.open); err != nil {
+					t.Fatalf("write: %v", err)
+				}
+			}
+			if c.close {
+				conn.(*net.TCPConn).CloseWrite()
+			}
+			// The server's hello may be read or discarded by a reset;
+			// either way the stream must end well before this deadline.
+			conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+			_, err = io.Copy(io.Discard, conn)
+			var ne net.Error
+			if errors.As(err, &ne) && ne.Timeout() {
+				t.Fatal("server kept the connection open")
+			}
+			if n := pull.ReadErrors(); n != 1 {
+				t.Errorf("ReadErrors = %d, want 1", n)
+			}
+			if n := pull.ShardDepth(0); n != 0 {
+				t.Errorf("%d messages delivered", n)
+			}
+			pull.mu.Lock()
+			open := len(pull.conns)
+			pull.mu.Unlock()
+			if open != 0 {
+				t.Errorf("%d read loops still running after the hang-up", open)
+			}
+		})
 	}
 }

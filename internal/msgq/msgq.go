@@ -5,21 +5,17 @@
 // "a robust and high-performance messaging protocol": the runtime's
 // pipeline needs exactly push/pull semantics with multipart messages.
 //
-// Wire format, little-endian:
+// Every connection opens with a hello/clock-probe handshake (see
+// handshake.go), then carries frames, little-endian:
 //
 //	message: partCount uint32 | parts...
 //	part:    length uint32 | payload bytes
 //
 // Zero-part messages are valid (heartbeats). Part and message sizes are
 // bounded to keep a malicious or corrupted peer from forcing huge
-// allocations.
-//
-// Protocol version 2 (see handshake.go) adds a hello/clock-probe
-// handshake and lets a frame carry one auxiliary part — flagged by the
-// high bit of the part count — that transports out-of-band metadata
-// (the pipeline's wire trace context) without occupying an application
-// part. Both extensions are negotiated: against a legacy peer the
-// connection runs the original version-1 framing above, bit for bit.
+// allocations. The high bit of the part count flags a frame whose last
+// part is auxiliary: out-of-band metadata (the pipeline's wire trace
+// context) that does not occupy an application part.
 package msgq
 
 import (
@@ -79,13 +75,20 @@ const (
 	HistRedialLatency = "msgq_redial_latency_ns"
 )
 
-// writeMessage serializes msg onto w.
-func writeMessage(w io.Writer, msg Message) error {
+// writeMessage serializes msg onto w, plus aux, when non-nil, as the
+// frame's flagged auxiliary part. It is the scalar reference
+// implementation writeVectored is tested against.
+func writeMessage(w io.Writer, msg Message, aux []byte) error {
 	if len(msg) > MaxParts {
 		return fmt.Errorf("msgq: %d parts exceeds limit %d", len(msg), MaxParts)
 	}
+	cnt := uint32(len(msg))
+	if aux != nil {
+		msg = append(msg[:len(msg):len(msg)], aux)
+		cnt = uint32(len(msg)) | auxFlag
+	}
 	var hdr [4]byte
-	binary.LittleEndian.PutUint32(hdr[:], uint32(len(msg)))
+	binary.LittleEndian.PutUint32(hdr[:], cnt)
 	if _, err := w.Write(hdr[:]); err != nil {
 		return err
 	}
@@ -104,88 +107,6 @@ func writeMessage(w io.Writer, msg Message) error {
 	return nil
 }
 
-// writeMessageAux serializes msg plus one auxiliary part onto w using
-// the version-2 flagged framing. Only called on connections that
-// negotiated version ≥ 2.
-func writeMessageAux(w io.Writer, msg Message, aux []byte) error {
-	if len(msg) > MaxParts {
-		return fmt.Errorf("msgq: %d parts exceeds limit %d", len(msg), MaxParts)
-	}
-	var hdr [4]byte
-	binary.LittleEndian.PutUint32(hdr[:], uint32(len(msg)+1)|auxFlag)
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	writePart := func(part []byte) error {
-		if len(part) > MaxPartSize {
-			return fmt.Errorf("msgq: part of %d bytes exceeds limit", len(part))
-		}
-		binary.LittleEndian.PutUint32(hdr[:], uint32(len(part)))
-		if _, err := w.Write(hdr[:]); err != nil {
-			return err
-		}
-		_, err := w.Write(part)
-		return err
-	}
-	for _, part := range msg {
-		if err := writePart(part); err != nil {
-			return err
-		}
-	}
-	return writePart(aux)
-}
-
-// readMessage deserializes one version-1 message from r.
-func readMessage(r io.Reader) (Message, error) {
-	msg, _, err := readMessageFrom(r, false)
-	return msg, err
-}
-
-// readMessageFrom deserializes one message. With allowAux (a version ≥ 2
-// connection) a part count carrying auxFlag means the frame's last part
-// is auxiliary metadata, returned separately from the application parts.
-func readMessageFrom(r io.Reader, allowAux bool) (Message, []byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, nil, err
-	}
-	n := binary.LittleEndian.Uint32(hdr[:])
-	hasAux := false
-	if allowAux && n&auxFlag != 0 {
-		hasAux = true
-		n &^= auxFlag
-		if n == 0 {
-			return nil, nil, fmt.Errorf("msgq: aux-flagged message with no parts")
-		}
-	}
-	limit := uint32(MaxParts)
-	if hasAux {
-		limit++ // the aux part rides above the application-part limit
-	}
-	if n > limit {
-		return nil, nil, fmt.Errorf("msgq: message with %d parts exceeds limit", n)
-	}
-	msg := make(Message, 0, n)
-	for i := uint32(0); i < n; i++ {
-		if _, err := io.ReadFull(r, hdr[:]); err != nil {
-			return nil, nil, err
-		}
-		size := binary.LittleEndian.Uint32(hdr[:])
-		if size > MaxPartSize {
-			return nil, nil, fmt.Errorf("msgq: part of %d bytes exceeds limit", size)
-		}
-		part := make([]byte, size)
-		if _, err := io.ReadFull(r, part); err != nil {
-			return nil, nil, err
-		}
-		msg = append(msg, part)
-	}
-	if hasAux {
-		return msg[:len(msg)-1], msg[len(msg)-1], nil
-	}
-	return msg, nil, nil
-}
-
 // pushConn pairs a connection with a write lock so concurrent Send
 // calls sharing one socket never interleave frames on the wire. gone is
 // closed exactly once, by whichever of drop/Close removes the
@@ -199,7 +120,6 @@ func readMessageFrom(r io.Reader, allowAux bool) (Message, []byte, error) {
 type pushConn struct {
 	addr    string // the Connect endpoint this connection belongs to
 	conn    net.Conn
-	version uint16 // negotiated protocol version (immutable after handshake)
 	writeMu sync.Mutex
 	broken  bool
 	gone    chan struct{}
@@ -218,10 +138,10 @@ type pushConn struct {
 	vecConsume net.Buffers
 }
 
-// writeVectored serializes msg (plus aux, when non-nil, in version-2
-// flagged framing) onto w as one vectored write. Byte-for-byte
-// identical on the wire to writeMessage/writeMessageAux — those remain
-// as the reference implementations the equivalence tests diff against.
+// writeVectored serializes msg (plus aux, when non-nil, as the flagged
+// auxiliary part) onto w as one vectored write. Byte-for-byte identical
+// on the wire to writeMessage, the reference implementation the
+// equivalence tests diff against.
 // Callers must hold pc.writeMu (the scratch buffers are per-connection
 // state).
 func (pc *pushConn) writeVectored(w io.Writer, msg Message, aux []byte) error {
@@ -315,13 +235,9 @@ type Push struct {
 	Dial func(addr string) (net.Conn, error)
 	// Counters, when non-nil, receives the Ctr* failure counters.
 	Counters *metrics.Registry
-	// Label is this peer's advertised name in the version-2 hello
-	// (typically the pipeline node name). Empty is fine.
+	// Label is this peer's advertised name in the hello (typically the
+	// pipeline node name). Empty is fine.
 	Label string
-	// HelloTimeout is how long to wait for a server hello after dialing
-	// before concluding the peer is a legacy (version-1) receiver.
-	// Zero means DefaultHelloTimeout.
-	HelloTimeout time.Duration
 	// OnPeerUp, when non-nil, is called with the endpoint address each
 	// time a connection to it is established — first dials and redials
 	// alike. Set before Connect; called without internal locks held, so
@@ -458,12 +374,11 @@ func (p *Push) maintain(addr string, stop chan struct{}) {
 		}
 		dialT0 := time.Now()
 		conn, err := p.dial(addr)
-		var ps peerState
 		if err == nil {
 			// The dial/redial latency histograms include the handshake:
 			// what they bound is time-to-first-sendable-connection, and
-			// a v2 connection is not sendable until negotiation ends.
-			ps, err = clientHandshake(conn, p.Label, p.HelloTimeout)
+			// a connection is not sendable until the handshake ends.
+			err = clientHandshake(conn, p.Label)
 			if err != nil {
 				conn.Close()
 			}
@@ -486,10 +401,7 @@ func (p *Push) maintain(addr string, stop chan struct{}) {
 			}
 			continue
 		}
-		if ps.version < 2 {
-			p.count(CtrLegacyPeers)
-		}
-		pc := &pushConn{addr: addr, conn: conn, version: ps.version, gone: make(chan struct{})}
+		pc := &pushConn{addr: addr, conn: conn, gone: make(chan struct{})}
 		p.mu.Lock()
 		// Registry membership is the liveness check: Disconnect deletes
 		// the entry under the same lock, so a dial racing a Disconnect
@@ -647,12 +559,9 @@ func (p *Push) Send(msg Message) error {
 }
 
 // SendTagged is Send with an auxiliary metadata part (the pipeline's
-// wire trace context). On connections that negotiated protocol
-// version ≥ 2 the aux part rides the frame, flagged so the receiver
-// surfaces it via Delivery.Aux; on legacy connections it is silently
-// dropped and the message goes out in version-1 framing — senders must
-// treat aux as advisory, which trace context is. A nil or empty aux
-// makes SendTagged identical to Send.
+// wire trace context). The aux part rides the frame, flagged so the
+// receiver surfaces it via Delivery.Aux. A nil or empty aux makes
+// SendTagged identical to Send.
 func (p *Push) SendTagged(msg Message, aux []byte) error {
 	if len(aux) == 0 {
 		aux = nil
@@ -722,11 +631,7 @@ func (p *Push) send(msg Message, aux []byte) error {
 		if p.WriteTimeout > 0 {
 			pc.conn.SetWriteDeadline(time.Now().Add(p.WriteTimeout))
 		}
-		effAux := aux
-		if pc.version < 2 {
-			effAux = nil // legacy peer: aux is advisory, drop it
-		}
-		err := pc.writeVectored(pc.conn, msg, effAux)
+		err := pc.writeVectored(pc.conn, msg, aux)
 		if p.WriteTimeout > 0 {
 			pc.conn.SetWriteDeadline(time.Time{})
 		}
@@ -782,28 +687,27 @@ func (p *Push) Close() error {
 // surfaces it for journey stitching.
 type Delivery struct {
 	Msg Message
-	// Aux is the frame's auxiliary metadata part, nil on version-1
-	// connections and on unflagged frames.
+	// Aux is the frame's auxiliary metadata part, nil on unflagged
+	// frames.
 	Aux []byte
 	// RecvNanos is trace.NowNanos() at the moment the frame was fully
 	// read off the wire.
 	RecvNanos int64
 	// Peer is the sender's advertised hello label, or its remote
-	// address for legacy peers (which advertise nothing).
+	// address when the label is empty.
 	Peer string
 	// ClockOffset estimates (sender trace clock − local trace clock)
-	// for the connection this message arrived on; valid only when
-	// OffsetValid. Re-sampled on every redial.
+	// for the connection this message arrived on. Re-sampled on every
+	// redial.
 	ClockOffset time.Duration
-	OffsetValid bool
 	// RTT is the round-trip time of the winning clock-probe sample —
 	// the offset's error bound is half of it.
 	RTT time.Duration
-	// Frame, non-nil only on a Pull with a buffer pool attached
-	// (SetBufferPool), owns the pooled buffers backing Msg and Aux. The
-	// consumer must call Frame.Release once it is done with those bytes
-	// — Release is nil-safe, so unconditional release works for both
-	// paths.
+	// Frame owns the buffers backing Msg and Aux; it is never nil on a
+	// received Delivery. On a Pull with a buffer pool attached
+	// (SetBufferPool) the consumer must call Frame.Release exactly once
+	// when it is done with those bytes. Without a pool releasing is
+	// optional, but a second Release panics either way.
 	Frame *Frame
 }
 
@@ -821,13 +725,11 @@ type Pull struct {
 	closed   bool
 	wg       sync.WaitGroup
 	readErrs atomic.Int64
-	legacy   atomic.Int64
 
-	// label and counters are set through SetLabel/SetCounters: the
-	// accept loop is already running when the constructor returns, so
-	// plain public fields would race with readLoop goroutines.
-	label    string
-	counters *metrics.Registry
+	// label is set through SetLabel: the accept loop is already running
+	// when the constructor returns, so a plain public field would race
+	// with readLoop goroutines.
+	label string
 
 	// pool/poolDomain, set through SetBufferPool, switch the read loops
 	// to pooled frames.
@@ -839,10 +741,10 @@ type Pull struct {
 // behalf of the given NUMA domain — typically the domain the receive
 // workers are pinned to) instead of allocating per part. Call it right
 // after construction, like SetLabel: connections accepted earlier keep
-// the allocating path.
+// allocating.
 //
-// With a pool attached, every Delivery carries a non-nil Frame and the
-// consumer MUST use RecvDelivery and call Frame.Release when done —
+// With a pool attached, the consumer MUST use RecvDelivery and call
+// Frame.Release when done —
 // plain Recv would discard the Frame and strand its leases. Messages
 // still queued at Close are likewise stranded (the buffers themselves
 // are garbage-collected; only the pool's outstanding gauge remembers
@@ -854,19 +756,12 @@ func (p *Pull) SetBufferPool(pool *bufpool.Pool, domain int) {
 	p.mu.Unlock()
 }
 
-// SetLabel sets this peer's advertised name in the version-2 hello
-// (typically the pipeline node name). Call it right after construction:
+// SetLabel sets this peer's advertised name in the hello (typically the
+// pipeline node name). Call it right after construction:
 // peers that completed their handshake earlier saw the old value.
 func (p *Pull) SetLabel(label string) {
 	p.mu.Lock()
 	p.label = label
-	p.mu.Unlock()
-}
-
-// SetCounters directs CtrLegacyPeers increments to reg.
-func (p *Pull) SetCounters(reg *metrics.Registry) {
-	p.mu.Lock()
-	p.counters = reg
 	p.mu.Unlock()
 }
 
@@ -894,14 +789,13 @@ func NewPullFromListener(ln net.Listener) *Pull {
 }
 
 // ReadErrors returns the number of peer connections torn down by a
-// framing error (truncated or malformed frame) rather than a clean EOF —
-// each one is a partially received message that was discarded, which the
-// sending side retransmits whole on its next connection.
+// failed handshake or a framing error (truncated or malformed frame)
+// rather than a clean EOF. A failed handshake is a peer that did not
+// open with a hello of version ≥ 2, or did not finish the handshake
+// within its guard. A framing error is a partially received message
+// that was discarded, which the sending side retransmits whole on its
+// next connection.
 func (p *Pull) ReadErrors() int64 { return p.readErrs.Load() }
-
-// LegacyPeers returns the number of accepted connections that spoke
-// protocol version 1 (no hello).
-func (p *Pull) LegacyPeers() int64 { return p.legacy.Load() }
 
 // Addr returns the bound address (useful with ":0").
 func (p *Pull) Addr() net.Addr { return p.ln.Addr() }
@@ -936,44 +830,24 @@ func (p *Pull) readLoop(conn net.Conn) {
 	}()
 	p.mu.Lock()
 	label := p.label
-	counters := p.counters
 	pool := p.pool
 	poolDomain := p.poolDomain
 	p.mu.Unlock()
-	ps, r, err := serverHandshake(conn, label)
+	ps, err := serverHandshake(conn, label)
 	if err != nil {
-		// A connection that dies mid-handshake discarded no frame, but
+		// A connection that fails its handshake discarded no frame, but
 		// like a framing error it tore down before a clean EOF.
 		if err != io.EOF && !errors.Is(err, net.ErrClosed) {
 			p.readErrs.Add(1)
 		}
 		return
 	}
-	if ps.version < 2 {
-		p.legacy.Add(1)
-		if counters != nil {
-			counters.Counter(CtrLegacyPeers).Inc()
-		}
-	}
 	peer := ps.label
 	if peer == "" {
 		peer = conn.RemoteAddr().String()
 	}
 	for {
-		var (
-			msg   Message
-			aux   []byte
-			frame *Frame
-			err   error
-		)
-		if pool != nil {
-			frame, err = readMessagePooled(r, ps.version >= 2, pool, poolDomain)
-			if err == nil {
-				msg, aux = frame.Msg(), frame.Aux()
-			}
-		} else {
-			msg, aux, err = readMessageFrom(r, ps.version >= 2)
-		}
+		frame, err := readFrame(conn, pool, poolDomain)
 		if err != nil {
 			// Clean EOF is a peer closing between messages; our own
 			// Close also surfaces here. Anything else tore down a
@@ -984,12 +858,11 @@ func (p *Pull) readLoop(conn net.Conn) {
 			return
 		}
 		d := Delivery{
-			Msg:         msg,
-			Aux:         aux,
+			Msg:         frame.Msg(),
+			Aux:         frame.Aux(),
 			RecvNanos:   trace.NowNanos(),
 			Peer:        peer,
 			ClockOffset: ps.offset,
-			OffsetValid: ps.offsetValid,
 			RTT:         ps.rtt,
 			Frame:       frame,
 		}

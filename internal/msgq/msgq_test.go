@@ -239,14 +239,25 @@ func TestSendRejectsOversize(t *testing.T) {
 func TestReadMessageRejectsCorruptHeaders(t *testing.T) {
 	// A part-count beyond the limit must be rejected before allocation.
 	var buf bytes.Buffer
-	buf.Write([]byte{0xff, 0xff, 0xff, 0xff})
-	if _, err := readMessage(&buf); err == nil {
+	buf.Write([]byte{0xff, 0xff, 0xff, 0x7f})
+	if _, err := readFrame(&buf, nil, 0); err == nil {
 		t.Fatal("huge part count accepted")
+	}
+	// Likewise with the aux flag set, and an aux flag with no parts.
+	buf.Reset()
+	buf.Write([]byte{0xff, 0xff, 0xff, 0xff})
+	if _, err := readFrame(&buf, nil, 0); err == nil {
+		t.Fatal("huge aux-flagged part count accepted")
+	}
+	buf.Reset()
+	buf.Write([]byte{0, 0, 0, 0x80})
+	if _, err := readFrame(&buf, nil, 0); err == nil {
+		t.Fatal("aux-flagged frame with no parts accepted")
 	}
 	// A part size beyond the limit likewise.
 	buf.Reset()
 	buf.Write([]byte{1, 0, 0, 0, 0xff, 0xff, 0xff, 0xff})
-	if _, err := readMessage(&buf); err == nil {
+	if _, err := readFrame(&buf, nil, 0); err == nil {
 		t.Fatal("huge part size accepted")
 	}
 }
@@ -257,11 +268,15 @@ func TestWireRoundTripProperty(t *testing.T) {
 			parts = parts[:MaxParts]
 		}
 		var buf bytes.Buffer
-		if err := writeMessage(&buf, parts); err != nil {
+		if err := writeMessage(&buf, parts, nil); err != nil {
 			return false
 		}
-		got, err := readMessage(&buf)
-		if err != nil || len(got) != len(parts) {
+		f, err := readFrame(&buf, nil, 0)
+		if err != nil || f.Aux() != nil {
+			return false
+		}
+		got := f.Msg()
+		if len(got) != len(parts) {
 			return false
 		}
 		for i := range parts {

@@ -74,16 +74,16 @@ type ChurnWindow struct {
 // Stream is the registry label — a decimal id, or "other" for streams
 // folded past the cardinality cap.
 type StreamHealth struct {
-	Stream   string  `json:"stream"`
-	Gbps     float64 `json:"gbps"`
-	Bytes    int64   `json:"bytes"`
-	Chunks   int64   `json:"chunks"`
-	E2EP50Ms float64 `json:"e2e_p50_ms,omitempty"`
-	E2EP99Ms float64 `json:"e2e_p99_ms,omitempty"`
-	Holes    int64   `json:"holes,omitempty"`
-	Dups     int64   `json:"dups,omitempty"`
-	Reroutes int64   `json:"reroutes,omitempty"`
-	Failovers int64  `json:"failovers,omitempty"`
+	Stream    string  `json:"stream"`
+	Gbps      float64 `json:"gbps"`
+	Bytes     int64   `json:"bytes"`
+	Chunks    int64   `json:"chunks"`
+	E2EP50Ms  float64 `json:"e2e_p50_ms,omitempty"`
+	E2EP99Ms  float64 `json:"e2e_p99_ms,omitempty"`
+	Holes     int64   `json:"holes,omitempty"`
+	Dups      int64   `json:"dups,omitempty"`
+	Reroutes  int64   `json:"reroutes,omitempty"`
+	Failovers int64   `json:"failovers,omitempty"`
 }
 
 // Window is the diff of two consecutive snapshots: every derived signal

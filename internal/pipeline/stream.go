@@ -894,7 +894,6 @@ func RunReceiver(opts ReceiverOptions) error {
 	}
 	defer pull.Close()
 	pull.SetLabel(opts.Cfg.Node)
-	pull.SetCounters(opts.Metrics)
 	if pool != nil {
 		// Frame buffers are rented on behalf of the receive workers'
 		// domain: the read loop does the first touch, but the pages are
@@ -1134,10 +1133,9 @@ func RunReceiver(opts ReceiverOptions) error {
 				msg := d.Msg
 				t0 := time.Now()
 				// Every exit from this iteration must release d.Frame
-				// exactly once (nil-safe on the unpooled path): on
-				// quarantine it is released here; once it becomes
-				// c.frame, the stage that finishes with the payload
-				// releases it.
+				// exactly once: on quarantine it is released here; once
+				// it becomes c.frame, the stage that finishes with the
+				// payload releases it.
 				c, wantCRC, err := parseFrame(msg)
 				if err != nil {
 					d.Frame.Release()
@@ -1164,11 +1162,10 @@ func RunReceiver(opts ReceiverOptions) error {
 						journeys.badCtx.Inc()
 					} else {
 						c.journey = &chunkJourney{
-							ctx:         wc,
-							recvNanos:   d.RecvNanos,
-							offset:      d.ClockOffset,
-							offsetValid: d.OffsetValid,
-							peer:        d.Peer,
+							ctx:       wc,
+							recvNanos: d.RecvNanos,
+							offset:    d.ClockOffset,
+							peer:      d.Peer,
 						}
 					}
 				}

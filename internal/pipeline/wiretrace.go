@@ -20,9 +20,7 @@ import (
 // chunk in the merged Chrome trace, and two end-to-end histograms
 // (chunk_e2e_ns, chunk_wire_ns) in the receiver's registry.
 //
-// The context is advisory by design: it rides only on connections that
-// negotiated msgq protocol ≥ 2 (a legacy receiver never sees it, a
-// legacy sender never sends it), a malformed context is counted and
+// The context is advisory by design: a malformed context is counted and
 // ignored rather than quarantining the chunk it described, and a
 // forwarder hop drops it (the relay re-frames messages without aux) —
 // journeys then degrade to the receiver's single-host spans.
@@ -94,11 +92,10 @@ func flowID(stream uint32, seq uint64) uint64 {
 // chunkJourney is the receiver-side record of one traced chunk,
 // attached to the Chunk as it moves through the receiver's stages.
 type chunkJourney struct {
-	ctx         wireCtx
-	recvNanos   int64 // frame fully off the wire (transport clock stamp)
-	offset      time.Duration
-	offsetValid bool
-	peer        string
+	ctx       wireCtx
+	recvNanos int64         // frame fully off the wire (transport clock stamp)
+	offset    time.Duration // sender clock − receiver clock, from the handshake
+	peer      string
 }
 
 // Receiver-side journey metric names. The telemetry endpoint also
@@ -164,10 +161,7 @@ func (jr *journeyRecorder) localSeconds(nanos int64) float64 {
 // remapped onto the receiver's timeline and flow-linked to the local
 // receive span. endNanos is the receiver trace clock at delivery.
 func (jr *journeyRecorder) finish(j *chunkJourney, endNanos int64) {
-	if j == nil || !j.offsetValid {
-		// Without an offset estimate (legacy connection) the sender
-		// timestamps are on an unrelated clock; the receiver's own
-		// spans and histograms already cover the local half.
+	if j == nil {
 		return
 	}
 	off := int64(j.offset)
