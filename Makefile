@@ -11,17 +11,18 @@ test:
 	$(GO) test ./...
 
 # The first line fails on any Go file (benchmark module included) that
-# is not gofmt-clean. `go vet` also runs asmdecl over the bitshuffle
-# kernels. The last two lines type-check what no native build on the CI
-# host compiles: the non-Linux affinity stubs, and the portable
-# bitshuffle path every non-amd64 build runs.
+# is not gofmt-clean. `go vet` also runs asmdecl over the bitshuffle and
+# LZ4 kernels (each .s file's frame offsets against its Go declarations).
+# The last two lines type-check what no native build on the CI host
+# compiles: the non-Linux affinity stubs, and the Go bitshuffle and LZ4
+# kernels every non-amd64 build runs.
 vet:
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
 		echo "gofmt -l found unformatted files:"; echo "$$unformatted"; exit 1; \
 	fi
 	$(GO) vet ./...
 	GOOS=darwin $(GO) vet ./internal/numa ./internal/pipeline ./internal/bitshuffle
-	GOARCH=arm64 $(GO) vet ./internal/bitshuffle ./internal/pipeline
+	GOARCH=arm64 $(GO) vet ./internal/bitshuffle ./internal/pipeline ./internal/lz4
 
 # Race-detector pass over the concurrent transport/pipeline paths
 # (reconnect, send horizons, quarantine accounting, queues), the buffer
@@ -133,21 +134,26 @@ bench-build:
 handoff-bench:
 	$(GO) test ./internal/pipeline -run '^$$' -bench 'PoolHandoff|LoopbackRaw' -benchtime 1x
 
-# The LZ4 decoder stores 8 bytes at a time right up to the slack it has
-# checked for, and the compressor's inline emit does the same into dst:
-# the kind of code that grows out-of-bounds bugs. The bitshuffle kernels
-# that run before and after it are assembly. Under `go test` the fuzz
-# targets only replay their seed corpus; here each mutates for 15 s,
-# comparing the LZ4 decoder with the byte-wise reference decoder and the
-# bitshuffle kernels with the portable Go code on every input, and
-# checking every compressed block against the format's rules.
+# The LZ4 kernels are assembly on amd64, with no bounds checks: the
+# decoder stores 16 bytes at a time right up to the slack it has checked
+# for, and the compressor's emit does the same into dst — the kind of
+# code that grows out-of-bounds bugs. The bitshuffle kernels that run
+# before and after them are assembly too. Under `go test` the fuzz targets
+# only replay their seed corpus; here each mutates for 15 s: the
+# compressor against the Go parse byte for byte (FuzzCompressMatchesGo),
+# every block against the format's rules and back through the decoders
+# (FuzzRoundTrip), both LZ4 fast loops against the byte-wise reference
+# decoder on arbitrary bytes (FuzzDecompressNeverPanics) — every LZ4
+# buffer ending at a PROT_NONE page, so an access past it faults — and
+# the bitshuffle kernels against the portable Go code.
 lz4-fuzz:
 	$(GO) test ./internal/lz4 -run '^$$' -fuzz FuzzRoundTrip -fuzztime 15s
+	$(GO) test ./internal/lz4 -run '^$$' -fuzz FuzzCompressMatchesGo -fuzztime 15s
 	$(GO) test ./internal/lz4 -run '^$$' -fuzz FuzzDecompressNeverPanics -fuzztime 15s
 	$(GO) test ./internal/bitshuffle -run '^$$' -fuzz FuzzBitshuffle -fuzztime 15s
 
 # The single CI entry point: build, vet, tests, simulator golden,
-# benchmark module, pipeline micro-benchmarks, LZ4 and bitshuffle fuzzers, race pass,
+# benchmark module, pipeline micro-benchmarks, LZ4 and bitshuffle fuzzers (one minute), race pass,
 # churn drill, report drill, stream drill, fleet drill, adapt drill.
 check: build vet test sim-golden bench-build handoff-bench lz4-fuzz race churn-drill report-drill stream-drill fleet-drill adapt-drill
 

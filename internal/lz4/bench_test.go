@@ -1,4 +1,4 @@
-package lz4_test
+package lz4
 
 import (
 	"bytes"
@@ -6,7 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
-	"numastream/internal/lz4"
+	"numastream/internal/bitshuffle"
 	"numastream/internal/tomo"
 )
 
@@ -36,11 +36,11 @@ func benchCorpus(size int) []byte {
 
 func BenchmarkCompressBlock(b *testing.B) {
 	src := benchCorpus(1 << 20)
-	dst := make([]byte, lz4.CompressBound(len(src)))
+	dst := make([]byte, CompressBound(len(src)))
 	b.SetBytes(int64(len(src)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := lz4.CompressBlock(src, dst); err != nil {
+		if _, err := CompressBlock(src, dst); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -48,12 +48,12 @@ func BenchmarkCompressBlock(b *testing.B) {
 
 func BenchmarkCompressBlockHC(b *testing.B) {
 	src := benchCorpus(1 << 20)
-	dst := make([]byte, lz4.CompressBound(len(src)))
+	dst := make([]byte, CompressBound(len(src)))
 	for _, depth := range []int{4, 64, 256} {
 		b.Run(depthName(depth), func(b *testing.B) {
 			b.SetBytes(int64(len(src)))
 			for i := 0; i < b.N; i++ {
-				if _, err := lz4.CompressBlockHC(src, dst, depth); err != nil {
+				if _, err := CompressBlockHC(src, dst, depth); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -74,12 +74,12 @@ func depthName(d int) string {
 
 func BenchmarkDecompressBlock(b *testing.B) {
 	src := benchCorpus(1 << 20)
-	packed := lz4.Compress(src)
+	packed := Compress(src)
 	dst := make([]byte, len(src))
 	b.SetBytes(int64(len(src)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := lz4.DecompressBlock(packed, dst); err != nil {
+		if _, err := DecompressBlock(packed, dst); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -99,74 +99,127 @@ func tomoProjections(n int) [][]byte {
 	return out
 }
 
-// tomoBlocks cuts the projections into the two block sizes the
-// streaming workloads compress: whole 1 MiB chunks (tomo_stream,
-// paced_latency) and 16 KiB slices (small_chunk_fanin).
-var tomoBlocks = []struct {
-	name string
-	size int
-}{{"1MiB", 1 << 20}, {"16KiB", 16 << 10}}
+// tomoShapes are the blocks the streaming workloads compress: whole
+// 1 MiB chunks (tomo_stream, paced_latency) and 16 KiB slices
+// (small_chunk_fanin), as samples and as the bit-planes the compress
+// stage ships on every host with the bitshuffle kernels.
+var tomoShapes = []struct {
+	name   string
+	size   int
+	planes bool
+}{
+	{"1MiB", 1 << 20, false},
+	{"16KiB", 16 << 10, false},
+	{"planes/1MiB", 1 << 20, true},
+	{"planes/16KiB", 16 << 10, true},
+}
 
-func tomoCorpus(size int) (blocks, packed [][]byte) {
+// tomoCorpus cuts four projections into blocks of size bytes, each
+// bitshuffled on its own when planes is set, as the compress stage
+// transforms each chunk, and compresses them.
+func tomoCorpus(size int, planes bool) (blocks, packed [][]byte) {
 	for _, p := range tomoProjections(4) {
 		for off := 0; off+size <= len(p); off += size {
-			blocks = append(blocks, p[off:off+size])
-			packed = append(packed, lz4.Compress(p[off:off+size]))
+			blk := p[off : off+size]
+			if planes {
+				pl := make([]byte, size)
+				bitshuffle.Encode(pl, blk)
+				blk = pl
+			}
+			blocks = append(blocks, blk)
+			packed = append(packed, Compress(blk))
 		}
 	}
 	return blocks, packed
 }
 
-// reportShape reports what the kernels' per-sequence cost is paid for:
-// the compression ratio and the number of sequences per raw MiB.
-func reportShape(b *testing.B, blocks, packed [][]byte) {
-	var raw, wire, seqs int
+// reportShape reports what the kernels' per-sequence cost is paid for,
+// the compression ratio and the number of sequences per raw MiB, and
+// returns the sequences.
+func reportShape(b *testing.B, blocks, packed [][]byte) []Sequence {
+	var raw, wire int
+	var seqs []Sequence
 	for i, p := range packed {
-		s, err := lz4.ParseBlock(p)
+		s, err := parseBlock(p)
 		if err != nil {
 			b.Fatal(err)
 		}
 		raw += len(blocks[i])
 		wire += len(p)
-		seqs += len(s)
+		seqs = append(seqs, s...)
 	}
 	b.ReportMetric(float64(raw)/float64(wire), "ratio")
-	b.ReportMetric(float64(seqs)/(float64(raw)/(1<<20)), "seqs/MiB")
+	b.ReportMetric(float64(len(seqs))/(float64(raw)/(1<<20)), "seqs/MiB")
+	return seqs
 }
 
-func BenchmarkCompressTomo(b *testing.B) {
-	for _, tb := range tomoBlocks {
-		b.Run(tb.name, func(b *testing.B) {
-			blocks, packed := tomoCorpus(tb.size)
-			dst := make([]byte, lz4.CompressBound(tb.size))
-			b.SetBytes(int64(tb.size))
+// BenchmarkCompressTomo times the compressor this platform runs and
+// BenchmarkCompressTomoGo the Go one on the same blocks, so
+// `-bench 'CompressTomo/planes/1MiB'` prints the speed-up. Both report
+// the share of sequences compressBlockGo emits inline (at most 8
+// literals, no length extension); the assembly has one emit path.
+func BenchmarkCompressTomo(b *testing.B)   { benchCompressTomo(b, compressBlock) }
+func BenchmarkCompressTomoGo(b *testing.B) { benchCompressTomo(b, compressBlockGo) }
+
+func benchCompressTomo(b *testing.B, kernel func(src, dst []byte) int) {
+	for _, sh := range tomoShapes {
+		b.Run(sh.name, func(b *testing.B) {
+			blocks, packed := tomoCorpus(sh.size, sh.planes)
+			dst := make([]byte, CompressBound(sh.size))
+			b.SetBytes(int64(sh.size))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := lz4.CompressBlock(blocks[i%len(blocks)], dst); err != nil {
-					b.Fatal(err)
-				}
+				kernel(blocks[i%len(blocks)], dst)
 			}
 			b.StopTimer()
-			reportShape(b, blocks, packed)
+			seqs := reportShape(b, blocks, packed)
+			inline := 0
+			for _, q := range seqs {
+				if q.LitLen <= 8 && q.MatchLen < minMatch+15 {
+					inline++
+				}
+			}
+			b.ReportMetric(100*float64(inline)/float64(len(seqs)), "inline%")
 		})
 	}
 }
 
-func BenchmarkDecompressTomo(b *testing.B) {
-	for _, tb := range tomoBlocks {
-		b.Run(tb.name, func(b *testing.B) {
-			blocks, packed := tomoCorpus(tb.size)
+// BenchmarkDecompressTomo times DecompressBlock with the fast loop this
+// platform runs and BenchmarkDecompressTomoGo with the Go one. Both
+// report the share of sequences their fast loop decoded; the careful
+// loop took the rest, the final literals always among them.
+func BenchmarkDecompressTomo(b *testing.B)   { benchDecompressTomo(b, decodeSequences) }
+func BenchmarkDecompressTomoGo(b *testing.B) { benchDecompressTomo(b, decodeSequencesGo) }
+
+func benchDecompressTomo(b *testing.B, fast func(dst, src []byte, di, si int) (int, int)) {
+	for _, sh := range tomoShapes {
+		b.Run(sh.name, func(b *testing.B) {
+			blocks, packed := tomoCorpus(sh.size, sh.planes)
 			// Exactly the raw length, like the pipeline's buffer lease.
-			dst := make([]byte, tb.size)
-			b.SetBytes(int64(tb.size))
+			dst := make([]byte, sh.size)
+			b.SetBytes(int64(sh.size))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := lz4.DecompressBlock(packed[i%len(packed)], dst); err != nil {
+				if _, err := decompress(packed[i%len(packed)], dst, fast); err != nil {
 					b.Fatal(err)
 				}
 			}
 			b.StopTimer()
-			reportShape(b, blocks, packed)
+			seqs := reportShape(b, blocks, packed)
+			// Each call of fast but the first follows one sequence
+			// decoded by the careful loop, and the careful loop
+			// always decodes the last.
+			careful := 0
+			counted := func(dst, src []byte, di, si int) (int, int) {
+				careful++
+				return fast(dst, src, di, si)
+			}
+			for _, p := range packed {
+				if _, err := decompress(p, dst, counted); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(100*float64(len(seqs)-careful)/float64(len(seqs)), "inline%")
 		})
 	}
 }

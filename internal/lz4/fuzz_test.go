@@ -3,10 +3,14 @@ package lz4
 import (
 	"bytes"
 	"testing"
+
+	"numastream/internal/bitshuffle"
 )
 
 // Fuzz targets: `go test -fuzz=FuzzRoundTrip ./internal/lz4`. Under
-// plain `go test` the seed corpus below runs as regression tests.
+// plain `go test` the seed corpus below runs as regression tests. Every
+// kernel reads and writes against guard pages (guarded), so an access
+// past a buffer faults instead of passing silently.
 
 func FuzzRoundTrip(f *testing.F) {
 	f.Add([]byte(nil))
@@ -30,6 +34,28 @@ func FuzzRoundTrip(f *testing.F) {
 	})
 }
 
+// FuzzCompressMatchesGo holds the compressor this platform runs to the Go
+// parse, byte for byte, with src and dst each against a guard page.
+func FuzzCompressMatchesGo(f *testing.F) {
+	proj := corpora()["projection"]
+	planes := make([]byte, 4096)
+	bitshuffle.Encode(planes, proj[:len(planes)])
+	f.Add(planes)
+	zeroRuns := make([]byte, 3000)
+	for i := 0; i < len(zeroRuns); i += 97 {
+		copy(zeroRuns[i:], "noisy!!!")
+	}
+	f.Add(zeroRuns)
+	f.Add(bytes.Repeat([]byte("abc"), 500))
+	f.Add(bytes.Repeat([]byte("abcdefg\x00"), 300))
+	f.Add(bytes.Repeat([]byte{7}, 70000)) // offsets past 65 535
+	f.Fuzz(func(t *testing.T, src []byte) {
+		if got, want := compressGuarded(t, src), compressGo(src); !bytes.Equal(got, want) {
+			t.Fatalf("%d bytes: CompressBlock wrote %d bytes, the Go parse %d, or the bytes differ", len(src), len(got), len(want))
+		}
+	})
+}
+
 func FuzzDecompressNeverPanics(f *testing.F) {
 	f.Add([]byte{0x60, 'a', 'b', 'c', 'd', 'e', 'f'}, 6)
 	f.Add([]byte{0x1f, 'a', 0x01, 0x00, 0x00}, 20)
@@ -37,6 +63,11 @@ func FuzzDecompressNeverPanics(f *testing.F) {
 	// Valid blocks to mutate, long enough for the fast loop to run.
 	f.Add(Compress(corpora()["projection"][:512]), 512)
 	f.Add(Compress(bytes.Repeat([]byte("abcabcd"), 40)), 280)
+	// Bit-planes: long zero runs (extended match lengths) between short
+	// noisy stretches, the shape the pipeline ships.
+	planes := make([]byte, 4096)
+	bitshuffle.Encode(planes, corpora()["projection"][:len(planes)])
+	f.Add(Compress(planes), len(planes))
 	f.Fuzz(func(t *testing.T, junk []byte, size int) {
 		if size < 0 || size > 1<<20 {
 			return

@@ -13,21 +13,46 @@ import (
 	"numastream/internal/tomo"
 )
 
-// roundTrip compresses src into a buffer of exactly CompressBound bytes
-// (a wide store past it would panic), checks the block is a legal one,
-// and decodes it with both decoders.
+// roundTrip compresses src, checks the block is the Go parse's byte for
+// byte and a legal one, and decodes it with every decoder.
 func roundTrip(t testing.TB, src []byte) {
 	t.Helper()
-	dst := make([]byte, CompressBound(len(src)))
-	n, err := CompressBlock(src, dst)
-	if err != nil {
-		t.Fatalf("CompressBlock: %v", err)
+	block := compressGuarded(t, src)
+	if want := compressGo(src); !bytes.Equal(block, want) {
+		t.Fatalf("%d bytes: CompressBlock wrote %d bytes, the Go parse %d, or the bytes differ", len(src), len(block), len(want))
 	}
-	checkLegalBlock(t, src, dst[:n])
-	got := diffDecode(t, dst[:n], len(src))
+	checkLegalBlock(t, src, block)
+	got := diffDecode(t, block, len(src))
 	if !bytes.Equal(got, src) {
 		t.Fatalf("round trip mismatch: got %d bytes, want %d", len(got), len(src))
 	}
+}
+
+// compressGuarded runs CompressBlock with src against a guard page and
+// exactly CompressBound bytes of dst against another, so a read or write
+// past either faults, and returns a copy of the block.
+func compressGuarded(t testing.TB, src []byte) []byte {
+	t.Helper()
+	in, freeIn := guarded(t, len(src))
+	defer freeIn()
+	copy(in, src)
+	out, freeOut := guarded(t, CompressBound(len(src)))
+	defer freeOut()
+	n, err := CompressBlock(in, out)
+	if err != nil {
+		t.Fatalf("CompressBlock: %v", err)
+	}
+	return bytes.Clone(out[:n])
+}
+
+// compressGo is CompressBlock with the Go parse.
+func compressGo(src []byte) []byte {
+	dst := make([]byte, CompressBound(len(src)))
+	if len(src) < mfLimit {
+		n, _ := CompressBlock(src, dst) // no parse runs
+		return dst[:n]
+	}
+	return dst[:compressBlockGo(src, dst)]
 }
 
 // referenceDecode is the decoder this package had before its fast loop:
@@ -95,27 +120,52 @@ func referenceDecode(src, dst []byte) (int, error) {
 	return di, nil
 }
 
-// diffDecode decodes block with DecompressBlock and with the oracle,
-// each into its own buffer of exactly size bytes — what the pipeline's
-// lease gives the decoder, so the fast loop may assume no slack — and
-// fails unless both return the same count and bytes, or both the same
-// kind of error. It returns the decoded bytes (nil on error).
+// decoders are DecompressBlock and the same careful loop over the Go fast
+// loop (one and the same off amd64).
+var decoders = []struct {
+	name   string
+	decode func(src, dst []byte) (int, error)
+}{
+	{"DecompressBlock", DecompressBlock},
+	{"Go fast loop", func(src, dst []byte) (int, error) { return decompress(src, dst, decodeSequencesGo) }},
+}
+
+// diffDecode decodes block with each of decoders and with the oracle.
+// The decoders read block from against a guard page and write into
+// exactly size bytes against another — what the pipeline's lease gives
+// them, so neither fast loop may assume slack, and an access past either
+// buffer faults. It fails unless every decoder returns the oracle's
+// count and bytes, or the same kind of error as the oracle, and returns
+// the decoded bytes (nil on error).
 func diffDecode(t testing.TB, block []byte, size int) []byte {
 	t.Helper()
-	want, got := make([]byte, size), make([]byte, size)
+	want := make([]byte, size)
 	wn, werr := referenceDecode(block, want)
-	gn, gerr := DecompressBlock(block, got)
-	if werr != nil || gerr != nil {
-		if errors.Is(gerr, ErrCorrupt) != errors.Is(werr, ErrCorrupt) ||
-			errors.Is(gerr, ErrDstTooSmall) != errors.Is(werr, ErrDstTooSmall) {
-			t.Fatalf("size %d: DecompressBlock error %v, oracle error %v\nblock %x", size, gerr, werr, block)
+	src, freeSrc := guarded(t, len(block))
+	defer freeSrc()
+	copy(src, block)
+	got, freeGot := guarded(t, size)
+	defer freeGot()
+	for _, d := range decoders {
+		for i := range got {
+			got[i] = 0xa5 // a byte a decoder skips shows
 		}
+		gn, gerr := d.decode(src, got)
+		if werr != nil || gerr != nil {
+			if errors.Is(gerr, ErrCorrupt) != errors.Is(werr, ErrCorrupt) ||
+				errors.Is(gerr, ErrDstTooSmall) != errors.Is(werr, ErrDstTooSmall) {
+				t.Fatalf("size %d: %s error %v, oracle error %v\nblock %x", size, d.name, gerr, werr, block)
+			}
+			continue
+		}
+		if gn != wn || !bytes.Equal(got[:gn], want[:wn]) {
+			t.Fatalf("size %d: %s returned %d bytes, oracle %d, or the bytes differ\nblock %x", size, d.name, gn, wn, block)
+		}
+	}
+	if werr != nil {
 		return nil
 	}
-	if gn != wn || !bytes.Equal(got[:gn], want[:wn]) {
-		t.Fatalf("size %d: DecompressBlock returned %d bytes, oracle %d, or the bytes differ\nblock %x", size, gn, wn, block)
-	}
-	return got[:gn]
+	return want[:wn]
 }
 
 // checkLegalBlock parses block, the compressor's output for src, and
@@ -131,9 +181,9 @@ func checkLegalBlock(t testing.TB, src, block []byte) {
 		}
 		return
 	}
-	seqs, err := ParseBlock(block)
+	seqs, err := parseBlock(block)
 	if err != nil {
-		t.Fatalf("ParseBlock: %v", err)
+		t.Fatalf("parseBlock: %v", err)
 	}
 	last := seqs[len(seqs)-1]
 	if last.MatchLen != 0 || last.Pos != len(src) {
@@ -384,53 +434,72 @@ func TestDecodeMatchesReferenceOnCorpora(t *testing.T) {
 }
 
 // TestDecodeMatchesReferenceOnBuiltBlocks compares the decoders on a
-// matrix of hand-built blocks around every width the fast loop copies
-// by: match offsets 0…20 (0 is an error for both; period building below
-// 8, overlapping 8-byte copies from 8 to 15), match lengths 4…40 (one, two and three stores,
-// and the extended lengths the fast loop leaves alone), literal runs on
-// both sides of 8 and of the 15 that extends the token, with the
-// sequence first in the block (an offset beyond the output is an error
-// for both), in the middle, and last before the closing literals.
+// matrix of hand-built blocks around every width the fast loops copy by:
+// match offsets 0…70 (0 is an error for all; a built pattern below 16,
+// 8- and 16-byte copies above), match lengths 4…40 (one, two and three
+// stores) and with one (19…273) and two or more (274 up) extension bytes,
+// literal runs on both sides of 8 and 16 and from the 15 that extends the
+// token to 300 (two extension bytes), with the sequence first in the
+// block (an offset beyond the output is an error), in the middle, and
+// last before closing literals. A second pass ends the sequence 0…64
+// bytes before the end of dst, across both fast loops' slack.
 func TestDecodeMatchesReferenceOnBuiltBlocks(t *testing.T) {
-	lits := make([]byte, 270)
+	lits := make([]byte, 400)
 	for i := range lits {
 		lits[i] = byte(i*7 + 1)
 	}
-	head := func(dst []byte) int { // 24 literals and a match, so every offset up to 20 is legal
-		return emitSequence(dst, 0, lits[100:124], 3, 9)
+	head := func(dst []byte) int { // 72 literals and a match, so every offset up to 70 is legal
+		return emitSequence(dst, 0, lits[100:172], 3, 9)
 	}
-	tail := func(dst []byte, di int) int { // slack for the fast loop, then the closing literals
+	tail := func(dst []byte, di int) int { // slack for the fast loops, then the closing literals
 		for i := 0; i < 4; i++ {
 			di = emitSequence(dst, di, lits[i:i+3], 5+i, 6)
 		}
 		return di
 	}
 	buf := make([]byte, 1024)
-	for _, litLen := range []int{0, 8, 9, 14, 15, 270} {
-		for offset := 0; offset <= 20; offset++ {
-			for mLen := 4; mLen <= 40; mLen++ {
-				for _, where := range []string{"first", "middle", "last"} {
-					di := 0
-					if where != "first" {
-						di = head(buf)
-					}
-					di = emitSequence(buf, di, lits[:litLen], offset, mLen)
-					if where != "last" {
-						di = tail(buf, di)
-					}
-					di = emitLastLiterals(lits[:lastLiterals], buf, 0, di)
-					block := buf[:di]
+	check := func(litLen, offset, mLen int, where string, closing int) {
+		di := 0
+		if where != "first" {
+			di = head(buf)
+		}
+		di = emitSequence(buf, di, lits[:litLen], offset, mLen)
+		if where != "last" {
+			di = tail(buf, di)
+		}
+		di = emitLastLiterals(lits[:closing], buf, 0, di)
+		block := buf[:di]
 
-					seqs, err := ParseBlock(block)
-					if err != nil {
-						t.Fatalf("lit %d offset %d len %d %s: built a block that does not parse: %v", litLen, offset, mLen, where, err)
-					}
-					size := seqs[len(seqs)-1].Pos
-					got := diffDecode(t, block, size)
-					if legal := offset >= 1 && (where != "first" || offset <= litLen); legal != (got != nil) {
-						t.Fatalf("lit %d offset %d len %d %s: decoded = %v, want %v", litLen, offset, mLen, where, got != nil, legal)
-					}
-					diffDecode(t, block, size-1)
+		seqs, err := parseBlock(block)
+		if err != nil {
+			t.Fatalf("lit %d offset %d len %d %s: built a block that does not parse: %v", litLen, offset, mLen, where, err)
+		}
+		size := seqs[len(seqs)-1].Pos
+		got := diffDecode(t, block, size)
+		if legal := offset >= 1 && (where != "first" || offset <= litLen); legal != (got != nil) {
+			t.Fatalf("lit %d offset %d len %d %s, %d closing literals: decoded = %v, want %v", litLen, offset, mLen, where, closing, got != nil, legal)
+		}
+		diffDecode(t, block, size-1)
+	}
+	var mLens []int
+	for mLen := 4; mLen <= 40; mLen++ {
+		mLens = append(mLens, mLen)
+	}
+	mLens = append(mLens, 64, 273, 274, 300, 528, 529)
+	for _, litLen := range []int{0, 8, 9, 14, 15, 16, 17, 31, 269, 270, 300} {
+		for offset := 0; offset <= 70; offset++ {
+			for _, mLen := range mLens {
+				for _, where := range []string{"first", "middle", "last"} {
+					check(litLen, offset, mLen, where, lastLiterals)
+				}
+			}
+		}
+	}
+	for closing := 0; closing <= 64; closing++ {
+		for _, litLen := range []int{0, 9, 16, 17, 40} {
+			for _, offset := range []int{1, 2, 3, 7, 8, 9, 15, 16, 17, 33} {
+				for _, mLen := range []int{4, 16, 17, 18, 19, 33, 300} {
+					check(litLen, offset, mLen, "last", closing)
 				}
 			}
 		}
@@ -480,15 +549,15 @@ func TestPropertyCompressibleRoundTrip(t *testing.T) {
 
 func TestPropertyDecompressNeverPanics(t *testing.T) {
 	// Arbitrary garbage must produce an error or short output, never a
-	// panic or out-of-bounds write.
+	// panic or out-of-bounds access (diffDecode's guard pages), and the
+	// oracle's result.
 	f := func(junk []byte, size uint16) bool {
 		defer func() {
 			if r := recover(); r != nil {
 				t.Errorf("panic on junk input: %v", r)
 			}
 		}()
-		dst := make([]byte, int(size)%4096)
-		_, _ = DecompressBlock(junk, dst)
+		diffDecode(t, junk, int(size)%4096)
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
@@ -518,9 +587,8 @@ type Sequence struct {
 	LitLen, Offset, MatchLen, Pos int
 }
 
-// ParseBlock walks the sequences of a block without decoding it. It is
-// exported (to tests only) for the benchmarks in package lz4_test.
-func ParseBlock(block []byte) ([]Sequence, error) {
+// parseBlock walks the sequences of a block without decoding it.
+func parseBlock(block []byte) ([]Sequence, error) {
 	var seqs []Sequence
 	si, pos := 0, 0
 	for si < len(block) {
