@@ -95,13 +95,15 @@ fleet-drill:
 # must be byte-identical. The elastic-pool storm tests then replay the
 # randomized Grow/Shrink churn against a live loopback pipeline under
 # the race detector (exactly-once ledger, no worker leaks, abort never
-# wedges mid-retire).
+# wedges mid-retire), and the sender, receiver and forwarder teardown
+# tables run three times uncached (every exit cause returns in bounded
+# time with no lease, goroutine or worker left).
 adapt-drill:
 	$(GO) run ./cmd/experiments -fig none -adapt -adapt-json adapt-drill-a.json
 	$(GO) run ./cmd/experiments -fig none -adapt -adapt-json adapt-drill-b.json
 	cmp adapt-drill-a.json adapt-drill-b.json
-	$(GO) test -race -count=1 -run 'TestPool|TestElastic|TestRetire|TestControls' ./internal/pipeline/...
-	@echo "adapt-drill: byte-identical convergence runs + elastic storm clean under -race"
+	$(GO) test -race -count=3 -run 'TestPool|TestElastic|TestRetire|TestControls|Teardown' ./internal/pipeline/...
+	@echo "adapt-drill: byte-identical convergence runs + elastic storm and teardown tables clean under -race"
 
 # Simulator golden: every simulated figure and drill the quick CLI run
 # prints (about 0.3 s), compared byte for byte with the committed

@@ -417,7 +417,7 @@ func benchLoopback(b *testing.B, disablePool bool) {
 func BenchmarkElasticPoolGrowShrink(b *testing.B) {
 	stop := make(chan struct{})
 	pool := pipeline.StartPool(pipeline.PoolConfig{
-		Name: "bench", Workers: 2, MaxWorkers: 8,
+		Name: "bench", Workers: 2,
 	}, func(w *pipeline.Worker) error {
 		for {
 			if w.Retiring() {

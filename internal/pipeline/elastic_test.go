@@ -85,9 +85,9 @@ func TestPoolElasticBookkeeping(t *testing.T) {
 	}
 }
 
-// TestPoolShrinkFloor: a pool never retires below MinWorkers
-// (default 1) no matter how large the Shrink, so the stage always keeps
-// a worker to drain its queue.
+// TestPoolShrinkFloor: a pool never retires its last active worker no
+// matter how large the Shrink, so the stage always keeps a worker to
+// drain its queue, however often it is grown and shrunk again.
 func TestPoolShrinkFloor(t *testing.T) {
 	stop := make(chan struct{})
 	p := parkedPool(PoolConfig{Name: "floor", Workers: 3}, stop)
@@ -101,12 +101,13 @@ func TestPoolShrinkFloor(t *testing.T) {
 	}
 	waitLive(t, p, 1)
 
-	stop2 := make(chan struct{})
-	q := parkedPool(PoolConfig{Name: "floor2", Workers: 4, MinWorkers: 3}, stop2)
-	defer func() { close(stop2); _ = q.Wait() }()
-	if got := q.Shrink(100, -1); got != 1 {
-		t.Fatalf("Shrink(100) with MinWorkers 3 marked %d of 4, want 1", got)
+	if got := p.Grow(2, 0); got != 2 {
+		t.Fatalf("Grow(2) on a pool at the floor added %d, want 2", got)
 	}
+	if got := p.Shrink(100, -1); got != 2 {
+		t.Fatalf("Shrink(100) after Grow marked %d of 3, want 2 (floor 1)", got)
+	}
+	waitLive(t, p, 1)
 }
 
 // TestPoolSealAndOnDrained: OnDrained runs exactly once, before Wait
@@ -135,30 +136,6 @@ func TestPoolSealAndOnDrained(t *testing.T) {
 	}
 	if n := drained.Load(); n != 1 {
 		t.Fatalf("OnDrained re-ran after seal: %d", n)
-	}
-}
-
-// TestPoolMaxWorkersClips: Grow clips at MaxWorkers counting only
-// non-retiring workers, so retiring slots can be refilled.
-func TestPoolMaxWorkersClips(t *testing.T) {
-	stop := make(chan struct{})
-	p := parkedPool(PoolConfig{Name: "capped", Workers: 2, MaxWorkers: 4}, stop)
-	defer func() { close(stop); _ = p.Wait() }()
-
-	if got := p.Grow(10, 0); got != 2 {
-		t.Fatalf("Grow(10) with cap 4 added %d, want 2", got)
-	}
-	if got := p.Grow(1, 0); got != 0 {
-		t.Fatalf("Grow at the cap added %d, want 0", got)
-	}
-	waitLive(t, p, 4)
-	// Retire one: the target drops to 3, so one slot reopens even while
-	// the retired worker is still draining.
-	if got := p.Shrink(1, -1); got != 1 {
-		t.Fatal("Shrink(1) refused")
-	}
-	if got := p.Grow(1, 1); got != 1 {
-		t.Fatalf("Grow into a retiring slot added %d, want 1", got)
 	}
 }
 

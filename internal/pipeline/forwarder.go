@@ -3,6 +3,7 @@ package pipeline
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"numastream/internal/metrics"
@@ -84,8 +85,10 @@ type ForwarderOptions struct {
 	Expect int
 	// Stop ends an open-ended forwarder.
 	Stop <-chan struct{}
-	// Metrics, when non-nil, receives "forward" meters, the churn
-	// counters above, and the transport counters of every lane.
+	// Metrics, when non-nil, receives the two stages' series ("intake"
+	// and "forward" meters, their _latency_ns and _qwait_ns histograms
+	// and _workers_pinned gauges), the relayq gauges, the churn counters
+	// above, and the transport counters of every lane.
 	Metrics *metrics.Registry
 	// QueueCap bounds the internal queue (default 16).
 	QueueCap int
@@ -279,8 +282,8 @@ func RunForwarder(opts ForwarderOptions) error {
 	if opts.Cfg.Role != runtime.Receiver {
 		return fmt.Errorf("pipeline: RunForwarder needs a receiver-role config, got %q", opts.Cfg.Role)
 	}
-	nRecv := opts.Cfg.Count(runtime.Receive)
-	if nRecv < 1 {
+	g, _ := opts.Cfg.Group(runtime.Receive)
+	if g.Count < 1 {
 		return fmt.Errorf("pipeline: forwarder config has no receive threads")
 	}
 	if len(opts.Downstream) == 0 {
@@ -302,14 +305,25 @@ func RunForwarder(opts ForwarderOptions) error {
 	if opts.PeerHorizon <= 0 {
 		opts.PeerHorizon = 5 * time.Second
 	}
+	// Both stages are receive-shaped work and run on the receive group's
+	// placement, resolved before anything starts.
+	n := &node{topo: opts.Topo, reg: opts.Metrics}
+	intake, err := n.place("intake", g)
+	if err != nil {
+		return err
+	}
+	egress := intake
+	egress.name = "forward"
 
 	// Every goroutine started below ends when done closes, and every
 	// return closes it — a run that ends by Expect, an error or the
-	// start-up deadline while Stop stays open leaves nothing behind.
+	// start-up deadline while Stop stays open leaves nothing behind. It
+	// is also the node's abort path: a failing stage worker stops all.
 	done := make(chan struct{})
 	var doneOnce sync.Once
 	stopAll := func() { doneOnce.Do(func() { close(done) }) }
 	defer stopAll()
+	n.abort = stopAll
 	if opts.Stop != nil {
 		go func() {
 			select {
@@ -421,69 +435,39 @@ func RunForwarder(opts ForwarderOptions) error {
 		relayQ.Close()
 	}()
 
-	var mu sync.Mutex
-	forwarded := 0
-	meter := opts.Metrics.Meter("forward")
-
-	g, _ := opts.Cfg.Group(runtime.Receive)
-	pin, err := pinFor(opts.Topo, g.Placement)
-	if err != nil {
-		return err
-	}
-
-	// Intake: pull from upstream into the relay queue.
-	intake := Start("forward-intake", nRecv, pin, func(w *Worker) error {
-		for {
-			msg, err := pull.Recv()
-			if err == msgq.ErrClosed {
-				return nil
-			}
-			if err != nil {
-				stopAll()
-				return err
-			}
-			if _, _, err := parseFrame(msg); err != nil {
-				stopAll()
-				return fmt.Errorf("forwarder intake: %w", err)
-			}
-			if err := relayQ.Put(msg); err != nil {
-				return nil
-			}
-		}
-	})
-
-	// Egress: push downstream round-robin, rerouting around dead lanes.
-	egress := Start("forward-egress", nRecv, pin, func(w *Worker) error {
-		for {
-			msg, err := relayQ.Get()
-			if err == queue.ErrClosed {
-				return nil
-			}
-			if err != nil {
-				stopAll()
-				return err
-			}
-			if err := f.relay(msg); err != nil {
-				if err == errFwdStopped {
-					return nil
+	// Intake: pull from upstream into the relay queue. The last intake
+	// worker out closes it, so egress drains what intake accepted.
+	start(n, intake, relayQ.Close, func(*Worker, *stageObserver) stageLoop[msgq.Message, msgq.Message] {
+		return stageLoop[msgq.Message, msgq.Message]{
+			next: pull.Recv,
+			work: func(msg msgq.Message) (msgq.Message, result, error) {
+				c, _, err := parseFrame(msg)
+				if err != nil {
+					return nil, result{}, fmt.Errorf("forwarder intake: %w", err)
 				}
-				stopAll()
-				return err
-			}
-			meter.Add(len(msg[1]))
-			mu.Lock()
-			forwarded++
-			hit := opts.Expect > 0 && forwarded == opts.Expect
-			mu.Unlock()
-			if hit {
-				stopAll()
-			}
+				return msg, result{bytes: len(msg[1]), seq: c.Seq}, nil
+			},
+			emit: func(msg msgq.Message) bool { return relayQ.Put(msg) == nil },
 		}
 	})
-
-	err1 := intake.Wait()
-	relayQ.Close() // intake drained; let egress finish
-	err2 := egress.Wait()
+	// Egress: push downstream round-robin, rerouting around dead lanes.
+	// The chunk that meets Expect (never, without one) stops the relay.
+	var forwarded atomic.Int64
+	start(n, egress, nil, func(*Worker, *stageObserver) stageLoop[msgq.Message, msgq.Message] {
+		return stageLoop[msgq.Message, msgq.Message]{
+			next: relayQ.Get,
+			work: func(msg msgq.Message) (msgq.Message, result, error) {
+				if err := f.relay(msg); err != nil {
+					return nil, result{}, err
+				}
+				if forwarded.Add(1) == int64(opts.Expect) {
+					stopAll()
+				}
+				return msg, result{bytes: len(msg[1])}, nil
+			},
+		}
+	})
+	err = n.wait()
 	stopAll()
 	// Account for chunks the relay accepted but could not place: an
 	// aborting egress leaves them in the queue, and "accepted upstream,
@@ -495,21 +479,16 @@ func RunForwarder(opts ForwarderOptions) error {
 		}
 		opts.Metrics.Counter(CtrRelayDropped).Inc()
 	}
-	if err1 != nil {
-		return err1
-	}
-	if err2 != nil {
-		return err2
+	if err != nil {
+		return err
 	}
 	select {
 	case err := <-healthErr:
 		return err
 	default:
 	}
-	mu.Lock()
-	defer mu.Unlock()
-	if opts.Expect > 0 && forwarded < opts.Expect {
-		return fmt.Errorf("pipeline: forwarded %d of %d expected chunks", forwarded, opts.Expect)
+	if got := forwarded.Load(); got < int64(opts.Expect) {
+		return fmt.Errorf("pipeline: forwarded %d of %d expected chunks", got, opts.Expect)
 	}
 	return nil
 }

@@ -40,7 +40,7 @@ func BenchmarkPoolHandoff(b *testing.B) {
 	for _, tc := range cases {
 		b.Run(tc.name, func(b *testing.B) {
 			in, out := queue.New[[]byte](1), queue.New[uint32](1)
-			pool := Start("handoff", 1, tc.pin, func(w *Worker) error {
+			pool := StartPool(PoolConfig{Name: "handoff", Workers: 1, Pin: tc.pin}, func(w *Worker) error {
 				for {
 					c, err := in.Get()
 					if err != nil {

@@ -222,13 +222,15 @@ func TestPoolPinRuleStorm(t *testing.T) {
 	}
 	topo := pinRuleTopo(allowed)
 	stop := make(chan struct{})
-	p, wait := observingPool(PoolConfig{Name: "storm", Workers: 2, Topo: topo, MaxWorkers: 12}, stop)
+	p, wait := observingPool(PoolConfig{Name: "storm", Workers: 2, Topo: topo}, stop)
 	rng := rand.New(rand.NewSource(17))
 	spawned, failed := 2, 0
 	for i := 0; i < 200; i++ {
 		dom := rng.Intn(3)
 		if rng.Intn(2) == 0 {
-			n := p.Grow(1+rng.Intn(2), dom)
+			// The storm caps itself at 12 active workers, as a controller
+			// policy would.
+			n := p.Grow(min(1+rng.Intn(2), 12-p.Active()), dom)
 			spawned += n
 			if dom == 2 {
 				failed += n

@@ -95,7 +95,8 @@ func SplitPin(topo numa.HostTopology) PinSpec {
 // poll Retiring() at chunk boundaries (after finishing the chunk in
 // hand) and return nil when it reports true — that is the entire
 // retirement protocol, which keeps in-flight chunks intact by
-// construction.
+// construction. Every pipeline stage polls it in the stage kit's one
+// worker loop (runStage).
 type Worker struct {
 	id     int
 	domain int
@@ -137,12 +138,6 @@ type PoolConfig struct {
 	// Nil topology (or an unknown domain) grows unpinned workers that
 	// still carry the requested domain label for bufpool locality.
 	Topo numa.HostTopology
-	// MinWorkers is the Shrink floor (default 1): the pool never
-	// retires its last active worker, so a stage cannot be starved to
-	// death by the controller.
-	MinWorkers int
-	// MaxWorkers caps Grow (0 = unbounded).
-	MaxWorkers int
 	// OnDrained runs exactly once, after the last worker has exited and
 	// the pool sealed. Stages use it to close their downstream queue —
 	// the elastic replacement for the old "last worker closes" counter,
@@ -172,23 +167,14 @@ type Pool struct {
 	drained  bool            // OnDrained already ran
 }
 
-// Start launches n workers running body. A worker whose PinSpec CPU set
-// restricts where it may run locks an OS thread and pins it; one whose
-// set covers every CPU the process is allowed runs as a plain goroutine
-// (see spawnLocked). Pinning failures (unsupported platform, a set
-// naming no CPU of this host, restricted sandbox) are counted, not
-// fatal — the stage still runs, as plain goroutines, and PinFailures
-// reports it.
-func Start(name string, n int, pin PinSpec, body func(w *Worker) error) *Pool {
-	return StartPool(PoolConfig{Name: name, Workers: n, Pin: pin}, body)
-}
-
-// StartPool launches cfg.Workers workers running body under the full
-// elastic configuration.
+// StartPool launches cfg.Workers workers running body. A worker whose
+// PinSpec CPU set restricts where it may run locks an OS thread and pins
+// it; one whose set covers every CPU the process is allowed runs as a
+// plain goroutine (see spawnLocked). Pinning failures (unsupported
+// platform, a set naming no CPU of this host, restricted sandbox) are
+// counted, not fatal — the stage still runs, as plain goroutines, and
+// PinFailures reports it.
 func StartPool(cfg PoolConfig, body func(w *Worker) error) *Pool {
-	if cfg.MinWorkers <= 0 {
-		cfg.MinWorkers = 1
-	}
 	p := &Pool{
 		name:    cfg.Name,
 		cfg:     cfg,
@@ -287,27 +273,23 @@ func (p *Pool) exit(w *Worker) {
 	p.wg.Done()
 }
 
-// Grow spawns up to n new workers on the given NUMA domain (-1 = follow
-// the pool's original PinSpec round-robin). It returns how many were
-// actually spawned: zero once the pool has sealed (the stage drained —
-// growing then would spin workers on a closed queue) or when MaxWorkers
-// is reached. Safe to call concurrently with a live run.
+// Grow spawns n new workers on the given NUMA domain (-1 = follow the
+// pool's original PinSpec round-robin). It returns how many were
+// spawned: zero once the pool has sealed (the stage drained — growing
+// then would spin workers on a closed queue), n otherwise. The pool
+// sets no cap; the controller's policy does (adapt.Policy's
+// MaxWorkers). Safe to call concurrently with a live run.
 func (p *Pool) Grow(n, domain int) int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.sealed || n <= 0 {
 		return 0
 	}
-	grown := 0
 	for i := 0; i < n; i++ {
-		if p.cfg.MaxWorkers > 0 && len(p.workers)-p.retiring >= p.cfg.MaxWorkers {
-			break
-		}
 		dom, cpus := p.placementLocked(domain)
 		p.spawnLocked(dom, cpus, p.body)
-		grown++
 	}
-	return grown
+	return n
 }
 
 // placementLocked resolves a Grow target domain to (domain, CPU set).
@@ -328,8 +310,9 @@ func (p *Pool) placementLocked(domain int) (int, []int) {
 // (-1 = any). Retirement is lazy: each marked worker finishes its
 // current chunk and exits at the next chunk boundary (a worker parked
 // on an empty queue retires at its next wakeup or when the queue
-// closes). The pool never shrinks below MinWorkers active workers, and
-// never double-marks a worker. Returns how many workers were marked.
+// closes). The pool never retires its last active worker, so a stage
+// cannot be starved to death by the controller, and never double-marks
+// a worker. Returns how many workers were marked.
 func (p *Pool) Shrink(n, domain int) int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -353,7 +336,7 @@ func (p *Pool) Shrink(n, domain int) int {
 	active := len(p.workers) - p.retiring
 	marked := 0
 	for _, id := range ids {
-		if marked >= n || active-marked <= p.cfg.MinWorkers {
+		if marked >= n || active-marked <= 1 {
 			break
 		}
 		w := p.workers[id]

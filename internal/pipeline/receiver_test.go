@@ -94,6 +94,31 @@ func TestReceiverExpectIsExact(t *testing.T) {
 	}
 }
 
+// TestReceiverAbandonedReadyDoesNotBlock is the receiver's twin of
+// TestForwarderAbandonedReadyDoesNotBlock: a caller that abandons the
+// receiver (Stop already closed) before reading an unbuffered Ready must
+// not wedge it.
+func TestReceiverAbandonedReadyDoesNotBlock(t *testing.T) {
+	stop := make(chan struct{})
+	close(stop)                // abandoned before it ever started
+	ready := make(chan string) // unbuffered, and nobody will read it
+	done := make(chan error, 1)
+	go func() {
+		done <- RunReceiver(ReceiverOptions{
+			Cfg: receiverCfg(1, 1), Topo: testTopo(), Bind: "127.0.0.1:0",
+			Stop: stop, Ready: ready,
+		})
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("abandoned receiver returned %v, want nil", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("receiver blocked forever on the abandoned Ready channel")
+	}
+}
+
 // TestReceiverTeardownInvariant: whatever ends the run, RunReceiver
 // returns promptly with every buffer lease back in the pool and every
 // goroutine it started gone — no lane consumer, dispatcher or Stop

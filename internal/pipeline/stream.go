@@ -61,53 +61,6 @@ func (o *opTracer) spanFlow(stage string, worker int, t0 time.Time, bytes int, s
 	})
 }
 
-// stageObserver bundles the flight-recorder series of one pipeline
-// stage: a throughput meter, a per-chunk service-latency histogram and a
-// queue-wait histogram (time a chunk sat in the stage's inbound queue).
-// Observations are a handful of uncontended atomic adds per chunk.
-type stageObserver struct {
-	meter *metrics.Meter
-	lat   *metrics.Histogram
-	qwait *metrics.Histogram
-	trc   *opTracer
-	stage string
-}
-
-func newStageObserver(reg *metrics.Registry, trc *opTracer, stage string) *stageObserver {
-	return &stageObserver{
-		meter: reg.Meter(stage),
-		lat:   reg.Histogram(stage + "_latency_ns"),
-		qwait: reg.Histogram(stage + "_qwait_ns"),
-		trc:   trc,
-		stage: stage,
-	}
-}
-
-// dequeued records how long c waited in the stage's inbound queue (and
-// a "queue-wait" trace span on the consuming worker's track).
-func (so *stageObserver) dequeued(c Chunk, worker int) {
-	if c.enqAt.IsZero() {
-		return
-	}
-	so.qwait.ObserveDuration(time.Since(c.enqAt))
-	so.trc.span("queue-wait", worker, c.enqAt, len(c.Data), c.Seq)
-}
-
-// done records one processed chunk: service latency since t0, meter
-// bytes, and the stage's trace span.
-func (so *stageObserver) done(worker int, t0 time.Time, bytes int, seq uint64) {
-	so.lat.ObserveDuration(time.Since(t0))
-	so.meter.Add(bytes)
-	so.trc.span(so.stage, worker, t0, bytes, seq)
-}
-
-// doneFlow is done with a journey flow terminating at this span.
-func (so *stageObserver) doneFlow(worker int, t0 time.Time, bytes int, seq uint64, fid uint64) {
-	so.lat.ObserveDuration(time.Since(t0))
-	so.meter.Add(bytes)
-	so.trc.spanFlow(so.stage, worker, t0, bytes, seq, fid)
-}
-
 // watchQueue registers live depth, high-water and cumulative blocked-time
 // gauges for q, polled at scrape/sample time. Producer (put) and
 // consumer (get) blocked time are exposed separately — put-blocked is
@@ -299,61 +252,6 @@ func verifyPayload(msg msgq.Message, c Chunk, want uint32) error {
 	return nil
 }
 
-// pinFor maps a runtime placement onto host CPUs, carrying each
-// worker's NUMA domain along so buffer rentals stay local to the pin.
-func pinFor(topo numa.HostTopology, p runtime.Placement) (PinSpec, error) {
-	switch p.Mode {
-	case runtime.Pinned:
-		sets := make([][]int, 0, len(p.Sockets))
-		for _, s := range p.Sockets {
-			n, ok := topo.Node(s)
-			if !ok {
-				return PinSpec{}, fmt.Errorf("pipeline: no NUMA node %d on this host", s)
-			}
-			sets = append(sets, n.CPUs)
-		}
-		return PinSpec{CPUSets: sets, Domains: append([]int(nil), p.Sockets...)}, nil
-	case runtime.PinnedCores:
-		pin := CorePin(p.Cores)
-		for _, c := range p.Cores {
-			d := topo.NodeOfCPU(c)
-			if d < 0 {
-				d = 0 // unknown core: fall back to the first shard
-			}
-			pin.Domains = append(pin.Domains, d)
-		}
-		return pin, nil
-	case runtime.Split:
-		return SplitPin(topo), nil
-	case runtime.OSDefault:
-		return Unpinned, nil
-	default:
-		return PinSpec{}, fmt.Errorf("pipeline: unknown placement mode %q", p.Mode)
-	}
-}
-
-// PinnedWorkers reports how many of cfg's stage workers will own a
-// pinned OS thread on this host, out of how many it configures: the
-// workers whose placement names a CPU set that constrains them
-// (numa.PinEffect, the rule Pool applies at spawn). It is what a
-// start-up line or a benchmark's host description needs to tell a
-// placed run from one the host left nothing to place.
-func PinnedWorkers(topo numa.HostTopology, cfg runtime.NodeConfig) (pinned, total int, err error) {
-	for _, g := range cfg.Groups {
-		pin, err := pinFor(topo, g.Placement)
-		if err != nil {
-			return 0, 0, err
-		}
-		for i := 0; i < g.Count; i++ {
-			total++
-			if numa.PinEffect(pin.CPUsFor(i)) == numa.Constrains {
-				pinned++
-			}
-		}
-	}
-	return pinned, total, nil
-}
-
 // Codec selects the compression algorithm for the sender's compress
 // stage.
 type Codec int
@@ -410,7 +308,7 @@ type SenderOptions struct {
 	// (faults.Injector.Dialer) attach to.
 	Dial func(addr string) (net.Conn, error)
 	// WireTrace ships a per-chunk trace context (identity + stage
-	// timestamps) as each frame's auxiliary part, letting a v2 receiver
+	// timestamps) as each frame's auxiliary part, letting the receiver
 	// stitch cross-host chunk journeys. Off, the hot path is unchanged:
 	// no stamping, no aux framing.
 	WireTrace bool
@@ -465,11 +363,21 @@ func RunSender(opts SenderOptions) error {
 	pool := effectivePool(opts.BufPool, opts.DisableBufPool)
 	pool.Register(opts.Metrics)
 
-	nSend := opts.Cfg.Count(runtime.Send)
-	if nSend < 1 {
+	sendGroup, _ := opts.Cfg.Group(runtime.Send)
+	if sendGroup.Count < 1 {
 		return fmt.Errorf("pipeline: sender config has no send threads")
 	}
-	compGroup, hasComp := opts.Cfg.Group(runtime.Compress)
+	n := &node{topo: opts.Topo, reg: opts.Metrics, trc: newOpTracer(opts.Tracer, opts.Cfg.Node), ctl: opts.Controls}
+	snd, err := n.place("send", sendGroup)
+	if err != nil {
+		return err
+	}
+	var comp stage
+	if g, _ := opts.Cfg.Group(runtime.Compress); g.Count > 0 {
+		if comp, err = n.place("compress", g); err != nil {
+			return err
+		}
+	}
 
 	push := msgq.NewPush()
 	push.SendHorizon = opts.SendHorizon
@@ -517,7 +425,6 @@ func RunSender(opts SenderOptions) error {
 		if opts.MinPeers > len(opts.Peers) {
 			return fmt.Errorf("pipeline: MinPeers %d exceeds peer count %d", opts.MinPeers, len(opts.Peers))
 		}
-		var err error
 		if opts.SendHorizon > 0 {
 			err = push.WaitLiveTimeout(opts.MinPeers, opts.SendHorizon)
 		} else {
@@ -528,18 +435,20 @@ func RunSender(opts SenderOptions) error {
 		}
 	}
 
-	tracer := newOpTracer(opts.Tracer, opts.Cfg.Node)
 	sendQ := queue.New[Chunk](opts.QueueCap)
 	watchQueue(opts.Metrics, "sendq", sendQ)
 	var compQ *queue.Queue[Chunk]
 
 	// Source feeder.
 	feedTo := sendQ
-	if hasComp && compGroup.Count > 0 {
+	if comp.workers > 0 {
 		compQ = queue.New[Chunk](opts.QueueCap)
 		watchQueue(opts.Metrics, "compq", compQ)
 		feedTo = compQ
 	}
+	// A failing worker stops the Source: closing the feeder's queue ends
+	// the feeder at its next Put, while what is already queued drains.
+	n.abort = feedTo.Close
 	// With no compress stage the Source's buffer is the wire payload and
 	// the feeder is the stage that sums it. Its time gets a histogram of
 	// its own rather than a stage: the feeder is not a pool obs could
@@ -549,7 +458,9 @@ func RunSender(opts SenderOptions) error {
 	if compQ == nil {
 		sumHist = opts.Metrics.Histogram("source_crc_ns")
 	}
+	fed := make(chan struct{})
 	go func() {
+		defer close(fed)
 		defer feedTo.Close()
 		var seq uint64
 		for {
@@ -581,135 +492,90 @@ func RunSender(opts SenderOptions) error {
 		}
 	}()
 
-	var pools []*Pool
-
 	if compQ != nil {
-		pin, err := pinFor(opts.Topo, compGroup.Placement)
-		if err != nil {
-			return err
-		}
-		obs := newStageObserver(opts.Metrics, tracer, "compress")
-		comp := StartPool(PoolConfig{
-			Name: "compress", Workers: compGroup.Count, Pin: pin, Topo: opts.Topo,
-			// The last compress worker out — grown, retired or drained —
-			// closes the send queue.
-			OnDrained: func() { sendQ.Close() },
-		}, func(w *Worker) error {
+		// The last compress worker out — grown, retired or drained —
+		// closes the send queue.
+		start(n, comp, sendQ.Close, func(w *Worker, obs *stageObserver) stageLoop[Chunk, Chunk] {
 			// The worker's codec state (codec.go): output buffers rented
 			// on its domain, its bit-plane scratch, its filter decision.
-			worker := w.ID()
 			z := newCompressor(opts, pool, w.Domain())
-			defer z.close()
-			for {
-				if w.Retiring() {
-					return nil
-				}
-				c, err := compQ.Get()
-				if err == queue.ErrClosed {
-					return nil
-				}
-				if err != nil {
-					return err
-				}
-				obs.dequeued(c, worker)
-				t0 := time.Now()
-				if c.wire != nil {
-					c.wire.CompressStart = trace.NowNanos()
-				}
-				if err := z.compress(&c); err != nil {
-					return err
-				}
-				obs.done(worker, t0, c.RawLen, c.Seq)
-				if c.wire != nil {
-					now := trace.NowNanos()
-					c.wire.CompressEnd = now
-					c.wire.Enqueue = now
-				}
-				c.enqAt = time.Now()
-				if err := sendQ.Put(c); err != nil {
-					c.lease.Release() // send stage gone; don't strand it
-					return nil        // receiver side gone; drain out
-				}
+			return stageLoop[Chunk, Chunk]{
+				next: fromQueue(compQ, obs, w.ID()),
+				work: func(c Chunk) (Chunk, result, error) {
+					if c.wire != nil {
+						c.wire.CompressStart = trace.NowNanos()
+					}
+					err := z.compress(&c)
+					return c, result{bytes: c.RawLen, seq: c.Seq}, err
+				},
+				emit: func(c Chunk) bool {
+					if c.wire != nil {
+						now := trace.NowNanos()
+						c.wire.CompressEnd = now
+						c.wire.Enqueue = now
+					}
+					c.enqAt = time.Now()
+					if sendQ.Put(c) != nil {
+						c.lease.Release() // send stage gone; don't strand it
+						return false
+					}
+					return true
+				},
+				close: z.close,
 			}
 		})
-		pools = append(pools, comp)
-		opts.Controls.attach("compress", comp, opts.Metrics)
 	}
 
-	{
-		g, _ := opts.Cfg.Group(runtime.Send)
-		pin, err := pinFor(opts.Topo, g.Placement)
-		if err != nil {
-			return err
-		}
-		obs := newStageObserver(opts.Metrics, tracer, "send")
-		send := StartPool(PoolConfig{
-			Name: "send", Workers: nSend, Pin: pin, Topo: opts.Topo,
-			// All send workers are gone. On a failure exit (dead peers
-			// past the horizon) compress workers may be blocked in
-			// sendQ.Put, and RunSender waits on the compress pool before
-			// it closes anything — close the queue here so the abort
-			// drains instead of wedging. Idempotent on the normal path,
-			// where sendQ is already closed.
-			OnDrained: func() { sendQ.Close() },
-		}, func(w *Worker) error {
-			// Per-worker frame scratch: the 21-byte header lives on this
-			// frame (not a per-chunk make), and the two-part message
-			// shell is reused — with the vectored writer downstream the
-			// steady-state send path allocates nothing per chunk.
-			worker := w.ID()
-			var hdr [headerLen]byte
-			msg := msgq.Message{nil, nil}
-			for {
-				if w.Retiring() {
-					return nil
-				}
-				c, err := sendQ.Get()
-				if err == queue.ErrClosed {
-					return nil
-				}
-				if err != nil {
-					return err
-				}
-				obs.dequeued(c, worker)
+	// All send workers are gone. On a failure exit (dead peers past the
+	// horizon) compress workers may be blocked in sendQ.Put, and RunSender
+	// waits on the compress pool before it closes anything — close the
+	// queue here so the abort drains instead of wedging. Idempotent on the
+	// normal path, where sendQ is already closed.
+	start(n, snd, sendQ.Close, func(w *Worker, obs *stageObserver) stageLoop[Chunk, Chunk] {
+		// Per-worker frame scratch: the 21-byte header and the two-part
+		// message shell are reused — with the vectored writer downstream
+		// the steady-state send path allocates nothing per chunk.
+		var hdr [headerLen]byte
+		msg := msgq.Message{nil, nil}
+		return stageLoop[Chunk, Chunk]{
+			next: fromQueue(sendQ, obs, w.ID()),
+			work: func(c Chunk) (Chunk, result, error) {
 				started()
-				t0 := time.Now()
 				if c.wire != nil {
 					c.wire.Dequeue = trace.NowNanos()
 				}
 				encodeHeaderInto(&hdr, c, c.crc)
 				msg[0], msg[1] = hdr[:], c.Data
-				var sendErr error
+				var err error
 				if c.wire != nil {
 					c.wire.Send = trace.NowNanos()
-					sendErr = push.SendTagged(msg, encodeWireCtx(*c.wire))
+					err = push.SendTagged(msg, encodeWireCtx(*c.wire))
 				} else {
-					sendErr = push.Send(msg)
+					err = push.Send(msg)
 				}
-				// The compressed block was copied to the wire (or the
-				// send failed terminally); either way its lease is done.
+				// The compressed block was copied to the wire (or the send
+				// failed terminally); either way its lease is done.
 				c.lease.Release()
 				msg[1] = nil
-				if sendErr != nil {
-					return fmt.Errorf("sending chunk %d: %w", c.Seq, sendErr)
+				if err != nil {
+					return c, result{}, fmt.Errorf("sending chunk %d: %w", c.Seq, err)
 				}
-				obs.done(worker, t0, len(c.Data), c.Seq)
-			}
-		})
-		pools = append(pools, send)
-		opts.Controls.attach("send", send, opts.Metrics)
-	}
-
-	var firstErr error
-	for _, p := range pools {
-		if err := p.Wait(); err != nil && firstErr == nil {
-			firstErr = err
+				return c, result{bytes: len(c.Data), seq: c.Seq}, nil
+			},
 		}
-	}
-	// Unblock a feeder goroutine still waiting on a full queue after a
-	// worker failure.
+	})
+
+	err = n.wait()
+	// Unblock a feeder still waiting on a full queue after a worker
+	// failure, and let it finish: the Source is not called once RunSender
+	// has returned. A failure also leaves compressed chunks behind in the
+	// send queue (closed by now); their leases go home here.
 	feedTo.Close()
-	return firstErr
+	<-fed
+	for c, qerr := sendQ.Get(); qerr == nil; c, qerr = sendQ.Get() {
+		c.lease.Release()
+	}
+	return err
 }
 
 // ReceiverOptions configures RunReceiver.
@@ -737,7 +603,8 @@ type ReceiverOptions struct {
 	Tracer *trace.Tracer
 	// QueueCap bounds the inter-stage queues (default 16).
 	QueueCap int
-	// Ready, when non-nil, receives the bound address once listening.
+	// Ready, when non-nil, receives the bound address once listening;
+	// the send is abandoned when Stop fires first.
 	Ready chan<- string
 	// FailHard restores the legacy all-or-nothing behaviour: any
 	// malformed message or corrupt chunk aborts the whole node. The
@@ -866,19 +733,18 @@ func RunReceiver(opts ReceiverOptions) error {
 	pool := effectivePool(opts.BufPool, opts.DisableBufPool)
 	pool.Register(opts.Metrics)
 
-	nRecv := opts.Cfg.Count(runtime.Receive)
-	if nRecv < 1 {
+	recvGroup, _ := opts.Cfg.Group(runtime.Receive)
+	if recvGroup.Count < 1 {
 		return fmt.Errorf("pipeline: receiver config has no receive threads")
 	}
-	decGroup, hasDec := opts.Cfg.Group(runtime.Decompress)
-	recvGroup, _ := opts.Cfg.Group(runtime.Receive)
-	recvPin, err := pinFor(opts.Topo, recvGroup.Placement)
+	n := &node{topo: opts.Topo, reg: opts.Metrics, trc: newOpTracer(opts.Tracer, opts.Cfg.Node), ctl: opts.Controls}
+	recv, err := n.place("receive", recvGroup)
 	if err != nil {
 		return err
 	}
-	var decPin PinSpec
-	if hasDec && decGroup.Count > 0 {
-		if decPin, err = pinFor(opts.Topo, decGroup.Placement); err != nil {
+	var dec stage
+	if g, _ := opts.Cfg.Group(runtime.Decompress); g.Count > 0 {
+		if dec, err = n.place("decompress", g); err != nil {
 			return err
 		}
 	}
@@ -898,7 +764,7 @@ func RunReceiver(opts ReceiverOptions) error {
 		// Frame buffers are rented on behalf of the receive workers'
 		// domain: the read loop does the first touch, but the pages are
 		// recycled within the domain that consumes them.
-		pull.SetBufferPool(pool, recvPin.DomainFor(0))
+		pull.SetBufferPool(pool, recv.pin.DomainFor(0))
 	}
 
 	adm := NewAdmission(opts.Metrics, opts.MaxStreams)
@@ -926,13 +792,16 @@ func RunReceiver(opts ReceiverOptions) error {
 			func() float64 { return float64(pull.ShardDepth(i)) })
 	}
 	if opts.Ready != nil {
-		opts.Ready <- pull.Addr().String()
+		// A caller that has already closed Stop may never read Ready.
+		select {
+		case opts.Ready <- pull.Addr().String():
+		case <-opts.Stop:
+		}
 	}
 
-	tracer := newOpTracer(opts.Tracer, opts.Cfg.Node)
-	journeys := newJourneyRecorder(opts.Metrics, tracer)
+	journeys := newJourneyRecorder(opts.Metrics, n.trc)
 	var decQ *queue.Queue[Chunk]
-	if hasDec && decGroup.Count > 0 {
+	if dec.workers > 0 {
 		decQ = queue.New[Chunk](opts.QueueCap)
 		watchQueue(opts.Metrics, "decq", decQ)
 	}
@@ -989,41 +858,41 @@ func RunReceiver(opts ReceiverOptions) error {
 	// comes through here, so drain-on-success is unaffected: there decQ
 	// closes only after the last receive worker exits. Once aborted, the
 	// lanes stop calling the Sink and only hand leases and credit back.
+	// failStop is the node's abort path: a stage worker's error reaches
+	// it through the kit, a Sink error from its lane.
 	var aborted atomic.Bool
-	failStop := func(err error) error {
-		if err != nil {
-			aborted.Store(true)
-			markDone()
-			if decQ != nil {
-				decQ.Close()
-			}
+	failStop := func() {
+		aborted.Store(true)
+		markDone()
+		if decQ != nil {
+			decQ.Close()
 		}
-		return err
 	}
+	n.abort = failStop
 	// quarantine disposes of a chunk that cannot be delivered; credited
 	// says whether dispatch charged the stream's credit for it (decodable
 	// header), which must be given back on every disposal path. The
-	// returned error is nil in quarantine mode (count and continue) and
-	// the original cause under FailHard or past the MaxBadChunks
-	// threshold, in which case the node aborts.
+	// returned error is errSkip in quarantine mode (count and continue)
+	// and the original cause under FailHard or past the MaxBadChunks
+	// threshold, which ends the worker and aborts the node.
 	quarantine := func(cause error, credited bool, stream uint32) error {
 		if credited {
 			gate.release(stream)
 		}
 		if opts.FailHard {
-			return failStop(cause)
+			return cause
 		}
 		quarantinedCtr.Inc()
 		bad := quarantined.Add(1)
 		total := accounted.Add(1)
 		if opts.MaxBadChunks > 0 && bad > int64(opts.MaxBadChunks) {
-			return failStop(fmt.Errorf("pipeline: %d chunks quarantined exceeds MaxBadChunks %d; last cause: %w",
-				bad, opts.MaxBadChunks, cause))
+			return fmt.Errorf("pipeline: %d chunks quarantined exceeds MaxBadChunks %d; last cause: %w",
+				bad, opts.MaxBadChunks, cause)
 		}
 		if expectMet(total) {
 			markDone()
 		}
-		return nil
+		return errSkip
 	}
 
 	// The per-stream delivery lane: ledger admission, Sink, sequence and
@@ -1061,7 +930,7 @@ func RunReceiver(opts ReceiverOptions) error {
 			if deliver && opts.Sink != nil {
 				if err := opts.Sink(c); err != nil {
 					laneErrOnce.Do(func() { laneErr = err })
-					failStop(err)
+					failStop()
 					deliver = false
 				}
 			}
@@ -1098,143 +967,105 @@ func RunReceiver(opts ReceiverOptions) error {
 	// toLane hands a verified chunk to its delivery lane. The set only
 	// refuses after closeAll, which follows the last producer's exit;
 	// dispose anyway so nothing leaks if that ordering ever changes.
-	toLane := func(c Chunk) {
+	toLane := func(c Chunk) bool {
 		if !lanes.enqueue(c) {
 			dispose(c)
 		}
+		return true
 	}
 
-	var pools []*Pool
-	{
-		obs := newStageObserver(opts.Metrics, tracer, "receive")
-		recv := StartPool(PoolConfig{
-			Name: "receive", Workers: nRecv, Pin: recvPin, Topo: opts.Topo,
-			// The last receive worker out closes the decompress queue so
-			// chunks already pulled off the wire drain through.
-			OnDrained: func() {
-				if decQ != nil {
-					decQ.Close()
-				}
-			},
-		}, func(w *Worker) error {
-			worker := w.ID()
-			cur := msgq.NewShardCursor(worker)
-			for {
-				if w.Retiring() {
-					return nil
-				}
-				d, err := pull.RecvSharded(cur)
-				if err == msgq.ErrClosed {
-					return nil
-				}
-				if err != nil {
-					return failStop(err)
-				}
-				msg := d.Msg
-				t0 := time.Now()
-				// Every exit from this iteration must release d.Frame
-				// exactly once: on quarantine it is released here; once
-				// it becomes c.frame, the stage that finishes with the
-				// payload releases it.
-				c, wantCRC, err := parseFrame(msg)
-				if err != nil {
-					d.Frame.Release()
-					if err := quarantine(err, false, 0); err != nil {
-						return err
-					}
-					continue
-				}
-				if err := verifyPayload(msg, c, wantCRC); err != nil {
-					d.Frame.Release()
-					if err := quarantine(err, true, c.Stream); err != nil {
-						return err
-					}
-					continue
-				}
-				c.Data = msg[1]
-				c.frame = d.Frame
-				c.Peer = d.Peer
-				// A wire trace context is advisory: a frame whose aux
-				// part fails to decode (or describes a different chunk)
-				// still delivers — only the journey is lost.
-				if len(d.Aux) > 0 {
-					if wc, err := decodeWireCtx(d.Aux); err != nil || wc.Seq != c.Seq || wc.Stream != c.Stream {
-						journeys.badCtx.Inc()
-					} else {
-						c.journey = &chunkJourney{
-							ctx:       wc,
-							recvNanos: d.RecvNanos,
-							offset:    d.ClockOffset,
-							peer:      d.Peer,
-						}
-					}
-				}
-				if c.journey != nil {
-					obs.doneFlow(worker, t0, len(c.Data), c.Seq, flowID(c.Stream, c.Seq))
-				} else {
-					obs.done(worker, t0, len(c.Data), c.Seq)
-				}
-				if decQ != nil {
-					c.enqAt = time.Now()
-					if err := decQ.Put(c); err != nil {
-						dispose(c) // decompress stage gone
-						return nil
-					}
-					continue
-				}
-				toLane(c)
+	// The receive stage verifies each frame and hands the chunk to the
+	// decompress stage, or straight to its lane when there is none. The
+	// last receive worker out closes the decompress queue, so chunks
+	// already pulled off the wire drain through.
+	handOn := toLane
+	var recvDrained func()
+	if decQ != nil {
+		recvDrained = decQ.Close
+		handOn = func(c Chunk) bool {
+			c.enqAt = time.Now()
+			if decQ.Put(c) != nil {
+				dispose(c) // decompress stage gone
+				return false
 			}
-		})
-		pools = append(pools, recv)
-		opts.Controls.attach("receive", recv, opts.Metrics)
+			return true
+		}
 	}
+	receive := func(d msgq.Delivery) (Chunk, result, error) {
+		msg := d.Msg
+		// Every exit must release d.Frame exactly once: on quarantine it
+		// is released here; once it becomes c.frame, the stage that
+		// finishes with the payload releases it.
+		c, wantCRC, err := parseFrame(msg)
+		if err != nil {
+			d.Frame.Release()
+			return c, result{}, quarantine(err, false, 0)
+		}
+		if err := verifyPayload(msg, c, wantCRC); err != nil {
+			d.Frame.Release()
+			return c, result{}, quarantine(err, true, c.Stream)
+		}
+		c.Data = msg[1]
+		c.frame = d.Frame
+		c.Peer = d.Peer
+		r := result{bytes: len(c.Data), seq: c.Seq}
+		// A wire trace context is advisory: a frame whose aux part fails
+		// to decode (or describes a different chunk) still delivers —
+		// only the journey is lost.
+		if len(d.Aux) > 0 {
+			if wc, err := decodeWireCtx(d.Aux); err != nil || wc.Seq != c.Seq || wc.Stream != c.Stream {
+				journeys.badCtx.Inc()
+			} else {
+				c.journey = &chunkJourney{
+					ctx:       wc,
+					recvNanos: d.RecvNanos,
+					offset:    d.ClockOffset,
+					peer:      d.Peer,
+				}
+				r.flow = flowID(c.Stream, c.Seq)
+			}
+		}
+		return c, r, nil
+	}
+	start(n, recv, recvDrained, func(w *Worker, _ *stageObserver) stageLoop[msgq.Delivery, Chunk] {
+		cur := msgq.NewShardCursor(w.ID())
+		return stageLoop[msgq.Delivery, Chunk]{
+			next: func() (msgq.Delivery, error) { return pull.RecvSharded(cur) },
+			work: receive,
+			emit: handOn,
+		}
+	})
 
 	if decQ != nil {
-		obs := newStageObserver(opts.Metrics, tracer, "decompress")
-		dec := StartPool(PoolConfig{
-			Name: "decompress", Workers: decGroup.Count, Pin: decPin, Topo: opts.Topo,
-		}, func(w *Worker) error {
-			worker, dom := w.ID(), w.Domain()
-			planes := leaseScratch{pool: pool, dom: dom}
-			defer planes.release()
-			for {
-				if w.Retiring() {
-					return nil
-				}
-				c, err := decQ.Get()
-				if err == queue.ErrClosed {
-					return nil
-				}
-				if err != nil {
-					return err
-				}
-				obs.dequeued(c, worker)
-				t0 := time.Now()
-				if c.Packed {
-					// The output lease lives on this worker's domain — the
-					// paper's split-domain placement (Obs. 3) decompresses
-					// on the far domain, and the output pages should live
-					// there, not where the wire frame landed.
-					derr := decompress(&c, pool, dom, &planes)
-					// The wire frame backed only the compressed block; it
-					// is done the moment the block is unpacked (or found
-					// to be garbage).
-					c.frame.Release()
-					c.frame = nil
-					if derr != nil {
-						c.lease.Release()
-						if err := quarantine(fmt.Errorf("decompressing chunk %d: %w", c.Seq, derr), true, c.Stream); err != nil {
-							return err
+		start(n, dec, nil, func(w *Worker, obs *stageObserver) stageLoop[Chunk, Chunk] {
+			dom := w.Domain()
+			planes := &leaseScratch{pool: pool, dom: dom}
+			return stageLoop[Chunk, Chunk]{
+				next: fromQueue(decQ, obs, w.ID()),
+				work: func(c Chunk) (Chunk, result, error) {
+					if c.Packed {
+						// The output lease lives on this worker's domain —
+						// the paper's split-domain placement (Obs. 3)
+						// decompresses on the far domain, and the output
+						// pages should live there, not where the wire frame
+						// landed.
+						derr := decompress(&c, pool, dom, planes)
+						// The wire frame backed only the compressed block;
+						// it is done the moment the block is unpacked (or
+						// found to be garbage).
+						c.frame.Release()
+						c.frame = nil
+						if derr != nil {
+							c.lease.Release()
+							return c, result{}, quarantine(fmt.Errorf("decompressing chunk %d: %w", c.Seq, derr), true, c.Stream)
 						}
-						continue
 					}
-				}
-				obs.done(worker, t0, c.RawLen, c.Seq)
-				toLane(c)
+					return c, result{bytes: c.RawLen, seq: c.Seq}, nil
+				},
+				emit:  toLane,
+				close: planes.release,
 			}
 		})
-		pools = append(pools, dec)
-		opts.Controls.attach("decompress", dec, opts.Metrics)
 	}
 
 	// Stop the intake once the expected chunks have been accounted for,
@@ -1256,12 +1087,7 @@ func RunReceiver(opts ReceiverOptions) error {
 		pull.Close()
 	}()
 
-	var firstErr error
-	for _, p := range pools {
-		if err := p.Wait(); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
+	firstErr := n.wait()
 	markDone()
 	<-intakeClosed
 	// An abort leaves chunks behind in the queues the exited workers

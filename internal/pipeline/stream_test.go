@@ -312,7 +312,7 @@ func TestPinForMappings(t *testing.T) {
 func TestPoolRunsAllWorkers(t *testing.T) {
 	var mu sync.Mutex
 	seen := map[int]bool{}
-	p := Start("test", 4, Unpinned, func(w *Worker) error {
+	p := StartPool(PoolConfig{Name: "test", Workers: 4}, func(w *Worker) error {
 		mu.Lock()
 		seen[w.ID()] = true
 		mu.Unlock()
@@ -330,7 +330,7 @@ func TestPoolRunsAllWorkers(t *testing.T) {
 }
 
 func TestPoolJoinsErrors(t *testing.T) {
-	p := Start("boom", 3, Unpinned, func(w *Worker) error {
+	p := StartPool(PoolConfig{Name: "boom", Workers: 3}, func(w *Worker) error {
 		if w.ID() == 1 {
 			return fmt.Errorf("worker %d failed", w.ID())
 		}
