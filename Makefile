@@ -11,18 +11,19 @@ test:
 	$(GO) test ./...
 
 # The first line fails on any Go file (benchmark module included) that
-# is not gofmt-clean. `go vet` also runs asmdecl over the bitshuffle and
-# LZ4 kernels (each .s file's frame offsets against its Go declarations).
-# The last two lines type-check what no native build on the CI host
-# compiles: the non-Linux affinity stubs, and the Go bitshuffle and LZ4
-# kernels every non-amd64 build runs.
+# is not gofmt-clean. `go vet` also runs asmdecl over the bitshuffle,
+# LZ4 and CRC-32C kernels and the CPUID probe (each .s file's frame
+# offsets against its Go declarations). The last two lines type-check
+# what no native build on the CI host compiles: the non-Linux affinity
+# stubs and guard-page fallback, and the Go bitshuffle and LZ4 kernels
+# and hash/crc32-only CRC-32C path every non-amd64 build runs.
 vet:
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
 		echo "gofmt -l found unformatted files:"; echo "$$unformatted"; exit 1; \
 	fi
 	$(GO) vet ./...
-	GOOS=darwin $(GO) vet ./internal/numa ./internal/pipeline ./internal/bitshuffle
-	GOARCH=arm64 $(GO) vet ./internal/bitshuffle ./internal/pipeline ./internal/lz4
+	GOOS=darwin $(GO) vet ./internal/numa ./internal/pipeline ./internal/bitshuffle ./internal/crc32c ./internal/guardmem
+	GOARCH=arm64 $(GO) vet ./internal/bitshuffle ./internal/pipeline ./internal/lz4 ./internal/crc32c ./internal/cpufeat
 
 # Race-detector pass over the concurrent transport/pipeline paths
 # (reconnect, send horizons, quarantine accounting, queues), the buffer
@@ -140,22 +141,25 @@ handoff-bench:
 # decoder stores 16 bytes at a time right up to the slack it has checked
 # for, and the compressor's emit does the same into dst — the kind of
 # code that grows out-of-bounds bugs. The bitshuffle kernels that run
-# before and after them are assembly too. Under `go test` the fuzz targets
-# only replay their seed corpus; here each mutates for 15 s: the
+# before and after them are assembly too, and so is the CRC-32C kernel
+# that sums every frame. Under `go test` the fuzz targets only replay
+# their seed corpus; here each mutates for 15 s: the
 # compressor against the Go parse byte for byte (FuzzCompressMatchesGo),
 # every block against the format's rules and back through the decoders
 # (FuzzRoundTrip), both LZ4 fast loops against the byte-wise reference
 # decoder on arbitrary bytes (FuzzDecompressNeverPanics) — every LZ4
-# buffer ending at a PROT_NONE page, so an access past it faults — and
-# the bitshuffle kernels against the portable Go code.
+# buffer ending at a PROT_NONE page, so an access past it faults — the
+# bitshuffle kernels against the portable Go code, and the CRC-32C kernel
+# against hash/crc32 from any seed and alignment (FuzzCRC32C).
 lz4-fuzz:
 	$(GO) test ./internal/lz4 -run '^$$' -fuzz FuzzRoundTrip -fuzztime 15s
 	$(GO) test ./internal/lz4 -run '^$$' -fuzz FuzzCompressMatchesGo -fuzztime 15s
 	$(GO) test ./internal/lz4 -run '^$$' -fuzz FuzzDecompressNeverPanics -fuzztime 15s
 	$(GO) test ./internal/bitshuffle -run '^$$' -fuzz FuzzBitshuffle -fuzztime 15s
+	$(GO) test ./internal/crc32c -run '^$$' -fuzz FuzzCRC32C -fuzztime 15s
 
 # The single CI entry point: build, vet, tests, simulator golden,
-# benchmark module, pipeline micro-benchmarks, LZ4 and bitshuffle fuzzers (one minute), race pass,
+# benchmark module, pipeline micro-benchmarks, LZ4, bitshuffle and CRC-32C fuzzers (75 s), race pass,
 # churn drill, report drill, stream drill, fleet drill, adapt drill.
 check: build vet test sim-golden bench-build handoff-bench lz4-fuzz race churn-drill report-drill stream-drill fleet-drill adapt-drill
 

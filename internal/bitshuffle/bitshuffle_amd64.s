@@ -44,25 +44,6 @@ DATA mergeHi<>+48(SB)/8, $0x7b3b7a3a79397838
 DATA mergeHi<>+56(SB)/8, $0x7f3f7e3e7d3d7c3c
 GLOBL mergeHi<>(SB), RODATA|NOPTR, $64
 
-// func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
-TEXT ·cpuid(SB), NOSPLIT, $0-24
-	MOVL eaxArg+0(FP), AX
-	MOVL ecxArg+4(FP), CX
-	CPUID
-	MOVL AX, eax+8(FP)
-	MOVL BX, ebx+12(FP)
-	MOVL CX, ecx+16(FP)
-	MOVL DX, edx+20(FP)
-	RET
-
-// func xgetbv() (eax, edx uint32)
-TEXT ·xgetbv(SB), NOSPLIT, $0-8
-	MOVL $0, CX
-	XGETBV
-	MOVL AX, eax+0(FP)
-	MOVL DX, edx+4(FP)
-	RET
-
 // Plane addressing, shared by both kernels: with R8 = stride, R9 = 3·stride,
 // R10 = 5·stride and R11 = 7·stride, bit-plane b of a byte-plane based at
 // P is at P + b·stride:

@@ -9,7 +9,7 @@ import (
 
 // Fuzz targets: `go test -fuzz=FuzzRoundTrip ./internal/lz4`. Under
 // plain `go test` the seed corpus below runs as regression tests. Every
-// kernel reads and writes against guard pages (guarded), so an access
+// kernel reads and writes against guard pages (guardmem.After), so an access
 // past a buffer faults instead of passing silently.
 
 func FuzzRoundTrip(f *testing.F) {

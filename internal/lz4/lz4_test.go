@@ -10,6 +10,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"numastream/internal/guardmem"
 	"numastream/internal/tomo"
 )
 
@@ -33,10 +34,10 @@ func roundTrip(t testing.TB, src []byte) {
 // past either faults, and returns a copy of the block.
 func compressGuarded(t testing.TB, src []byte) []byte {
 	t.Helper()
-	in, freeIn := guarded(t, len(src))
+	in, freeIn := guardmem.After(t, len(src))
 	defer freeIn()
 	copy(in, src)
-	out, freeOut := guarded(t, CompressBound(len(src)))
+	out, freeOut := guardmem.After(t, CompressBound(len(src)))
 	defer freeOut()
 	n, err := CompressBlock(in, out)
 	if err != nil {
@@ -141,10 +142,10 @@ func diffDecode(t testing.TB, block []byte, size int) []byte {
 	t.Helper()
 	want := make([]byte, size)
 	wn, werr := referenceDecode(block, want)
-	src, freeSrc := guarded(t, len(block))
+	src, freeSrc := guardmem.After(t, len(block))
 	defer freeSrc()
 	copy(src, block)
-	got, freeGot := guarded(t, size)
+	got, freeGot := guardmem.After(t, size)
 	defer freeGot()
 	for _, d := range decoders {
 		for i := range got {

@@ -123,6 +123,15 @@ func TestReceiverQuarantines(t *testing.T) {
 				if n := gaugeValue(t, reg, GaugeCreditBlocked); n != 0 {
 					t.Fatalf("credit_blocked_streams = %g after the run, want 0", n)
 				}
+				// Every frame with a header reaches the verify, and its
+				// time is observed whatever the verdict.
+				verified := bad
+				if tc.name == "MalformedMessage" {
+					verified = 0
+				}
+				if n := reg.Histogram("verify_crc_ns").Count(); n != int64(verified) {
+					t.Fatalf("verify_crc_ns observations = %d, want %d", n, verified)
+				}
 			})
 		})
 	}

@@ -3,13 +3,13 @@ package pipeline
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"net"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"numastream/internal/bufpool"
+	"numastream/internal/crc32c"
 	"numastream/internal/metrics"
 	"numastream/internal/msgq"
 	"numastream/internal/numa"
@@ -158,10 +158,6 @@ const (
 	flagShuffled = 2
 )
 
-// crcTable is shared by senders and receivers (CRC-32C, hardware
-// accelerated on amd64/arm64).
-var crcTable = crc32.MakeTable(crc32.Castagnoli)
-
 // shuffledFlags is the one flags byte a bitshuffled frame carries, as
 // the trailer its CRC covers.
 var shuffledFlags = [1]byte{flagPacked | flagShuffled}
@@ -173,9 +169,9 @@ var shuffledFlags = [1]byte{flagPacked | flagShuffled}
 // delivering bit-planes as samples, while raw and plain LZ4 frames keep
 // the sum they always had and interoperate both ways.
 func wireCRC(payload []byte, flags uint8) uint32 {
-	sum := crc32.Checksum(payload, crcTable)
+	sum := crc32c.Checksum(payload)
 	if flags&flagShuffled != 0 {
-		sum = crc32.Update(sum, crcTable, shuffledFlags[:])
+		sum = crc32c.Update(sum, shuffledFlags[:])
 	}
 	return sum
 }
@@ -991,6 +987,9 @@ func RunReceiver(opts ReceiverOptions) error {
 			return true
 		}
 	}
+	// The verify's time, the receive-side twin of the sender's
+	// source_crc_ns: the integrity layer measured at both ends.
+	verifyHist := opts.Metrics.Histogram("verify_crc_ns")
 	receive := func(d msgq.Delivery) (Chunk, result, error) {
 		msg := d.Msg
 		// Every exit must release d.Frame exactly once: on quarantine it
@@ -1001,7 +1000,10 @@ func RunReceiver(opts ReceiverOptions) error {
 			d.Frame.Release()
 			return c, result{}, quarantine(err, false, 0)
 		}
-		if err := verifyPayload(msg, c, wantCRC); err != nil {
+		t0 := time.Now()
+		err = verifyPayload(msg, c, wantCRC)
+		verifyHist.ObserveDuration(time.Since(t0))
+		if err != nil {
 			d.Frame.Release()
 			return c, result{}, quarantine(err, true, c.Stream)
 		}

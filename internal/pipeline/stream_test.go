@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"sync"
 	"testing"
 	"time"
@@ -14,6 +15,10 @@ import (
 	"numastream/internal/runtime"
 	"numastream/internal/trace"
 )
+
+// crcTable is hash/crc32's Castagnoli table: tests sum frames with the
+// standard library, independently of the crc32c kernel wireCRC runs.
+var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 func metricsRegistry() *metrics.Registry { return metrics.NewRegistry() }
 
