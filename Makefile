@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test vet race check bench bench-build handoff-bench lz4-fuzz sim-golden churn-drill report-drill stream-drill fleet-drill adapt-drill
+.PHONY: build test vet race check bench bench-build handoff-bench lz4-fuzz sim-golden churn-drill report-drill stream-drill fleet-drill adapt-drill examples
 
 build:
 	$(GO) build ./...
@@ -158,10 +158,19 @@ lz4-fuzz:
 	$(GO) test ./internal/bitshuffle -run '^$$' -fuzz FuzzBitshuffle -fuzztime 15s
 	$(GO) test ./internal/crc32c -run '^$$' -fuzz FuzzCRC32C -fuzztime 15s
 
+# The programs under examples/ are the worked uses of the public API
+# the README points to: run each to completion, so an API change that
+# breaks one fails here. A failing example's output is printed.
+examples:
+	@for e in examples/*/; do \
+		echo "go run ./$$e"; \
+		out=$$($(GO) run ./$$e 2>&1) || { echo "$$out"; exit 1; }; \
+	done
+
 # The single CI entry point: build, vet, tests, simulator golden,
 # benchmark module, pipeline micro-benchmarks, LZ4, bitshuffle and CRC-32C fuzzers (75 s), race pass,
-# churn drill, report drill, stream drill, fleet drill, adapt drill.
-check: build vet test sim-golden bench-build handoff-bench lz4-fuzz race churn-drill report-drill stream-drill fleet-drill adapt-drill
+# churn drill, report drill, stream drill, fleet drill, adapt drill, examples.
+check: build vet test sim-golden bench-build handoff-bench lz4-fuzz race churn-drill report-drill stream-drill fleet-drill adapt-drill examples
 
 # Human-readable benchmark run over the root suite (the paper figures,
 # the loopback pipeline, queues, LZ4).

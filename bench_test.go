@@ -275,11 +275,55 @@ func BenchmarkQueueThroughput(b *testing.B) {
 }
 
 // BenchmarkLoopbackPipeline measures the real goroutine pipeline over
-// loopback TCP with compression, end to end. Buffer pooling is on, as
-// in production; BenchmarkLoopbackPipelineNoPool is the -bufpool=off
-// ablation, so allocs/op quantifies exactly what pooling removes.
-func BenchmarkLoopbackPipeline(b *testing.B)       { benchLoopback(b, false) }
-func BenchmarkLoopbackPipelineNoPool(b *testing.B) { benchLoopback(b, true) }
+// loopback TCP with compression, end to end, through the process-wide
+// buffer pool as in production.
+func BenchmarkLoopbackPipeline(b *testing.B) {
+	b.ReportAllocs()
+	const chunkSize = 1 << 20
+	chunk := bytes.Repeat([]byte("tomography pixels "), chunkSize/18+1)[:chunkSize]
+	host := numastream.SyntheticTopology(1, 4)
+	topoInfo := numastream.TopologyInfo{Sockets: 1, CoresPerSocket: 4, NICSocket: 0}
+	rcvCfg, err := numastream.GenerateReceiverConfig("gw", topoInfo,
+		numastream.GenerateOptions{Streams: 1, Compression: true, SendThreads: 2})
+	if err != nil {
+		b.Fatal(err)
+	}
+	sndCfg, err := numastream.GenerateSenderConfig("src", topoInfo,
+		numastream.GenerateOptions{Streams: 1, Compression: true, SendThreads: 2})
+	if err != nil {
+		b.Fatal(err)
+	}
+
+	b.SetBytes(chunkSize)
+	b.ResetTimer()
+
+	ready := make(chan string, 1)
+	recvDone := make(chan error, 1)
+	go func() {
+		recvDone <- numastream.StartReceiver(numastream.ReceiverOptions{
+			Cfg: rcvCfg, Topo: host, Bind: "127.0.0.1:0",
+			Expect: b.N, Ready: ready,
+		})
+	}()
+	addr := <-ready
+	sent := 0
+	err = numastream.StartSender(numastream.SenderOptions{
+		Cfg: sndCfg, Topo: host, Peers: []string{addr},
+		Source: func() []byte {
+			if sent >= b.N {
+				return nil
+			}
+			sent++
+			return chunk
+		},
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := <-recvDone; err != nil {
+		b.Fatal(err)
+	}
+}
 
 // BenchmarkGatewayFanIn measures multi-sender fan-in at the gateway:
 // eight concurrent senders into one receive ring with no credit gate
@@ -354,55 +398,6 @@ func benchFanIn(b *testing.B, shards int) {
 		if err := <-errs; err != nil {
 			b.Fatal(err)
 		}
-	}
-	if err := <-recvDone; err != nil {
-		b.Fatal(err)
-	}
-}
-
-func benchLoopback(b *testing.B, disablePool bool) {
-	b.ReportAllocs()
-	const chunkSize = 1 << 20
-	chunk := bytes.Repeat([]byte("tomography pixels "), chunkSize/18+1)[:chunkSize]
-	host := numastream.SyntheticTopology(1, 4)
-	topoInfo := numastream.TopologyInfo{Sockets: 1, CoresPerSocket: 4, NICSocket: 0}
-	rcvCfg, err := numastream.GenerateReceiverConfig("gw", topoInfo,
-		numastream.GenerateOptions{Streams: 1, Compression: true, SendThreads: 2})
-	if err != nil {
-		b.Fatal(err)
-	}
-	sndCfg, err := numastream.GenerateSenderConfig("src", topoInfo,
-		numastream.GenerateOptions{Streams: 1, Compression: true, SendThreads: 2})
-	if err != nil {
-		b.Fatal(err)
-	}
-
-	b.SetBytes(chunkSize)
-	b.ResetTimer()
-
-	ready := make(chan string, 1)
-	recvDone := make(chan error, 1)
-	go func() {
-		recvDone <- numastream.StartReceiver(numastream.ReceiverOptions{
-			Cfg: rcvCfg, Topo: host, Bind: "127.0.0.1:0",
-			Expect: b.N, Ready: ready, DisableBufPool: disablePool,
-		})
-	}()
-	addr := <-ready
-	sent := 0
-	err = numastream.StartSender(numastream.SenderOptions{
-		Cfg: sndCfg, Topo: host, Peers: []string{addr},
-		DisableBufPool: disablePool,
-		Source: func() []byte {
-			if sent >= b.N {
-				return nil
-			}
-			sent++
-			return chunk
-		},
-	})
-	if err != nil {
-		b.Fatal(err)
 	}
 	if err := <-recvDone; err != nil {
 		b.Fatal(err)

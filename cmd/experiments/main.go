@@ -56,15 +56,8 @@ func main() {
 	traceWire := flag.String("trace-wire", "", "run the wire-journey loopback (real pipeline, WireTrace on) and write the merged cross-process Chrome trace to this file")
 	telemetryAddr := flag.String("telemetry-addr", "", "serve /metrics, /status, /debug/vars and /debug/pprof on this address; real-mode harnesses record into the served registry")
 	report := flag.String("report", "", "write an end-of-run self-diagnosis report to this file (markdown when the path ends in .md, JSON otherwise); -degraded reports the simulation's virtual-time windows")
-	bufpoolMode := flag.String("bufpool", "on", "NUMA-aware buffer pooling in the real-execution harnesses: on | off (off = per-chunk allocation, for pooled-vs-unpooled A/B sweeps)")
 	flag.Var(&figs, "fig", "figure to regenerate (5,6,7,8,9,11,12,14 or all); repeatable")
 	flag.Parse()
-
-	if *bufpoolMode != "on" && *bufpoolMode != "off" {
-		fmt.Fprintf(os.Stderr, "experiments: -bufpool must be on or off, got %q\n", *bufpoolMode)
-		os.Exit(2)
-	}
-	experiments.DisableBufPool = *bufpoolMode == "off"
 
 	if len(figs) == 0 {
 		figs = figList{"all"}

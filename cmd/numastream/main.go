@@ -36,16 +36,15 @@ import (
 
 func main() {
 	var (
-		configPath  = flag.String("config", "", "node config JSON (required)")
-		peers       = flag.String("peers", "", "comma-separated receiver addresses (sender)")
-		bind        = flag.String("bind", ":5555", "listen address (receiver)")
-		chunks      = flag.Int("chunks", 32, "chunks to stream / expect")
-		scale       = flag.Int("scale", 4, "detector downscale factor (1 = full 11.06 MB chunks)")
-		synthetic   = flag.Bool("synthetic", false, "use patterned chunks instead of tomography projections")
-		serve       = flag.Bool("serve", false, "receiver: serve until interrupted instead of expecting -chunks")
-		tracePath   = flag.String("trace", "", "write a Chrome trace of this node's workers to the file; on a receiver fed by a -trace-wire sender this is the merged cross-host journey trace")
-		traceWire   = flag.Bool("trace-wire", false, "sender: ship a per-chunk trace context on every frame so the receiver can stitch cross-host chunk journeys (a forwarder hop drops it)")
-		bufpoolMode = flag.String("bufpool", "on", "NUMA-aware buffer pooling on the hot path: on | off (off = per-chunk allocation, the pre-pooling behaviour; for A/B runs and leak triage)")
+		configPath = flag.String("config", "", "node config JSON (required)")
+		peers      = flag.String("peers", "", "comma-separated receiver addresses (sender)")
+		bind       = flag.String("bind", ":5555", "listen address (receiver)")
+		chunks     = flag.Int("chunks", 32, "chunks to stream / expect")
+		scale      = flag.Int("scale", 4, "detector downscale factor (1 = full 11.06 MB chunks)")
+		synthetic  = flag.Bool("synthetic", false, "use patterned chunks instead of tomography projections")
+		serve      = flag.Bool("serve", false, "receiver: serve until interrupted instead of expecting -chunks")
+		tracePath  = flag.String("trace", "", "write a Chrome trace of this node's workers to the file; on a receiver fed by a -trace-wire sender this is the merged cross-host journey trace")
+		traceWire  = flag.Bool("trace-wire", false, "sender: ship a per-chunk trace context on every frame so the receiver can stitch cross-host chunk journeys (a forwarder hop drops it)")
 
 		// Adaptive placement (the feedback controller).
 		adaptOn   = flag.Bool("adapt", false, "enable the online adaptive placement controller: it watches the self-diagnosis windows and grows/shrinks/migrates the elastic worker pools at runtime; the action log lands on /status?actions=1 and in -report")
@@ -81,12 +80,7 @@ func main() {
 		streamCap    = flag.Int("stream-cap", 0, "per-stream metrics series cap: distinct stream ids tracked before folding into the _stream_other bucket (default 64)")
 
 		// Fault injection (sender transport; for drills and tests).
-		faultSeed         = flag.Int64("fault-seed", 1, "fault plan RNG seed")
-		faultResetBytes   = flag.Int64("fault-reset-bytes", 0, "inject a connection reset after this many sent bytes (0 = off)")
-		faultStallBytes   = flag.Int64("fault-stall-bytes", 0, "inject a write stall after this many sent bytes (0 = off)")
-		faultStall        = flag.Duration("fault-stall", time.Second, "duration of the injected stall")
-		faultCorruptBytes = flag.Int64("fault-corrupt-bytes", 0, "flip one payload bit after this many sent bytes (0 = off)")
-		faultPlanStr      = flag.String("fault-plan", "", "sender: full fault plan DSL, e.g. 'reset@w10, stall@1MB:50ms, corrupt@2MB:bit3, refuse:0-2, seed=7'; overrides the single-fault flags")
+		faultPlanStr = flag.String("fault-plan", "", "sender: fault plan DSL, e.g. 'reset@w10, stall@1MB:50ms, corrupt@2MB:bit3, refuse:0-2, seed=7'")
 	)
 	flag.Parse()
 
@@ -94,11 +88,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "numastream: -config is required")
 		os.Exit(2)
 	}
-	if *bufpoolMode != "on" && *bufpoolMode != "off" {
-		fmt.Fprintf(os.Stderr, "numastream: -bufpool must be on or off, got %q\n", *bufpoolMode)
-		os.Exit(2)
-	}
-	disableBufPool := *bufpoolMode == "off"
 	data, err := os.ReadFile(*configPath)
 	if err != nil {
 		fatal(err)
@@ -218,26 +207,11 @@ func main() {
 			WriteTimeout: *writeTimeout,
 			WireTrace:    *traceWire,
 
-			Controls:       controls,
-			DisableBufPool: disableBufPool,
+			Controls: controls,
 		}
-		var plan faults.Plan
-		if *faultPlanStr != "" {
-			plan, err = faults.ParseFaultPlan(*faultPlanStr)
-			if err != nil {
-				fatal(err)
-			}
-		} else {
-			plan.Seed = *faultSeed
-			if *faultResetBytes > 0 {
-				plan.Faults = append(plan.Faults, faults.Fault{Kind: faults.Reset, AfterBytes: *faultResetBytes})
-			}
-			if *faultStallBytes > 0 {
-				plan.Faults = append(plan.Faults, faults.Fault{Kind: faults.Stall, AfterBytes: *faultStallBytes, Stall: *faultStall})
-			}
-			if *faultCorruptBytes > 0 {
-				plan.Faults = append(plan.Faults, faults.Fault{Kind: faults.Corrupt, AfterBytes: *faultCorruptBytes, Bit: -1})
-			}
+		plan, err := faults.ParseFaultPlan(*faultPlanStr)
+		if err != nil {
+			fatal(err)
 		}
 		if len(plan.Faults) > 0 || len(plan.Refuse) > 0 {
 			sOpts.Dial = faults.NewInjector(plan).Dialer(nil)
@@ -259,8 +233,7 @@ func main() {
 			MaxStreams:   *maxStreams,
 			StreamCredit: *streamCredit,
 
-			Controls:       controls,
-			DisableBufPool: disableBufPool,
+			Controls: controls,
 		}
 		if *serve {
 			// Serve until SIGINT/SIGTERM.

@@ -3,12 +3,14 @@ package numastream_test
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -150,6 +152,79 @@ func TestCLIStreamingPair(t *testing.T) {
 	}
 	if !strings.Contains(out, `receiver "gw" done`) || !strings.Contains(out, "4 items") {
 		t.Fatalf("receiver output:\n%s", out)
+	}
+}
+
+// TestCLIFaultPlanPair drives numastream's sender fault wiring end to
+// end: a -fault-plan corrupt flips one payload bit on the wire, the
+// receiver quarantines that chunk and still exits cleanly, and the two
+// sides reconcile (sent = delivered + quarantined).
+func TestCLIFaultPlanPair(t *testing.T) {
+	dir := t.TempDir()
+	rcvCfg := filepath.Join(dir, "rcv.json")
+	sndCfg := filepath.Join(dir, "snd.json")
+	os.WriteFile(rcvCfg, []byte(run(t, "confgen", "-role", "receiver", "-node", "gw",
+		"-sockets", "1", "-cores", "1", "-nic-socket", "0", "-compression")), 0o644)
+	os.WriteFile(sndCfg, []byte(run(t, "confgen", "-role", "sender", "-node", "src",
+		"-sockets", "1", "-cores", "1", "-nic-socket", "0", "-compression")), 0o644)
+
+	// Fixed port, distinct from the other CLI tests.
+	const addr = "127.0.0.1:19778"
+	const chunks = "8"
+	recvOut := make(chan string, 1)
+	recvErr := make(chan error, 1)
+	go func() {
+		cmd := exec.Command(filepath.Join(buildTools(t), "numastream"),
+			"-config", rcvCfg, "-bind", addr, "-chunks", chunks, "-scale", "16", "-synthetic")
+		out, err := cmd.CombinedOutput()
+		recvOut <- string(out)
+		recvErr <- err
+	}()
+
+	// 8 synthetic chunks at -scale 16 are ~20 KB on the wire, so a 2 KB
+	// trigger lands mid-stream.
+	sndOut := run(t, "numastream", "-config", sndCfg, "-peers", addr,
+		"-chunks", chunks, "-scale", "16", "-synthetic", "-fault-plan", "corrupt@2KB,seed=1")
+	out := <-recvOut
+	if err := <-recvErr; err != nil {
+		t.Fatalf("receiver: %v\n%s", err, out)
+	}
+	count := func(out, pattern string) int {
+		t.Helper()
+		m := regexp.MustCompile(`(?m)^` + pattern + `\s.*?(\d+) (items|events)`).FindStringSubmatch(out)
+		if m == nil {
+			return 0
+		}
+		n, err := strconv.Atoi(m[1])
+		if err != nil {
+			t.Fatalf("%s: %v", pattern, err)
+		}
+		return n
+	}
+	sent := count(sndOut, "send")
+	delivered := count(out, "delivered_stream_0")
+	quarantined := count(out, "chunks_quarantined")
+	if quarantined < 1 {
+		t.Fatalf("corrupt fault quarantined no chunk\nsender:\n%s\nreceiver:\n%s", sndOut, out)
+	}
+	if sent != delivered+quarantined {
+		t.Fatalf("sent %d != delivered %d + quarantined %d\nsender:\n%s\nreceiver:\n%s",
+			sent, delivered, quarantined, sndOut, out)
+	}
+}
+
+// TestCLIFaultPlanOnly: -fault-plan is the one fault syntax; the old
+// single-fault flags are unknown and rejected with the usage exit code.
+func TestCLIFaultPlanOnly(t *testing.T) {
+	cmd := exec.Command(filepath.Join(buildTools(t), "numastream"),
+		"-config", "unused.json", "-fault-reset-bytes", "100000")
+	out, err := cmd.CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+		t.Fatalf("-fault-reset-bytes: err %v, want exit status 2\n%s", err, out)
+	}
+	if !strings.Contains(string(out), "flag provided but not defined") {
+		t.Fatalf("-fault-reset-bytes not rejected as an unknown flag:\n%s", out)
 	}
 }
 

@@ -25,10 +25,10 @@
 // reports buffers currently leased, and reaches zero when a pipeline
 // has drained cleanly.
 //
-// A nil *Pool is valid and means "pooling disabled": Get falls back to
-// a plain allocation and Put is a no-op. The pipeline's -bufpool=off
-// escape hatch works by passing a nil pool, so A/B runs exercise the
-// exact same call sites.
+// A nil *Pool is valid and means "no pooling": Get falls back to a
+// plain allocation and Put is a no-op. msgq's Pull reads frames through
+// a nil pool until its owner hands it one (Pull.SetBufferPool), so a
+// pool-less Pull shares the pooled read path's call sites.
 package bufpool
 
 import (

@@ -354,12 +354,11 @@ func repeatSource(n int, payload []byte, pace time.Duration) func() []byte {
 // loopbackPair streams chunks copies of payload through the real
 // pipeline: a receiver on 127.0.0.1:0 expecting exactly that many, and a
 // sender dialing it. The cell fills in the host topology, addresses,
-// Expect, Source and DisableBufPool; the options carry the rest.
+// Expect and Source; the options carry the rest.
 func loopbackPair(snd pipeline.SenderOptions, rcv pipeline.ReceiverOptions, chunks int, payload []byte) error {
 	topo, _ := hostnuma.Discover()
 	ready := make(chan string, 1)
 	rcv.Topo, rcv.Bind, rcv.Ready, rcv.Expect = topo, "127.0.0.1:0", ready, chunks
-	rcv.DisableBufPool = DisableBufPool
 	recvErr := make(chan error, 1)
 	go func() { recvErr <- pipeline.RunReceiver(rcv) }()
 	var addr string
@@ -371,7 +370,6 @@ func loopbackPair(snd pipeline.SenderOptions, rcv pipeline.ReceiverOptions, chun
 
 	snd.Topo, snd.Peers = topo, []string{addr}
 	snd.Source = repeatSource(chunks, payload, 0)
-	snd.DisableBufPool = DisableBufPool
 	if err := pipeline.RunSender(snd); err != nil {
 		return fmt.Errorf("sender: %w", err)
 	}

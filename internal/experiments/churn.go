@@ -266,7 +266,6 @@ func ChurnLoopbackInto(reg *metrics.Registry, chunks, chunkBytes int, sched faul
 			Topo: topo, Bind: "127.0.0.1:0",
 			Stop: gwStop, Ready: gwReady, Metrics: reg,
 			ExactlyOnce: true, Ledger: ledger,
-			DisableBufPool: DisableBufPool,
 		})
 	}()
 	gwAddr := <-gwReady
@@ -358,10 +357,9 @@ func ChurnLoopbackInto(reg *metrics.Registry, chunks, chunkBytes int, sched faul
 				errs <- pipeline.RunSender(pipeline.SenderOptions{
 					Cfg:  sender(fmt.Sprintf("churn-src%d", s), group(runtime.Compress, 1, runtime.OS()), group(runtime.Send, 1, runtime.OS())),
 					Topo: topo, Peers: relayAddrs, StreamID: uint32(s),
-					Metrics:        reg,
-					SendHorizon:    15 * time.Second,
-					DisableBufPool: DisableBufPool,
-					Source:         repeatSource(chunks, mixedPayload(chunkBytes), throttle),
+					Metrics:     reg,
+					SendHorizon: 15 * time.Second,
+					Source:      repeatSource(chunks, mixedPayload(chunkBytes), throttle),
 				})
 			}(s)
 		}

@@ -15,12 +15,6 @@ import (
 // numbers reflect that machine, not the paper's testbed; the harness
 // exists so the library's real mode is measurable anywhere.
 
-// DisableBufPool turns off NUMA-aware buffer pooling in every
-// real-execution harness in this package (real-mode sweep, degraded
-// mode, wire-journey loopback). The experiments CLI sets it from
-// -bufpool=off so pooled-vs-unpooled A/B sweeps need no code change.
-var DisableBufPool bool
-
 // RealResult is one real-mode measurement.
 type RealResult struct {
 	CompressThreads int

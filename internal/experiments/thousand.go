@@ -474,8 +474,7 @@ func ThousandStreamLoopback(cfg ThousandStreamConfig) (ThousandStreamResult, err
 			Shards:       cfg.Shards,
 			StreamCredit: cfg.Credit,
 			ExactlyOnce:  true, Ledger: ledger,
-			Controls:       cfg.Controls,
-			DisableBufPool: DisableBufPool,
+			Controls: cfg.Controls,
 			Sink: func(c pipeline.Chunk) error {
 				if int(c.Stream) >= len(times) {
 					return fmt.Errorf("stream %d out of drill range", c.Stream)
@@ -511,10 +510,9 @@ func ThousandStreamLoopback(cfg ThousandStreamConfig) (ThousandStreamResult, err
 			opts := pipeline.SenderOptions{
 				Cfg:  sender(fmt.Sprintf("thousand-src%d", id), group(runtime.Compress, 1, runtime.OS()), group(runtime.Send, 1, runtime.OS())),
 				Topo: topo, Peers: []string{addr}, StreamID: id,
-				Metrics:        reg,
-				QueueCap:       4,
-				SendHorizon:    20 * time.Second,
-				DisableBufPool: DisableBufPool,
+				Metrics:     reg,
+				QueueCap:    4,
+				SendHorizon: 20 * time.Second,
 			}
 			if p, ok := plans[id]; ok {
 				opts.Dial = faults.NewInjector(p).Dialer(nil)

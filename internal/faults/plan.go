@@ -10,8 +10,10 @@ package faults
 //	kind   := 'reset' | 'stall' | 'corrupt'
 //	trigger:= <bytes>            cumulative bytes offered to Write
 //	        | 'w' <n>            cumulative Write ordinal (1-based)
-//	arg    := <duration>         stall length   (stall faults)
-//	        | 'bit' <n>          pinned bit     (corrupt faults)
+//	arg    := <duration>         stall length   (stall faults; > 0,
+//	                             1s when omitted)
+//	        | 'bit' <n>          pinned bit     (corrupt faults; a
+//	                             seeded-random bit when omitted)
 //	refuse := 'refuse:' <from> '-' <to>    accept ordinals [from, to)
 //	seed   := 'seed=' <n>
 //
@@ -33,6 +35,9 @@ import (
 	"strings"
 	"time"
 )
+
+// defaultStall is the pause of a stall fault written without a duration.
+const defaultStall = time.Second
 
 // ParseFaultPlan parses the compact text form above. An empty (or all-
 // whitespace) string is the zero Plan: no faults, no refuse windows.
@@ -88,6 +93,7 @@ func parseFault(item string) (Fault, error) {
 		f.Kind = Reset
 	case "stall":
 		f.Kind = Stall
+		f.Stall = defaultStall
 	case "corrupt":
 		f.Kind = Corrupt
 		f.Bit = -1 // seeded-random bit unless pinned below
@@ -114,7 +120,7 @@ func parseFault(item string) (Fault, error) {
 		switch f.Kind {
 		case Stall:
 			d, err := time.ParseDuration(arg)
-			if err != nil || d < 0 {
+			if err != nil || d <= 0 {
 				return Fault{}, fmt.Errorf("faults: bad stall duration in %q", item)
 			}
 			f.Stall = d
@@ -173,7 +179,7 @@ func FormatFaultPlan(p Plan) string {
 			b.WriteString(formatBytes(f.AfterBytes))
 		}
 		switch {
-		case f.Kind == Stall && f.Stall > 0:
+		case f.Kind == Stall:
 			b.WriteByte(':')
 			b.WriteString(f.Stall.String())
 		case f.Kind == Corrupt && f.Bit >= 0:

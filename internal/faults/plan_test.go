@@ -15,6 +15,7 @@ func TestParseFaultPlan(t *testing.T) {
 		{"  ", Plan{}},
 		{"reset@1.5MB", Plan{Faults: []Fault{{Kind: Reset, AfterBytes: 3 << 19}}}},
 		{"stall@2MB:200ms", Plan{Faults: []Fault{{Kind: Stall, AfterBytes: 2 << 20, Stall: 200 * time.Millisecond}}}},
+		{"stall@64KB", Plan{Faults: []Fault{{Kind: Stall, AfterBytes: 64 << 10, Stall: time.Second}}}},
 		{"corrupt@3MB:bit7", Plan{Faults: []Fault{{Kind: Corrupt, AfterBytes: 3 << 20, Bit: 7}}}},
 		{"corrupt@4KB", Plan{Faults: []Fault{{Kind: Corrupt, AfterBytes: 4 << 10, Bit: -1}}}},
 		{"reset@w12", Plan{Faults: []Fault{{Kind: Reset, AfterWrites: 12}}}},
@@ -46,6 +47,7 @@ func TestParseFaultPlanRejects(t *testing.T) {
 		"reset@1.0001KB",    // fractional bytes
 		"reset@1MB:200ms",   // reset takes no argument
 		"stall@1MB:-1s",     // negative stall
+		"stall@1MB:0s",      // a zero stall pauses nothing
 		"corrupt@1MB:7",     // corrupt arg without 'bit'
 		"corrupt@1MB:bit-1", // negative bit
 		"reset@w0",          // write ordinals are 1-based

@@ -19,10 +19,12 @@ import (
 // allocLoopback runs one compress→send→receive→decompress loopback with
 // preallocated source chunks (so the harness itself adds no per-chunk
 // allocations) and returns the heap bytes allocated process-wide during
-// the run. The sink verifies payloads without copying. When reg is
-// non-nil both sides share it (so an observer scraping it sees the live
-// run); otherwise each side gets a private registry.
-func allocLoopback(t *testing.T, reg *metrics.Registry, ctl *Controls, pool *bufpool.Pool, disable bool, chunks, size int) uint64 {
+// the run. The sink verifies payloads without copying unless retain is
+// set: then it also copies each payload into a slice that lives until
+// the run is measured, a per-chunk allocation the slope must see. When
+// reg is non-nil both sides share it (so an observer scraping it sees
+// the live run); otherwise each side gets a private registry.
+func allocLoopback(t *testing.T, reg *metrics.Registry, ctl *Controls, pool *bufpool.Pool, retain bool, chunks, size int) uint64 {
 	t.Helper()
 	topo := testTopo()
 	sReg, rReg := reg, reg
@@ -44,6 +46,7 @@ func allocLoopback(t *testing.T, reg *metrics.Registry, ctl *Controls, pool *buf
 	var srcIdx atomic.Int64
 
 	var delivered atomic.Int64
+	var kept [][]byte
 	ready := make(chan string, 1)
 	recvErr := make(chan error, 1)
 
@@ -52,18 +55,20 @@ func allocLoopback(t *testing.T, reg *metrics.Registry, ctl *Controls, pool *buf
 
 	go func() {
 		recvErr <- RunReceiver(ReceiverOptions{
-			Cfg:            receiverCfg(1, 1),
-			Topo:           topo,
-			Bind:           "127.0.0.1:0",
-			Expect:         chunks,
-			Metrics:        rReg,
-			Ready:          ready,
-			Controls:       ctl,
-			BufPool:        pool,
-			DisableBufPool: disable,
+			Cfg:      receiverCfg(1, 1),
+			Topo:     topo,
+			Bind:     "127.0.0.1:0",
+			Expect:   chunks,
+			Metrics:  rReg,
+			Ready:    ready,
+			Controls: ctl,
+			BufPool:  pool,
 			Sink: func(c Chunk) error {
 				if len(c.Data) != size || c.Data[100] != byte(100/64) {
 					t.Errorf("chunk %d corrupt", c.Seq)
+				}
+				if retain {
+					kept = append(kept, append([]byte(nil), c.Data...))
 				}
 				delivered.Add(1)
 				return nil
@@ -84,8 +89,7 @@ func allocLoopback(t *testing.T, reg *metrics.Registry, ctl *Controls, pool *buf
 			}
 			return src[i]
 		},
-		BufPool:        pool,
-		DisableBufPool: disable,
+		BufPool: pool,
 	}); err != nil {
 		t.Fatalf("RunSender: %v", err)
 	}
@@ -97,6 +101,7 @@ func allocLoopback(t *testing.T, reg *metrics.Registry, ctl *Controls, pool *buf
 	}
 
 	gort.ReadMemStats(&after)
+	gort.KeepAlive(kept)
 	return after.TotalAlloc - before.TotalAlloc
 }
 
@@ -191,15 +196,15 @@ func TestSteadyStateZeroChunkAllocs(t *testing.T) {
 		t.Errorf("pool outstanding = %d after the pooled runs; a stage leaks leases", out)
 	}
 
-	// Harness sanity: the same measurement must catch the unpooled
-	// pipeline allocating per chunk — otherwise a silent measurement
+	// Harness sanity: the same measurement must catch a Sink that
+	// copies every chunk it is handed — otherwise a silent measurement
 	// bug could greenlight a regression.
-	unpooledShort := allocLoopback(t, nil, nil, nil, true, shortRun, size)
-	unpooledLong := allocLoopback(t, nil, nil, nil, true, longRun, size)
-	unpooledPerChunk := (int64(unpooledLong) - int64(unpooledShort)) / deltaRuns
-	t.Logf("unpooled: %d B/chunk", unpooledPerChunk)
-	if unpooledPerChunk < size/2 {
-		t.Errorf("unpooled pipeline shows only %d B per chunk; the slope harness is broken", unpooledPerChunk)
+	retainShort := allocLoopback(t, nil, nil, pool, true, shortRun, size)
+	retainLong := allocLoopback(t, nil, nil, pool, true, longRun, size)
+	retainPerChunk := (int64(retainLong) - int64(retainShort)) / deltaRuns
+	t.Logf("copying sink: %d B/chunk", retainPerChunk)
+	if retainPerChunk < size/2 {
+		t.Errorf("copying sink shows only %d B per chunk; the slope harness is broken", retainPerChunk)
 	}
 }
 
@@ -275,34 +280,6 @@ func TestPipelinePoolLeakAccounting(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestGrowBufReusesBacking pins the satellite fix for the old
-// `buf := make([]byte, 0)` pattern: with a stable compress bound the
-// worker-local scratch must keep one backing array, not regrow.
-func TestGrowBufReusesBacking(t *testing.T) {
-	var g growBuf
-	a := g.ensure(1000)
-	if len(a) != 1000 {
-		t.Fatalf("ensure(1000) returned len %d", len(a))
-	}
-	b := g.ensure(1000)
-	if &a[0] != &b[0] {
-		t.Error("stable-size ensure regrew the backing array")
-	}
-	c := g.ensure(400) // smaller: same backing, shorter view
-	if &a[0] != &c[0] || len(c) != 400 {
-		t.Errorf("shrinking ensure got new backing or wrong len %d", len(c))
-	}
-	d := g.ensure(4096) // larger: must grow
-	if len(d) != 4096 {
-		t.Fatalf("ensure(4096) returned len %d", len(d))
-	}
-	if !bufpool.RaceEnabled {
-		if avg := testing.AllocsPerRun(100, func() { g.ensure(4096) }); avg != 0 {
-			t.Errorf("stable ensure allocates %.1f per call, want 0", avg)
-		}
 	}
 }
 

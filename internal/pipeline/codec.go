@@ -28,13 +28,13 @@ const (
 // trial does.
 const trialEvery = 64
 
-// compressor is one compress worker's codec state: its output scratch
-// for -bufpool=off runs, its bit-plane buffer, and its filter decision.
+// compressor is one compress worker's codec state: the pool and domain
+// its output blocks are rented from, its bit-plane buffer, and its
+// filter decision.
 type compressor struct {
-	codec   Codec
-	hcDepth int
-	pool    *bufpool.Pool
-	dom     int
+	codec Codec
+	pool  *bufpool.Pool
+	dom   int
 	// filterable: the host has the vector encoder. The portable one costs
 	// more than LZ4 saves on the planes, so without it a worker never
 	// filters (receivers decode filtered frames everywhere).
@@ -42,14 +42,13 @@ type compressor struct {
 	filter     bool // the last trial's winner (never set unless filterable)
 	chunks     int  // chunks compressed, for the trial schedule
 	planes     leaseScratch
-	out, alt   growBuf
 	shuffled   *metrics.Counter
 	trials     *metrics.Counter
 }
 
 func newCompressor(opts SenderOptions, pool *bufpool.Pool, dom int) *compressor {
 	return &compressor{
-		codec: opts.Codec, hcDepth: opts.HCDepth, pool: pool, dom: dom,
+		codec: opts.Codec, pool: pool, dom: dom,
 		filterable: bitshuffle.Vectorized(),
 		planes:     leaseScratch{pool: pool, dom: dom},
 		shuffled:   opts.Metrics.Counter(CtrChunksBitshuffled),
@@ -57,10 +56,8 @@ func newCompressor(opts SenderOptions, pool *bufpool.Pool, dom int) *compressor 
 	}
 }
 
-// block is one compressed candidate: n bytes at the front of buf, which
-// lease backs when pooling is on.
+// block is one compressed candidate: n bytes at the front of lease.
 type block struct {
-	buf   []byte
 	lease *bufpool.Buf
 	n     int
 }
@@ -81,13 +78,13 @@ func (z *compressor) compress(c *Chunk) error {
 	if shuffled {
 		in = planes
 	}
-	out, err := z.block(in, &z.out)
+	out, err := z.block(in)
 	if err != nil {
 		return fmt.Errorf("compressing chunk %d: %w", c.Seq, err)
 	}
 	if trial {
 		z.trials.Inc()
-		alt, err := z.block(planes, &z.alt)
+		alt, err := z.block(planes)
 		if err != nil {
 			out.lease.Release()
 			return fmt.Errorf("compressing chunk %d: %w", c.Seq, err)
@@ -99,18 +96,14 @@ func (z *compressor) compress(c *Chunk) error {
 		}
 		alt.lease.Release()
 	}
-	switch {
-	case out.n >= len(src):
+	if out.n >= len(src) {
 		// Incompressible: the raw chunk ships as-is, unfiltered.
 		out.lease.Release()
 		shuffled = false
-	case out.lease != nil:
+	} else {
 		out.lease.SetLen(out.n)
 		c.Data = out.lease.Bytes()
 		c.lease = out.lease // released by the send worker
-		c.Packed = true
-	default:
-		c.Data = append([]byte(nil), out.buf[:out.n]...)
 		c.Packed = true
 	}
 	c.Shuffled = shuffled
@@ -124,24 +117,17 @@ func (z *compressor) compress(c *Chunk) error {
 }
 
 // block compresses src with the worker's codec into a CompressBound-sized
-// buffer: rented from the pool on this worker's domain (the send worker
-// releases it after the frame leaves), or the worker-local scratch when
-// pooling is off.
-func (z *compressor) block(src []byte, scratch *growBuf) (block, error) {
-	bound := lz4.CompressBound(len(src))
-	var b block
-	if z.pool != nil {
-		b.lease = z.pool.Get(z.dom, bound)
-		b.buf = b.lease.Bytes()
-	} else {
-		b.buf = scratch.ensure(bound)
-	}
+// buffer rented from the pool on this worker's domain (the send worker
+// releases it after the frame leaves).
+func (z *compressor) block(src []byte) (block, error) {
+	b := block{lease: z.pool.Get(z.dom, lz4.CompressBound(len(src)))}
+	dst := b.lease.Bytes()
 	var err error
 	switch z.codec {
 	case CodecHC:
-		b.n, err = lz4.CompressBlockHC(src, b.buf, z.hcDepth)
+		b.n, err = lz4.CompressBlockHC(src, dst, lz4.HCDefaultDepth)
 	default:
-		b.n, err = lz4.CompressBlock(src, b.buf)
+		b.n, err = lz4.CompressBlock(src, dst)
 	}
 	if err != nil {
 		b.lease.Release()
@@ -156,8 +142,7 @@ func (z *compressor) close() { z.planes.release() }
 // leaseScratch is a worker's bit-plane buffer: rented from the pool on
 // the worker's domain at first use, kept for the worker's lifetime (one
 // rental, not one per chunk), re-rented only when a chunk outgrows it,
-// and released when the worker exits. With pooling off it is one plain
-// allocation of the same life.
+// and released when the worker exits.
 type leaseScratch struct {
 	pool *bufpool.Pool
 	dom  int

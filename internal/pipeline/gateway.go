@@ -61,8 +61,8 @@ const ShardsAuto = -1
 // when Shards is set and StreamCredit is not.
 const DefaultStreamCredit = 8
 
-// DefaultShardQueueCap is the per-shard ring depth.
-const DefaultShardQueueCap = 64
+// shardRingDepth is the per-shard ring depth.
+const shardRingDepth = 64
 
 // ShardHash maps a stream id onto one of n shards. splitmix-style
 // avalanche so adjacent stream ids spread instead of clustering.

@@ -157,7 +157,7 @@ func shuffledMessage(seq uint64, raw []byte) msgq.Message {
 
 // TestReceiverPortableDecode: a receiver decodes bitshuffled frames with
 // the portable Go code — the path every receiver without AVX-512 takes —
-// pooled and unpooled, with lengths that leave groups and tail bytes past
+// with lengths that leave groups and tail bytes past
 // the kernels' 64-sample blocks.
 func TestReceiverPortableDecode(t *testing.T) {
 	sizes := []int{1 << 20, 16<<10 + 16*7 + 5, 100}
@@ -169,32 +169,30 @@ func TestReceiverPortableDecode(t *testing.T) {
 		msgs = append(msgs, shuffledMessage(uint64(i), raw))
 	}
 	defer bitshuffle.ForcePortable()()
-	for _, disable := range []bool{false, true} {
-		pool := bufpool.New(1)
-		got := make(map[uint64][]byte)
-		addr, reg, done := startReceiver(t, 1, len(msgs), func(o *ReceiverOptions) {
-			o.Sink = keepSink(got)
-			o.BufPool, o.DisableBufPool = pool, disable
-		})
-		push := newTestPush(t, addr)
-		for _, m := range msgs {
-			if err := push.Send(m); err != nil {
-				t.Fatal(err)
-			}
+	pool := bufpool.New(1)
+	got := make(map[uint64][]byte)
+	addr, reg, done := startReceiver(t, 1, len(msgs), func(o *ReceiverOptions) {
+		o.Sink = keepSink(got)
+		o.BufPool = pool
+	})
+	push := newTestPush(t, addr)
+	for _, m := range msgs {
+		if err := push.Send(m); err != nil {
+			t.Fatal(err)
 		}
-		if err := <-done; err != nil {
-			t.Fatalf("RunReceiver (bufpool off: %v): %v", disable, err)
+	}
+	if err := <-done; err != nil {
+		t.Fatalf("RunReceiver: %v", err)
+	}
+	if n := reg.CounterValue(CtrQuarantined); n != 0 {
+		t.Fatalf("chunks_quarantined = %d, want 0", n)
+	}
+	for i, w := range want {
+		if !bytes.Equal(got[uint64(i)], w) {
+			t.Fatalf("chunk %d (%d bytes) not delivered intact", i, len(w))
 		}
-		if n := reg.CounterValue(CtrQuarantined); n != 0 {
-			t.Fatalf("chunks_quarantined = %d, want 0", n)
-		}
-		for i, w := range want {
-			if !bytes.Equal(got[uint64(i)], w) {
-				t.Fatalf("chunk %d (%d bytes) not delivered intact (bufpool off: %v)", i, len(w), disable)
-			}
-		}
-		if n := pool.Outstanding(); n != 0 {
-			t.Fatalf("bufpool has %d leases outstanding after the run", n)
-		}
+	}
+	if n := pool.Outstanding(); n != 0 {
+		t.Fatalf("bufpool has %d leases outstanding after the run", n)
 	}
 }

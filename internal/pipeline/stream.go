@@ -284,8 +284,6 @@ type SenderOptions struct {
 	// instead of piling onto whichever dialed first. With SendHorizon set
 	// the wait is bounded by it too, failing with msgq.ErrNoPeers.
 	MinPeers int
-	// HCDepth is the CodecHC chain-search depth (0 = default).
-	HCDepth int
 	// Metrics, when non-nil, receives "compress" and "send" meters plus
 	// the msgq failure counters (reconnects, resends, timeouts).
 	Metrics *metrics.Registry
@@ -312,23 +310,15 @@ type SenderOptions struct {
 	// scratch from; nil uses the process-wide bufpool.Default(). Tests
 	// pass a private pool so they can assert its leak accounting.
 	BufPool *bufpool.Pool
-	// DisableBufPool turns pooling off (the -bufpool=off escape hatch):
-	// every stage allocates per chunk as before PR 5, the A/B baseline
-	// for allocator-pressure measurements.
-	DisableBufPool bool
 	// Controls, when non-nil, receives this run's stage pools so the
 	// adaptive placement controller can Grow/Shrink/re-pin them live.
 	// Nil costs nothing on the chunk path.
 	Controls *Controls
 }
 
-// effectivePool resolves the pool an options struct asks for: nil when
-// disabled (bufpool's nil-receiver mode keeps every call site uniform),
-// the explicit pool when set, the process default otherwise.
-func effectivePool(explicit *bufpool.Pool, disabled bool) *bufpool.Pool {
-	if disabled {
-		return nil
-	}
+// effectivePool resolves the pool an options struct asks for: the
+// explicit pool when set, the process default otherwise.
+func effectivePool(explicit *bufpool.Pool) *bufpool.Pool {
 	if explicit != nil {
 		return explicit
 	}
@@ -356,7 +346,7 @@ func RunSender(opts SenderOptions) error {
 	if opts.Metrics == nil {
 		opts.Metrics = metrics.NewRegistry()
 	}
-	pool := effectivePool(opts.BufPool, opts.DisableBufPool)
+	pool := effectivePool(opts.BufPool)
 	pool.Register(opts.Metrics)
 
 	sendGroup, _ := opts.Cfg.Group(runtime.Send)
@@ -631,24 +621,17 @@ type ReceiverOptions struct {
 	// BufPool overrides the buffer pool backing frame receives and
 	// decompression output; nil uses bufpool.Default().
 	//
-	// With pooling on, the Data slice a Sink receives is pooled memory
-	// that is recycled as soon as the Sink returns — a Sink that wants
-	// to keep the bytes must copy them during the call (every Sink in
-	// this repo already does).
+	// The Data slice a Sink receives is pooled memory that is recycled
+	// as soon as the Sink returns — a Sink that wants to keep the bytes
+	// must copy them during the call (every Sink in this repo already
+	// does).
 	BufPool *bufpool.Pool
-	// DisableBufPool turns pooling off (the -bufpool=off escape
-	// hatch); chunk buffers are then GC-owned and a Sink may retain
-	// Data freely, as before PR 5.
-	DisableBufPool bool
 
 	// Shards is the number of receive queues the intake spreads streams
 	// over by stream hash (see gateway.go): 0 is a single inbox; > 0 is
 	// an explicit shard count; ShardsAuto aligns it with the host's NUMA
 	// domains.
 	Shards int
-	// ShardQueueCap is the per-shard ring depth (default
-	// DefaultShardQueueCap).
-	ShardQueueCap int
 	// MaxStreams is the admission limit: at most this many distinct
 	// streams are ever admitted; later streams are rejected at dispatch
 	// and counted (CtrStreamsRejected, CtrChunksRejected). 0 means
@@ -722,11 +705,7 @@ func RunReceiver(opts ReceiverOptions) error {
 	if laneCap <= 0 {
 		laneCap = opts.QueueCap
 	}
-	shardCap := opts.ShardQueueCap
-	if shardCap <= 0 {
-		shardCap = DefaultShardQueueCap
-	}
-	pool := effectivePool(opts.BufPool, opts.DisableBufPool)
+	pool := effectivePool(opts.BufPool)
 	pool.Register(opts.Metrics)
 
 	recvGroup, _ := opts.Cfg.Group(runtime.Receive)
@@ -756,12 +735,10 @@ func RunReceiver(opts ReceiverOptions) error {
 	}
 	defer pull.Close()
 	pull.SetLabel(opts.Cfg.Node)
-	if pool != nil {
-		// Frame buffers are rented on behalf of the receive workers'
-		// domain: the read loop does the first touch, but the pages are
-		// recycled within the domain that consumes them.
-		pull.SetBufferPool(pool, recv.pin.DomainFor(0))
-	}
+	// Frame buffers are rented on behalf of the receive workers' domain:
+	// the read loop does the first touch, but the pages are recycled
+	// within the domain that consumes them.
+	pull.SetBufferPool(pool, recv.pin.DomainFor(0))
 
 	adm := NewAdmission(opts.Metrics, opts.MaxStreams)
 	gate := newCreditGate(opts.Metrics, credit)
@@ -769,7 +746,7 @@ func RunReceiver(opts ReceiverOptions) error {
 	// header, admit, take credit, route by stream hash. A frame of the
 	// wrong shape (parseFrame) passes through uncredited and is
 	// quarantined by a receive worker.
-	pull.SetDispatch(shards, shardCap, func(d *msgq.Delivery) (int, bool) {
+	pull.SetDispatch(shards, shardRingDepth, func(d *msgq.Delivery) (int, bool) {
 		c, _, err := parseFrame(d.Msg)
 		if err != nil {
 			return 0, true

@@ -90,10 +90,8 @@ func TestWireCRCEveryProducer(t *testing.T) {
 		{"lz4-hc", 1, compressible, true, false, func(o *SenderOptions) { o.Codec = CodecHC }},
 		{"raw-fallback", 1, incompressible, false, false, nil},
 		{"no-compress-stage", 0, incompressible, false, false, nil},
-		{"bufpool-off", 1, compressible, true, false, func(o *SenderOptions) { o.DisableBufPool = true }},
 		{"lz4-bitshuffle", 1, projectionChunk, true, true, nil},
 		{"lz4-hc-bitshuffle", 1, projectionChunk, true, true, func(o *SenderOptions) { o.Codec = CodecHC }},
-		{"bitshuffle-bufpool-off", 1, projectionChunk, true, true, func(o *SenderOptions) { o.DisableBufPool = true }},
 	}
 	for _, tc := range cases {
 		tc := tc
