@@ -173,29 +173,8 @@ examples:
 check: build vet test sim-golden bench-build handoff-bench lz4-fuzz race churn-drill report-drill stream-drill fleet-drill adapt-drill examples
 
 # Human-readable benchmark run over the root suite (the paper figures,
-# the loopback pipeline, queues, LZ4).
+# the mechanism ablations, the elastic pool's resize cycle). Performance
+# claims are made on the repository benchmark (BENCHMARK.json,
+# benchmark/run.sh), not on these.
 bench:
 	$(GO) test -run '^$$' -bench=. -benchmem
-
-# Machine-readable benchmark run: test2json event stream, one JSON
-# object per line, suitable for diffing across PRs (see BENCH_PR4.json
-# for the first committed snapshot). BENCH_OUT overrides the file.
-BENCH_OUT ?= bench.json
-bench-json:
-	$(GO) test -run '^$$' -bench=. -benchmem -json > $(BENCH_OUT)
-
-# Benchmark regression gate: re-run only the gated hot-path benchmarks
-# and diff them against the committed baseline snapshot. Fails when a
-# gated benchmark regresses more than 15% ns/op after host-speed
-# normalization. Two defenses keep the gate meaningful on arbitrary CI
-# hosts: benchdiff compares best-of-N across the -count samples (the
-# minimum is the least-noise estimator — interference only ever slows a
-# run down), and the queue spin benchmark calibrates for absolute host
-# speed (its fixed, allocation-free work measures the machine, so the
-# committed baseline from a faster box still gates a slower one).
-# BENCH_BASE selects the baseline (the newest committed BENCH_PR*.json).
-BENCH_BASE ?= BENCH_PR8.json
-GATED_BENCHMARKS = BenchmarkLoopbackPipeline BenchmarkQueueThroughput
-bench-gate:
-	$(GO) test -run '^$$' -bench '^(BenchmarkLoopbackPipeline|BenchmarkQueueThroughput)$$' -count=6 -benchmem -json > bench-gate.json
-	$(GO) run ./cmd/benchdiff -baseline $(BENCH_BASE) -current bench-gate.json -calibrate BenchmarkQueueThroughput $(GATED_BENCHMARKS)

@@ -1,23 +1,20 @@
 // Benchmarks regenerating the paper's evaluation: one testing.B target
 // per table/figure (reporting the headline Gbps as custom metrics), the
-// mechanism ablations of DESIGN.md §6, and micro-benchmarks of the real
-// substrates (LZ4 codec, queue, loopback pipeline). Run:
+// mechanism ablations of DESIGN.md §6, and the elastic pool's resize
+// cycle. The real pipeline's end-to-end numbers come from the repository
+// benchmark (BENCHMARK.json, benchmark/run.sh); the codec and hand-off
+// micro-benchmarks live beside their packages (internal/lz4,
+// internal/bitshuffle, internal/pipeline). Run:
 //
 //	go test -bench=. -benchmem
 package numastream_test
 
 import (
-	"bytes"
 	"runtime"
-	"sync"
 	"testing"
 
-	"numastream"
 	"numastream/internal/experiments"
-	"numastream/internal/lz4"
 	"numastream/internal/pipeline"
-	"numastream/internal/queue"
-	"numastream/internal/tomo"
 )
 
 // --- Figure/table reproductions ------------------------------------
@@ -214,195 +211,6 @@ func BenchmarkAblationMigrationTax(b *testing.B) {
 }
 
 // --- Substrate micro-benchmarks -------------------------------------
-
-// projFrame is one quarter-scale synthetic projection, shared across
-// codec benches.
-var projFrame = func() []byte {
-	cfg := tomo.DefaultProjectionConfig()
-	cfg.Width /= 4
-	cfg.Height /= 4
-	return tomo.Projection(tomo.RandomPhantom(3, 60), 0.7, cfg)
-}()
-
-// BenchmarkLZ4Compress measures the real codec on projection data (the
-// calibration anchor for hw.CompressRate).
-func BenchmarkLZ4Compress(b *testing.B) {
-	dst := make([]byte, lz4.CompressBound(len(projFrame)))
-	b.SetBytes(int64(len(projFrame)))
-	for i := 0; i < b.N; i++ {
-		if _, err := lz4.CompressBlock(projFrame, dst); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkLZ4Decompress measures decode speed (the paper's ~3X
-// asymmetry shows up here).
-func BenchmarkLZ4Decompress(b *testing.B) {
-	packed := lz4.Compress(projFrame)
-	dst := make([]byte, len(projFrame))
-	b.SetBytes(int64(len(projFrame)))
-	for i := 0; i < b.N; i++ {
-		if _, err := lz4.DecompressBlock(packed, dst); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkQueueThroughput measures the inter-stage queue under a
-// producer/consumer pair.
-func BenchmarkQueueThroughput(b *testing.B) {
-	b.ReportAllocs()
-	q := queue.New[int](64)
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for {
-			if _, err := q.Get(); err != nil {
-				return
-			}
-		}
-	}()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := q.Put(i); err != nil {
-			b.Fatal(err)
-		}
-	}
-	q.Close()
-	wg.Wait()
-}
-
-// BenchmarkLoopbackPipeline measures the real goroutine pipeline over
-// loopback TCP with compression, end to end, through the process-wide
-// buffer pool as in production.
-func BenchmarkLoopbackPipeline(b *testing.B) {
-	b.ReportAllocs()
-	const chunkSize = 1 << 20
-	chunk := bytes.Repeat([]byte("tomography pixels "), chunkSize/18+1)[:chunkSize]
-	host := numastream.SyntheticTopology(1, 4)
-	topoInfo := numastream.TopologyInfo{Sockets: 1, CoresPerSocket: 4, NICSocket: 0}
-	rcvCfg, err := numastream.GenerateReceiverConfig("gw", topoInfo,
-		numastream.GenerateOptions{Streams: 1, Compression: true, SendThreads: 2})
-	if err != nil {
-		b.Fatal(err)
-	}
-	sndCfg, err := numastream.GenerateSenderConfig("src", topoInfo,
-		numastream.GenerateOptions{Streams: 1, Compression: true, SendThreads: 2})
-	if err != nil {
-		b.Fatal(err)
-	}
-
-	b.SetBytes(chunkSize)
-	b.ResetTimer()
-
-	ready := make(chan string, 1)
-	recvDone := make(chan error, 1)
-	go func() {
-		recvDone <- numastream.StartReceiver(numastream.ReceiverOptions{
-			Cfg: rcvCfg, Topo: host, Bind: "127.0.0.1:0",
-			Expect: b.N, Ready: ready,
-		})
-	}()
-	addr := <-ready
-	sent := 0
-	err = numastream.StartSender(numastream.SenderOptions{
-		Cfg: sndCfg, Topo: host, Peers: []string{addr},
-		Source: func() []byte {
-			if sent >= b.N {
-				return nil
-			}
-			sent++
-			return chunk
-		},
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := <-recvDone; err != nil {
-		b.Fatal(err)
-	}
-}
-
-// BenchmarkGatewayFanIn measures multi-sender fan-in at the gateway:
-// eight concurrent senders into one receive ring with no credit gate
-// ("single", Shards 0) versus four rings under the default per-stream
-// credit ("sharded") — two settings of one receiver. Sharding removes
-// head-of-line blocking between streams (the thousand-stream gateway's
-// core claim); with healthy homogeneous senders the two should be
-// comparable — sharding must not tax the fan-in it exists to protect.
-func BenchmarkGatewayFanIn(b *testing.B) {
-	b.Run("single", func(b *testing.B) { benchFanIn(b, 0) })
-	b.Run("sharded", func(b *testing.B) { benchFanIn(b, 4) })
-}
-
-func benchFanIn(b *testing.B, shards int) {
-	b.ReportAllocs()
-	const (
-		senders   = 8
-		chunkSize = 256 << 10
-	)
-	chunk := bytes.Repeat([]byte("fan-in payload "), chunkSize/15+1)[:chunkSize]
-	host := numastream.SyntheticTopology(1, 4)
-	topoInfo := numastream.TopologyInfo{Sockets: 1, CoresPerSocket: 4, NICSocket: 0}
-	rcvCfg, err := numastream.GenerateReceiverConfig("gw", topoInfo,
-		numastream.GenerateOptions{Streams: 1, Compression: true, SendThreads: 2})
-	if err != nil {
-		b.Fatal(err)
-	}
-	sndCfg, err := numastream.GenerateSenderConfig("src", topoInfo,
-		numastream.GenerateOptions{Streams: 1, Compression: true, SendThreads: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-
-	per := b.N / senders
-	total := 0
-	counts := make([]int, senders)
-	for s := range counts {
-		counts[s] = per
-		total += per
-	}
-	counts[0] += b.N - total
-
-	b.SetBytes(chunkSize)
-	b.ResetTimer()
-
-	ready := make(chan string, 1)
-	recvDone := make(chan error, 1)
-	go func() {
-		recvDone <- numastream.StartReceiver(numastream.ReceiverOptions{
-			Cfg: rcvCfg, Topo: host, Bind: "127.0.0.1:0",
-			Expect: b.N, Ready: ready, Shards: shards,
-		})
-	}()
-	addr := <-ready
-	errs := make(chan error, senders)
-	for s := 0; s < senders; s++ {
-		go func(s int) {
-			sent := 0
-			errs <- numastream.StartSender(numastream.SenderOptions{
-				Cfg: sndCfg, Topo: host, Peers: []string{addr}, StreamID: uint32(s),
-				Source: func() []byte {
-					if sent >= counts[s] {
-						return nil
-					}
-					sent++
-					return chunk
-				},
-			})
-		}(s)
-	}
-	for s := 0; s < senders; s++ {
-		if err := <-errs; err != nil {
-			b.Fatal(err)
-		}
-	}
-	if err := <-recvDone; err != nil {
-		b.Fatal(err)
-	}
-}
 
 // BenchmarkElasticPoolGrowShrink measures one full elastic churn cycle
 // against a live pool: grow one worker onto the next domain, shrink it

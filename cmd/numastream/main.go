@@ -18,6 +18,7 @@ import (
 	"os/signal"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"syscall"
 	"time"
 
@@ -190,6 +191,10 @@ func main() {
 		sampler = metrics.NewSampler(reg, *sampleEvery, 1<<16)
 		sampler.Start()
 	}
+	// A receiver that quarantined every chunk it accounted for ran to
+	// completion as a library call, but delivered nothing: the binary
+	// says so in its exit status once the reports are written.
+	var nothingDelivered error
 	switch cfg.Role {
 	case runtime.Sender:
 		if *peers == "" {
@@ -247,7 +252,15 @@ func main() {
 			opts.Expect = 0
 			opts.Stop = stop
 		}
+		var delivered atomic.Int64
+		opts.Sink = func(pipeline.Chunk) error {
+			delivered.Add(1)
+			return nil
+		}
 		err = pipeline.RunReceiver(opts)
+		if q := reg.CounterValue(pipeline.CtrQuarantined); err == nil && q > 0 && delivered.Load() == 0 {
+			nothingDelivered = fmt.Errorf("receiver delivered 0 chunks and quarantined %d", q)
+		}
 	default:
 		err = fmt.Errorf("config has unknown role %q", cfg.Role)
 	}
@@ -319,6 +332,9 @@ func main() {
 		}
 	}
 	fmt.Printf("%s %q done:\n%s", cfg.Role, cfg.Node, reg.String())
+	if nothingDelivered != nil {
+		fatal(nothingDelivered)
+	}
 }
 
 // newSource yields n chunks: synthetic patterned data, or parallel-beam

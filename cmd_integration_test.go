@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"os"
@@ -157,8 +158,9 @@ func TestCLIStreamingPair(t *testing.T) {
 
 // TestCLIFaultPlanPair drives numastream's sender fault wiring end to
 // end: a -fault-plan corrupt flips one payload bit on the wire, the
-// receiver quarantines that chunk and still exits cleanly, and the two
-// sides reconcile (sent = delivered + quarantined).
+// receiver quarantines that chunk, and the two sides reconcile (sent =
+// delivered + quarantined). A receiver that still delivered chunks exits
+// cleanly; one that quarantined every chunk exits 1 naming both counts.
 func TestCLIFaultPlanPair(t *testing.T) {
 	dir := t.TempDir()
 	rcvCfg := filepath.Join(dir, "rcv.json")
@@ -168,48 +170,71 @@ func TestCLIFaultPlanPair(t *testing.T) {
 	os.WriteFile(sndCfg, []byte(run(t, "confgen", "-role", "sender", "-node", "src",
 		"-sockets", "1", "-cores", "1", "-nic-socket", "0", "-compression")), 0o644)
 
-	// Fixed port, distinct from the other CLI tests.
-	const addr = "127.0.0.1:19778"
-	const chunks = "8"
-	recvOut := make(chan string, 1)
-	recvErr := make(chan error, 1)
-	go func() {
-		cmd := exec.Command(filepath.Join(buildTools(t), "numastream"),
-			"-config", rcvCfg, "-bind", addr, "-chunks", chunks, "-scale", "16", "-synthetic")
-		out, err := cmd.CombinedOutput()
-		recvOut <- string(out)
-		recvErr <- err
-	}()
+	cases := []struct {
+		name   string
+		addr   string // fixed port, distinct from the other CLI tests
+		chunks string
+		plan   string
+		// wantFail: the receiver delivered nothing, so it exits 1.
+		wantFail bool
+	}{
+		// 8 synthetic chunks at -scale 16 are ~20 KB on the wire, so a
+		// 2 KB trigger lands mid-stream.
+		{name: "one of eight", addr: "127.0.0.1:19778", chunks: "8", plan: "corrupt@2KB,seed=1"},
+		// The first payload-sized write is the only chunk's payload.
+		{name: "only chunk", addr: "127.0.0.1:19779", chunks: "1", plan: "corrupt@0,seed=1", wantFail: true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			recvOut := make(chan string, 1)
+			recvErr := make(chan error, 1)
+			go func() {
+				cmd := exec.Command(filepath.Join(buildTools(t), "numastream"),
+					"-config", rcvCfg, "-bind", tc.addr, "-chunks", tc.chunks, "-scale", "16", "-synthetic")
+				out, err := cmd.CombinedOutput()
+				recvOut <- string(out)
+				recvErr <- err
+			}()
 
-	// 8 synthetic chunks at -scale 16 are ~20 KB on the wire, so a 2 KB
-	// trigger lands mid-stream.
-	sndOut := run(t, "numastream", "-config", sndCfg, "-peers", addr,
-		"-chunks", chunks, "-scale", "16", "-synthetic", "-fault-plan", "corrupt@2KB,seed=1")
-	out := <-recvOut
-	if err := <-recvErr; err != nil {
-		t.Fatalf("receiver: %v\n%s", err, out)
-	}
-	count := func(out, pattern string) int {
-		t.Helper()
-		m := regexp.MustCompile(`(?m)^` + pattern + `\s.*?(\d+) (items|events)`).FindStringSubmatch(out)
-		if m == nil {
-			return 0
-		}
-		n, err := strconv.Atoi(m[1])
-		if err != nil {
-			t.Fatalf("%s: %v", pattern, err)
-		}
-		return n
-	}
-	sent := count(sndOut, "send")
-	delivered := count(out, "delivered_stream_0")
-	quarantined := count(out, "chunks_quarantined")
-	if quarantined < 1 {
-		t.Fatalf("corrupt fault quarantined no chunk\nsender:\n%s\nreceiver:\n%s", sndOut, out)
-	}
-	if sent != delivered+quarantined {
-		t.Fatalf("sent %d != delivered %d + quarantined %d\nsender:\n%s\nreceiver:\n%s",
-			sent, delivered, quarantined, sndOut, out)
+			sndOut := run(t, "numastream", "-config", sndCfg, "-peers", tc.addr,
+				"-chunks", tc.chunks, "-scale", "16", "-synthetic", "-fault-plan", tc.plan)
+			out := <-recvOut
+			err := <-recvErr
+			count := func(out, pattern string) int {
+				t.Helper()
+				m := regexp.MustCompile(`(?m)^` + pattern + `\s.*?(\d+) (items|events)`).FindStringSubmatch(out)
+				if m == nil {
+					return 0
+				}
+				n, err := strconv.Atoi(m[1])
+				if err != nil {
+					t.Fatalf("%s: %v", pattern, err)
+				}
+				return n
+			}
+			sent := count(sndOut, "send")
+			delivered := count(out, "delivered_stream_0")
+			quarantined := count(out, "chunks_quarantined")
+			if tc.wantFail {
+				var exit *exec.ExitError
+				if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+					t.Fatalf("receiver that delivered nothing: err %v, want exit status 1\n%s", err, out)
+				}
+				want := fmt.Sprintf("delivered 0 chunks and quarantined %d", quarantined)
+				if !strings.Contains(out, want) {
+					t.Fatalf("receiver output lacks %q:\n%s", want, out)
+				}
+			} else if err != nil {
+				t.Fatalf("receiver: %v\n%s", err, out)
+			}
+			if quarantined < 1 {
+				t.Fatalf("corrupt fault quarantined no chunk\nsender:\n%s\nreceiver:\n%s", sndOut, out)
+			}
+			if sent != delivered+quarantined {
+				t.Fatalf("sent %d != delivered %d + quarantined %d\nsender:\n%s\nreceiver:\n%s",
+					sent, delivered, quarantined, sndOut, out)
+			}
+		})
 	}
 }
 

@@ -1,108 +1,29 @@
 // Autotune: the paper's future work (§6) — "adjust the allocation of
 // cores to streaming software processes in response to real-time
-// resource utilization". A gateway starts with an OS-placed
-// configuration, the runtime observes per-core utilization and
-// remote-memory traffic on the machine model, and the autotuner
-// iteratively repairs the configuration until it converges on the
-// NUMA-aware placement — with measured throughput improving at each
-// step.
+// resource utilization". A stream starts from a deliberately bad
+// configuration (one compress worker, everything on socket 0); the
+// adaptive placement controller (internal/adapt) watches the
+// self-diagnosis windows, resizes and re-pins the elastic pools, and
+// converges to within 10% of the hand-tuned configuration, which draws
+// no actions at all. Virtual time: the same seed prints the same story.
 package main
 
 import (
 	"fmt"
 	"log"
 
-	"numastream/internal/hw"
-	"numastream/internal/netsim"
-	"numastream/internal/runtime"
-	"numastream/internal/sim"
+	"numastream/internal/experiments"
 )
 
-const chunkBytes = 11.0592e6
-
-// measure runs one four-thread stream against the gateway model under
-// cfg and returns throughput plus the observations the autotuner needs.
-func measure(cfg runtime.NodeConfig) (float64, []runtime.CoreObservation, error) {
-	eng := sim.NewEngine()
-	snd := runtime.NewSimNode(hw.NewUpdraft(eng, "updraft1"), 1)
-	rcv := runtime.NewSimNode(hw.NewLynxdtn(eng), 2)
-	link := netsim.NewLink(eng, "aps", hw.BytesPerSec(100), 0.45e-3)
-	path := netsim.NewPath(eng, snd.M, hw.DataNIC(snd.M), link, rcv.M, hw.DataNIC(rcv.M))
-
-	st := &runtime.Stream{
-		Spec:   runtime.StreamSpec{Name: "s", Chunks: 150, ChunkBytes: chunkBytes, Ratio: 2},
-		Sender: snd,
-		SenderCfg: runtime.NodeConfig{Node: "updraft1", Role: runtime.Sender,
-			Groups: []runtime.TaskGroup{
-				{Type: runtime.Compress, Count: 32, Placement: runtime.SplitAll()},
-				{Type: runtime.Send, Count: 4, Placement: runtime.SplitAll()},
-			}},
-		Receiver:    rcv,
-		ReceiverCfg: cfg,
-		Path:        path,
-	}
-	if err := (&runtime.Runner{Eng: eng, Streams: []*runtime.Stream{st}}).Run(); err != nil {
-		return 0, nil, err
-	}
-
-	var obs []runtime.CoreObservation
-	for _, cs := range rcv.M.CoreStats(st.FinishTime) {
-		remoteFrac := 0.0
-		if cs.TotalBytes > 0 {
-			remoteFrac = cs.RemoteBytes / cs.TotalBytes
-		}
-		obs = append(obs, runtime.CoreObservation{
-			Core: cs.ID, Socket: cs.Socket,
-			Utilization: cs.Utilization, RemoteFrac: remoteFrac,
-		})
-	}
-	return hw.Gbps(st.EndToEndBps()), obs, nil
-}
-
 func main() {
-	topo := runtime.TopologyInfo{Sockets: 2, CoresPerSocket: 16, NICSocket: 1}
-	cfg := runtime.NodeConfig{Node: "lynxdtn", Role: runtime.Receiver,
-		Groups: []runtime.TaskGroup{
-			{Type: runtime.Receive, Count: 4, Placement: runtime.OS()},
-			{Type: runtime.Decompress, Count: 8, Placement: runtime.OS()},
-		}}
-
-	fmt.Println("autotuning a gateway that starts with OS placement")
-	for round := 1; ; round++ {
-		gbps, obs, err := measure(cfg)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("round %d: %6.1f Gbps end-to-end  (receive=%v, decompress=%v)\n",
-			round, gbps, placementOf(cfg, runtime.Receive), placementOf(cfg, runtime.Decompress))
-
-		tuned, advice, err := runtime.Autotune(cfg, topo, obs)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if len(advice) == 0 {
-			fmt.Println("converged: no further placement changes advised")
-			break
-		}
-		for _, a := range advice {
-			fmt.Printf("  -> %s: %s\n", a.Group, a.Reason)
-		}
-		cfg = tuned
-		if round > 5 {
-			log.Fatal("autotuner did not converge")
-		}
+	res, err := experiments.AdaptSim(1)
+	if err != nil {
+		log.Fatal(err)
 	}
-}
-
-func placementOf(cfg runtime.NodeConfig, t runtime.TaskType) string {
-	g, ok := cfg.Group(t)
-	if !ok {
-		return "-"
+	fmt.Println(experiments.FormatAdaptSim(res))
+	if err := res.Check(); err != nil {
+		log.Fatal(err)
 	}
-	switch g.Placement.Mode {
-	case runtime.Pinned:
-		return fmt.Sprintf("pinned%v", g.Placement.Sockets)
-	default:
-		return string(g.Placement.Mode)
-	}
+	fmt.Printf("converged to %.0f%% of tuned with %d actions\n",
+		100*res.Converged(), len(res.Actions))
 }

@@ -328,11 +328,25 @@ func TestSenderDistributesAcrossPeers(t *testing.T) {
 	}
 	g1, g2 := mk(), mk()
 
+	// The first chunk waits until both peers are dialed, so the chunks
+	// spread over both instead of piling onto whichever dialed first.
+	reg := metrics.NewRegistry()
+	next := chunkSource(chunks, 4<<10)
+	var dialed sync.Once
+	source := func() []byte {
+		dialed.Do(func() {
+			deadline := time.Now().Add(5 * time.Second)
+			for reg.CounterValue(msgq.CtrDials) < 2 && time.Now().Before(deadline) {
+				time.Sleep(time.Millisecond)
+			}
+		})
+		return next()
+	}
 	if err := RunSender(SenderOptions{
 		Cfg: senderCfg(0, 1), Topo: topo,
-		Peers:    []string{g1.addr, g2.addr},
-		MinPeers: 2,
-		Source:   chunkSource(chunks, 4<<10),
+		Peers:   []string{g1.addr, g2.addr},
+		Metrics: reg,
+		Source:  source,
 	}); err != nil {
 		t.Fatalf("RunSender: %v", err)
 	}

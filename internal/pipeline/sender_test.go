@@ -39,8 +39,7 @@ func TestSenderTeardownInvariant(t *testing.T) {
 		wantErr bool
 	}{
 		{name: "Source exhausted", chunks: 64},
-		{name: "peers never appear", dead: true, wantErr: true,
-			opts: func(o *SenderOptions) { o.MinPeers = 1 }},
+		{name: "peers never appear", dead: true, wantErr: true},
 		{name: "receiver dies mid-stream", killAt: 16, wantErr: true},
 		{name: "placement failure", wantErr: true,
 			opts: func(o *SenderOptions) { o.Topo, o.Cfg = sparse, unplaceable }},

@@ -279,11 +279,6 @@ type SenderOptions struct {
 	StreamID uint32
 	// Codec selects the compression algorithm (default CodecFast).
 	Codec Codec
-	// MinPeers, when positive, delays streaming until that many peer
-	// connections are live, so chunks distribute across all receivers
-	// instead of piling onto whichever dialed first. With SendHorizon set
-	// the wait is bounded by it too, failing with msgq.ErrNoPeers.
-	MinPeers int
 	// Metrics, when non-nil, receives "compress" and "send" meters plus
 	// the msgq failure counters (reconnects, resends, timeouts).
 	Metrics *metrics.Registry
@@ -406,19 +401,6 @@ func RunSender(opts SenderOptions) error {
 	}
 	for _, peer := range opts.Peers {
 		push.Connect(peer)
-	}
-	if opts.MinPeers > 0 {
-		if opts.MinPeers > len(opts.Peers) {
-			return fmt.Errorf("pipeline: MinPeers %d exceeds peer count %d", opts.MinPeers, len(opts.Peers))
-		}
-		if opts.SendHorizon > 0 {
-			err = push.WaitLiveTimeout(opts.MinPeers, opts.SendHorizon)
-		} else {
-			err = push.WaitLive(opts.MinPeers)
-		}
-		if err != nil {
-			return err
-		}
 	}
 
 	sendQ := queue.New[Chunk](opts.QueueCap)

@@ -2,7 +2,6 @@ package pipeline
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"hash/crc32"
 	"sync"
@@ -10,7 +9,6 @@ import (
 	"time"
 
 	"numastream/internal/metrics"
-	"numastream/internal/msgq"
 	"numastream/internal/numa"
 	"numastream/internal/runtime"
 	"numastream/internal/trace"
@@ -546,31 +544,5 @@ func TestSenderAbortsWhenPeersNeverAppear(t *testing.T) {
 		}
 	case <-time.After(15 * time.Second):
 		t.Fatal("RunSender wedged after all send workers failed")
-	}
-}
-
-// TestSenderMinPeersHonoursHorizon: waiting for MinPeers is bounded by
-// SendHorizon like every other wait on absent peers, and fails the same
-// way — a sender told to give up after 200 ms must not wait forever for
-// a peer that never comes up.
-func TestSenderMinPeersHonoursHorizon(t *testing.T) {
-	done := make(chan error, 1)
-	go func() {
-		done <- RunSender(SenderOptions{
-			Cfg:         senderCfg(1, 1),
-			Topo:        testTopo(),
-			Peers:       []string{"127.0.0.1:1"}, // nothing listens here
-			MinPeers:    1,
-			SendHorizon: 200 * time.Millisecond,
-			Source:      chunkSource(4, 1<<10),
-		})
-	}()
-	select {
-	case err := <-done:
-		if !errors.Is(err, msgq.ErrNoPeers) {
-			t.Fatalf("RunSender = %v, want an error wrapping msgq.ErrNoPeers", err)
-		}
-	case <-time.After(3 * time.Second):
-		t.Fatal("RunSender still waiting for MinPeers 3s into a 200ms horizon")
 	}
 }

@@ -124,30 +124,3 @@ func TestPropertyOSBaselinePreservesCounts(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// TestPropertyAutotuneConverges: from any starting placement, at most
-// two rounds of autotuning reach a fixed point.
-func TestPropertyAutotuneConverges(t *testing.T) {
-	placements := []Placement{PinTo(0), OS(), SplitAll()}
-	f := func(s, c, nic, p1, p2 uint8) bool {
-		topo := arbTopo(s, c, nic)
-		cfg := NodeConfig{Node: "gw", Role: Receiver, Groups: []TaskGroup{
-			{Type: Receive, Count: 2, Placement: placements[int(p1)%len(placements)]},
-			{Type: Decompress, Count: 2, Placement: placements[int(p2)%len(placements)]},
-		}}
-		obs := []CoreObservation{{Core: 0, Socket: 0, Utilization: 1, RemoteFrac: 1}}
-		t1, _, err := Autotune(cfg, topo, obs)
-		if err != nil {
-			return false
-		}
-		t2, advice2, err := Autotune(t1, topo, obs)
-		if err != nil || len(advice2) != 0 {
-			return false
-		}
-		_, advice3, err := Autotune(t2, topo, obs)
-		return err == nil && len(advice3) == 0
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
-}
