@@ -137,6 +137,11 @@ func main() {
 		total, senders)
 	fmt.Printf("downstream balance: hpc-1=%d hpc-2=%d chunks\n", perConsumer[0], perConsumer[1])
 	fmt.Printf("gateway:\n%s", gwMetrics.String())
+	for i, n := range perConsumer {
+		if n == 0 {
+			log.Fatalf("hpc-%d received no chunks: the gateway did not load-balance", i+1)
+		}
+	}
 }
 
 // payload builds a deterministic, compressible chunk unique to

@@ -1,24 +1,20 @@
 package msgq
 
 import (
+	"errors"
+	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"numastream/internal/metrics"
 )
 
-// peerLog records OnPeerUp/OnPeerDown callbacks for assertions.
+// peerLog records OnPeerDown callbacks for assertions.
 type peerLog struct {
 	mu    sync.Mutex
-	ups   []string
 	downs []string
-}
-
-func (l *peerLog) up(addr string) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.ups = append(l.ups, addr)
 }
 
 func (l *peerLog) down(addr string) {
@@ -27,10 +23,10 @@ func (l *peerLog) down(addr string) {
 	l.downs = append(l.downs, addr)
 }
 
-func (l *peerLog) counts() (up, down int) {
+func (l *peerLog) count() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return len(l.ups), len(l.downs)
+	return len(l.downs)
 }
 
 func waitFor(t *testing.T, what string, cond func() bool) {
@@ -52,35 +48,107 @@ func TestPushPeerCallbacksFireOnUpAndDeath(t *testing.T) {
 	addr := pull.Addr().String()
 
 	var log peerLog
+	reg := metrics.NewRegistry()
 	push := NewPush()
 	push.RetryInterval = 10 * time.Millisecond
-	push.OnPeerUp = log.up
 	push.OnPeerDown = log.down
+	push.Counters = reg
 	defer push.Close()
 	push.Connect(addr)
 	if err := push.WaitLive(1); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "peer-up callback", func() bool { up, _ := log.counts(); return up >= 1 })
 
 	// Killing the receiver is a real peer death: OnPeerDown must fire
 	// (via the peer-death monitor) with the endpoint address.
 	pull.Close()
-	waitFor(t, "peer-down callback", func() bool { _, down := log.counts(); return down >= 1 })
+	waitFor(t, "peer-down callback", func() bool { return log.count() >= 1 })
 	log.mu.Lock()
-	if log.ups[0] != addr || log.downs[0] != addr {
-		t.Fatalf("callbacks carried %q/%q, want %q", log.ups[0], log.downs[0], addr)
+	if log.downs[0] != addr {
+		t.Fatalf("callback carried %q, want %q", log.downs[0], addr)
 	}
 	log.mu.Unlock()
 
-	// The receiver comes back: the redialer reconnects and OnPeerUp
-	// fires again for the same endpoint.
+	// The receiver comes back: the redialer reconnects the same
+	// endpoint on its own.
 	pull2, err := NewPull(addr)
 	if err != nil {
 		t.Skipf("could not rebind %s: %v", addr, err)
 	}
 	defer pull2.Close()
-	waitFor(t, "peer-up after rebind", func() bool { up, _ := log.counts(); return up >= 2 })
+	waitFor(t, "redial after rebind", func() bool {
+		return push.Live() == 1 && reg.Counter(CtrRedials).Value() >= 1
+	})
+}
+
+// TestPushOnResendFiresOnRetry: a message whose first write fails is
+// retried on the next connection, and that retry is reported once —
+// OnResend with the message, one msgq_resends count.
+func TestPushOnResendFiresOnRetry(t *testing.T) {
+	pull, err := NewPull("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pull.Close()
+
+	// Only the first connection is armed to fail its writes.
+	first := make(chan *failingConn, 1)
+	reg := metrics.NewRegistry()
+	push := NewPush()
+	push.RetryInterval = 10 * time.Millisecond
+	push.Counters = reg
+	push.Dial = func(addr string) (net.Conn, error) {
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			return nil, err
+		}
+		fc := &failingConn{Conn: conn}
+		select {
+		case first <- fc:
+		default:
+		}
+		return fc, nil
+	}
+	var mu sync.Mutex
+	var resent []Message
+	push.OnResend = func(msg Message) {
+		mu.Lock()
+		resent = append(resent, msg)
+		mu.Unlock()
+	}
+	defer push.Close()
+	push.Connect(pull.Addr().String())
+	if err := push.WaitLive(1); err != nil {
+		t.Fatal(err)
+	}
+	(<-first).fail.Store(true) // handshake done: only the frame write fails
+	if err := push.Send(Message{[]byte("retried")}); err != nil {
+		t.Fatalf("Send: %v", err)
+	}
+	if m, err := pull.Recv(); err != nil || string(m[0]) != "retried" {
+		t.Fatalf("Recv = %q, %v", m, err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(resent) != 1 || string(resent[0][0]) != "retried" {
+		t.Fatalf("OnResend saw %q, want the one retried message", resent)
+	}
+	if v := reg.Counter(CtrResends).Value(); v != 1 {
+		t.Fatalf("msgq_resends = %d, want 1", v)
+	}
+}
+
+// failingConn fails every write once fail is set.
+type failingConn struct {
+	net.Conn
+	fail atomic.Bool
+}
+
+func (c *failingConn) Write(b []byte) (int, error) {
+	if c.fail.Load() {
+		return 0, errors.New("injected write failure")
+	}
+	return c.Conn.Write(b)
 }
 
 // TestPushFinishingPeerCloseIsNotADeath: a receiver that closes once the
@@ -117,7 +185,7 @@ func TestPushFinishingPeerCloseIsNotADeath(t *testing.T) {
 	waitFor(t, "connection teardown", func() bool { return push.Live() == 0 })
 	// drop unlists the connection before it counts and calls back.
 	time.Sleep(50 * time.Millisecond)
-	if _, down := log.counts(); down != 0 {
+	if down := log.count(); down != 0 {
 		t.Fatalf("peer close after Finishing fired %d OnPeerDown callbacks, want 0", down)
 	}
 	if v := reg.Counter(CtrConnDrops).Value(); v != 0 {
@@ -150,7 +218,7 @@ func TestPushDisconnectIsNotADeath(t *testing.T) {
 	waitFor(t, "connection teardown", func() bool { return push.Live() == 0 })
 	// Give any stray monitor/maintainer goroutine a beat to misbehave.
 	time.Sleep(50 * time.Millisecond)
-	if _, down := log.counts(); down != 0 {
+	if down := log.count(); down != 0 {
 		t.Fatalf("Disconnect fired %d OnPeerDown callbacks, want 0", down)
 	}
 	if v := reg.Counter(CtrConnDrops).Value(); v != 0 {
@@ -235,7 +303,7 @@ func TestPushCloseFiresNoDeathCallbacks(t *testing.T) {
 	}
 	push.Close()
 	time.Sleep(50 * time.Millisecond)
-	if _, down := log.counts(); down != 0 {
+	if down := log.count(); down != 0 {
 		t.Fatalf("Close fired %d OnPeerDown callbacks, want 0", down)
 	}
 }

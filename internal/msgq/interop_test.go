@@ -166,7 +166,7 @@ func TestSlowHelloKeepsProtocol(t *testing.T) {
 	if n := reg.CounterValue(CtrConnDrops); n != 0 {
 		t.Errorf("%s = %d, want 0", CtrConnDrops, n)
 	}
-	if _, downs := log.counts(); downs != 0 {
+	if downs := log.count(); downs != 0 {
 		t.Errorf("OnPeerDown fired %d times", downs)
 	}
 }

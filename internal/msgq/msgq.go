@@ -238,20 +238,20 @@ type Push struct {
 	// Label is this peer's advertised name in the hello (typically the
 	// pipeline node name). Empty is fine.
 	Label string
-	// OnPeerUp, when non-nil, is called with the endpoint address each
-	// time a connection to it is established — first dials and redials
-	// alike. Set before Connect; called without internal locks held, so
-	// the callback may query Live() etc., but it runs on the endpoint's
-	// maintainer goroutine and a slow callback delays that endpoint's
-	// lifecycle.
-	OnPeerUp func(addr string)
 	// OnPeerDown, when non-nil, is called with the endpoint address each
 	// time a live connection is lost — a failed write or the peer-death
 	// monitor seeing FIN/RST. It is NOT called for administrative
 	// teardown (Close, Disconnect): removing a peer on purpose is not a
-	// death. Health trackers (the churn-tolerant forwarder) key off this
-	// to mark a lane suspect the instant the transport knows.
+	// death. Set before Connect; called without internal locks held, so
+	// the callback may query Live() or even Close the socket. Failover
+	// accounting (a sender's relay_failovers, a forwarder's peer_deaths)
+	// keys off this the instant the transport knows.
 	OnPeerDown func(addr string)
+	// OnResend, when non-nil, is called with a message that needed more
+	// than one write attempt, once a later attempt succeeded — exactly
+	// when CtrResends counts. It runs on the sending goroutine without
+	// internal locks held; a relay counts its reroutes here.
+	OnResend func(msg Message)
 }
 
 // NewPush returns an unconnected PUSH socket.
@@ -296,25 +296,27 @@ func (p *Push) dial(addr string) (net.Conn, error) {
 // whenever it later drops. It returns after launching the maintainer
 // (connections come up asynchronously; Send blocks until one is live).
 // Connecting an endpoint already being maintained, or after Close, is a
-// no-op.
-func (p *Push) Connect(addr string) {
+// no-op. It reports whether addr was added, as Disconnect reports
+// whether it was removed.
+func (p *Push) Connect(addr string) bool {
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()
-		return
+		return false
 	}
 	if p.endpoints == nil {
 		p.endpoints = make(map[string]chan struct{})
 	}
 	if _, ok := p.endpoints[addr]; ok {
 		p.mu.Unlock()
-		return
+		return false
 	}
 	stop := make(chan struct{})
 	p.endpoints[addr] = stop
 	p.dialers.Add(1)
 	p.mu.Unlock()
 	go p.maintain(addr, stop)
+	return true
 }
 
 // Disconnect stops maintaining addr and tears down its current
@@ -440,9 +442,6 @@ func (p *Push) maintain(addr string, stop chan struct{}) {
 		}
 		established++
 		backoff = initial
-		if f := p.OnPeerUp; f != nil {
-			f(addr)
-		}
 		select {
 		case <-pc.gone: // connection dropped or socket closed; loop to redial
 		case <-stop: // Disconnect tears the connection down itself
@@ -646,6 +645,9 @@ func (p *Push) send(msg Message, aux []byte) error {
 		if err == nil {
 			if attempt > 0 {
 				p.count(CtrResends)
+				if f := p.OnResend; f != nil {
+					f(msg)
+				}
 			}
 			return nil
 		}

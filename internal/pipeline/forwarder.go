@@ -20,30 +20,33 @@ import (
 // re-pushes them — still compressed, no decode/re-encode on the hot
 // path — round-robin across its downstream HPC peers.
 //
-// The forwarder is built to survive churn. Each downstream is its own
-// lane (a dedicated PUSH socket) with health fed by the transport's
-// peer-death monitor: a chunk whose lane fails mid-send retries on the
-// surviving lanes, lanes can be added and removed while the stream
-// flows (Peers), and the relay only aborts when the live-lane count
-// stays below MinDownstream for longer than PeerHorizon.
+// The forwarder is built to survive churn. Its egress workers share one
+// PUSH socket over every downstream, as a sender's send workers do: the
+// socket balances chunks round-robin over its live connections, retries
+// a chunk whose write fails on the next one, and redials a dead peer in
+// the background. Downstreams can be added and removed while the stream
+// flows (Peers), and the relay only aborts when fewer than MinDownstream
+// stay live for longer than PeerHorizon.
 
 // Churn counter names recorded in the forwarder's Metrics registry.
 const (
 	// CtrReroutes counts chunks that needed more than one send attempt
-	// — diverted from a failed lane onto a survivor. A per-stream
-	// variant "reroutes_stream_<id>" is kept alongside.
+	// — diverted from a failed downstream connection onto the next. A
+	// per-stream variant "reroutes_stream_<id>" is kept alongside.
 	CtrReroutes = "reroutes"
 	// CtrPeerDeaths counts live downstream connections lost to a write
 	// failure or the peer-death monitor (administrative removal via
 	// Peers does not count).
 	CtrPeerDeaths = "peer_deaths"
-	// CtrPeersAdded / CtrPeersRemoved count dynamic membership changes
-	// applied from the Peers channel.
+	// CtrPeersAdded / CtrPeersRemoved count the Peers channel's changes
+	// that changed the downstream set: re-adding a present peer or
+	// removing an absent one counts nothing.
 	CtrPeersAdded   = "peers_added"
 	CtrPeersRemoved = "peers_removed"
-	// CtrRelayDropped counts chunks left in the relay queue when the
-	// forwarder aborted — chunks it accepted upstream but could not
-	// place downstream. Zero on a clean stop.
+	// CtrRelayDropped counts chunks intake accepted that were never
+	// forwarded: left in the relay queue, refused by a closing queue, or
+	// held by an egress worker whose send failed. On every exit the
+	// intake meter's items equal the forward meter's plus this.
 	CtrRelayDropped = "relay_dropped"
 )
 
@@ -64,21 +67,21 @@ type ForwarderOptions struct {
 	Bind string
 	// Downstream are the HPC-side PULL addresses to push to.
 	Downstream []string
-	// MinDownstream delays forwarding until that many downstream lanes
-	// are live, and is the survival floor while streaming: the
-	// forwarder aborts only when fewer lanes than this stay live past
-	// PeerHorizon (a floor of 1 applies even when zero — a relay with
-	// no live downstream cannot make progress).
+	// MinDownstream delays forwarding until that many downstreams are
+	// live, and is the survival floor while streaming: the forwarder
+	// aborts only when fewer than this stay live past PeerHorizon (a
+	// floor of 1 applies even when zero — a relay with no live
+	// downstream cannot make progress).
 	MinDownstream int
-	// PeerHorizon bounds how long the forwarder tolerates a live-lane
+	// PeerHorizon bounds how long the forwarder tolerates a live-peer
 	// deficit — at startup and mid-stream — before giving up (default
 	// 5s). Shorter horizons fail drills fast; longer ones ride out
 	// slow restarts.
 	PeerHorizon time.Duration
 	// Peers, when non-nil, carries downstream membership changes while
-	// the forwarder runs: adds dial a new lane, removes tear one down
-	// (without counting a peer death). Closing the channel stops the
-	// membership watcher, not the forwarder.
+	// the forwarder runs: adds connect a new downstream, removes
+	// disconnect one (without counting a peer death). Closing the
+	// channel stops the membership watcher, not the forwarder.
 	Peers <-chan PeerChange
 	// Expect is the number of chunks to forward before returning;
 	// with Expect <= 0 the forwarder runs until Stop closes.
@@ -88,7 +91,7 @@ type ForwarderOptions struct {
 	// Metrics, when non-nil, receives the two stages' series ("intake"
 	// and "forward" meters, their _latency_ns and _qwait_ns histograms
 	// and _workers_pinned gauges), the relayq gauges, the churn counters
-	// above, and the transport counters of every lane.
+	// above, and the downstream socket's transport counters.
 	Metrics *metrics.Registry
 	// QueueCap bounds the internal queue (default 16).
 	QueueCap int
@@ -98,176 +101,6 @@ type ForwarderOptions struct {
 	// but an unbuffered Ready with no reader and no Stop blocks the
 	// forwarder forever.
 	Ready chan<- string
-}
-
-// lane is one downstream peer: a dedicated PUSH socket whose Live()
-// count is the health signal (the peer-death monitor drops dead
-// connections the moment the transport knows).
-type lane struct {
-	addr string
-	push *msgq.Push
-}
-
-// errFwdStopped is relay's signal that Stop/abort fired while a chunk
-// was waiting for a live lane — a clean exit, not a delivery failure.
-var errFwdStopped = fmt.Errorf("pipeline: forwarder stopped")
-
-// forwarder is RunForwarder's shared state.
-type forwarder struct {
-	reg     *metrics.Registry
-	minLive int
-	horizon time.Duration
-	done    chan struct{}
-
-	mu    sync.Mutex
-	lanes []*lane // copy-on-write: readers snapshot under mu, then iterate lock-free
-	rr    int
-
-	streamMu sync.Mutex
-	streams  map[uint32]*metrics.Counter // lazy per-stream reroute counters
-}
-
-func (f *forwarder) snapshot() []*lane {
-	f.mu.Lock()
-	s := f.lanes
-	f.mu.Unlock()
-	return s
-}
-
-func (f *forwarder) liveLanes() int {
-	n := 0
-	for _, ln := range f.snapshot() {
-		if ln.push.Live() > 0 {
-			n++
-		}
-	}
-	return n
-}
-
-// newLane builds a lane socket wired into the shared registry. The
-// short SendHorizon makes a send on a lane that died between the
-// health check and the write fail fast so the chunk moves on.
-func (f *forwarder) newLane(addr string, label string) *lane {
-	push := msgq.NewPush()
-	push.Counters = f.reg
-	push.Label = label
-	push.SendHorizon = f.horizon / 10
-	if push.SendHorizon < 50*time.Millisecond {
-		push.SendHorizon = 50 * time.Millisecond
-	}
-	push.OnPeerDown = func(string) { f.reg.Counter(CtrPeerDeaths).Inc() }
-	push.Connect(addr)
-	return &lane{addr: addr, push: push}
-}
-
-func (f *forwarder) addLane(addr, label string) {
-	f.mu.Lock()
-	for _, ln := range f.lanes {
-		if ln.addr == addr {
-			f.mu.Unlock()
-			return
-		}
-	}
-	next := make([]*lane, len(f.lanes), len(f.lanes)+1)
-	copy(next, f.lanes)
-	f.lanes = append(next, f.newLane(addr, label))
-	f.mu.Unlock()
-	f.reg.Counter(CtrPeersAdded).Inc()
-}
-
-func (f *forwarder) removeLane(addr string) {
-	f.mu.Lock()
-	var victim *lane
-	next := make([]*lane, 0, len(f.lanes))
-	for _, ln := range f.lanes {
-		if ln.addr == addr && victim == nil {
-			victim = ln
-			continue
-		}
-		next = append(next, ln)
-	}
-	f.lanes = next
-	f.mu.Unlock()
-	if victim != nil {
-		victim.push.Close()
-		f.reg.Counter(CtrPeersRemoved).Inc()
-	}
-}
-
-func (f *forwarder) closeLanes() {
-	for _, ln := range f.snapshot() {
-		ln.push.Close()
-	}
-}
-
-// streamReroute bumps the per-stream reroute counter for the chunk in
-// msg. Slow path only (a reroute already cost a failed write), so the
-// map lock and the lazy counter lookup are off the steady-state path.
-func (f *forwarder) streamReroute(msg msgq.Message) {
-	c, _, err := decodeHeader(msg[0])
-	if err != nil {
-		return
-	}
-	f.streamMu.Lock()
-	ctr, ok := f.streams[c.Stream]
-	if !ok {
-		// Capped per-stream series: folds into "reroutes_stream_other"
-		// past the registry's stream cap.
-		ctr = f.reg.StreamCounter("reroutes", c.Stream)
-		f.streams[c.Stream] = ctr
-	}
-	f.streamMu.Unlock()
-	ctr.Inc()
-}
-
-// relay places one chunk on a live lane, rerouting across survivors
-// when lanes fail. It returns errFwdStopped if the forwarder stops
-// while the chunk waits, and a hard error only when the live-lane
-// count stays below the survival floor past the horizon.
-func (f *forwarder) relay(msg msgq.Message) error {
-	failures := 0
-	var deficitAt time.Time
-	for {
-		snap := f.snapshot()
-		f.mu.Lock()
-		f.rr++
-		start := f.rr
-		f.mu.Unlock()
-		live := 0
-		for i := 0; i < len(snap); i++ {
-			ln := snap[(start+i)%len(snap)]
-			if ln.push.Live() == 0 {
-				continue
-			}
-			live++
-			if err := ln.push.Send(msg); err == nil {
-				if failures > 0 {
-					f.reg.Counter(CtrReroutes).Inc()
-					f.streamReroute(msg)
-				}
-				return nil
-			}
-			// The failed lane's connection is already dropped (and its
-			// redialer dialing); the next live lane gets the chunk.
-			failures++
-		}
-		if live < f.minLive {
-			now := time.Now()
-			if deficitAt.IsZero() {
-				deficitAt = now.Add(f.horizon)
-			}
-			if !now.Before(deficitAt) {
-				return fmt.Errorf("pipeline: forwarder below %d live downstream lanes for %v", f.minLive, f.horizon)
-			}
-		} else {
-			deficitAt = time.Time{} // enough lanes live; failures were transient
-		}
-		select {
-		case <-f.done:
-			return errFwdStopped
-		case <-time.After(10 * time.Millisecond):
-		}
-	}
 }
 
 // RunForwarder relays chunks from upstream senders to downstream
@@ -346,20 +179,42 @@ func RunForwarder(opts ForwarderOptions) error {
 		}
 	}
 
-	f := &forwarder{
-		reg:     opts.Metrics,
-		minLive: opts.MinDownstream,
-		horizon: opts.PeerHorizon,
-		done:    done,
-		streams: make(map[uint32]*metrics.Counter),
+	// Egress sends through one PUSH socket over every downstream, as a
+	// sender's send workers do.
+	reg := opts.Metrics
+	minLive := max(opts.MinDownstream, 1)
+	push := msgq.NewPush()
+	push.Counters = reg
+	push.Label = opts.Cfg.Node
+	push.SendHorizon = opts.PeerHorizon
+	defer push.Close()
+	// Once the run is over, a Send waiting for a live downstream would
+	// hold the exit for up to PeerHorizon: with none live, the socket
+	// closes and its chunks count as dropped.
+	closeIfDead := func() {
+		select {
+		case <-done:
+			if push.Live() == 0 {
+				push.Close()
+			}
+		default:
+		}
 	}
-	if f.minLive < 1 {
-		f.minLive = 1
+	push.OnPeerDown = func(string) {
+		reg.Counter(CtrPeerDeaths).Inc()
+		closeIfDead()
+	}
+	push.OnResend = func(msg msgq.Message) {
+		reg.Counter(CtrReroutes).Inc()
+		if c, _, err := decodeHeader(msg[0]); err == nil {
+			// Capped per-stream series: folds into "reroutes_stream_other"
+			// past the registry's stream cap.
+			reg.StreamCounter("reroutes", c.Stream).Inc()
+		}
 	}
 	for _, peer := range opts.Downstream {
-		f.lanes = append(f.lanes, f.newLane(peer, opts.Cfg.Node))
+		push.Connect(peer)
 	}
-	defer f.closeLanes()
 	if opts.Peers != nil {
 		go func() {
 			for {
@@ -371,34 +226,50 @@ func RunForwarder(opts ForwarderOptions) error {
 						return
 					}
 					if ch.Remove {
-						f.removeLane(ch.Addr)
-					} else {
-						f.addLane(ch.Addr, opts.Cfg.Node)
+						if push.Disconnect(ch.Addr) {
+							reg.Counter(CtrPeersRemoved).Inc()
+							closeIfDead()
+						}
+					} else if push.Connect(ch.Addr) {
+						reg.Counter(CtrPeersAdded).Inc()
 					}
 				}
 			}
 		}()
 	}
-	if opts.MinDownstream > 0 {
-		deadline := time.Now().Add(opts.PeerHorizon)
-		for f.liveLanes() < opts.MinDownstream {
-			if time.Now().After(deadline) {
-				return fmt.Errorf("%w: %d of %d downstream lanes live after %v",
-					msgq.ErrNoPeers, f.liveLanes(), opts.MinDownstream, opts.PeerHorizon)
-			}
-			select {
-			case <-done:
-				return nil // stopped before streaming began
-			case <-time.After(2 * time.Millisecond):
-			}
-		}
-	}
 
-	// Health monitor: the survival floor is about lane count, not about
-	// any one chunk's fate. A relay running with fewer live lanes than
-	// MinDownstream past the horizon aborts even while the survivors
-	// still accept chunks — the operator asked for that much redundancy,
-	// and silently running degraded is how the next death loses data.
+	// Intake closes first when the run ends: the upstream socket and the
+	// relay queue shut, and egress relays what the queue holds while a
+	// downstream is live. Before streaming starts there is nothing to
+	// relay, so the downstream socket closes too, ending the start-up wait.
+	relayQ := queue.New[msgq.Message](opts.QueueCap)
+	watchQueue(reg, "relayq", relayQ)
+	streaming := make(chan struct{})
+	go func() {
+		<-done
+		pull.Close()
+		relayQ.Close()
+		select {
+		case <-streaming:
+			closeIfDead()
+		default:
+			push.Close()
+		}
+	}()
+	if err := push.WaitLiveTimeout(opts.MinDownstream, opts.PeerHorizon); err != nil {
+		if err == msgq.ErrClosed {
+			return nil // stopped before streaming began
+		}
+		return fmt.Errorf("pipeline: forwarder start-up: %w", err)
+	}
+	close(streaming)
+
+	// Health monitor: the survival floor is about downstream count, not
+	// about any one chunk's fate. A relay running with fewer live
+	// downstreams than MinDownstream past the horizon aborts even while
+	// the survivors still accept chunks — the operator asked for that
+	// much redundancy, and silently running degraded is how the next
+	// death loses data.
 	healthErr := make(chan error, 1)
 	go func() {
 		var deficitSince time.Time
@@ -410,7 +281,7 @@ func RunForwarder(opts ForwarderOptions) error {
 				return
 			case <-tick.C:
 			}
-			if f.liveLanes() >= f.minLive {
+			if push.Live() >= minLive {
 				deficitSince = time.Time{}
 				continue
 			}
@@ -419,24 +290,17 @@ func RunForwarder(opts ForwarderOptions) error {
 				deficitSince = now
 				continue
 			}
-			if now.Sub(deficitSince) >= f.horizon {
-				healthErr <- fmt.Errorf("pipeline: forwarder below %d live downstream lanes for %v", f.minLive, f.horizon)
+			if now.Sub(deficitSince) >= opts.PeerHorizon {
+				healthErr <- fmt.Errorf("pipeline: forwarder below %d live downstream lanes for %v", minLive, opts.PeerHorizon)
 				stopAll()
 				return
 			}
 		}
 	}()
 
-	relayQ := queue.New[msgq.Message](opts.QueueCap)
-	watchQueue(opts.Metrics, "relayq", relayQ)
-	go func() {
-		<-done
-		pull.Close()
-		relayQ.Close()
-	}()
-
 	// Intake: pull from upstream into the relay queue. The last intake
 	// worker out closes it, so egress drains what intake accepted.
+	dropped := reg.Counter(CtrRelayDropped)
 	start(n, intake, relayQ.Close, func(*Worker, *stageObserver) stageLoop[msgq.Message, msgq.Message] {
 		return stageLoop[msgq.Message, msgq.Message]{
 			next: pull.Recv,
@@ -447,17 +311,27 @@ func RunForwarder(opts ForwarderOptions) error {
 				}
 				return msg, result{bytes: len(msg[1]), seq: c.Seq}, nil
 			},
-			emit: func(msg msgq.Message) bool { return relayQ.Put(msg) == nil },
+			emit: func(msg msgq.Message) bool {
+				if relayQ.Put(msg) != nil {
+					dropped.Inc()
+					return false
+				}
+				return true
+			},
 		}
 	})
-	// Egress: push downstream round-robin, rerouting around dead lanes.
-	// The chunk that meets Expect (never, without one) stops the relay.
+	// Egress: push downstream. The chunk that meets Expect (never,
+	// without one) stops the relay.
 	var forwarded atomic.Int64
 	start(n, egress, nil, func(*Worker, *stageObserver) stageLoop[msgq.Message, msgq.Message] {
 		return stageLoop[msgq.Message, msgq.Message]{
 			next: relayQ.Get,
 			work: func(msg msgq.Message) (msgq.Message, result, error) {
-				if err := f.relay(msg); err != nil {
+				if err := push.Send(msg); err != nil {
+					dropped.Inc()
+					if err != msgq.ErrClosed { // closed: stopped with no downstream live
+						err = fmt.Errorf("forwarder egress: %w", err)
+					}
 					return nil, result{}, err
 				}
 				if forwarded.Add(1) == int64(opts.Expect) {
@@ -477,7 +351,7 @@ func RunForwarder(opts ForwarderOptions) error {
 		if _, err := relayQ.Get(); err != nil {
 			break
 		}
-		opts.Metrics.Counter(CtrRelayDropped).Inc()
+		dropped.Inc()
 	}
 	if err != nil {
 		return err

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"numastream/internal/metrics"
 	"numastream/internal/msgq"
 )
 
@@ -170,10 +171,14 @@ func TestForwarderRejectsMalformedUpstream(t *testing.T) {
 }
 
 // TestForwarderTeardownInvariant: whatever ends the run, RunForwarder
-// returns promptly and every goroutine it started is gone — no Stop or
-// Peers watcher, health monitor or lane left behind. Every case sets
-// Stop and Peers and neither is closed unless the case says so, which is
-// how a relay under a supervisor runs.
+// returns promptly, every goroutine it started is gone — no Stop or
+// Peers watcher, health monitor or downstream dialer left behind — and
+// every chunk intake accepted is accounted for: forwarded or counted in
+// relay_dropped. Every case sets Stop and Peers and neither is closed
+// unless the case says so, which is how a relay under a supervisor runs.
+// The Stop cases pin Stop's semantics: intake closes first, chunks
+// already accepted are relayed while a downstream is live, and Stop
+// never waits on a dead downstream.
 func TestForwarderTeardownInvariant(t *testing.T) {
 	const (
 		streams   = 3
@@ -184,16 +189,25 @@ func TestForwarderTeardownInvariant(t *testing.T) {
 	frame := func(_ uint32, seq uint64) msgq.Message { return fwdFrame(seq, payload) }
 	malformed := func(uint32, uint64) msgq.Message { return testMessage("only-one-part") }
 	cases := []struct {
-		name    string
-		msg     func(uint32, uint64) msgq.Message
-		expect  int
-		stopAt  int  // close Stop once downstream has this many chunks
-		killAt  int  // stop the only downstream once it has this many chunks
-		dead    bool // downstream address with no listener
+		name   string
+		msg    func(uint32, uint64) msgq.Message
+		expect int
+		stopAt int  // close Stop once downstream has this many chunks
+		killAt int  // stop the only downstream once it has this many chunks
+		dead   bool // downstream address with no listener
+		// noFloor runs with MinDownstream 0, so the relay takes chunks
+		// with no live downstream; stopIntake closes Stop once intake has
+		// taken this many.
+		noFloor    bool
+		stopIntake int
+		// drains: the downstream is live at exit, so intake's chunk in
+		// hand is the only one the relay may drop.
+		drains  bool
 		wantErr bool
 	}{
-		{name: "Expect reached", msg: frame, expect: 24},
-		{name: "Stop closed", msg: frame, stopAt: 24},
+		{name: "Expect reached", msg: frame, expect: 24, drains: true},
+		{name: "Stop closed", msg: frame, stopAt: 24, drains: true},
+		{name: "Stop closed while every downstream is dead", msg: frame, dead: true, noFloor: true, stopIntake: 8},
 		{name: "below MinDownstream mid-stream", msg: frame, killAt: 8, wantErr: true},
 		{name: "MinDownstream never met", msg: frame, dead: true, wantErr: true},
 		{name: "malformed upstream", msg: malformed, wantErr: true},
@@ -211,6 +225,11 @@ func TestForwarderTeardownInvariant(t *testing.T) {
 				dsAddr = ln.Addr().String()
 				ln.Close()
 			}
+			floor := 1
+			if tc.noFloor {
+				floor = 0
+			}
+			reg := metrics.NewRegistry()
 			stop := make(chan struct{})
 			peers := make(chan PeerChange)
 			ready := make(chan string, 1)
@@ -219,11 +238,12 @@ func TestForwarderTeardownInvariant(t *testing.T) {
 				done <- RunForwarder(ForwarderOptions{
 					Cfg: receiverCfg(1, 0), Topo: testTopo(), Bind: "127.0.0.1:0",
 					Downstream:    []string{dsAddr},
-					MinDownstream: 1,
+					MinDownstream: floor,
 					PeerHorizon:   horizon,
 					Peers:         peers,
 					Expect:        tc.expect,
 					Stop:          stop,
+					Metrics:       reg,
 					Ready:         ready,
 				})
 			}()
@@ -235,6 +255,10 @@ func TestForwarderTeardownInvariant(t *testing.T) {
 			case tc.killAt > 0:
 				waitCond(t, "chunks downstream", func() bool { return ds.n() >= tc.killAt })
 				close(ds.stop)
+			case tc.stopIntake > 0:
+				// Well inside the horizon, so Stop, not the floor, ends the run.
+				waitCond(t, "chunks taken in", func() bool { return reg.Meter("intake").Items() >= int64(tc.stopIntake) })
+				close(stop)
 			}
 			select {
 			case err := <-done:
@@ -249,6 +273,16 @@ func TestForwarderTeardownInvariant(t *testing.T) {
 				close(ds.stop)
 			}
 			<-ds.done
+
+			in := reg.Meter("intake").Items()
+			out := reg.Meter("forward").Items()
+			dropped := reg.Counter(CtrRelayDropped).Value()
+			if in != out+dropped {
+				t.Errorf("intake %d chunks, forwarded %d + relay_dropped %d", in, out, dropped)
+			}
+			if tc.drains && dropped > 1 {
+				t.Errorf("relay_dropped = %d with a live downstream, want <= 1 (intake's chunk in hand)", dropped)
+			}
 
 			deadline := time.Now().Add(2 * time.Second)
 			for goruntime.NumGoroutine() > baseline {

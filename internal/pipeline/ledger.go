@@ -10,7 +10,7 @@ import (
 // Ledger is the receiver's exactly-once chunk accounting: a per-stream
 // sequence-windowed dedup that proves a churn storm delivered every
 // chunk exactly once. The transport is at-least-once (a send that fails
-// after the frame reached the kernel is retried whole on another lane),
+// after the frame reached the kernel is retried whole on another connection),
 // and churn harnesses re-send whole passes to heal relay-death losses —
 // so the receiver sees duplicates by design. The ledger admits each
 // (stream, seq) pair once: the first arrival delivers, every repeat is

@@ -128,11 +128,10 @@ func runStage[In, Out any](w *Worker, obs *stageObserver, l stageLoop[In, Out]) 
 	return nil
 }
 
-// unlessStopped maps the errors that mean the stage's input is gone — a
-// closed queue or transport, a forwarder stopped while a chunk waited for
-// a lane — to a clean worker exit.
+// unlessStopped maps the errors that mean the stage's input or output is
+// gone — a closed queue or transport — to a clean worker exit.
 func unlessStopped(err error) error {
-	if err == queue.ErrClosed || err == msgq.ErrClosed || err == errFwdStopped {
+	if err == queue.ErrClosed || err == msgq.ErrClosed {
 		return nil
 	}
 	return err

@@ -138,7 +138,8 @@ type (
 // StartSender runs a sender node until its source is exhausted.
 func StartSender(opts SenderOptions) error { return pipeline.RunSender(opts) }
 
-// StartReceiver runs a receiver node until Expect chunks are delivered.
+// StartReceiver runs a receiver node until Expect chunks are accounted
+// for (delivered or quarantined), or Stop closes.
 func StartReceiver(opts ReceiverOptions) error { return pipeline.RunReceiver(opts) }
 
 // StartForwarder runs a gateway node that relays compressed chunks from
