@@ -69,6 +69,15 @@ func Decode(dst, src []byte) {
 	copy(dst[m:], src[m:])
 }
 
+// Planes is the number of bit-planes Encode writes: eight for each byte
+// of a 16-bit sample.
+const Planes = 16
+
+// PlaneLen is the length of each bit-plane in the Encode form of n bytes:
+// plane b starts at b·PlaneLen(n), and the last n − Planes·PlaneLen(n)
+// bytes are the tail.
+func PlaneLen(n int) int { return n / Planes }
+
 // kernelGroups is the number of eight-sample groups a kernel iteration
 // codes: 64 samples, 128 bytes, one 64-bit word per bit-plane.
 const kernelGroups = 8

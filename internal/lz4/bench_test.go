@@ -102,22 +102,36 @@ func tomoProjections(n int) [][]byte {
 // tomoShapes are the blocks the streaming workloads compress: whole
 // 1 MiB chunks (tomo_stream, paced_latency) and 16 KiB slices
 // (small_chunk_fanin), as samples and as the bit-planes the compress
-// stage ships on every host with the bitshuffle kernels.
+// stage ships on every host with the bitshuffle kernels, and the same
+// bit-planes with their noise planes 4 and 5 carried as literal spans, as
+// the compress stage ships them on this corpus.
 var tomoShapes = []struct {
-	name   string
-	size   int
-	planes bool
+	name    string
+	size    int
+	planes  bool
+	literal bool
 }{
-	{"1MiB", 1 << 20, false},
-	{"16KiB", 16 << 10, false},
-	{"planes/1MiB", 1 << 20, true},
-	{"planes/16KiB", 16 << 10, true},
+	{"1MiB", 1 << 20, false, false},
+	{"16KiB", 16 << 10, false, false},
+	{"planes/1MiB", 1 << 20, true, false},
+	{"planes/16KiB", 16 << 10, true, false},
+	{"literal/1MiB", 1 << 20, true, true},
+	{"literal/16KiB", 16 << 10, true, true},
+}
+
+// noisePlanes is planes 4 and 5 of a size-byte block's bit-planes as one
+// literal span when literal is set.
+func noisePlanes(size int, literal bool) []Span {
+	if !literal {
+		return nil
+	}
+	return []Span{{4 * size / 16, 6 * size / 16}}
 }
 
 // tomoCorpus cuts four projections into blocks of size bytes, each
 // bitshuffled on its own when planes is set, as the compress stage
-// transforms each chunk, and compresses them.
-func tomoCorpus(size int, planes bool) (blocks, packed [][]byte) {
+// transforms each chunk, and compresses them with lits as literals.
+func tomoCorpus(size int, planes bool, lits []Span) (blocks, packed [][]byte) {
 	for _, p := range tomoProjections(4) {
 		for off := 0; off+size <= len(p); off += size {
 			blk := p[off : off+size]
@@ -127,7 +141,12 @@ func tomoCorpus(size int, planes bool) (blocks, packed [][]byte) {
 				blk = pl
 			}
 			blocks = append(blocks, blk)
-			packed = append(packed, Compress(blk))
+			dst := make([]byte, CompressBound(size))
+			n, err := CompressBlockLiterals(blk, dst, lits)
+			if err != nil {
+				panic(err)
+			}
+			packed = append(packed, dst[:n])
 		}
 	}
 	return blocks, packed
@@ -156,20 +175,21 @@ func reportShape(b *testing.B, blocks, packed [][]byte) []Sequence {
 // BenchmarkCompressTomo times the compressor this platform runs and
 // BenchmarkCompressTomoGo the Go one on the same blocks, so
 // `-bench 'CompressTomo/planes/1MiB'` prints the speed-up. Both report
-// the share of sequences compressBlockGo emits inline (at most 8
+// the share of sequences the Go parse emits inline (at most 8
 // literals, no length extension); the assembly has one emit path.
-func BenchmarkCompressTomo(b *testing.B)   { benchCompressTomo(b, compressBlock) }
-func BenchmarkCompressTomoGo(b *testing.B) { benchCompressTomo(b, compressBlockGo) }
+func BenchmarkCompressTomo(b *testing.B)   { benchCompressTomo(b, false) }
+func BenchmarkCompressTomoGo(b *testing.B) { benchCompressTomo(b, true) }
 
-func benchCompressTomo(b *testing.B, kernel func(src, dst []byte) int) {
+func benchCompressTomo(b *testing.B, goParse bool) {
 	for _, sh := range tomoShapes {
 		b.Run(sh.name, func(b *testing.B) {
-			blocks, packed := tomoCorpus(sh.size, sh.planes)
+			lits := noisePlanes(sh.size, sh.literal)
+			blocks, packed := tomoCorpus(sh.size, sh.planes, lits)
 			dst := make([]byte, CompressBound(sh.size))
 			b.SetBytes(int64(sh.size))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				kernel(blocks[i%len(blocks)], dst)
+				compressSpans(blocks[i%len(blocks)], dst, lits, goParse)
 			}
 			b.StopTimer()
 			seqs := reportShape(b, blocks, packed)
@@ -194,7 +214,7 @@ func BenchmarkDecompressTomoGo(b *testing.B) { benchDecompressTomo(b, decodeSequ
 func benchDecompressTomo(b *testing.B, fast func(dst, src []byte, di, si int) (int, int)) {
 	for _, sh := range tomoShapes {
 		b.Run(sh.name, func(b *testing.B) {
-			blocks, packed := tomoCorpus(sh.size, sh.planes)
+			blocks, packed := tomoCorpus(sh.size, sh.planes, noisePlanes(sh.size, sh.literal))
 			// Exactly the raw length, like the pipeline's buffer lease.
 			dst := make([]byte, sh.size)
 			b.SetBytes(int64(sh.size))

@@ -35,24 +35,40 @@ func FuzzRoundTrip(f *testing.F) {
 }
 
 // FuzzCompressMatchesGo holds the compressor this platform runs to the Go
-// parse, byte for byte, with src and dst each against a guard page.
+// parse, byte for byte, with src and dst each against a guard page, and
+// the literal-span parse to the same, over the spans cuts describe
+// (spansFromCuts: fractions of the block, in pairs), which must also
+// decode back to src through every decoder.
 func FuzzCompressMatchesGo(f *testing.F) {
 	proj := corpora()["projection"]
 	planes := make([]byte, 4096)
 	bitshuffle.Encode(planes, proj[:len(planes)])
-	f.Add(planes)
+	f.Add(planes, []byte(nil))
 	zeroRuns := make([]byte, 3000)
 	for i := 0; i < len(zeroRuns); i += 97 {
 		copy(zeroRuns[i:], "noisy!!!")
 	}
-	f.Add(zeroRuns)
-	f.Add(bytes.Repeat([]byte("abc"), 500))
-	f.Add(bytes.Repeat([]byte("abcdefg\x00"), 300))
-	f.Add(bytes.Repeat([]byte{7}, 70000)) // offsets past 65 535
-	f.Fuzz(func(t *testing.T, src []byte) {
+	f.Add(zeroRuns, []byte(nil))
+	f.Add(bytes.Repeat([]byte("abc"), 500), []byte(nil))
+	f.Add(bytes.Repeat([]byte("abcdefg\x00"), 300), []byte(nil))
+	f.Add(bytes.Repeat([]byte{7}, 70000), []byte(nil)) // offsets past 65 535
+	// Tomo bit-planes with their noise planes 4 and 5 as literals, as
+	// the compress stage ships them; and spans at the block's start and
+	// end, adjacent, and inside its last 12 bytes.
+	tomoPlanes := make([]byte, 16<<10)
+	bitshuffle.Encode(tomoPlanes, tomoProjections(1)[0][:len(tomoPlanes)])
+	f.Add(tomoPlanes, []byte{64, 96})
+	f.Add(tomoPlanes, []byte{0, 16, 240, 255})
+	f.Add(tomoPlanes, []byte{64, 80, 80, 96})
+	f.Add(planes, []byte{254, 255})
+	f.Fuzz(func(t *testing.T, src, cuts []byte) {
 		if got, want := compressGuarded(t, src), compressGo(src); !bytes.Equal(got, want) {
 			t.Fatalf("%d bytes: CompressBlock wrote %d bytes, the Go parse %d, or the bytes differ", len(src), len(got), len(want))
 		}
+		if len(cuts) > 32 {
+			cuts = cuts[:32]
+		}
+		literalRoundTrip(t, src, spansFromCuts(len(src), cuts))
 	})
 }
 

@@ -2,22 +2,22 @@
 
 // Baseline x86-64 only (scalar, SSE2, BSF): no CPUID check is needed.
 
-// func encodeBlock(dst, src []byte, table *[4096]uint32) (di, anchor int)
+// func encodeBlock(dst, src []byte, table *[4096]uint32, si, anchor int) (int, int)
 //
-// compressBlockGo's parse, decision for decision. Registers:
+// encodeBlockGo's parse, decision for decision. Registers:
 //   SI src            DI dst, the next byte to write
 //   R8 si             R9 anchor           R10 sn (last match start)
 //   R11 matchEnd      R12 searchSteps     R13 table
 //   R14 hash7 multiplier                  AX BX CX DX R15 scratch
-TEXT ·encodeBlock(SB), NOSPLIT, $0-72
+TEXT ·encodeBlock(SB), NOSPLIT, $0-88
 	MOVQ dst_base+0(FP), DI
 	MOVQ src_base+24(FP), SI
 	MOVQ src_len+32(FP), R10
 	MOVQ table+48(FP), R13
 	LEAQ -5(R10), R11
 	SUBQ $12, R10
-	MOVQ $1, R8
-	XORL R9, R9
+	MOVQ si+56(FP), R8
+	MOVQ anchor+64(FP), R9
 	XORL R12, R12
 	MOVQ $0xcf1bbcdcbfa56300, R14 // 58295818150454627<<8: hash7(u) is u times this, >>52
 	CMPQ R8, R10
@@ -232,8 +232,8 @@ matchExtLast:
 encodeDone:
 	MOVQ dst_base+0(FP), AX
 	SUBQ AX, DI
-	MOVQ DI, di+56(FP)
-	MOVQ R9, anchor+64(FP)
+	MOVQ DI, ret+72(FP)
+	MOVQ R9, ret1+80(FP)
 	RET
 
 // Row p (32 bytes) for a match offset p below 16: mask and multiplier

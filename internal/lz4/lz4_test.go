@@ -53,7 +53,7 @@ func compressGo(src []byte) []byte {
 		n, _ := CompressBlock(src, dst) // no parse runs
 		return dst[:n]
 	}
-	return dst[:compressBlockGo(src, dst)]
+	return dst[:compressSpans(src, dst, nil, true)]
 }
 
 // referenceDecode is the decoder this package had before its fast loop:

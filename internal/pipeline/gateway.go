@@ -29,11 +29,13 @@ import (
 //     backpressure on that stream alone — a slow or quarantined consumer
 //     throttles only itself, never the shared shard queues. Without
 //     credit in force the gate is nil and backpressure is the queues';
-//   - per-stream delivery lanes: one goroutine per admitted stream owns
-//     its ledger admission, Sink call and sequence accounting, so no
-//     lock is shared between streams — a global sink mutex would be a
-//     thousand-way contention point — and a Sink that stalls parks
-//     exactly one lane.
+//   - per-stream delivery lanes: each admitted stream's ledger
+//     admission, Sink call and sequence accounting run one chunk at a
+//     time, so no lock is shared between streams — a global sink mutex
+//     would be a thousand-way contention point. With credit in force a
+//     lane is a goroutine with its own queue, and a Sink that stalls
+//     parks exactly one lane; without, the stage worker that finished a
+//     chunk delivers it under the lane's mutex.
 
 // Gateway counters and gauges recorded in ReceiverOptions.Metrics.
 const (
@@ -236,53 +238,92 @@ func (g *creditGate) close() {
 	g.mu.Unlock()
 }
 
-// laneSet owns the per-stream delivery lanes: a bounded queue plus one
-// consumer goroutine per admitted stream. With credit in force lane
-// capacity equals it, so an enqueue past the gate can never block — at
-// most credit chunks of a stream exist downstream of dispatch.
+// lane is one stream's delivery state: its throughput meter and
+// sequence accounting, and, with credit in force, its queue. One chunk
+// of a stream is delivered at a time — by the lane's goroutine, or inline
+// by a stage worker holding mu.
+type lane struct {
+	mu      sync.Mutex
+	q       *queue.Queue[Chunk] // nil: delivery is inline
+	meter   *metrics.Meter
+	next    uint64 // the sequence number expected next
+	tracked bool   // next is known
+}
+
+// laneSet owns the per-stream delivery lanes. With credit in force each
+// lane is a bounded queue as deep as the credit plus one consumer
+// goroutine, so an enqueue past the gate can never block and a Sink that
+// stalls parks only its own lane. Without credit (capacity 0) there is no
+// queue: the stage worker that finished the chunk delivers it, under the
+// lane's mutex, while the chunk is still in its cache — a Sink that
+// stalls then holds that worker, the backpressure a full lane would have
+// exerted on it anyway.
 type laneSet struct {
-	mu     sync.Mutex
-	lanes  map[uint32]*queue.Queue[Chunk]
-	wg     sync.WaitGroup
-	cap    int
-	closed bool
-	run    func(stream uint32, q *queue.Queue[Chunk])
+	mu      sync.Mutex
+	lanes   map[uint32]*lane
+	wg      sync.WaitGroup
+	cap     int
+	closed  bool
+	reg     *metrics.Registry
+	deliver func(l *lane, c Chunk)
 }
 
-func newLaneSet(capacity int, run func(stream uint32, q *queue.Queue[Chunk])) *laneSet {
-	return &laneSet{lanes: make(map[uint32]*queue.Queue[Chunk]), cap: capacity, run: run}
+func newLaneSet(capacity int, reg *metrics.Registry, deliver func(l *lane, c Chunk)) *laneSet {
+	return &laneSet{lanes: make(map[uint32]*lane), cap: capacity, reg: reg, deliver: deliver}
 }
 
-// enqueue routes c to its stream's lane, creating lane and consumer on
-// first sight. Returns false once the set is closed (teardown).
+// enqueue delivers c, or routes it to its stream's lane, creating the
+// lane (and its consumer) on first sight. Returns false once the set is
+// closed (teardown).
 func (ls *laneSet) enqueue(c Chunk) bool {
 	ls.mu.Lock()
 	if ls.closed {
 		ls.mu.Unlock()
 		return false
 	}
-	q, ok := ls.lanes[c.Stream]
+	l, ok := ls.lanes[c.Stream]
 	if !ok {
-		q = queue.New[Chunk](ls.cap)
-		ls.lanes[c.Stream] = q
-		ls.wg.Add(1)
-		go func(stream uint32, q *queue.Queue[Chunk]) {
-			defer ls.wg.Done()
-			ls.run(stream, q)
-		}(c.Stream, q)
+		// The health scoreboard's throughput series
+		// ("delivered_stream_<id>", folded past the registry's stream
+		// cap), resolved once per lane: building the name costs an
+		// allocation the per-chunk path must not pay.
+		l = &lane{meter: ls.reg.StreamMeter("delivered", c.Stream)}
+		if ls.cap > 0 {
+			l.q = queue.New[Chunk](ls.cap)
+			ls.wg.Add(1)
+			go func() {
+				defer ls.wg.Done()
+				for c, err := l.q.Get(); err == nil; c, err = l.q.Get() {
+					ls.deliver(l, c)
+				}
+			}()
+		}
+		ls.lanes[c.Stream] = l
 	}
 	ls.mu.Unlock()
+	if l.q == nil {
+		// Held across the Sink on purpose: the mutex serialises exactly
+		// this stream's calls, which is the Sink's contract, and nothing
+		// the delivery calls takes it.
+		l.mu.Lock()
+		ls.deliver(l, c)
+		l.mu.Unlock()
+		return true
+	}
 	// Outside the set lock: a Put blocks only while the lane is full,
-	// which the credit gate, when in force, prevents.
-	return q.Put(c) == nil
+	// which the credit gate prevents.
+	return l.q.Put(c) == nil
 }
 
-// closeAll closes every lane and waits for the consumers to drain.
+// closeAll closes every lane and waits for the consumers to drain. It
+// follows the last producer's exit, so no inline delivery is running.
 func (ls *laneSet) closeAll() {
 	ls.mu.Lock()
 	ls.closed = true
-	for _, q := range ls.lanes {
-		q.Close()
+	for _, l := range ls.lanes {
+		if l.q != nil {
+			l.q.Close()
+		}
 	}
 	ls.mu.Unlock()
 	ls.wg.Wait()

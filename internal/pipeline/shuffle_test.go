@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"hash/crc32"
 	"math"
+	"math/bits"
 	"math/rand"
 	"os"
 	"sync"
@@ -194,5 +195,80 @@ func TestReceiverPortableDecode(t *testing.T) {
 	}
 	if n := pool.Outstanding(); n != 0 {
 		t.Fatalf("bufpool has %d leases outstanding after the run", n)
+	}
+}
+
+// TestLiteralPlanes: the trial picks the literal planes by measurement.
+// On the default projections that is the noise plane 4 and the
+// mostly-noise plane 5; with four times the detector noise the noise
+// reaches plane 6 too. Chunks after the trial carry those planes as
+// literal runs (counted in planes_literal), decode intact, and cost more
+// wire bytes than the trial's full parse; CodecHC keeps no literal planes.
+func TestLiteralPlanes(t *testing.T) {
+	if !bitshuffle.Vectorized() {
+		t.Skip("no vector bitshuffle on this CPU: the sender never filters")
+	}
+	const size = 1 << 20
+	noisy := func(sigma float64) func(i int) []byte {
+		cfg := tomo.DefaultProjectionConfig()
+		cfg.Width, cfg.Height, cfg.NoiseSigma = 1024, 512, sigma
+		phantom := tomo.RandomPhantom(1, 60)
+		return func(i int) []byte { return tomo.Projection(phantom, float64(i), cfg) }
+	}
+	cases := []struct {
+		name    string
+		codec   Codec
+		data    func(i int) []byte
+		literal uint16
+	}{
+		{"default noise", CodecFast, func(i int) []byte { return projectionChunk(i, size) }, 1<<4 | 1<<5},
+		{"4x noise", CodecFast, noisy(48), 1<<4 | 1<<5 | 1<<6},
+		{"HC", CodecHC, func(i int) []byte { return projectionChunk(i, size) }, 0},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			reg := metrics.NewRegistry()
+			pool := bufpool.New(1)
+			z := newCompressor(SenderOptions{Metrics: reg, Codec: tc.codec}, pool, 0)
+			var wire [3]int
+			for i := range wire {
+				raw := tc.data(i)
+				c := Chunk{Seq: uint64(i), Data: raw, RawLen: len(raw)}
+				if err := z.compress(&c); err != nil {
+					t.Fatal(err)
+				}
+				if !c.Packed || !c.Shuffled {
+					t.Fatalf("chunk %d shipped packed=%v shuffled=%v", i, c.Packed, c.Shuffled)
+				}
+				wire[i] = len(c.Data)
+				got := c
+				got.Data = bytes.Clone(c.Data)
+				c.lease.Release()
+				planes := &leaseScratch{pool: pool}
+				if err := decompress(&got, pool, 0, planes); err != nil {
+					t.Fatalf("chunk %d: %v", i, err)
+				}
+				if !bytes.Equal(got.Data, raw) {
+					t.Fatalf("chunk %d not decoded intact", i)
+				}
+				got.lease.Release()
+				planes.release()
+			}
+			if z.literal != tc.literal {
+				t.Fatalf("literal planes %016b, want %016b", z.literal, tc.literal)
+			}
+			n := int64(bits.OnesCount16(tc.literal))
+			if got := reg.CounterValue(CtrPlanesLiteral); got != 2*n {
+				t.Fatalf("planes_literal = %d after two chunks past the trial, want %d", got, 2*n)
+			}
+			t.Logf("wire bytes: trial %d, then %d and %d", wire[0], wire[1], wire[2])
+			if n > 0 && (wire[1] <= wire[0]*9/10 || wire[1] > wire[0]*3/2) {
+				t.Errorf("chunk 1 with %d literal planes: %d wire bytes against the trial's %d", n, wire[1], wire[0])
+			}
+			z.close()
+			if out := pool.Outstanding(); out != 0 {
+				t.Fatalf("%d leases outstanding", out)
+			}
+		})
 	}
 }

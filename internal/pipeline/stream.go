@@ -231,16 +231,24 @@ func decodeHeader(h []byte) (Chunk, uint32, error) {
 	}, binary.LittleEndian.Uint32(h[17:]), nil
 }
 
+// maxExpansion is the most raw bytes an LZ4 block can decode to per
+// block byte: a match-length extension byte adds at most 255.
+const maxExpansion = 255
+
 // verifyPayload is the receive worker's test of a frame parseFrame has
 // passed (so dispatch took credit for it): flags it knows, a raw payload
-// exactly RawLen long, and the header CRC. A frame that fails is
-// quarantined, never delivered — an unknown flag could mean any encoding.
+// exactly RawLen long, a packed one that could decode to RawLen bytes,
+// and the header CRC. A frame that fails is quarantined, never delivered
+// — an unknown flag could mean any encoding — and before the decompress
+// stage rents a RawLen-byte buffer for it.
 func verifyPayload(msg msgq.Message, c Chunk, want uint32) error {
 	switch flags := msg[0][flagsAt]; {
 	case flags != 0 && flags != flagPacked && flags != flagPacked|flagShuffled:
 		return fmt.Errorf("pipeline: chunk %d header flags %#02x", c.Seq, flags)
 	case !c.Packed && len(msg[1]) != c.RawLen:
 		return fmt.Errorf("pipeline: raw chunk %d has %d payload bytes, header says %d", c.Seq, len(msg[1]), c.RawLen)
+	case c.Packed && c.RawLen > maxExpansion*len(msg[1]):
+		return fmt.Errorf("pipeline: packed chunk %d of %d bytes cannot decode to the %d its header says", c.Seq, len(msg[1]), c.RawLen)
 	}
 	if sum := wireCRC(msg[1], c.flags()); sum != want {
 		return fmt.Errorf("pipeline: chunk %d payload CRC %08x, want %08x", c.Seq, sum, want)
@@ -559,9 +567,12 @@ type ReceiverOptions struct {
 	// in-flight chunks drain, RunReceiver returns.
 	Stop <-chan struct{}
 	// Sink receives each delivered (decompressed) chunk; nil discards.
-	// Chunks of one stream arrive one call at a time, on that stream's
-	// delivery lane (an unpinned goroutine, not a stage worker); calls
-	// for different streams run concurrently.
+	// Chunks of one stream arrive one call at a time; calls for different
+	// streams run concurrently. With credit in force (StreamCredit, or
+	// Shards set) each stream's calls run on its delivery lane, an
+	// unpinned goroutine; without, on the stage worker that finished the
+	// chunk (the decompress worker, or the receive worker when there is
+	// no decompress stage), which waits for the Sink to return.
 	Sink func(Chunk) error
 	// Metrics, when non-nil, receives "receive" and "decompress"
 	// meters plus the failure counters (CtrQuarantined, CtrSeqGaps,
@@ -681,12 +692,9 @@ func RunReceiver(opts ReceiverOptions) error {
 		credit = DefaultStreamCredit
 	}
 	// With credit in force a lane as deep as the credit never blocks its
-	// producer; without, a full lane is the backpressure a slow Sink
-	// exerts on the decompress stage.
-	laneCap := credit
-	if laneCap <= 0 {
-		laneCap = opts.QueueCap
-	}
+	// producer; without, there is no lane queue and the stage worker
+	// delivers inline, so a slow Sink holds the decompress stage back.
+	laneCap := max(credit, 0)
 	pool := effectivePool(opts.BufPool)
 	pool.Register(opts.Metrics)
 
@@ -850,74 +858,61 @@ func RunReceiver(opts ReceiverOptions) error {
 		return errSkip
 	}
 
-	// The per-stream delivery lane: ledger admission, Sink, sequence and
-	// throughput accounting, credit release — all single-threaded per
-	// stream, so none of it needs a lock shared between streams, and a
-	// Sink that stalls parks exactly one lane.
+	// Delivery of one chunk on its stream's lane: ledger admission, Sink,
+	// sequence and throughput accounting, credit release. The lane runs
+	// one call at a time, so none of it needs a lock shared between
+	// streams.
 	var laneErrOnce sync.Once
 	var laneErr error
-	lanes := newLaneSet(laneCap, func(stream uint32, q *queue.Queue[Chunk]) {
-		// The health scoreboard's throughput series
-		// ("delivered_stream_<id>", folded past the registry's stream
-		// cap); resolved once per lane because building the name costs an
-		// allocation the per-chunk path must not pay.
-		meter := opts.Metrics.StreamMeter("delivered", stream)
-		var next uint64
-		tracked := false
-		for {
-			c, err := q.Get()
-			if err != nil {
-				return // lane closed and drained
+	deliver := func(l *lane, c Chunk) {
+		// Dropped before the Sink: anything after an abort or once
+		// Expect is met, and a repeat of an already-delivered (stream,
+		// seq), which the ledger counts; a repeat takes no Expect slot
+		// and leaves the seq-gap accounting alone. The ledger is asked
+		// before the slot is reserved: a repeat holding the last slot
+		// even briefly would get a first arrival on another lane dropped
+		// and Expect never met. The price: a lane that loses the race for
+		// the last slot has already recorded its chunk, so up to lanes-1
+		// chunks beyond Expect read as delivered though no Sink saw them.
+		ok := !aborted.Load() && !expectMet(accounted.Load()) &&
+			(ledger == nil || ledger.Admit(c.Stream, c.Seq)) &&
+			reserve()
+		if ok && opts.Sink != nil {
+			if err := opts.Sink(c); err != nil {
+				laneErrOnce.Do(func() { laneErr = err })
+				failStop()
+				ok = false
 			}
-			// Dropped before the Sink: anything after an abort or once
-			// Expect is met, and a repeat of an already-delivered
-			// (stream, seq), which the ledger counts; a repeat takes no
-			// Expect slot and leaves the seq-gap accounting alone. The
-			// ledger is asked before the slot is reserved: a repeat
-			// holding the last slot even briefly would get a first
-			// arrival on another lane dropped and Expect never met. The
-			// price: a lane that loses the race for the last slot has
-			// already recorded its chunk, so up to lanes-1 chunks beyond
-			// Expect read as delivered though no Sink saw them.
-			deliver := !aborted.Load() && !expectMet(accounted.Load()) &&
-				(ledger == nil || ledger.Admit(c.Stream, c.Seq)) &&
-				reserve()
-			if deliver && opts.Sink != nil {
-				if err := opts.Sink(c); err != nil {
-					laneErrOnce.Do(func() { laneErr = err })
-					failStop()
-					deliver = false
-				}
-			}
-			if deliver {
-				meter.Add(len(c.Data))
-				// Sequence-gap accounting: a jump past the stream's
-				// expected sequence means chunks were lost or quarantined
-				// on the way; a regression is a late (reordered or
-				// duplicate) arrival. With several decompress workers
-				// minor reordering shows up as late counts, not data loss.
-				switch {
-				case !tracked && c.Seq == 0, tracked && c.Seq == next:
-					next, tracked = c.Seq+1, true
-				case !tracked || c.Seq > next:
-					if tracked {
-						gapCtr.Add(int64(c.Seq - next))
-					} else {
-						gapCtr.Add(int64(c.Seq))
-					}
-					next, tracked = c.Seq+1, true
-				default:
-					lateCtr.Inc()
-				}
-				if expectMet(accounted.Load()) {
-					markDone()
-				}
-				journeys.finish(c.journey, trace.NowNanos())
-			}
-			// The Sink has returned (and copied anything it keeps).
-			dispose(c)
 		}
-	})
+		if ok {
+			l.meter.Add(len(c.Data))
+			// Sequence-gap accounting: a jump past the stream's expected
+			// sequence means chunks were lost or quarantined on the way;
+			// a regression is a late (reordered or duplicate) arrival.
+			// With several decompress workers minor reordering shows up
+			// as late counts, not data loss.
+			switch {
+			case !l.tracked && c.Seq == 0, l.tracked && c.Seq == l.next:
+				l.next, l.tracked = c.Seq+1, true
+			case !l.tracked || c.Seq > l.next:
+				if l.tracked {
+					gapCtr.Add(int64(c.Seq - l.next))
+				} else {
+					gapCtr.Add(int64(c.Seq))
+				}
+				l.next, l.tracked = c.Seq+1, true
+			default:
+				lateCtr.Inc()
+			}
+			if expectMet(accounted.Load()) {
+				markDone()
+			}
+			journeys.finish(c.journey, trace.NowNanos())
+		}
+		// The Sink has returned (and copied anything it keeps).
+		dispose(c)
+	}
+	lanes := newLaneSet(laneCap, opts.Metrics, deliver)
 
 	// toLane hands a verified chunk to its delivery lane. The set only
 	// refuses after closeAll, which follows the last producer's exit;
