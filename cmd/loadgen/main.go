@@ -178,7 +178,7 @@ func main() {
 		}
 		if *clusterReport != "" {
 			rep := agg.Report()
-			if err := fleet.WriteReportFile(*clusterReport, rep); err != nil {
+			if err := obs.WriteReportFile(*clusterReport, rep); err != nil {
 				fail(err)
 			}
 			fmt.Printf("loadgen: cluster report written to %s (dominant: %s)\n", *clusterReport, rep.Dominant)

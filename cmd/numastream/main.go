@@ -275,18 +275,18 @@ func main() {
 	}
 	if *clusterReport != "" {
 		rep := agg.Report()
-		if err := fleet.WriteReportFile(*clusterReport, rep); err != nil {
+		if err := obs.WriteReportFile(*clusterReport, rep); err != nil {
 			fatal(err)
 		}
 		fmt.Printf("cluster report written to %s (dominant: %s)\n", *clusterReport, rep.Dominant)
 	}
 	if *reportPath != "" {
 		rep := obsEng.Report()
+		var report interface{ Markdown() string } = rep
 		if ctrl != nil {
-			if err := adapt.WriteReportFile(*reportPath, ctrl.Report(rep)); err != nil {
-				fatal(err)
-			}
-		} else if err := obs.WriteReportFile(*reportPath, rep); err != nil {
+			report = ctrl.Report(rep)
+		}
+		if err := obs.WriteReportFile(*reportPath, report); err != nil {
 			fatal(err)
 		}
 		fmt.Printf("self-diagnosis report written to %s (dominant regime: %s)\n", *reportPath, rep.Dominant)

@@ -1,9 +1,7 @@
 package adapt
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"strings"
 
 	"numastream/internal/obs"
@@ -33,21 +31,4 @@ func (r Report) Markdown() string {
 	}
 	fmt.Fprintf(&b, "%d actions:\n\n```\n%s```\n", len(r.Actions), FormatActions(r.Actions))
 	return b.String()
-}
-
-// WriteReportFile writes the combined report: markdown when the path
-// ends in .md, indented JSON otherwise (mirroring obs.WriteReportFile).
-func WriteReportFile(path string, r Report) error {
-	var out []byte
-	if strings.HasSuffix(path, ".md") {
-		out = []byte(r.Markdown())
-	} else {
-		var err error
-		out, err = json.MarshalIndent(r, "", "  ")
-		if err != nil {
-			return err
-		}
-		out = append(out, '\n')
-	}
-	return os.WriteFile(path, out, 0o644)
 }

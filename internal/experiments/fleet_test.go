@@ -150,10 +150,10 @@ func TestFleetReportArtifacts(t *testing.T) {
 	dir := t.TempDir()
 	mdPath := filepath.Join(dir, "cluster.md")
 	jsonPath := filepath.Join(dir, "cluster.json")
-	if err := fleet.WriteReportFile(mdPath, r.Report); err != nil {
+	if err := obs.WriteReportFile(mdPath, r.Report); err != nil {
 		t.Fatalf("WriteReportFile(md): %v", err)
 	}
-	if err := fleet.WriteReportFile(jsonPath, r.Report); err != nil {
+	if err := obs.WriteReportFile(jsonPath, r.Report); err != nil {
 		t.Fatalf("WriteReportFile(json): %v", err)
 	}
 	md, err := os.ReadFile(mdPath)

@@ -105,12 +105,6 @@ type Options struct {
 	// DefaultInterval. Irrelevant for ObserveAt-only use (simulations
 	// tick on virtual time).
 	Interval time.Duration
-	// WindowCap bounds the cluster-window ring; <= 0 means
-	// DefaultWindowCap.
-	WindowCap int
-	// RegimeCap bounds the cluster regime-transition log; <= 0 means
-	// DefaultRegimeCap.
-	RegimeCap int
 	// SLOs are evaluated against every cluster window's signals.
 	SLOs []SLO
 	// Profiler, when non-nil, captures pprof artifacts on alert firings
@@ -118,7 +112,8 @@ type Options struct {
 	Profiler *Profiler
 }
 
-// Aggregator defaults.
+// Aggregator defaults and bounds: DefaultWindowCap bounds the
+// cluster-window ring, DefaultRegimeCap the cluster regime-transition log.
 const (
 	DefaultInterval  = time.Second
 	DefaultWindowCap = 240
@@ -169,12 +164,6 @@ type Aggregator struct {
 func New(opts Options) *Aggregator {
 	if opts.Interval <= 0 {
 		opts.Interval = DefaultInterval
-	}
-	if opts.WindowCap <= 0 {
-		opts.WindowCap = DefaultWindowCap
-	}
-	if opts.RegimeCap <= 0 {
-		opts.RegimeCap = DefaultRegimeCap
 	}
 	a := &Aggregator{
 		opts:    opts,
@@ -305,7 +294,7 @@ func (a *Aggregator) ObserveAt(t float64) *ClusterWindow {
 	attribute(&cw)
 
 	a.windows = append(a.windows, cw)
-	if over := len(a.windows) - a.opts.WindowCap; over > 0 {
+	if over := len(a.windows) - DefaultWindowCap; over > 0 {
 		a.windows = append(a.windows[:0], a.windows[over:]...)
 		a.windowsDropped += int64(over)
 	}
@@ -313,7 +302,7 @@ func (a *Aggregator) ObserveAt(t float64) *ClusterWindow {
 	key := culpritKey(cw.Verdict, cw.Node, cw.Stage)
 	if key != a.culprit {
 		a.regimes = append(a.regimes, Regime{T: cw.T1, From: a.culprit, To: key, Evidence: cw.Evidence})
-		if over := len(a.regimes) - a.opts.RegimeCap; over > 0 {
+		if over := len(a.regimes) - DefaultRegimeCap; over > 0 {
 			a.regimes = append(a.regimes[:0], a.regimes[over:]...)
 			a.regimesDropped += int64(over)
 		}

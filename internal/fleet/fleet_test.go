@@ -197,8 +197,7 @@ func TestBuildSignalsNoActiveStreamsDefaultsFair(t *testing.T) {
 func TestAggregatorObserveAt(t *testing.T) {
 	feed := &stubFeed{st: gatewayStatus(0, []obs.StreamHealth{{Stream: "0", Gbps: 50}, {Stream: "1", Gbps: 50}})}
 	a := New(Options{
-		Fleet:     "unit",
-		WindowCap: 3,
+		Fleet: "unit",
 		SLOs: []SLO{{
 			Metric: "fair_share", Op: ">=", Threshold: 0.5,
 			BurnWindow: 2, FireBurn: 0.5, ClearWindows: 2,
@@ -260,13 +259,13 @@ func TestAggregatorObserveAt(t *testing.T) {
 		t.Fatalf("regimes = %+v, want a transition to wire-bound@relay1", a.Regimes())
 	}
 
-	// Ring cap: two more windows overflow WindowCap 3.
-	feed.st = gatewayStatus(4, nil)
-	a.ObserveAt(4)
-	feed.st = gatewayStatus(5, nil)
-	a.ObserveAt(5)
-	if n := len(a.Windows()); n != 3 {
-		t.Fatalf("retained windows = %d, want cap 3", n)
+	// Ring cap: windows up to DefaultWindowCap+2 overflow it by two.
+	for at := 4.0; at <= DefaultWindowCap+2; at++ {
+		feed.st = gatewayStatus(at, nil)
+		a.ObserveAt(at)
+	}
+	if n := len(a.Windows()); n != DefaultWindowCap {
+		t.Fatalf("retained windows = %d, want cap %d", n, DefaultWindowCap)
 	}
 	st := a.Status()
 	if st.Dropped != 2 {

@@ -1,9 +1,7 @@
 package fleet
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"sort"
 	"strings"
 
@@ -177,21 +175,4 @@ func (r Report) Markdown() string {
 			w.Signals.AggGbps, w.Signals.FairShare, strings.Join(w.Evidence, "; "))
 	}
 	return b.String()
-}
-
-// WriteReportFile writes r to path: markdown when the path ends in
-// ".md", indented JSON otherwise.
-func WriteReportFile(path string, r Report) error {
-	var data []byte
-	if strings.HasSuffix(path, ".md") {
-		data = []byte(r.Markdown())
-	} else {
-		var err error
-		data, err = json.MarshalIndent(r, "", "  ")
-		if err != nil {
-			return err
-		}
-		data = append(data, '\n')
-	}
-	return os.WriteFile(path, data, 0o644)
 }

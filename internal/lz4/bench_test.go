@@ -46,32 +46,6 @@ func BenchmarkCompressBlock(b *testing.B) {
 	}
 }
 
-func BenchmarkCompressBlockHC(b *testing.B) {
-	src := benchCorpus(1 << 20)
-	dst := make([]byte, CompressBound(len(src)))
-	for _, depth := range []int{4, 64, 256} {
-		b.Run(depthName(depth), func(b *testing.B) {
-			b.SetBytes(int64(len(src)))
-			for i := 0; i < b.N; i++ {
-				if _, err := CompressBlockHC(src, dst, depth); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-func depthName(d int) string {
-	switch d {
-	case 4:
-		return "depth4"
-	case 64:
-		return "depth64"
-	default:
-		return "depth256"
-	}
-}
-
 func BenchmarkDecompressBlock(b *testing.B) {
 	src := benchCorpus(1 << 20)
 	packed := Compress(src)

@@ -418,11 +418,18 @@ func TestCompressLegalOnSeededInputs(t *testing.T) {
 }
 
 // TestDecodeMatchesReferenceOnCorpora compares the decoders on every
-// corpus at the exact size and, for the error paths, one byte short and
-// with the block cut anywhere in its last 40 bytes.
+// corpus, compressed whole and with its middle third carried as a literal
+// span (a second block shape: one long literal run between parsed
+// stretches), at the exact size and, for the error paths, one byte short
+// and with the block cut anywhere in its last 40 bytes.
 func TestDecodeMatchesReferenceOnCorpora(t *testing.T) {
 	for name, src := range corpora() {
-		for _, block := range [][]byte{Compress(src), CompressHC(src, 8)} {
+		middle := make([]byte, CompressBound(len(src)))
+		n, err := CompressBlockLiterals(src, middle, []Span{{len(src) / 3, 2 * len(src) / 3}})
+		if err != nil {
+			t.Fatalf("%s: CompressBlockLiterals: %v", name, err)
+		}
+		for _, block := range [][]byte{Compress(src), middle[:n]} {
 			if got := diffDecode(t, block, len(src)); !bytes.Equal(got, src) {
 				t.Fatalf("%s: decoded bytes differ from the input", name)
 			}

@@ -135,18 +135,19 @@ func TestDiffCounterReset(t *testing.T) {
 func TestEngineDropCounters(t *testing.T) {
 	reg := metrics.NewRegistry()
 	m := reg.Meter("compress")
-	e := NewEngine(reg, Options{WindowCap: 2, RegimeCap: 256})
-	for i := 0; i < 6; i++ {
+	e := NewEngine(reg, Options{})
+	// DefaultWindowCap+4 observations → DefaultWindowCap+3 windows → 3
+	// dropped past the cap.
+	for i := 0; i < DefaultWindowCap+4; i++ {
 		m.AddBytes(1 << 20)
 		m.Add(1)
 		e.Observe(Capture(reg, float64(i)))
 	}
-	// 6 observations → 5 windows → 3 dropped past the cap of 2.
 	if got := reg.CounterValue(CtrWindowDrops); got != 3 {
 		t.Fatalf("%s = %d, want 3", CtrWindowDrops, got)
 	}
-	if n := len(e.Windows()); n != 2 {
-		t.Fatalf("retained windows = %d, want 2", n)
+	if n := len(e.Windows()); n != DefaultWindowCap {
+		t.Fatalf("retained windows = %d, want %d", n, DefaultWindowCap)
 	}
 	st := e.Status(false)
 	if st.Dropped != 3 {

@@ -17,22 +17,24 @@ import (
 	"numastream/internal/obs"
 	"numastream/internal/pipeline"
 	"numastream/internal/runtime"
+	"numastream/internal/tomo"
 )
 
 // TestCompressStarvedVerdict runs a real loopback stream with a single
-// CodecHC compression worker behind a tiny queue — compression is the
-// engineered bottleneck — and checks the window covering the run says
-// compress-bound.
+// compression worker behind a tiny queue, fed tomography data that LZ4
+// has real work on — compression is the engineered bottleneck — and
+// checks the window covering the run says compress-bound.
 func TestCompressStarvedVerdict(t *testing.T) {
 	reg := metrics.NewRegistry()
 	eng := obs.NewEngine(reg, obs.Options{Workers: map[string]int{"compress": 1, "send": 3}})
 
 	topo, _ := numa.Discover()
-	const chunks, size = 24, 256 << 10
-	payload := make([]byte, size)
-	for i := range payload {
-		payload[i] = byte(i / 64) // compressible runs: HC gets real work
-	}
+	// Enough chunks that one scheduling hiccup does not decide the
+	// window's shares: a pass of 24 lasted about 20 ms.
+	const chunks, size = 192, 256 << 10
+	cfg := tomo.DefaultProjectionConfig()
+	cfg.Width, cfg.Height, cfg.Seed = 1024, 512, 1
+	payload := tomo.Projection(tomo.RandomPhantom(1, 60), 0, cfg)[:size]
 
 	sCfg := runtime.NodeConfig{Node: "starved-src", Role: runtime.Sender,
 		Groups: []runtime.TaskGroup{
@@ -46,7 +48,9 @@ func TestCompressStarvedVerdict(t *testing.T) {
 		}}
 
 	pool := bufpool.New(1)
-	stream := func() {
+	// stream runs one pass; seed, when set, is called at the pass's first
+	// Source call, once both ends have registered their queue gauges.
+	stream := func(seed func()) {
 		ready := make(chan string, 1)
 		recvErr := make(chan error, 1)
 		go func() {
@@ -54,6 +58,14 @@ func TestCompressStarvedVerdict(t *testing.T) {
 				Cfg: rCfg, Topo: topo, Bind: "127.0.0.1:0",
 				Expect: chunks, Ready: ready, Metrics: reg, BufPool: pool,
 				Sink: func(pipeline.Chunk) error { return nil },
+				// A decompress worker takes about a third of the
+				// compress worker's time per chunk, on the same cores.
+				// With the default 16-slot queues a scheduling hiccup
+				// on a busy host could block the receive workers on
+				// decq for a quarter of the window, which reads as
+				// consumer-bound (2 of 80 runs beside a CPU hog on a
+				// 2-vCPU VM); 64 slots absorb it.
+				QueueCap: 64,
 			})
 		}()
 		addr := <-ready
@@ -62,12 +74,15 @@ func TestCompressStarvedVerdict(t *testing.T) {
 		sent := 0
 		if err := pipeline.RunSender(pipeline.SenderOptions{
 			Cfg: sCfg, Topo: topo, Peers: []string{addr}, Metrics: reg,
-			Codec: pipeline.CodecHC, QueueCap: 4, BufPool: pool,
+			QueueCap: 4, BufPool: pool,
 			Source: func() []byte {
 				mu.Lock()
 				defer mu.Unlock()
 				if sent >= chunks {
 					return nil
+				}
+				if sent == 0 && seed != nil {
+					seed()
 				}
 				sent++
 				return payload
@@ -85,10 +100,12 @@ func TestCompressStarvedVerdict(t *testing.T) {
 	// The first pass fills the pool. A cold pool's first-touch misses
 	// rightly read as pool-starved (under -race, where sync.Pool drops a
 	// quarter of its Puts, they outweigh the hits), so only the second,
-	// steady-state pass is inside the measured window.
-	stream()
-	eng.Tick() // seed the diff base before the measured run
-	stream()
+	// steady-state pass is inside the measured window. Its diff base is
+	// taken inside that pass: each pass registers fresh queues under the
+	// same gauge names, so a base taken between passes would diff the
+	// second pass's queue waits against the first's.
+	stream(nil)
+	stream(func() { eng.Tick() })
 
 	w := eng.Tick()
 	if w == nil {

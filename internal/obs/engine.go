@@ -16,25 +16,11 @@ type Options struct {
 	// <= 0 means DefaultInterval. Irrelevant for Observe-only use
 	// (simulations feed snapshots by hand).
 	Interval time.Duration
-	// WindowCap bounds the in-memory window ring; <= 0 means
-	// DefaultWindowCap. Old windows fall off the front (the drop count
-	// is retained, so reports state what they no longer show).
-	WindowCap int
-	// RegimeCap bounds the regime-transition log; <= 0 means
-	// DefaultRegimeCap.
-	RegimeCap int
 	// Workers maps stage name → configured worker count, enabling
 	// per-stage utilization. Optional.
 	Workers map[string]int
 	// Node labels this engine's reports (hostname, role, drill name).
 	Node string
-	// ScoreboardMax bounds the per-stream health rows retained in each
-	// window (Window.LimitStreams): 0 means DefaultScoreboardMax,
-	// negative means unlimited. At gateway scale the full scoreboard is
-	// the status payload's bulk; the cap keeps every unhealthy stream
-	// and the slowest healthy ones, with the rest counted in
-	// StreamsOmitted.
-	ScoreboardMax int
 	// OnWindow, when non-nil, is called with every completed window
 	// after it is folded into the ring — the adaptive placement
 	// controller's subscription point. It runs on the observing
@@ -43,7 +29,14 @@ type Options struct {
 	OnWindow func(Window)
 }
 
-// Engine defaults.
+// Engine defaults and bounds. DefaultWindowCap bounds the in-memory
+// window ring: old windows fall off the front (the drop count is
+// retained, so reports state what they no longer show).
+// DefaultRegimeCap bounds the regime-transition log.
+// DefaultScoreboardMax bounds the per-stream health rows retained in each
+// window (Window.LimitStreams): at gateway scale the full scoreboard is
+// the status payload's bulk, and the cap keeps every unhealthy stream and
+// the slowest healthy ones, with the rest counted in StreamsOmitted.
 const (
 	DefaultInterval      = 500 * time.Millisecond
 	DefaultWindowCap     = 240 // 2 minutes of history at the default interval
@@ -99,15 +92,6 @@ type Engine struct {
 func NewEngine(reg *metrics.Registry, opts Options) *Engine {
 	if opts.Interval <= 0 {
 		opts.Interval = DefaultInterval
-	}
-	if opts.WindowCap <= 0 {
-		opts.WindowCap = DefaultWindowCap
-	}
-	if opts.RegimeCap <= 0 {
-		opts.RegimeCap = DefaultRegimeCap
-	}
-	if opts.ScoreboardMax == 0 {
-		opts.ScoreboardMax = DefaultScoreboardMax
 	}
 	return &Engine{
 		reg:     reg,
@@ -174,10 +158,10 @@ func (e *Engine) observe(s Snapshot) *Window {
 		return nil
 	}
 	w := Diff(e.prev, s, e.opts.Workers)
-	w.LimitStreams(e.opts.ScoreboardMax)
+	w.LimitStreams(DefaultScoreboardMax)
 	e.prev = s
 	e.windows = append(e.windows, w)
-	if over := len(e.windows) - e.opts.WindowCap; over > 0 {
+	if over := len(e.windows) - DefaultWindowCap; over > 0 {
 		e.windows = append(e.windows[:0], e.windows[over:]...)
 		e.windowsDropped += int64(over)
 		if e.reg != nil {
@@ -186,7 +170,7 @@ func (e *Engine) observe(s Snapshot) *Window {
 	}
 	if w.Verdict != e.verdict {
 		e.regimes = append(e.regimes, Regime{T: w.T1, From: e.verdict, To: w.Verdict, Evidence: w.Evidence})
-		if over := len(e.regimes) - e.opts.RegimeCap; over > 0 {
+		if over := len(e.regimes) - DefaultRegimeCap; over > 0 {
 			e.regimes = append(e.regimes[:0], e.regimes[over:]...)
 			e.regimesDropped += int64(over)
 			if e.reg != nil {

@@ -260,12 +260,13 @@ func TestScoreboardCapKeepsUnhealthyAndSlowest(t *testing.T) {
 }
 
 // TestEngineScoreboardMaxFlowsThroughObserve: the engine applies the
-// configured cap to every window it produces.
+// scoreboard cap to every window it produces.
 func TestEngineScoreboardMaxFlowsThroughObserve(t *testing.T) {
-	e := NewEngine(nil, Options{ScoreboardMax: 2})
+	const streams = DefaultScoreboardMax + 4
+	e := NewEngine(nil, Options{})
 	mk := func(t float64, scale int64) Snapshot {
 		m := map[string]MeterState{}
-		for i := 0; i < 6; i++ {
+		for i := 0; i < streams; i++ {
 			m[fmt.Sprintf("delivered_stream_%d", i)] = MeterState{Bytes: scale * int64(i+1), Items: scale}
 		}
 		return Snapshot{T: t, Meters: m}
@@ -275,25 +276,20 @@ func TestEngineScoreboardMaxFlowsThroughObserve(t *testing.T) {
 	if w == nil {
 		t.Fatal("no window")
 	}
-	if len(w.Streams) != 2 || w.StreamsTotal != 6 || w.StreamsOmitted != 4 {
-		t.Fatalf("rows %d total %d omitted %d, want 2/6/4", len(w.Streams), w.StreamsTotal, w.StreamsOmitted)
-	}
-	// Unlimited: negative max records the total only.
-	e2 := NewEngine(nil, Options{ScoreboardMax: -1})
-	e2.Observe(mk(0, 0))
-	w2 := e2.Observe(mk(1, 1000))
-	if len(w2.Streams) != 6 || w2.StreamsTotal != 6 || w2.StreamsOmitted != 0 {
-		t.Fatalf("unlimited scoreboard capped: %d rows", len(w2.Streams))
+	if len(w.Streams) != DefaultScoreboardMax || w.StreamsTotal != streams || w.StreamsOmitted != 4 {
+		t.Fatalf("rows %d total %d omitted %d, want %d/%d/4", len(w.Streams), w.StreamsTotal, w.StreamsOmitted, DefaultScoreboardMax, streams)
 	}
 }
 
 func TestEngineRegimesAndRings(t *testing.T) {
-	e := NewEngine(nil, Options{WindowCap: 4, RegimeCap: 2})
+	e := NewEngine(nil, Options{})
 	if w := e.Observe(Snapshot{T: 0}); w != nil {
 		t.Fatalf("first snapshot produced a window")
 	}
+	// Enough windows to overflow both rings; an even count ends quiet.
+	const windows = DefaultRegimeCap + 4
 	churn := int64(0)
-	for i := 1; i <= 8; i++ {
+	for i := 1; i <= windows; i++ {
 		// Alternate churny and quiet windows: every snapshot flips the
 		// verdict, so each window appends a regime transition.
 		if i%2 == 1 {
@@ -301,11 +297,11 @@ func TestEngineRegimesAndRings(t *testing.T) {
 		}
 		e.Observe(Snapshot{T: float64(i), Counters: map[string]int64{"reroutes": churn}})
 	}
-	if got := len(e.Windows()); got != 4 {
-		t.Fatalf("window ring = %d, want cap 4", got)
+	if got := len(e.Windows()); got != DefaultWindowCap {
+		t.Fatalf("window ring = %d, want cap %d", got, DefaultWindowCap)
 	}
-	if got := len(e.Regimes()); got != 2 {
-		t.Fatalf("regime ring = %d, want cap 2", got)
+	if got := len(e.Regimes()); got != DefaultRegimeCap {
+		t.Fatalf("regime ring = %d, want cap %d", got, DefaultRegimeCap)
 	}
 	if v := e.Verdict(); v != VerdictIdle {
 		t.Fatalf("final verdict = %s, want idle (last window quiet)", v)
@@ -327,7 +323,7 @@ func TestEngineRegimesAndRings(t *testing.T) {
 		}
 		lines++
 	}
-	if lines != 2 {
+	if lines != DefaultRegimeCap {
 		t.Fatalf("JSONL lines = %d", lines)
 	}
 }

@@ -125,9 +125,10 @@ func (r Report) Markdown() string {
 	return b.String()
 }
 
-// WriteReportFile writes r to path: markdown when the path ends in
-// ".md", indented JSON otherwise.
-func WriteReportFile(path string, r Report) error {
+// WriteReportFile writes a report to path: its Markdown when the path
+// ends in ".md", indented JSON otherwise. Every report type takes this
+// one writer: obs's, the adaptive controller's and the fleet's.
+func WriteReportFile(path string, r interface{ Markdown() string }) error {
 	var data []byte
 	if strings.HasSuffix(path, ".md") {
 		data = []byte(r.Markdown())

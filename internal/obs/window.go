@@ -114,10 +114,10 @@ type Window struct {
 // so the engine applies this per window; rows are kept by triage
 // priority — every unhealthy row (holes, dups, reroutes, failovers)
 // first, then the slowest healthy streams, which is where a fairness
-// problem would surface. max <= 0 only records StreamsTotal.
+// problem would surface.
 func (w *Window) LimitStreams(max int) {
 	w.StreamsTotal = len(w.Streams)
-	if max <= 0 || len(w.Streams) <= max {
+	if len(w.Streams) <= max {
 		return
 	}
 	unhealthy := func(sh StreamHealth) bool {

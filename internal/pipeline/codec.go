@@ -52,9 +52,8 @@ const literalBelow = 2
 // its output blocks are rented from, its bit-plane buffer, and its
 // filter decision.
 type compressor struct {
-	codec Codec
-	pool  *bufpool.Pool
-	dom   int
+	pool *bufpool.Pool
+	dom  int
 	// filterable: the host has the vector encoder. The portable one costs
 	// more than LZ4 saves on the planes, so without it a worker never
 	// filters (receivers decode filtered frames everywhere).
@@ -74,7 +73,7 @@ type compressor struct {
 
 func newCompressor(opts SenderOptions, pool *bufpool.Pool, dom int) *compressor {
 	return &compressor{
-		codec: opts.Codec, pool: pool, dom: dom,
+		pool: pool, dom: dom,
 		filterable: bitshuffle.Vectorized(),
 		planes:     leaseScratch{pool: pool, dom: dom},
 		spans:      make([]lz4.Span, 0, bitshuffle.Planes/2),
@@ -151,12 +150,12 @@ func (z *compressor) compress(c *Chunk) error {
 }
 
 // chooseLiteral re-decides the literal planes from a trial's LZ4 block of
-// an n-byte chunk's bit-planes (see literalBelow). CodecHC keeps none.
+// an n-byte chunk's bit-planes (see literalBelow).
 func (z *compressor) chooseLiteral(block []byte, n int) {
 	z.literal = 0
 	q := bitshuffle.PlaneLen(n)
 	var costs [bitshuffle.Planes]int
-	if z.codec != CodecFast || q == 0 || lz4.RegionCosts(block, q, costs[:]) != nil {
+	if q == 0 || lz4.RegionCosts(block, q, costs[:]) != nil {
 		return
 	}
 	for p, cost := range costs {
@@ -187,20 +186,13 @@ func (z *compressor) literalSpans(n int) []lz4.Span {
 	return z.spans
 }
 
-// block compresses src with the worker's codec, lits carried as literals
-// (CodecFast only), into a CompressBound-sized buffer rented from the
-// pool on this worker's domain (the send worker releases it after the
-// frame leaves).
+// block compresses src, lits carried as literals, into a
+// CompressBound-sized buffer rented from the pool on this worker's domain
+// (the send worker releases it after the frame leaves).
 func (z *compressor) block(src []byte, lits []lz4.Span) (block, error) {
 	b := block{lease: z.pool.Get(z.dom, lz4.CompressBound(len(src)))}
-	dst := b.lease.Bytes()
 	var err error
-	switch z.codec {
-	case CodecHC:
-		b.n, err = lz4.CompressBlockHC(src, dst, lz4.HCDefaultDepth)
-	default:
-		b.n, err = lz4.CompressBlockLiterals(src, dst, lits)
-	}
+	b.n, err = lz4.CompressBlockLiterals(src, b.lease.Bytes(), lits)
 	if err != nil {
 		b.lease.Release()
 		return block{}, err

@@ -203,7 +203,7 @@ func TestReceiverPortableDecode(t *testing.T) {
 // mostly-noise plane 5; with four times the detector noise the noise
 // reaches plane 6 too. Chunks after the trial carry those planes as
 // literal runs (counted in planes_literal), decode intact, and cost more
-// wire bytes than the trial's full parse; CodecHC keeps no literal planes.
+// wire bytes than the trial's full parse.
 func TestLiteralPlanes(t *testing.T) {
 	if !bitshuffle.Vectorized() {
 		t.Skip("no vector bitshuffle on this CPU: the sender never filters")
@@ -217,19 +217,17 @@ func TestLiteralPlanes(t *testing.T) {
 	}
 	cases := []struct {
 		name    string
-		codec   Codec
 		data    func(i int) []byte
 		literal uint16
 	}{
-		{"default noise", CodecFast, func(i int) []byte { return projectionChunk(i, size) }, 1<<4 | 1<<5},
-		{"4x noise", CodecFast, noisy(48), 1<<4 | 1<<5 | 1<<6},
-		{"HC", CodecHC, func(i int) []byte { return projectionChunk(i, size) }, 0},
+		{"default noise", func(i int) []byte { return projectionChunk(i, size) }, 1<<4 | 1<<5},
+		{"4x noise", noisy(48), 1<<4 | 1<<5 | 1<<6},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			reg := metrics.NewRegistry()
 			pool := bufpool.New(1)
-			z := newCompressor(SenderOptions{Metrics: reg, Codec: tc.codec}, pool, 0)
+			z := newCompressor(SenderOptions{Metrics: reg}, pool, 0)
 			var wire [3]int
 			for i := range wire {
 				raw := tc.data(i)
@@ -262,7 +260,7 @@ func TestLiteralPlanes(t *testing.T) {
 				t.Fatalf("planes_literal = %d after two chunks past the trial, want %d", got, 2*n)
 			}
 			t.Logf("wire bytes: trial %d, then %d and %d", wire[0], wire[1], wire[2])
-			if n > 0 && (wire[1] <= wire[0]*9/10 || wire[1] > wire[0]*3/2) {
+			if wire[1] <= wire[0]*9/10 || wire[1] > wire[0]*3/2 {
 				t.Errorf("chunk 1 with %d literal planes: %d wire bytes against the trial's %d", n, wire[1], wire[0])
 			}
 			z.close()

@@ -256,19 +256,6 @@ func verifyPayload(msg msgq.Message, c Chunk, want uint32) error {
 	return nil
 }
 
-// Codec selects the compression algorithm for the sender's compress
-// stage.
-type Codec int
-
-// Available codecs: CodecFast is LZ4 level 1 (the paper's choice,
-// line-rate); CodecHC trades compression speed for ratio — worth it
-// when the network, not the CPU, is the bottleneck (§1's effective-
-// bandwidth arithmetic).
-const (
-	CodecFast Codec = iota
-	CodecHC
-)
-
 // SenderOptions configures RunSender.
 type SenderOptions struct {
 	Cfg  runtime.NodeConfig
@@ -285,8 +272,6 @@ type SenderOptions struct {
 	// StreamID tags every chunk so a gateway serving several senders
 	// can separate them (Figure 13's four concurrent streams).
 	StreamID uint32
-	// Codec selects the compression algorithm (default CodecFast).
-	Codec Codec
 	// Metrics, when non-nil, receives "compress" and "send" meters plus
 	// the msgq failure counters (reconnects, resends, timeouts).
 	Metrics *metrics.Registry

@@ -356,66 +356,6 @@ func TestDomainPin(t *testing.T) {
 	}
 }
 
-// TestLoopbackHCCodec streams with the high-compression codec and
-// verifies integrity plus a wire size no worse than the fast codec's.
-func TestLoopbackHCCodec(t *testing.T) {
-	const chunks, size = 15, 32 << 10
-	topo := testTopo()
-	run := func(codec Codec) (int64, map[uint64][]byte) {
-		ready := make(chan string, 1)
-		var mu sync.Mutex
-		got := make(map[uint64][]byte)
-		recvErr := make(chan error, 1)
-		go func() {
-			recvErr <- RunReceiver(ReceiverOptions{
-				Cfg: receiverCfg(2, 2), Topo: topo, Bind: "127.0.0.1:0",
-				Expect: chunks, Ready: ready,
-				Sink: func(c Chunk) error {
-					mu.Lock()
-					defer mu.Unlock()
-					data := make([]byte, len(c.Data))
-					copy(data, c.Data)
-					got[c.Seq] = data
-					return nil
-				},
-			})
-		}()
-		addr := <-ready
-		reg := metricsRegistry()
-		if err := RunSender(SenderOptions{
-			Cfg: senderCfg(2, 1), Topo: topo, Peers: []string{addr},
-			Source: chunkSource(chunks, size), Codec: codec, Metrics: reg,
-		}); err != nil {
-			t.Fatalf("RunSender: %v", err)
-		}
-		if err := <-recvErr; err != nil {
-			t.Fatalf("RunReceiver: %v", err)
-		}
-		var wire int64
-		for _, s := range reg.Snapshots() {
-			if s.Name == "send" {
-				wire = s.Bytes
-			}
-		}
-		return wire, got
-	}
-	fastWire, fastGot := run(CodecFast)
-	hcWire, hcGot := run(CodecHC)
-	if len(fastGot) != chunks || len(hcGot) != chunks {
-		t.Fatalf("deliveries: fast %d, hc %d", len(fastGot), len(hcGot))
-	}
-	src := chunkSource(chunks, size)
-	for i := 0; i < chunks; i++ {
-		want := src()
-		if !bytes.Equal(hcGot[uint64(i)], want) {
-			t.Fatalf("HC chunk %d corrupted", i)
-		}
-	}
-	if hcWire > fastWire+fastWire/50 {
-		t.Fatalf("HC wire bytes %d noticeably worse than fast %d", hcWire, fastWire)
-	}
-}
-
 // TestOpenEndedReceiverStops runs a receiver without an Expect count and
 // stops it via the Stop channel after some chunks have flowed.
 func TestOpenEndedReceiverStops(t *testing.T) {

@@ -84,14 +84,11 @@ func TestWireCRCEveryProducer(t *testing.T) {
 		data     func(i, size int) []byte
 		packed   bool
 		shuffled bool
-		mut      func(*SenderOptions)
 	}{
-		{"lz4-fast", 1, compressible, true, false, nil},
-		{"lz4-hc", 1, compressible, true, false, func(o *SenderOptions) { o.Codec = CodecHC }},
-		{"raw-fallback", 1, incompressible, false, false, nil},
-		{"no-compress-stage", 0, incompressible, false, false, nil},
-		{"lz4-bitshuffle", 1, projectionChunk, true, true, nil},
-		{"lz4-hc-bitshuffle", 1, projectionChunk, true, true, func(o *SenderOptions) { o.Codec = CodecHC }},
+		{"lz4-fast", 1, compressible, true, false},
+		{"raw-fallback", 1, incompressible, false, false},
+		{"no-compress-stage", 0, incompressible, false, false},
+		{"lz4-bitshuffle", 1, projectionChunk, true, true},
 	}
 	for _, tc := range cases {
 		tc := tc
@@ -125,7 +122,7 @@ func TestWireCRCEveryProducer(t *testing.T) {
 					}
 				})
 				next := 0
-				opts := SenderOptions{
+				if err := RunSender(SenderOptions{
 					Cfg: senderCfg(tc.nComp, 1), Topo: testTopo(), Peers: []string{tapAddr},
 					Source: func() []byte {
 						if next == chunks {
@@ -134,11 +131,7 @@ func TestWireCRCEveryProducer(t *testing.T) {
 						next++
 						return want[next-1]
 					},
-				}
-				if tc.mut != nil {
-					tc.mut(&opts)
-				}
-				if err := RunSender(opts); err != nil {
+				}); err != nil {
 					t.Fatalf("RunSender: %v", err)
 				}
 				<-tapDone

@@ -74,14 +74,6 @@ const (
 	Receiver   = runtime.Receiver
 )
 
-// Codecs for SenderOptions.Codec: CodecFast is LZ4 level 1 (the paper's
-// line-rate choice), CodecHC trades compression CPU for ratio on
-// bandwidth-starved paths.
-const (
-	CodecFast = pipeline.CodecFast
-	CodecHC   = pipeline.CodecHC
-)
-
 // Placement constructors.
 var (
 	// PinTo pins a task group to the given NUMA sockets.
@@ -110,8 +102,6 @@ var (
 
 // Real execution.
 type (
-	// Codec selects the sender's compression algorithm.
-	Codec = pipeline.Codec
 	// SenderOptions configures StartSender.
 	SenderOptions = pipeline.SenderOptions
 	// ReceiverOptions configures StartReceiver.
