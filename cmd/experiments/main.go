@@ -227,7 +227,7 @@ func main() {
 		if *quick {
 			chunks, chunkBytes = 32, 128<<10
 		}
-		res, err := experiments.DegradedLoopbackInto(reg, chunks, chunkBytes)
+		res, err := experiments.DegradedLoopback(reg, chunks, chunkBytes)
 		if err != nil {
 			fail(err)
 		}
@@ -258,7 +258,7 @@ func main() {
 			if *quick {
 				chunks, chunkBytes = 32, 32<<10
 			}
-			res, err := experiments.ChurnLoopbackInto(reg, chunks, chunkBytes, sched)
+			res, err := experiments.ChurnLoopback(reg, chunks, chunkBytes, sched)
 			if err != nil {
 				fail(err)
 			}

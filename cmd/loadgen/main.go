@@ -43,7 +43,7 @@ func main() {
 	chunkBytes := flag.Int("chunk-bytes", 64<<10, "bytes per chunk")
 	maxConc := flag.Int("max-concurrency", 0, "cap on concurrently active streams; 0 = all at once")
 	seed := flag.Int64("seed", 1, "RNG seed: jitter, fault victims")
-	faultPlan := flag.String("fault-plan", "", "fault plan DSL: 'reset@w10, stall@1MB:50ms, corrupt@w5:bit3, refuse:0-2, seed=7'")
+	faultPlan := flag.String("fault-plan", "", "fault plan DSL: 'reset@w10, stall@1MB:50ms, corrupt@w5:bit3, seed=7'")
 	shards := flag.Int("shards", 0, "gateway receive shards; 0 = mode default (sim: 4, loopback: NUMA-aligned)")
 	credit := flag.Int("credit", 0, "per-stream credit window; 0 = default (8)")
 	maxStreams := flag.Int("max-streams", 0, "admission cap; 0 = unlimited (sim only)")
@@ -85,7 +85,8 @@ func main() {
 	if *faultPlan != "" {
 		plan, err := faults.ParseFaultPlan(*faultPlan)
 		if err != nil {
-			fail(err)
+			fmt.Fprintf(os.Stderr, "loadgen: -fault-plan: %v\n", err)
+			os.Exit(2)
 		}
 		cfg.Plan = plan
 	}

@@ -81,12 +81,17 @@ func main() {
 		streamCap    = flag.Int("stream-cap", 0, "per-stream metrics series cap: distinct stream ids tracked before folding into the _stream_other bucket (default 64)")
 
 		// Fault injection (sender transport; for drills and tests).
-		faultPlanStr = flag.String("fault-plan", "", "sender: fault plan DSL, e.g. 'reset@w10, stall@1MB:50ms, corrupt@2MB:bit3, refuse:0-2, seed=7'")
+		faultPlanStr = flag.String("fault-plan", "", "sender: fault plan DSL, e.g. 'reset@w10, stall@1MB:50ms, corrupt@2MB:bit3, seed=7'")
 	)
 	flag.Parse()
 
 	if *configPath == "" {
 		fmt.Fprintln(os.Stderr, "numastream: -config is required")
+		os.Exit(2)
+	}
+	plan, err := faults.ParseFaultPlan(*faultPlanStr)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "numastream: -fault-plan: %v\n", err)
 		os.Exit(2)
 	}
 	data, err := os.ReadFile(*configPath)
@@ -214,11 +219,7 @@ func main() {
 
 			Controls: controls,
 		}
-		plan, err := faults.ParseFaultPlan(*faultPlanStr)
-		if err != nil {
-			fatal(err)
-		}
-		if len(plan.Faults) > 0 || len(plan.Refuse) > 0 {
+		if len(plan.Faults) > 0 {
 			sOpts.Dial = faults.NewInjector(plan).Dialer(nil)
 		}
 		err = pipeline.RunSender(sOpts)

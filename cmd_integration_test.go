@@ -35,7 +35,7 @@ func buildTools(t *testing.T) string {
 		if buildErr != nil {
 			return
 		}
-		for _, tool := range []string{"confgen", "topoinfo", "nsdata", "numastream", "experiments"} {
+		for _, tool := range []string{"confgen", "topoinfo", "nsdata", "numastream", "experiments", "loadgen"} {
 			cmd := exec.Command("go", "build", "-o", filepath.Join(binDir, tool), "./cmd/"+tool)
 			out, err := cmd.CombinedOutput()
 			if err != nil {
@@ -239,7 +239,9 @@ func TestCLIFaultPlanPair(t *testing.T) {
 }
 
 // TestCLIFaultPlanOnly: -fault-plan is the one fault syntax; the old
-// single-fault flags are unknown and rejected with the usage exit code.
+// single-fault flags are unknown and rejected with the usage exit code,
+// and so is a plan the grammar does not have, such as a refused-accept
+// window, which no program could apply.
 func TestCLIFaultPlanOnly(t *testing.T) {
 	cmd := exec.Command(filepath.Join(buildTools(t), "numastream"),
 		"-config", "unused.json", "-fault-reset-bytes", "100000")
@@ -250,6 +252,17 @@ func TestCLIFaultPlanOnly(t *testing.T) {
 	}
 	if !strings.Contains(string(out), "flag provided but not defined") {
 		t.Fatalf("-fault-reset-bytes not rejected as an unknown flag:\n%s", out)
+	}
+
+	for _, args := range [][]string{
+		{"numastream", "-config", "unused.json", "-fault-plan", "refuse:0-2"},
+		{"loadgen", "-fault-plan", "refuse:0-2"},
+	} {
+		cmd = exec.Command(filepath.Join(buildTools(t), args[0]), args[1:]...)
+		out, err = cmd.CombinedOutput()
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 || !strings.Contains(string(out), "-fault-plan") {
+			t.Fatalf("%s -fault-plan refuse:0-2: err %v, want exit status 2 naming the flag\n%s", args[0], err, out)
+		}
 	}
 }
 

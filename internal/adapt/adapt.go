@@ -482,10 +482,3 @@ func (c *Controller) Actions() []Action {
 	defer c.mu.Unlock()
 	return append([]Action(nil), c.actions...)
 }
-
-// Policy returns the controller's (normalized) tuning.
-func (c *Controller) Policy() Policy {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.pol
-}

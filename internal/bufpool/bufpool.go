@@ -20,13 +20,13 @@
 //
 // Buffers are leased as *Buf handles. The handle carries the buffer's
 // home domain and size class, enforces the lease discipline (a double
-// Put panics — returning one buffer to two renters is silent data
+// Release panics — returning one buffer to two renters is silent data
 // corruption later), and powers the leak accounting: Outstanding()
 // reports buffers currently leased, and reaches zero when a pipeline
 // has drained cleanly.
 //
 // A nil *Pool is valid and means "no pooling": Get falls back to a
-// plain allocation and Put is a no-op. msgq's Pull reads frames through
+// plain allocation and Release is a no-op. msgq's Pull reads frames through
 // a nil pool until its owner hands it one (Pull.SetBufferPool), so a
 // pool-less Pull shares the pooled read path's call sites.
 package bufpool
@@ -76,7 +76,7 @@ type Buf struct {
 	n    int    // requested length, Bytes() view
 	home int32  // domain whose shard owns the backing (first touch)
 	cls  int32  // size class, -1 for oversize one-offs
-	// leased guards the lease discipline: 1 while rented. Put trips on
+	// leased guards the lease discipline: 1 while rented. Release trips on
 	// a CAS failure, which is how double-put (the aliasing bug class)
 	// surfaces as a panic at the faulty call site instead of as data
 	// corruption two stages later.
@@ -93,9 +93,6 @@ func (b *Buf) Len() int { return b.n }
 // Cap returns the backing capacity.
 func (b *Buf) Cap() int { return cap(b.data) }
 
-// Domain returns the buffer's home NUMA domain.
-func (b *Buf) Domain() int { return int(b.home) }
-
 // SetLen shrinks (or regrows, up to Cap) the view returned by Bytes —
 // the compress stage rents a CompressBound-sized buffer and then clips
 // it to the block length actually produced.
@@ -106,8 +103,10 @@ func (b *Buf) SetLen(n int) {
 	b.n = n
 }
 
-// Release returns the buffer to its owning pool (equivalent to
-// pool.Put(b)). On a disabled-mode buffer it is a no-op.
+// Release returns the buffer to its owning pool's home-domain shard.
+// Release of a nil or disabled-mode buffer is a no-op; Release of a
+// buffer that is not currently leased panics (double put — the
+// precursor of two renters aliasing one buffer).
 func (b *Buf) Release() {
 	if b == nil || b.pool == nil {
 		return
@@ -117,7 +116,7 @@ func (b *Buf) Release() {
 
 // Pool is a set of per-domain, size-classed buffer shards. Methods are
 // safe for concurrent use, and safe on a nil receiver (pooling
-// disabled: Get allocates, Put discards).
+// disabled: Get allocates, Release discards).
 type Pool struct {
 	shards []shardSet
 
@@ -160,14 +159,6 @@ func Default() *Pool {
 		defaultPool = New(len(topo.Nodes))
 	})
 	return defaultPool
-}
-
-// Domains returns the number of domain shards.
-func (p *Pool) Domains() int {
-	if p == nil {
-		return 0
-	}
-	return len(p.shards)
 }
 
 // Get leases a buffer of length n, preferring the given domain's shard.
@@ -227,18 +218,6 @@ func (p *Pool) Get(domain, n int) *Buf {
 	p.outstanding.Add(1)
 	p.perDomain[b.home].Add(1)
 	return b
-}
-
-// Put returns a leased buffer to its owning pool's home-domain shard.
-// Put of a nil or disabled-mode buffer is a no-op; Put of a buffer that
-// is not currently leased panics (double put — the precursor of two
-// renters aliasing one buffer). The receiver is advisory: the buffer
-// always returns to the pool that issued it.
-func (p *Pool) Put(b *Buf) {
-	if b == nil || b.pool == nil {
-		return
-	}
-	b.pool.put(b)
 }
 
 func (p *Pool) put(b *Buf) {

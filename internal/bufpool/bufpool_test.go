@@ -46,7 +46,7 @@ func TestGetPutReuse(t *testing.T) {
 		t.Fatalf("Get(0, 4096): len %d cap %d", b.Len(), b.Cap())
 	}
 	ptr := &b.Bytes()[0]
-	p.Put(b)
+	b.Release()
 	// Single-threaded Get after Put should hand the same backing array
 	// back (sync.Pool private slot).
 	b2 := p.Get(0, 3000)
@@ -79,14 +79,14 @@ func TestSetLen(t *testing.T) {
 	}
 	mustPanic(t, "SetLen beyond cap", func() { b.SetLen(1025) })
 	mustPanic(t, "negative SetLen", func() { b.SetLen(-1) })
-	p.Put(b)
+	b.Release()
 }
 
 func TestDoublePutPanics(t *testing.T) {
 	p := New(2)
 	b := p.Get(1, 100)
-	p.Put(b)
-	mustPanic(t, "double Put", func() { p.Put(b) })
+	b.Release()
+	mustPanic(t, "double Put", func() { b.Release() })
 }
 
 func TestNilPoolDisabledMode(t *testing.T) {
@@ -96,11 +96,10 @@ func TestNilPoolDisabledMode(t *testing.T) {
 		t.Fatalf("nil-pool Get: len %d", b.Len())
 	}
 	// No-ops, any number of times.
-	p.Put(b)
 	b.Release()
 	b.Release()
-	if p.Outstanding() != 0 || p.Domains() != 0 {
-		t.Errorf("nil pool reported state: outstanding %d domains %d", p.Outstanding(), p.Domains())
+	if p.Outstanding() != 0 {
+		t.Errorf("nil pool reported state: outstanding %d", p.Outstanding())
 	}
 	if s := p.Stats(); s.Hits != 0 || s.Misses != 0 || s.Outstanding != 0 || s.OutstandingByDomain != nil {
 		t.Errorf("nil pool stats: %+v", s)
@@ -117,7 +116,7 @@ func TestOversize(t *testing.T) {
 		t.Fatalf("oversize not counted outstanding")
 	}
 	ptr := &b.Bytes()[0]
-	p.Put(b)
+	b.Release()
 	if p.Outstanding() != 0 {
 		t.Fatalf("oversize Put did not drain accounting")
 	}
@@ -140,14 +139,14 @@ func TestCrossDomainSteal(t *testing.T) {
 	// Seed domain 1's shard.
 	b := p.Get(1, 2048)
 	ptr := &b.Bytes()[0]
-	p.Put(b)
+	b.Release()
 	// Domain 0 misses its own shard and steals domain 1's buffer.
 	b2 := p.Get(0, 2048)
 	if &b2.Bytes()[0] != ptr {
 		t.Fatalf("expected steal of domain 1's buffer")
 	}
-	if b2.Domain() != 1 {
-		t.Errorf("stolen buffer home = %d, want 1 (home never changes)", b2.Domain())
+	if int(b2.home) != 1 {
+		t.Errorf("stolen buffer home = %d, want 1 (home never changes)", int(b2.home))
 	}
 	s := p.Stats()
 	if s.Steals != 1 {
@@ -156,23 +155,23 @@ func TestCrossDomainSteal(t *testing.T) {
 	if s.OutstandingByDomain[1] != 1 || s.OutstandingByDomain[0] != 0 {
 		t.Errorf("per-domain outstanding %v, want [0 1]", s.OutstandingByDomain)
 	}
-	p.Put(b2)
+	b2.Release()
 	// Returned to its HOME shard (domain 1), not the stealer's.
 	b3 := p.Get(1, 2048)
 	if &b3.Bytes()[0] != ptr {
 		t.Errorf("stolen buffer did not return to its home shard")
 	}
-	p.Put(b3)
+	b3.Release()
 }
 
 func TestDomainClamp(t *testing.T) {
 	p := New(2)
 	for _, d := range []int{-1, 2, 99} {
 		b := p.Get(d, 64)
-		if b.Domain() != 0 {
-			t.Errorf("Get(domain=%d) homed to %d, want clamp to 0", d, b.Domain())
+		if int(b.home) != 0 {
+			t.Errorf("Get(domain=%d) homed to %d, want clamp to 0", d, int(b.home))
 		}
-		p.Put(b)
+		b.Release()
 	}
 }
 
@@ -191,7 +190,7 @@ func TestRegisterGauges(t *testing.T) {
 	if gauges[GaugeOutstanding+"_domain_1"] != 1 {
 		t.Errorf("per-domain gauge = %v, want 1", gauges[GaugeOutstanding+"_domain_1"])
 	}
-	p.Put(b)
+	b.Release()
 	// Re-registration (shared registry across pipeline runs) must not
 	// panic and must keep reporting.
 	p.Register(reg)
@@ -259,7 +258,7 @@ func TestConcurrentAliasing(t *testing.T) {
 				mu.Lock()
 				delete(active, key)
 				mu.Unlock()
-				p.Put(b)
+				b.Release()
 			}
 		}()
 	}
@@ -289,11 +288,11 @@ func TestGetPutZeroAlloc(t *testing.T) {
 	p := New(2)
 	// Warm one buffer per class in use.
 	warm := p.Get(0, 1<<20)
-	p.Put(warm)
+	warm.Release()
 	avg := testing.AllocsPerRun(200, func() {
 		b := p.Get(0, 1<<20)
 		b.Bytes()[0] = 1
-		p.Put(b)
+		b.Release()
 	})
 	if avg != 0 {
 		t.Errorf("Get/Put allocates %.1f objects per cycle, want 0", avg)
@@ -302,8 +301,8 @@ func TestGetPutZeroAlloc(t *testing.T) {
 
 func TestDefaultPool(t *testing.T) {
 	p := Default()
-	if p == nil || p.Domains() < 1 {
-		t.Fatalf("Default() = %v (%d domains)", p, p.Domains())
+	if p == nil || len(p.shards) < 1 {
+		t.Fatalf("Default() = %v", p)
 	}
 	if Default() != p {
 		t.Errorf("Default() is not a singleton")
@@ -331,12 +330,12 @@ func mustPanic(t *testing.T, name string, f func()) {
 func BenchmarkGetPut(b *testing.B) {
 	p := New(1)
 	warm := p.Get(0, 1<<20)
-	p.Put(warm)
+	warm.Release()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		buf := p.Get(0, 1<<20)
-		p.Put(buf)
+		buf.Release()
 	}
 }
 
@@ -347,7 +346,7 @@ func BenchmarkGetPutParallel(b *testing.B) {
 		d := 0
 		for pb.Next() {
 			buf := p.Get(d, 256<<10)
-			p.Put(buf)
+			buf.Release()
 			d ^= 1
 		}
 	})

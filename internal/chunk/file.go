@@ -42,26 +42,3 @@ func OpenFile(path string) (*Reader, *os.File, error) {
 	}
 	return r, f, nil
 }
-
-// WriteFile writes a whole container (chunks plus attributes) to path.
-func WriteFile(path string, chunks [][]byte, attrs map[string]string) error {
-	w, f, err := CreateFile(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	for k, v := range attrs {
-		if err := w.SetAttr(k, v); err != nil {
-			return err
-		}
-	}
-	for i, c := range chunks {
-		if err := w.WriteChunk(c); err != nil {
-			return fmt.Errorf("chunk: writing chunk %d: %w", i, err)
-		}
-	}
-	if err := w.Close(); err != nil {
-		return err
-	}
-	return f.Close()
-}

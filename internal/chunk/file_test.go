@@ -11,9 +11,7 @@ func TestFileRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "scan.nscf")
 	chunks := [][]byte{[]byte("proj-0"), bytes.Repeat([]byte{9}, 1000)}
 	attrs := map[string]string{"detector": "64x64"}
-	if err := WriteFile(path, chunks, attrs); err != nil {
-		t.Fatalf("WriteFile: %v", err)
-	}
+	writeFile(t, path, chunks, attrs)
 	r, f, err := OpenFile(path)
 	if err != nil {
 		t.Fatalf("OpenFile: %v", err)
@@ -39,9 +37,7 @@ func TestOpenFileMissing(t *testing.T) {
 
 func TestOpenFileCorrupt(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "bad.nscf")
-	if err := WriteFile(path, [][]byte{[]byte("x")}, nil); err != nil {
-		t.Fatal(err)
-	}
+	writeFile(t, path, [][]byte{[]byte("x")}, nil)
 	// Truncate the footer off.
 	data, err := readAll(path)
 	if err != nil {
@@ -58,6 +54,29 @@ func TestOpenFileCorrupt(t *testing.T) {
 func TestCreateFileBadPath(t *testing.T) {
 	if _, _, err := CreateFile(t.TempDir() + "/no/such/dir/x"); err == nil {
 		t.Fatal("bad path accepted")
+	}
+}
+
+// writeFile writes a whole container (chunks plus attributes) to path.
+func writeFile(t *testing.T, path string, chunks [][]byte, attrs map[string]string) {
+	t.Helper()
+	w, f, err := CreateFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	for k, v := range attrs {
+		if err := w.SetAttr(k, v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, c := range chunks {
+		if err := w.WriteChunk(c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -1,50 +1,18 @@
-// Package cluster assembles multi-node simulated deployments of the
-// paper's testbeds: machine models wired together with network links.
-// The experiment harnesses and examples build their scenarios from
-// these instead of repeating topology plumbing.
+// Package cluster assembles the relayed multi-node simulated deployment
+// (MultiHop): machine models wired together with named network links.
+// The experiment harnesses build their multi-hop scenarios from it
+// instead of repeating topology plumbing.
 package cluster
 
 import (
-	"fmt"
-
-	"numastream/internal/hw"
 	"numastream/internal/netsim"
 	"numastream/internal/runtime"
-	"numastream/internal/sim"
 )
 
-// Node is one machine of a deployment with its path to the gateway.
+// Node is one sender of a deployment with its path to the gateway.
 type Node struct {
 	Sim  *runtime.SimNode
-	Path *netsim.Path // nil on the gateway itself
-}
-
-// Deployment is a star topology: sender nodes streaming into one
-// gateway over a shared backbone, the shape of Figures 1, 10 and 13.
-type Deployment struct {
-	Eng     *sim.Engine
-	Gateway *runtime.SimNode
-	Senders []Node
-	Link    *netsim.Link
-}
-
-// Options configures a deployment build.
-type Options struct {
-	// LinkGbps is the shared backbone capacity (default 200).
-	LinkGbps float64
-	// RTT is the end-to-end round-trip (default 0.45 ms, APS↔ALCF).
-	RTT float64
-	// Seed offsets the per-node RNG seeds (for OS placement).
-	Seed int64
-}
-
-func (o *Options) normalize() {
-	if o.LinkGbps <= 0 {
-		o.LinkGbps = 200
-	}
-	if o.RTT <= 0 {
-		o.RTT = 0.45e-3
-	}
+	Path *netsim.Path
 }
 
 // SenderKind selects a sender machine model.
@@ -55,55 +23,3 @@ const (
 	Updraft SenderKind = iota // 2×16-core Xeon, 100 Gbps NIC
 	Polaris                   // 1×32-core EPYC, 100 Gbps NIC
 )
-
-// New builds a deployment with a lynxdtn-class gateway and the given
-// sender machines.
-func New(eng *sim.Engine, senders []SenderKind, opts Options) (*Deployment, error) {
-	opts.normalize()
-	gw := runtime.NewSimNode(hw.NewLynxdtn(eng), opts.Seed+1)
-	link := netsim.NewLink(eng, "backbone", hw.BytesPerSec(opts.LinkGbps), opts.RTT)
-	d := &Deployment{Eng: eng, Gateway: gw, Link: link}
-	for i, kind := range senders {
-		var m *hw.Machine
-		switch kind {
-		case Updraft:
-			m = hw.NewUpdraft(eng, fmt.Sprintf("updraft%d", i+1))
-		case Polaris:
-			m = hw.NewPolaris(eng, fmt.Sprintf("polaris%d", i+1))
-		default:
-			return nil, fmt.Errorf("cluster: unknown sender kind %d", kind)
-		}
-		sn := runtime.NewSimNode(m, opts.Seed+int64(10+i))
-		d.Senders = append(d.Senders, Node{
-			Sim:  sn,
-			Path: netsim.NewPath(eng, m, hw.DataNIC(m), link, gw.M, hw.DataNIC(gw.M)),
-		})
-	}
-	return d, nil
-}
-
-// APSTestbed builds the §4.2 deployment: updraft1, updraft2, polaris1,
-// polaris2 into lynxdtn over a 200 Gbps backbone.
-func APSTestbed(eng *sim.Engine, seed int64) (*Deployment, error) {
-	return New(eng, []SenderKind{Updraft, Updraft, Polaris, Polaris}, Options{Seed: seed})
-}
-
-// Stream wires one stream from sender index i to the gateway.
-func (d *Deployment) Stream(i int, spec runtime.StreamSpec, senderCfg, receiverCfg runtime.NodeConfig) (*runtime.Stream, error) {
-	if i < 0 || i >= len(d.Senders) {
-		return nil, fmt.Errorf("cluster: no sender %d (have %d)", i, len(d.Senders))
-	}
-	return &runtime.Stream{
-		Spec:        spec,
-		Sender:      d.Senders[i].Sim,
-		SenderCfg:   senderCfg,
-		Receiver:    d.Gateway,
-		ReceiverCfg: receiverCfg,
-		Path:        d.Senders[i].Path,
-	}, nil
-}
-
-// Run executes the given streams on the deployment's engine.
-func (d *Deployment) Run(streams []*runtime.Stream) error {
-	return (&runtime.Runner{Eng: d.Eng, Streams: streams}).Run()
-}

@@ -9,11 +9,13 @@ import (
 	"numastream/internal/sim"
 )
 
+// TestAPSTestbedLayout builds the §4.2 testbed's senders — updraft1,
+// updraft2, polaris1, polaris2 into lynxdtn — through the relays.
 func TestAPSTestbedLayout(t *testing.T) {
 	eng := sim.NewEngine()
-	d, err := APSTestbed(eng, 1)
+	d, err := NewMultiHop(eng, []SenderKind{Updraft, Updraft, Polaris, Polaris}, MultiHopOptions{Seed: 1})
 	if err != nil {
-		t.Fatalf("APSTestbed: %v", err)
+		t.Fatalf("NewMultiHop: %v", err)
 	}
 	if len(d.Senders) != 4 {
 		t.Fatalf("senders = %d, want 4", len(d.Senders))
@@ -31,20 +33,20 @@ func TestAPSTestbedLayout(t *testing.T) {
 		}
 	}
 	// Polaris nodes are single-socket 32-core.
-	if got := d.Senders[2].Sim.M; len(got.Sockets) != 1 || got.NumCores() != 32 {
-		t.Fatalf("polaris layout: %d sockets, %d cores", len(got.Sockets), got.NumCores())
+	if got := d.Senders[2].Sim.M; len(got.Sockets) != 1 || len(got.Cores) != 32 {
+		t.Fatalf("polaris layout: %d sockets, %d cores", len(got.Sockets), len(got.Cores))
 	}
 }
 
 func TestNewRejectsUnknownKind(t *testing.T) {
-	if _, err := New(sim.NewEngine(), []SenderKind{SenderKind(99)}, Options{}); err == nil {
+	if _, err := NewMultiHop(sim.NewEngine(), []SenderKind{SenderKind(99)}, MultiHopOptions{}); err == nil {
 		t.Fatal("unknown sender kind accepted")
 	}
 }
 
 func TestStreamIndexValidation(t *testing.T) {
 	eng := sim.NewEngine()
-	d, err := New(eng, []SenderKind{Updraft}, Options{})
+	d, err := NewMultiHop(eng, []SenderKind{Updraft}, MultiHopOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +60,7 @@ func TestStreamIndexValidation(t *testing.T) {
 
 func TestDeploymentRunsStream(t *testing.T) {
 	eng := sim.NewEngine()
-	d, err := New(eng, []SenderKind{Updraft}, Options{LinkGbps: 100})
+	d, err := NewMultiHop(eng, []SenderKind{Updraft}, MultiHopOptions{AccessGbps: 100, UplinkGbps: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,16 +83,16 @@ func TestDeploymentRunsStream(t *testing.T) {
 		t.Fatalf("delivered %d", st.Delivered)
 	}
 	// Two local receive threads process ~66 Gbps (under the 100 Gbps
-	// link) — the same physics as the direct testbed wiring.
+	// links) — the same physics as the direct testbed wiring.
 	if g := hw.Gbps(st.EndToEndBps()); math.Abs(g-66) > 3 {
 		t.Fatalf("throughput = %.1f Gbps, want ~66", g)
 	}
 }
 
 func TestOptionsDefaults(t *testing.T) {
-	var o Options
+	var o MultiHopOptions
 	o.normalize()
-	if o.LinkGbps != 200 || o.RTT != 0.45e-3 {
+	if o.Relays != 2 || o.AccessGbps != 100 || o.UplinkGbps != 200 || o.RTT != 0.45e-3 {
 		t.Fatalf("defaults = %+v", o)
 	}
 }

@@ -26,8 +26,7 @@ type MultiHop struct {
 	// RelayNames lists the relay node names ("relay1", ...).
 	RelayNames []string
 
-	links   map[string]*namedLink
-	relayOf []int // sender index -> relay index
+	links map[string]*namedLink
 }
 
 // namedLink ties a link to the two node names it connects, so node
@@ -109,7 +108,6 @@ func NewMultiHop(eng *sim.Engine, senders []SenderKind, opts MultiHopOptions) (*
 			Sim:  sn,
 			Path: netsim.NewPathVia(eng, mach, hw.DataNIC(mach), []*netsim.Link{access, uplinks[r]}, gw.M, hw.DataNIC(gw.M)),
 		})
-		m.relayOf = append(m.relayOf, r)
 	}
 	return m, nil
 }
@@ -133,11 +131,6 @@ func (m *MultiHop) LinkNames() []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// RelayOf returns the relay node name sender i routes through.
-func (m *MultiHop) RelayOf(i int) string {
-	return m.RelayNames[m.relayOf[i]]
 }
 
 // LinkInfo names one link and its endpoint nodes, in flow direction

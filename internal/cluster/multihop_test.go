@@ -24,11 +24,8 @@ func TestMultiHopLayout(t *testing.T) {
 			}
 		}
 	}
-	// Round-robin relay assignment: senders 0 and 2 share relay1.
-	if m.RelayOf(0) != "relay1" || m.RelayOf(1) != "relay2" || m.RelayOf(2) != "relay1" {
-		t.Fatalf("relay assignment: %s %s %s", m.RelayOf(0), m.RelayOf(1), m.RelayOf(2))
-	}
-	// LinkNames is sorted.
+	// LinkNames is sorted, and shows the round-robin relay assignment:
+	// senders 0 and 2 share relay1.
 	links := m.LinkNames()
 	want := []string{"polaris3-relay1", "relay1-gateway", "relay2-gateway", "updraft1-relay1", "updraft2-relay2"}
 	if len(links) != len(want) {
@@ -39,9 +36,23 @@ func TestMultiHopLayout(t *testing.T) {
 			t.Fatalf("LinkNames = %v, want %v", links, want)
 		}
 	}
-	// Each sender path crosses its access link then its relay's uplink.
-	if got := m.Senders[0].Path.Links(); len(got) != 2 {
-		t.Fatalf("sender 0 path crosses %d links, want 2", len(got))
+	// Each sender path crosses its access link then its relay's uplink:
+	// with relay1's uplink dark for 5 s, only relay1's senders wait.
+	for i, name := range []string{"updraft1-relay1", "updraft2-relay2", "polaris3-relay1"} {
+		if m.Senders[i].Path.Link() != m.links[name].link {
+			t.Fatalf("sender %d path does not start on %s", i, name)
+		}
+	}
+	if err := m.SetLinkFaults("relay1-gateway", faults.LinkSchedule{{Start: 0, End: 5, Capacity: 0}}); err != nil {
+		t.Fatalf("SetLinkFaults: %v", err)
+	}
+	arrival := make([]float64, len(m.Senders))
+	for i, s := range m.Senders {
+		s.Path.Send(0, 1e6, func(a float64) { arrival[i] = a })
+	}
+	eng.Run()
+	if arrival[0] < 5 || arrival[2] < 5 || arrival[1] >= 5 {
+		t.Fatalf("arrivals %v: want senders 0 and 2 held by relay1's uplink outage, sender 1 not", arrival)
 	}
 }
 

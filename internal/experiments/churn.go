@@ -221,15 +221,10 @@ type realRelay struct {
 // then re-sends whole passes (sequence numbers restart at zero) until
 // the gateway's ledger shows every (stream, seq) delivered — duplicates
 // dropped, holes filled, nothing lost. A nil sched uses the default
-// three-crash storm; a custom one may only name the relays.
-func ChurnLoopback(chunks, chunkBytes int, sched faults.TopoSchedule) (ChurnRealResult, error) {
-	return ChurnLoopbackInto(nil, chunks, chunkBytes, sched)
-}
-
-// ChurnLoopbackInto is ChurnLoopback recording into a shared registry
-// (nil allocates a private one), so a telemetry server attached to reg
-// watches the churn counters live.
-func ChurnLoopbackInto(reg *metrics.Registry, chunks, chunkBytes int, sched faults.TopoSchedule) (ChurnRealResult, error) {
+// three-crash storm; a custom one may only name the relays. It records
+// into reg (nil allocates a private one), so a telemetry server attached
+// to reg watches the churn counters live.
+func ChurnLoopback(reg *metrics.Registry, chunks, chunkBytes int, sched faults.TopoSchedule) (ChurnRealResult, error) {
 	if chunks < 8 || chunkBytes < 1 {
 		return ChurnRealResult{}, fmt.Errorf("experiments: churn drill needs >= 8 chunks")
 	}

@@ -107,7 +107,7 @@ func TestChurnSimRejectsUnknownNames(t *testing.T) {
 }
 
 func TestChurnLoopbackExactlyOnce(t *testing.T) {
-	res, err := ChurnLoopback(48, 32<<10, nil)
+	res, err := ChurnLoopback(nil, 48, 32<<10, nil)
 	if err != nil {
 		t.Fatalf("ChurnLoopback: %v", err)
 	}

@@ -208,17 +208,12 @@ type DegradedRealResult struct {
 // flips one bit of a later chunk's payload. The reset message is
 // retransmitted after the automatic redial, the corrupted chunk is
 // caught by its CRC and quarantined, and the run completes with exact
-// accounting: delivered = chunks - 1, quarantined = 1.
-func DegradedLoopback(chunks, chunkBytes int) (DegradedRealResult, error) {
-	return DegradedLoopbackInto(nil, chunks, chunkBytes)
-}
-
-// DegradedLoopbackInto is DegradedLoopback recording into a shared
-// registry (nil allocates a private one). Both node roles share reg —
-// their meter and counter names are disjoint — so a telemetry server
-// attached to reg (cmd/experiments -telemetry-addr) watches the whole
-// degraded run live.
-func DegradedLoopbackInto(reg *metrics.Registry, chunks, chunkBytes int) (DegradedRealResult, error) {
+// accounting: delivered = chunks - 1, quarantined = 1. It records into
+// reg (nil allocates a private one). Both node roles share reg — their
+// meter and counter names are disjoint — so a telemetry server attached
+// to reg (cmd/experiments -telemetry-addr) watches the whole degraded
+// run live.
+func DegradedLoopback(reg *metrics.Registry, chunks, chunkBytes int) (DegradedRealResult, error) {
 	if chunks < 8 || chunkBytes < faults.CorruptMinLen {
 		return DegradedRealResult{}, fmt.Errorf("experiments: degraded run needs >= 8 chunks and >= %d-byte chunks", faults.CorruptMinLen)
 	}

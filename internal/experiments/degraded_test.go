@@ -66,7 +66,7 @@ func TestDegradedSimRecovers(t *testing.T) {
 // caught by CRC.
 func TestDegradedLoopbackAcceptance(t *testing.T) {
 	const chunks = 32
-	res, err := DegradedLoopback(chunks, 64<<10)
+	res, err := DegradedLoopback(nil, chunks, 64<<10)
 	if err != nil {
 		t.Fatalf("DegradedLoopback: %v", err)
 	}

@@ -545,46 +545,3 @@ func TestDualNICStudyShape(t *testing.T) {
 		t.Errorf("FormatDualNIC:\n%s", s)
 	}
 }
-
-func TestRatioSweepShape(t *testing.T) {
-	res, err := RatioSweep(nil)
-	if err != nil {
-		t.Fatalf("RatioSweep: %v", err)
-	}
-	get := func(ratio float64) RatioResult {
-		for _, r := range res {
-			if r.Ratio == ratio {
-				return r
-			}
-		}
-		t.Fatalf("missing ratio %v", ratio)
-		return RatioResult{}
-	}
-	// Uncompressed streams cap near the 100 Gbps link.
-	if g := get(1).E2EGbps; math.Abs(g-100)/100 > 0.08 {
-		t.Errorf("ratio 1 = %.1f Gbps, want ~100 (link-bound)", g)
-	}
-	// §1's arithmetic: higher ratio raises the effective rate until
-	// the 32-thread compressor (~148 Gbps of input) becomes the bound.
-	if g1, g2 := get(1).E2EGbps, get(2).E2EGbps; g2 < g1*1.3 {
-		t.Errorf("ratio 2 (%.1f) not well above ratio 1 (%.1f)", g2, g1)
-	}
-	// Past the compute bound, more ratio stops helping: throughput
-	// plateaus at the compression capacity.
-	if r4, r3 := get(4).E2EGbps, get(3).E2EGbps; r4 > r3*1.05 {
-		t.Errorf("ratio 4 (%.1f) still scaling over ratio 3 (%.1f); should be compute-bound", r4, r3)
-	}
-	// And the bottleneck attribution agrees.
-	if b := get(4).Bottleneck; b != "compress" {
-		t.Errorf("ratio 4 bottleneck = %q, want compress", b)
-	}
-	if s := FormatRatio(res); !strings.Contains(s, "ratio") {
-		t.Errorf("FormatRatio:\n%s", s)
-	}
-}
-
-func TestRatioSweepValidation(t *testing.T) {
-	if _, err := RatioSweep([]float64{0.5}); err == nil {
-		t.Fatal("ratio < 1 accepted")
-	}
-}

@@ -3,8 +3,6 @@ package experiments
 import (
 	"fmt"
 	"strings"
-
-	"numastream/internal/hw"
 )
 
 // Text renderers producing the paper-shaped tables the cmd/experiments
@@ -250,6 +248,3 @@ func FormatFig14(rt, os Fig14Result, factor float64) string {
 	fmt.Fprintf(&b, "runtime vs OS end-to-end: %.2fX (paper: 1.48X)\n", factor)
 	return b.String()
 }
-
-// Gbps re-exports the unit helper for the cmd layer.
-func Gbps(bps float64) float64 { return hw.Gbps(bps) }

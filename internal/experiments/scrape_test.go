@@ -71,7 +71,7 @@ func TestChurnConcurrentScrape(t *testing.T) {
 	}
 
 	const chunks, chunkBytes = 32, 32 << 10
-	res, err := ChurnLoopbackInto(reg, chunks, chunkBytes, nil)
+	res, err := ChurnLoopback(reg, chunks, chunkBytes, nil)
 	close(stop)
 	wg.Wait()
 	if err != nil {

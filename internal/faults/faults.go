@@ -149,13 +149,6 @@ func (in *Injector) Stats() Stats {
 	return in.stats
 }
 
-// Bytes returns the cumulative bytes offered to wrapped writes.
-func (in *Injector) Bytes() int64 {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	return in.bytes
-}
-
 // Conn wraps c so the plan's connection faults apply to its writes.
 func (in *Injector) Conn(c net.Conn) net.Conn {
 	return &faultConn{Conn: c, in: in}

@@ -5,7 +5,7 @@ package faults
 // churn drills take a topology-event file. The grammar is a comma-
 // separated item list:
 //
-//	item   := fault | refuse | seed
+//	item   := fault | seed
 //	fault  := kind '@' trigger (':' arg)?
 //	kind   := 'reset' | 'stall' | 'corrupt'
 //	trigger:= <bytes>            cumulative bytes offered to Write
@@ -14,7 +14,6 @@ package faults
 //	                             1s when omitted)
 //	        | 'bit' <n>          pinned bit     (corrupt faults; a
 //	                             seeded-random bit when omitted)
-//	refuse := 'refuse:' <from> '-' <to>    accept ordinals [from, to)
 //	seed   := 'seed=' <n>
 //
 // Byte counts accept KB/MB suffixes (binary units, decimals allowed:
@@ -22,11 +21,13 @@ package faults
 //
 //	reset@1.5MB
 //	stall@2MB:200ms,corrupt@3MB:bit7
-//	corrupt@w3,refuse:2-4,seed=99
+//	corrupt@w3,seed=99
 //
-// FormatFaultPlan renders a canonical form ParseFaultPlan reads back to
-// an identical Plan — the round-trip property FuzzLoadgenFaultPlan
-// pins, mirroring the TopoSchedule Parse/Format pair.
+// Plan.Refuse has no text form: the programs wrap no listener, so a
+// refused-accept window would parse and apply nowhere. FormatFaultPlan
+// renders a canonical form ParseFaultPlan reads back to an identical
+// Plan — the round-trip property FuzzLoadgenFaultPlan pins, mirroring
+// the TopoSchedule Parse/Format pair.
 
 import (
 	"fmt"
@@ -40,7 +41,7 @@ import (
 const defaultStall = time.Second
 
 // ParseFaultPlan parses the compact text form above. An empty (or all-
-// whitespace) string is the zero Plan: no faults, no refuse windows.
+// whitespace) string is the zero Plan: no faults.
 func ParseFaultPlan(s string) (Plan, error) {
 	var p Plan
 	for _, item := range strings.Split(s, ",") {
@@ -56,21 +57,6 @@ func ParseFaultPlan(s string) (Plan, error) {
 				return Plan{}, fmt.Errorf("faults: bad seed in %q: %v", item, err)
 			}
 			p.Seed = n
-		case strings.HasPrefix(lower, "refuse:"):
-			rng := item[len("refuse:"):]
-			fromS, toS, ok := strings.Cut(rng, "-")
-			if !ok {
-				return Plan{}, fmt.Errorf("faults: refuse window %q wants '<from>-<to>'", item)
-			}
-			from, err := strconv.ParseInt(fromS, 10, 64)
-			if err != nil || from < 0 {
-				return Plan{}, fmt.Errorf("faults: bad refuse-window start in %q", item)
-			}
-			to, err := strconv.ParseInt(toS, 10, 64)
-			if err != nil || to < from {
-				return Plan{}, fmt.Errorf("faults: bad refuse-window end in %q", item)
-			}
-			p.Refuse = append(p.Refuse, AcceptWindow{From: from, To: to})
 		default:
 			f, err := parseFault(item)
 			if err != nil {
@@ -165,8 +151,9 @@ func parseBytes(s string) (int64, error) {
 }
 
 // FormatFaultPlan renders p in the canonical text form: faults in
-// declared order, then refuse windows, then the seed (omitted when
-// zero). ParseFaultPlan reads the result back to an identical Plan.
+// declared order, then the seed (omitted when zero). ParseFaultPlan
+// reads the result back to an identical Plan when p has no Refuse
+// windows, which have no text form.
 func FormatFaultPlan(p Plan) string {
 	var items []string
 	for _, f := range p.Faults {
@@ -186,9 +173,6 @@ func FormatFaultPlan(p Plan) string {
 			fmt.Fprintf(&b, ":bit%d", f.Bit)
 		}
 		items = append(items, b.String())
-	}
-	for _, w := range p.Refuse {
-		items = append(items, fmt.Sprintf("refuse:%d-%d", w.From, w.To))
 	}
 	if p.Seed != 0 {
 		items = append(items, fmt.Sprintf("seed=%d", p.Seed))

@@ -19,12 +19,10 @@ func TestParseFaultPlan(t *testing.T) {
 		{"corrupt@3MB:bit7", Plan{Faults: []Fault{{Kind: Corrupt, AfterBytes: 3 << 20, Bit: 7}}}},
 		{"corrupt@4KB", Plan{Faults: []Fault{{Kind: Corrupt, AfterBytes: 4 << 10, Bit: -1}}}},
 		{"reset@w12", Plan{Faults: []Fault{{Kind: Reset, AfterWrites: 12}}}},
-		{"refuse:2-4", Plan{Refuse: []AcceptWindow{{From: 2, To: 4}}}},
 		{"seed=99", Plan{Seed: 99}},
-		{"reset@100, stall@200B:1s ,refuse:0-1,seed=-3", Plan{
+		{"reset@100, stall@200B:1s ,seed=-3", Plan{
 			Seed:   -3,
 			Faults: []Fault{{Kind: Reset, AfterBytes: 100}, {Kind: Stall, AfterBytes: 200, Stall: time.Second}},
-			Refuse: []AcceptWindow{{From: 0, To: 1}},
 		}},
 	}
 	for _, c := range cases {
@@ -51,10 +49,9 @@ func TestParseFaultPlanRejects(t *testing.T) {
 		"corrupt@1MB:7",     // corrupt arg without 'bit'
 		"corrupt@1MB:bit-1", // negative bit
 		"reset@w0",          // write ordinals are 1-based
-		"refuse:4-2",        // inverted window
-		"refuse:-1-2",       // negative start
-		"refuse:2",          // no range
 		"seed=x",            // non-numeric seed
+		"refuse:2-4",        // refused accepts have no text form
+		"reset@100, stall@200B:1s ,refuse:0-1,seed=-3",
 	}
 	for _, in := range bad {
 		if _, err := ParseFaultPlan(in); err == nil {
@@ -70,8 +67,8 @@ func TestFaultPlanRoundTrip(t *testing.T) {
 	plans := []string{
 		"reset@1.5MB",
 		"stall@2MB:200ms,corrupt@3MB:bit7",
-		"corrupt@w3,refuse:2-4,seed=99",
-		"reset@w1,reset@w2,stall@64KB,refuse:0-2,refuse:5-6,seed=-17",
+		"corrupt@w3,seed=99",
+		"reset@w1,reset@w2,stall@64KB,seed=-17",
 		"",
 	}
 	for _, in := range plans {
@@ -100,8 +97,8 @@ func TestFaultPlanRoundTrip(t *testing.T) {
 func FuzzLoadgenFaultPlan(f *testing.F) {
 	f.Add("reset@1.5MB")
 	f.Add("stall@2MB:200ms,corrupt@3MB:bit7")
-	f.Add("corrupt@w3,refuse:2-4,seed=99")
-	f.Add("reset@100,stall@200B:1s,refuse:0-1,seed=-3")
+	f.Add("corrupt@w3,seed=99")
+	f.Add("reset@100,stall@200B:1s,seed=-3")
 	f.Add("")
 	f.Add("seed=9223372036854775807")
 	f.Add("corrupt@0:bit0")

@@ -107,17 +107,6 @@ func (s TopoSchedule) Names() []string {
 	return out
 }
 
-// Downs counts the schedule's down events (node and link).
-func (s TopoSchedule) Downs() int {
-	n := 0
-	for _, e := range s {
-		if e.Kind.IsDown() {
-			n++
-		}
-	}
-	return n
-}
-
 // End returns the time of the schedule's last event (0 for an empty
 // schedule).
 func (s TopoSchedule) End() float64 {

@@ -23,7 +23,7 @@ func TestTopoScheduleNormalizeAndOutages(t *testing.T) {
 	if norm[0].T != 2 || norm[len(norm)-1].T != 9 {
 		t.Fatalf("not sorted: %v", norm)
 	}
-	if got := norm.Downs(); got != 3 {
+	if got := downs(norm); got != 3 {
 		t.Fatalf("Downs = %d, want 3", got)
 	}
 	if got := norm.End(); got != 9 {
@@ -133,7 +133,7 @@ func TestGenChurnStormDeterministicAndCovering(t *testing.T) {
 	if reflect.DeepEqual(a, c) {
 		t.Fatal("different seeds produced identical storms")
 	}
-	if got := a.Downs(); got != 3 {
+	if got := downs(a); got != 3 {
 		t.Fatalf("storm has %d down events, want 3", got)
 	}
 	// Downs >= len(Nodes): every node takes a hit, so a storm over
@@ -188,4 +188,15 @@ func TestRunTopoFiresInOrderAndStops(t *testing.T) {
 	if n := RunTopo(sched, time.Hour, stop, func(TopoEvent) {}); n > 1 {
 		t.Fatalf("closed stop still fired %d events", n)
 	}
+}
+
+// downs counts the schedule's down events (node and link).
+func downs(s TopoSchedule) int {
+	n := 0
+	for _, e := range s {
+		if e.Kind.IsDown() {
+			n++
+		}
+	}
+	return n
 }

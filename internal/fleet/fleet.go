@@ -327,13 +327,6 @@ func degradedVerdict(v obs.Verdict) bool {
 	return v == obs.VerdictChurnDegraded || v == obs.VerdictPoolStarved
 }
 
-// Verdict returns the current cluster verdict.
-func (a *Aggregator) Verdict() obs.Verdict {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.verdict
-}
-
 // Windows returns a copy of the retained cluster-window ring, oldest
 // first.
 func (a *Aggregator) Windows() []ClusterWindow {

@@ -233,8 +233,8 @@ func TestAggregatorObserveAt(t *testing.T) {
 	if w.Verdict != obs.VerdictWireBound || w.Node != "relay1" || w.Stage != "relay1-gateway" {
 		t.Fatalf("verdict = %s@%s:%s, want wire-bound@relay1:relay1-gateway", w.Verdict, w.Node, w.Stage)
 	}
-	if a.Verdict() != obs.VerdictWireBound {
-		t.Fatalf("Verdict() = %s, want wire-bound", a.Verdict())
+	if a.verdict != obs.VerdictWireBound {
+		t.Fatalf("cluster verdict = %s, want wire-bound", a.verdict)
 	}
 
 	// Second injured window fires the fair-share floor (burn 2/2 >= 0.5

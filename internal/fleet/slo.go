@@ -102,16 +102,6 @@ func ParseSLOs(spec string) ([]SLO, error) {
 	return out, nil
 }
 
-// FormatSLOs renders a list back into the flag DSL (round-trips
-// ParseSLOs).
-func FormatSLOs(slos []SLO) string {
-	parts := make([]string, len(slos))
-	for i, s := range slos {
-		parts[i] = s.String()
-	}
-	return strings.Join(parts, ",")
-}
-
 // AlertState is an alert's place in the ok→warn→firing machine.
 type AlertState string
 

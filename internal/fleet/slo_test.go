@@ -17,7 +17,11 @@ func TestParseSLOsRoundTrip(t *testing.T) {
 	if slos[1].Metric != "fair_share" || slos[1].Op != ">=" || slos[1].Threshold != 0.5 {
 		t.Fatalf("clause 1 = %+v", slos[1])
 	}
-	if got := FormatSLOs(slos); got != spec {
+	parts := make([]string, len(slos))
+	for i, s := range slos {
+		parts[i] = s.String()
+	}
+	if got := strings.Join(parts, ","); got != spec {
 		t.Fatalf("round trip = %q, want %q", got, spec)
 	}
 }

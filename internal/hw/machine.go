@@ -124,9 +124,6 @@ func New(eng *sim.Engine, cfg Config) *Machine {
 	return m
 }
 
-// NumCores returns the machine's total core count.
-func (m *Machine) NumCores() int { return len(m.Cores) }
-
 // NIC returns the NIC with the given name.
 func (m *Machine) NIC(name string) (*NIC, bool) {
 	for _, n := range m.NICs {
@@ -283,10 +280,6 @@ func (m *Machine) Exec(now float64, core *Core, op Op) float64 {
 func (m *Machine) DMAWrite(now float64, socket int, bytes float64) float64 {
 	return m.Sockets[socket].Mem.Acquire(now, bytes)
 }
-
-// Interconnect exposes the cross-socket link server (for direct charges
-// such as NIC DMA landing remotely under unusual configurations).
-func (m *Machine) Interconnect() *sim.Server { return m.interconnect }
 
 // CoreStat is a per-core metrics snapshot (Figs 6 and 7).
 type CoreStat struct {

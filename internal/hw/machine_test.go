@@ -25,8 +25,8 @@ func testMachine() (*sim.Engine, *Machine) {
 
 func TestNewLayout(t *testing.T) {
 	_, m := testMachine()
-	if m.NumCores() != 8 {
-		t.Fatalf("NumCores = %d, want 8", m.NumCores())
+	if len(m.Cores) != 8 {
+		t.Fatalf("cores = %d, want 8", len(m.Cores))
 	}
 	if len(m.Sockets) != 2 {
 		t.Fatalf("sockets = %d", len(m.Sockets))
@@ -215,8 +215,8 @@ func TestExecCrossSocketChargesInterconnect(t *testing.T) {
 	if math.Abs(done-2) > 1e-9 {
 		t.Fatalf("done = %v, want 2 (interconnect-bound)", done)
 	}
-	if m.Interconnect().Served() != 100 {
-		t.Fatalf("interconnect served %v, want 100", m.Interconnect().Served())
+	if m.interconnect.Served() != 100 {
+		t.Fatalf("interconnect served %v, want 100", m.interconnect.Served())
 	}
 }
 
@@ -284,8 +284,8 @@ func TestCoreStats(t *testing.T) {
 func TestBuilders(t *testing.T) {
 	eng := sim.NewEngine()
 	lynx := NewLynxdtn(eng)
-	if lynx.NumCores() != 32 || len(lynx.Sockets) != 2 {
-		t.Fatalf("lynxdtn: %d cores, %d sockets", lynx.NumCores(), len(lynx.Sockets))
+	if len(lynx.Cores) != 32 || len(lynx.Sockets) != 2 {
+		t.Fatalf("lynxdtn: %d cores, %d sockets", len(lynx.Cores), len(lynx.Sockets))
 	}
 	if n := DataNIC(lynx); n.Socket != 1 || n.BW != BytesPerSec(200) {
 		t.Fatalf("lynxdtn data NIC: socket %d bw %v", n.Socket, n.BW)
@@ -295,8 +295,8 @@ func TestBuilders(t *testing.T) {
 		t.Fatalf("updraft NIC bw %v", n.BW)
 	}
 	pol := NewPolaris(eng, "polaris1")
-	if pol.NumCores() != 32 || len(pol.Sockets) != 1 {
-		t.Fatalf("polaris: %d cores, %d sockets", pol.NumCores(), len(pol.Sockets))
+	if len(pol.Cores) != 32 || len(pol.Sockets) != 1 {
+		t.Fatalf("polaris: %d cores, %d sockets", len(pol.Cores), len(pol.Sockets))
 	}
 	if n := DataNIC(pol); n.Socket != 0 {
 		t.Fatalf("polaris NIC socket %d", n.Socket)

@@ -225,7 +225,8 @@ func ExampleCompressBlockLiterals() {
 	src := bytes.Repeat([]byte("0123456789abcdef"), 4)
 	dst := make([]byte, CompressBound(len(src)))
 	n, _ := CompressBlockLiterals(src, dst, []Span{{8, 40}})
-	out, _ := Decompress(dst[:n], len(src))
-	fmt.Println(bytes.Equal(out, src), n > 32)
+	out := make([]byte, len(src))
+	m, _ := DecompressBlock(dst[:n], out)
+	fmt.Println(bytes.Equal(out[:m], src), n > 32)
 	// Output: true true
 }

@@ -95,10 +95,6 @@ func hash7(u uint64) uint32 {
 	return uint32(((u << 8) * 58295818150454627) >> (64 - hashLog))
 }
 
-func load32(b []byte, i int) uint32 {
-	return binary.LittleEndian.Uint32(b[i : i+4 : len(b)])
-}
-
 func load64(b []byte, i int) uint64 {
 	return binary.LittleEndian.Uint64(b[i : i+8 : len(b)])
 }
@@ -579,31 +575,4 @@ func Compress(src []byte) []byte {
 		panic(err)
 	}
 	return dst[:n]
-}
-
-// Decompress is a convenience wrapper for callers that know the
-// uncompressed size.
-func Decompress(src []byte, uncompressedSize int) ([]byte, error) {
-	dst := make([]byte, uncompressedSize)
-	n, err := DecompressBlock(src, dst)
-	if err != nil {
-		return nil, err
-	}
-	if n != uncompressedSize {
-		return nil, fmt.Errorf("%w: decompressed %d bytes, expected %d", ErrCorrupt, n, uncompressedSize)
-	}
-	return dst, nil
-}
-
-// Ratio returns the compression ratio (uncompressed/compressed) achieved
-// by compressing src, used by the workload calibration code.
-func Ratio(src []byte) float64 {
-	if len(src) == 0 {
-		return 1
-	}
-	c := Compress(src)
-	if len(c) == 0 {
-		return 1
-	}
-	return float64(len(src)) / float64(len(c))
 }

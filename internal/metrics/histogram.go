@@ -17,9 +17,9 @@ const NumHistogramBuckets = 65
 
 // Histogram is a fixed-bucket log₂-scale histogram of int64 observations
 // (stage latencies in nanoseconds, queue waits, chunk sizes). Recording
-// is three uncontended atomic adds; histograms are mergeable, and
-// snapshots estimate quantiles by linear interpolation inside the hit
-// bucket. All methods are safe for concurrent use.
+// is three uncontended atomic adds, and snapshots estimate quantiles by
+// linear interpolation inside the hit bucket. All methods are safe for
+// concurrent use.
 type Histogram struct {
 	counts [NumHistogramBuckets]atomic.Int64
 	count  atomic.Int64
@@ -72,19 +72,6 @@ func (h *Histogram) Count() int64 { return h.count.Load() }
 
 // Sum returns the sum of all observations.
 func (h *Histogram) Sum() int64 { return h.sum.Load() }
-
-// Merge adds o's observations into h (o is read atomically bucket by
-// bucket; a merge concurrent with writes is a consistent under-count,
-// never corruption).
-func (h *Histogram) Merge(o *Histogram) {
-	for i := range o.counts {
-		if n := o.counts[i].Load(); n != 0 {
-			h.counts[i].Add(n)
-		}
-	}
-	h.count.Add(o.count.Load())
-	h.sum.Add(o.sum.Load())
-}
 
 // Quantile estimates the q-quantile (q in [0,1]) by walking the
 // cumulative bucket counts and interpolating linearly inside the hit

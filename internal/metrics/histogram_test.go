@@ -151,22 +151,6 @@ func TestHistogramSnapshotCumulative(t *testing.T) {
 	}
 }
 
-func TestHistogramMerge(t *testing.T) {
-	a, b := NewHistogram(), NewHistogram()
-	a.Observe(10)
-	a.Observe(20)
-	b.Observe(10)
-	b.Observe(1000)
-	a.Merge(b)
-	if a.Count() != 4 || a.Sum() != 1040 {
-		t.Fatalf("merged count/sum = %d/%d", a.Count(), a.Sum())
-	}
-	s := a.Snapshot("m")
-	if b := bucketOf(s, 15); b == nil || b.Count != 2 {
-		t.Fatalf("le=15 bucket after merge = %+v, want cumulative 2", b)
-	}
-}
-
 func TestHistogramConcurrent(t *testing.T) {
 	h := NewHistogram()
 	var wg sync.WaitGroup

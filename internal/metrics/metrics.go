@@ -22,7 +22,7 @@ import (
 // warm-up, a receiver waiting for its peer to dial) does not dilute the
 // rate with idle preamble. All methods are safe for concurrent use.
 type Meter struct {
-	startNanos atomic.Int64 // unix nanos of the first Add/AddBytes; 0 = untouched
+	startNanos atomic.Int64 // unix nanos of the first Add; 0 = untouched
 	bytes      atomic.Int64
 	items      atomic.Int64
 }
@@ -44,12 +44,6 @@ func (m *Meter) Add(n int) {
 	m.touch()
 	m.bytes.Add(int64(n))
 	m.items.Add(1)
-}
-
-// AddBytes records n bytes without an item.
-func (m *Meter) AddBytes(n int) {
-	m.touch()
-	m.bytes.Add(int64(n))
 }
 
 // Bytes returns the total recorded bytes.
@@ -121,17 +115,6 @@ type Gauge struct {
 
 // Set stores v.
 func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-
-// Add moves the gauge by d (negative to decrease).
-func (g *Gauge) Add(d float64) {
-	for {
-		old := g.bits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + d)
-		if g.bits.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
 
 // Value returns the current value.
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }

@@ -55,7 +55,7 @@ func TestPushPeerCallbacksFireOnUpAndDeath(t *testing.T) {
 	push.Counters = reg
 	defer push.Close()
 	push.Connect(addr)
-	if err := push.WaitLive(1); err != nil {
+	if err := push.WaitLiveTimeout(1, 10*time.Second); err != nil {
 		t.Fatal(err)
 	}
 
@@ -118,7 +118,7 @@ func TestPushOnResendFiresOnRetry(t *testing.T) {
 	}
 	defer push.Close()
 	push.Connect(pull.Addr().String())
-	if err := push.WaitLive(1); err != nil {
+	if err := push.WaitLiveTimeout(1, 10*time.Second); err != nil {
 		t.Fatal(err)
 	}
 	(<-first).fail.Store(true) // handshake done: only the frame write fails
@@ -170,7 +170,7 @@ func TestPushFinishingPeerCloseIsNotADeath(t *testing.T) {
 	push.Counters = reg
 	defer push.Close()
 	push.Connect(addr)
-	if err := push.WaitLive(1); err != nil {
+	if err := push.WaitLiveTimeout(1, 10*time.Second); err != nil {
 		t.Fatal(err)
 	}
 
@@ -208,7 +208,7 @@ func TestPushDisconnectIsNotADeath(t *testing.T) {
 	push.Counters = reg
 	defer push.Close()
 	push.Connect(addr)
-	if err := push.WaitLive(1); err != nil {
+	if err := push.WaitLiveTimeout(1, 10*time.Second); err != nil {
 		t.Fatal(err)
 	}
 
@@ -246,7 +246,7 @@ func TestPushReconnectAfterDisconnect(t *testing.T) {
 	push := NewPush()
 	defer push.Close()
 	push.Connect(addr)
-	if err := push.WaitLive(1); err != nil {
+	if err := push.WaitLiveTimeout(1, 10*time.Second); err != nil {
 		t.Fatal(err)
 	}
 	push.Disconnect(addr)
@@ -254,7 +254,7 @@ func TestPushReconnectAfterDisconnect(t *testing.T) {
 
 	// Dynamic re-add: the endpoint joins again and traffic flows.
 	push.Connect(addr)
-	if err := push.WaitLive(1); err != nil {
+	if err := push.WaitLiveTimeout(1, 10*time.Second); err != nil {
 		t.Fatal(err)
 	}
 	if err := push.Send(Message{[]byte("after rejoin")}); err != nil {
@@ -278,7 +278,7 @@ func TestPushConnectSameAddrIsIdempotent(t *testing.T) {
 	defer push.Close()
 	push.Connect(addr)
 	push.Connect(addr) // no second maintainer, no second connection
-	if err := push.WaitLive(1); err != nil {
+	if err := push.WaitLiveTimeout(1, 10*time.Second); err != nil {
 		t.Fatal(err)
 	}
 	time.Sleep(50 * time.Millisecond)
@@ -298,7 +298,7 @@ func TestPushCloseFiresNoDeathCallbacks(t *testing.T) {
 	push := NewPush()
 	push.OnPeerDown = log.down
 	push.Connect(pull.Addr().String())
-	if err := push.WaitLive(1); err != nil {
+	if err := push.WaitLiveTimeout(1, 10*time.Second); err != nil {
 		t.Fatal(err)
 	}
 	push.Close()

@@ -500,25 +500,12 @@ func (p *Push) Live() int {
 	return len(p.conns)
 }
 
-// WaitLive blocks until at least n peers are connected (or the socket
-// closes, returning ErrClosed). Senders distributing across several
-// receivers call this before streaming so early chunks don't all land
-// on whichever peer dialed fastest.
-func (p *Push) WaitLive(n int) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for len(p.conns) < n && !p.closed {
-		p.cond.Wait()
-	}
-	if p.closed {
-		return ErrClosed
-	}
-	return nil
-}
-
-// WaitLiveTimeout is WaitLive with a deadline: it returns an error
-// wrapping ErrNoPeers if fewer than n peers are live once d elapses, so
-// a node can report "receiver never came up" instead of hanging.
+// WaitLiveTimeout blocks until at least n peers are connected (or the
+// socket closes, returning ErrClosed). Senders distributing across
+// several receivers call this before streaming so early chunks don't all
+// land on whichever peer dialed fastest. It returns an error wrapping
+// ErrNoPeers if fewer than n peers are live once d elapses, so a node
+// can report "receiver never came up" instead of hanging.
 func (p *Push) WaitLiveTimeout(n int, d time.Duration) error {
 	deadline := time.Now().Add(d)
 	t := time.AfterFunc(d, func() {

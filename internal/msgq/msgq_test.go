@@ -552,8 +552,8 @@ func TestWaitLive(t *testing.T) {
 	defer push.Close()
 	push.Connect(pull1.Addr().String())
 	push.Connect(pull2.Addr().String())
-	if err := push.WaitLive(2); err != nil {
-		t.Fatalf("WaitLive: %v", err)
+	if err := push.WaitLiveTimeout(2, 10*time.Second); err != nil {
+		t.Fatalf("WaitLiveTimeout: %v", err)
 	}
 	if n := push.Live(); n != 2 {
 		t.Fatalf("Live = %d, want 2", n)
@@ -563,10 +563,10 @@ func TestWaitLive(t *testing.T) {
 func TestWaitLiveUnblocksOnClose(t *testing.T) {
 	push := NewPush()
 	done := make(chan error, 1)
-	go func() { done <- push.WaitLive(1) }()
+	go func() { done <- push.WaitLiveTimeout(1, 10*time.Second) }()
 	time.Sleep(5 * time.Millisecond)
 	push.Close()
 	if err := <-done; err != ErrClosed {
-		t.Fatalf("WaitLive after Close = %v, want ErrClosed", err)
+		t.Fatalf("WaitLiveTimeout after Close = %v, want ErrClosed", err)
 	}
 }

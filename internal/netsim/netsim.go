@@ -125,9 +125,6 @@ func (p *Path) DstSocket() int { return p.dstNIC.Socket }
 // single-link path).
 func (p *Path) Link() *Link { return p.links[0] }
 
-// Links returns every segment the path crosses, in hop order.
-func (p *Path) Links() []*Link { return p.links }
-
 // Send moves one message of the given size across the path and invokes
 // k with the time the data is resident in receiver memory. The transfer
 // holds the sender's NIC tx engine, a fair share of every link on the

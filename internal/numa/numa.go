@@ -44,40 +44,6 @@ type HostTopology struct {
 	Distances [][]int
 }
 
-// Distance returns the SLIT cost from node a to node b, or 0 when
-// unknown. Local access is conventionally 10, one hop typically 20+.
-func (t HostTopology) Distance(a, b int) int {
-	if a < 0 || b < 0 || a >= len(t.Distances) {
-		return 0
-	}
-	row := t.Distances[a]
-	if b >= len(row) {
-		return 0
-	}
-	return row[b]
-}
-
-// NearestTo returns the other node with the lowest distance from the
-// given node (useful when choosing where to place helper threads on
-// >2-socket machines); ok is false for single-node topologies or
-// missing distance data.
-func (t HostTopology) NearestTo(node int) (int, bool) {
-	best, bestDist := -1, 0
-	for _, n := range t.Nodes {
-		if n.ID == node {
-			continue
-		}
-		d := t.Distance(node, n.ID)
-		if d == 0 {
-			continue
-		}
-		if best == -1 || d < bestDist {
-			best, bestDist = n.ID, d
-		}
-	}
-	return best, best != -1
-}
-
 // NumCPUs returns the total logical CPU count across nodes.
 func (t HostTopology) NumCPUs() int {
 	n := 0
@@ -263,28 +229,6 @@ func parseMemTotal(meminfo string) int64 {
 	return 0
 }
 
-// RunOn locks the calling goroutine to an OS thread, restricts that
-// thread to the given CPUs, runs fn, then restores the previous affinity
-// and unlocks. It is the package's numa_bind() analogue for compute
-// workers. If placement is unsupported, fn still runs (unpinned) and
-// RunOn returns ErrUnsupported so callers can record the degradation.
-func RunOn(cpus []int, fn func()) error {
-	runtime.LockOSThread()
-	defer runtime.UnlockOSThread()
-	prev, err := getAffinity()
-	if err != nil {
-		fn()
-		return err
-	}
-	if err := setAffinity(cpus); err != nil {
-		fn()
-		return err
-	}
-	defer setAffinityMask(prev)
-	fn()
-	return nil
-}
-
 // Pin restricts the current OS thread (which the caller must have locked
 // with runtime.LockOSThread) to the given CPUs for the remainder of its
 // life. Long-lived pipeline workers use Pin once at start-up, and only
@@ -298,16 +242,6 @@ func RunOn(cpus []int, fn func()) error {
 // locked and the runtime retires the thread with it.
 func Pin(cpus []int) error {
 	return setAffinity(cpus)
-}
-
-// PinToNode restricts the current locked OS thread to all CPUs of one
-// topology node.
-func PinToNode(t HostTopology, node int) error {
-	n, ok := t.Node(node)
-	if !ok {
-		return fmt.Errorf("numa: no such node %d", node)
-	}
-	return Pin(n.CPUs)
 }
 
 // Effect is what pinning a thread to a CPU set would do in this process.

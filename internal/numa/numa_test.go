@@ -4,7 +4,6 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"runtime"
 	"testing"
 )
 
@@ -121,51 +120,10 @@ func TestParseMemTotal(t *testing.T) {
 	}
 }
 
-func TestRunOnExecutesFn(t *testing.T) {
-	ran := false
-	err := RunOn([]int{0}, func() { ran = true })
-	if !ran {
-		t.Fatal("RunOn did not execute fn")
-	}
-	// Placement may legitimately be unsupported (non-Linux, restricted
-	// sandbox); the function must still have run.
-	if err != nil && runtime.GOOS == "linux" {
-		t.Logf("RunOn returned %v on linux (restricted environment?)", err)
-	}
-}
-
-func TestRunOnEmptyCPUSet(t *testing.T) {
-	ran := false
-	err := RunOn(nil, func() { ran = true })
-	if !ran {
-		t.Fatal("RunOn did not execute fn on error path")
-	}
-	if err == nil {
-		t.Fatal("RunOn(nil) should report an error")
-	}
-}
-
-func TestPinToNodeUnknownNode(t *testing.T) {
-	top := Synthetic(2, 4)
-	if err := PinToNode(top, 9); err == nil {
-		t.Fatal("PinToNode(9) should fail")
-	}
-}
-
 func TestSyntheticDistances(t *testing.T) {
 	top := Synthetic(3, 2)
-	if top.Distance(0, 0) != 10 || top.Distance(0, 2) != 21 {
+	if top.Distances[0][0] != 10 || top.Distances[0][2] != 21 {
 		t.Fatalf("distances: %v", top.Distances)
-	}
-	if top.Distance(-1, 0) != 0 || top.Distance(0, 9) != 0 {
-		t.Fatal("out-of-range distance not zero")
-	}
-	n, ok := top.NearestTo(1)
-	if !ok || (n != 0 && n != 2) {
-		t.Fatalf("NearestTo(1) = %d, %v", n, ok)
-	}
-	if _, ok := Synthetic(1, 4).NearestTo(0); ok {
-		t.Fatal("single-node topology has a nearest node")
 	}
 }
 
@@ -186,7 +144,7 @@ func TestDiscoverSysfsDistances(t *testing.T) {
 	if err != nil {
 		t.Fatalf("discoverSysfs: %v", err)
 	}
-	if top.Distance(0, 1) != 21 || top.Distance(1, 1) != 10 {
+	if top.Distances[0][1] != 21 || top.Distances[1][1] != 10 {
 		t.Fatalf("distances = %v", top.Distances)
 	}
 }

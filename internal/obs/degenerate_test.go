@@ -139,8 +139,7 @@ func TestEngineDropCounters(t *testing.T) {
 	// DefaultWindowCap+4 observations → DefaultWindowCap+3 windows → 3
 	// dropped past the cap.
 	for i := 0; i < DefaultWindowCap+4; i++ {
-		m.AddBytes(1 << 20)
-		m.Add(1)
+		m.Add(1 << 20)
 		e.Observe(Capture(reg, float64(i)))
 	}
 	if got := reg.CounterValue(CtrWindowDrops); got != 3 {

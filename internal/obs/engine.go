@@ -198,13 +198,6 @@ func (e *Engine) SetWorkers(stage string, n int) {
 	e.opts.Workers = m
 }
 
-// Verdict returns the current regime's verdict.
-func (e *Engine) Verdict() Verdict {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.verdict
-}
-
 // Windows returns a copy of the retained window ring, oldest first.
 func (e *Engine) Windows() []Window {
 	e.mu.Lock()

@@ -303,7 +303,7 @@ func TestEngineRegimesAndRings(t *testing.T) {
 	if got := len(e.Regimes()); got != DefaultRegimeCap {
 		t.Fatalf("regime ring = %d, want cap %d", got, DefaultRegimeCap)
 	}
-	if v := e.Verdict(); v != VerdictIdle {
+	if v := e.verdict; v != VerdictIdle {
 		t.Fatalf("final verdict = %s, want idle (last window quiet)", v)
 	}
 

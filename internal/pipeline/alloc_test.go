@@ -290,12 +290,9 @@ func TestPinSpecDomains(t *testing.T) {
 		t.Errorf("empty PinSpec DomainFor = %d, want 0", d)
 	}
 
-	dp, err := DomainPin(topo, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	dp := PinSpec{CPUSets: [][]int{{2, 3}}, Domains: []int{1}} // all of node 1
 	if dp.DomainFor(0) != 1 || dp.DomainFor(5) != 1 {
-		t.Errorf("DomainPin domains = %v", dp.Domains)
+		t.Errorf("node-wide pin domains = %v", dp.Domains)
 	}
 
 	sp := SplitPin(topo)

@@ -67,21 +67,6 @@ func (c *Controls) pool(stage string) *Pool {
 	return c.pools[stage]
 }
 
-// Pool returns the live pool for a stage ("compress", "send",
-// "receive", "decompress"), or nil when that stage is not running.
-func (c *Controls) Pool(stage string) *Pool { return c.pool(stage) }
-
-// Stages lists the attached stage names (order unspecified).
-func (c *Controls) Stages() []string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]string, 0, len(c.pools))
-	for s := range c.pools {
-		out = append(out, s)
-	}
-	return out
-}
-
 // Workers returns the stage's target worker count (0 when absent).
 func (c *Controls) Workers(stage string) int {
 	p := c.pool(stage)

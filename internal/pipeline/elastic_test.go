@@ -324,7 +324,7 @@ func TestElasticLoopbackStorm(t *testing.T) {
 	// No worker leaks: every pool drained, and the live gauges agree.
 	for _, c := range []*Controls{rCtl, sCtl} {
 		for _, stage := range c.Stages() {
-			p := c.Pool(stage)
+			p := c.pool(stage)
 			if p.Live() != 0 || !p.Sealed() {
 				t.Fatalf("pool %s: live=%d sealed=%v after the run, want drained", stage, p.Live(), p.Sealed())
 			}

@@ -129,7 +129,7 @@ func TestReceiverQuarantines(t *testing.T) {
 				if tc.name == "MalformedMessage" {
 					verified = 0
 				}
-				if n := reg.Histogram("verify_crc_ns").Count(); n != int64(verified) {
+				if n := reg.Histogram("verify_crc_ns").Snapshot("").Count; n != int64(verified) {
 					t.Fatalf("verify_crc_ns observations = %d, want %d", n, verified)
 				}
 			})

@@ -60,16 +60,6 @@ func (p PinSpec) CPUsFor(worker int) []int {
 // Unpinned is the zero PinSpec: OS placement.
 var Unpinned = PinSpec{}
 
-// DomainPin returns a PinSpec placing every worker anywhere within the
-// given topology node — the numa_bind() style the paper uses.
-func DomainPin(topo numa.HostTopology, node int) (PinSpec, error) {
-	n, ok := topo.Node(node)
-	if !ok {
-		return PinSpec{}, fmt.Errorf("pipeline: no such NUMA node %d", node)
-	}
-	return PinSpec{CPUSets: [][]int{n.CPUs}, Domains: []int{node}}, nil
-}
-
 // CorePin returns a PinSpec placing worker i on cores[i mod len] alone.
 func CorePin(cores []int) PinSpec {
 	sets := make([][]int, len(cores))
@@ -378,14 +368,6 @@ func (p *Pool) DomainWorkers() map[int]int {
 		}
 	}
 	return out
-}
-
-// Sealed reports whether the pool has fully drained (no worker will
-// ever run again; Grow refuses).
-func (p *Pool) Sealed() bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.sealed
 }
 
 // Wait blocks until all workers return and joins their errors.

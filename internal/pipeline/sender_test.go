@@ -125,7 +125,7 @@ func TestSenderTeardownInvariant(t *testing.T) {
 				t.Errorf("bufpool has %d leases outstanding after RunSender returned", n)
 			}
 			for _, stage := range ctl.Stages() {
-				if p := ctl.Pool(stage); p.Live() != 0 {
+				if p := ctl.pool(stage); p.Live() != 0 {
 					t.Errorf("pool %s has %d live workers after RunSender returned", stage, p.Live())
 				}
 			}

@@ -198,12 +198,6 @@ func encodeHeaderInto(h *[headerLen]byte, c Chunk, crc uint32) {
 	binary.LittleEndian.PutUint32(h[17:], crc)
 }
 
-func encodeHeader(c Chunk, crc uint32) []byte {
-	var h [headerLen]byte
-	encodeHeaderInto(&h, c, crc)
-	return h[:]
-}
-
 // parseFrame is the one test of a chunk frame's shape — two parts, the
 // first a decodable header — and returns the header's chunk fields and
 // payload CRC. The receiver's dispatch hook, its receive workers and the

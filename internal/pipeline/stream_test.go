@@ -345,17 +345,6 @@ func TestPoolJoinsErrors(t *testing.T) {
 	}
 }
 
-func TestDomainPin(t *testing.T) {
-	topo := testTopo()
-	pin, err := DomainPin(topo, 0)
-	if err != nil || len(pin.CPUSets) != 1 {
-		t.Fatalf("DomainPin = %+v, %v", pin, err)
-	}
-	if _, err := DomainPin(topo, 7); err == nil {
-		t.Fatal("DomainPin(7) accepted")
-	}
-}
-
 // TestOpenEndedReceiverStops runs a receiver without an Expect count and
 // stops it via the Stop channel after some chunks have flowed.
 func TestOpenEndedReceiverStops(t *testing.T) {

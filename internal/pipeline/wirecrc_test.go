@@ -214,7 +214,7 @@ func TestRewrittenSourceBufferQuarantined(t *testing.T) {
 		}
 	}
 	// The feeder's checksum time is visible, and is not queue wait.
-	if n := sReg.Histogram("source_crc_ns").Count(); n != chunks {
+	if n := sReg.Histogram("source_crc_ns").Snapshot("").Count; n != chunks {
 		t.Errorf("source_crc_ns observations = %d, want %d", n, chunks)
 	}
 }

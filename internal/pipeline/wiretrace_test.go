@@ -101,13 +101,13 @@ func TestWireJourneyLoopback(t *testing.T) {
 		t.Fatalf("RunReceiver: %v", err)
 	}
 
-	if n := rReg.Histogram(HistChunkE2E).Count(); n != chunks {
+	if n := rReg.Histogram(HistChunkE2E).Snapshot("").Count; n != chunks {
 		t.Fatalf("chunk_e2e_ns count = %d, want %d", n, chunks)
 	}
-	if n := rReg.Histogram(HistChunkWire).Count(); n != chunks {
+	if n := rReg.Histogram(HistChunkWire).Snapshot("").Count; n != chunks {
 		t.Fatalf("chunk_wire_ns count = %d, want %d", n, chunks)
 	}
-	if n := rReg.Histogram("chunk_e2e_stream_0_ns").Count(); n != chunks {
+	if n := rReg.Histogram("chunk_e2e_stream_0_ns").Snapshot("").Count; n != chunks {
 		t.Fatalf("per-stream e2e count = %d, want %d", n, chunks)
 	}
 	if q := rReg.Histogram(HistChunkE2E).Quantile(0.5); q <= 0 {
@@ -177,7 +177,7 @@ func TestWireTraceOffNoJourneys(t *testing.T) {
 	if len(got) != chunks {
 		t.Fatalf("delivered %d chunks, want %d", len(got), chunks)
 	}
-	if n := rReg.Histogram(HistChunkE2E).Count(); n != 0 {
+	if n := rReg.Histogram(HistChunkE2E).Snapshot("").Count; n != 0 {
 		t.Fatalf("chunk_e2e_ns count = %d with tracing off", n)
 	}
 }

@@ -1,8 +1,8 @@
 // Package queue provides bounded, thread-safe queues used between the
 // stages of the streaming pipeline (the "thread-safe queue" of the paper's
 // Figure 2). The queues support multiple concurrent producers and
-// consumers, blocking and non-blocking operations, close semantics with
-// drain, and occupancy statistics used by the metrics subsystem.
+// consumers, blocking operations, close semantics with drain, and
+// occupancy statistics used by the metrics subsystem.
 package queue
 
 import (
@@ -65,9 +65,6 @@ func New[T any](capacity int) *Queue[T] {
 	return q
 }
 
-// Cap returns the queue's fixed capacity.
-func (q *Queue[T]) Cap() int { return len(q.buf) }
-
 // Len returns the current number of queued items.
 func (q *Queue[T]) Len() int {
 	q.mu.Lock()
@@ -101,21 +98,6 @@ func (q *Queue[T]) Put(v T) error {
 	return nil
 }
 
-// TryPut appends v without blocking. It reports whether the item was
-// enqueued; it returns ErrClosed if the queue is closed, nil otherwise.
-func (q *Queue[T]) TryPut(v T) (bool, error) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if q.closed {
-		return false, ErrClosed
-	}
-	if q.count == len(q.buf) {
-		return false, nil
-	}
-	q.enqueueLocked(v)
-	return true, nil
-}
-
 // Get removes and returns the oldest item, blocking while the queue is
 // empty. It returns ErrClosed once the queue is closed and drained.
 func (q *Queue[T]) Get() (T, error) {
@@ -140,22 +122,6 @@ func (q *Queue[T]) Get() (T, error) {
 	return q.dequeueLocked(), nil
 }
 
-// TryGet removes and returns the oldest item without blocking. The boolean
-// reports whether an item was returned; err is ErrClosed when the queue is
-// closed and drained.
-func (q *Queue[T]) TryGet() (T, bool, error) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	var zero T
-	if q.count == 0 {
-		if q.closed {
-			return zero, false, ErrClosed
-		}
-		return zero, false, nil
-	}
-	return q.dequeueLocked(), true, nil
-}
-
 // Close marks the queue closed. Pending and future Puts fail with
 // ErrClosed; Gets drain remaining items and then fail with ErrClosed.
 // Close is idempotent.
@@ -168,13 +134,6 @@ func (q *Queue[T]) Close() {
 	q.closed = true
 	q.notFull.Broadcast()
 	q.notEmpty.Broadcast()
-}
-
-// Closed reports whether Close has been called.
-func (q *Queue[T]) Closed() bool {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.closed
 }
 
 // Stats is a snapshot of queue activity counters. The blocked durations

@@ -36,8 +36,8 @@ func TestFIFOOrder(t *testing.T) {
 
 func TestLenAndCap(t *testing.T) {
 	q := New[string](4)
-	if q.Cap() != 4 {
-		t.Fatalf("Cap = %d, want 4", q.Cap())
+	if len(q.buf) != 4 {
+		t.Fatalf("capacity = %d, want 4", len(q.buf))
 	}
 	if q.Len() != 0 {
 		t.Fatalf("Len = %d, want 0", q.Len())
@@ -50,31 +50,6 @@ func TestLenAndCap(t *testing.T) {
 	q.Get()
 	if q.Len() != 1 {
 		t.Fatalf("Len = %d, want 1", q.Len())
-	}
-}
-
-func TestTryPutFullQueue(t *testing.T) {
-	q := New[int](1)
-	ok, err := q.TryPut(1)
-	if !ok || err != nil {
-		t.Fatalf("TryPut on empty = (%v, %v), want (true, nil)", ok, err)
-	}
-	ok, err = q.TryPut(2)
-	if ok || err != nil {
-		t.Fatalf("TryPut on full = (%v, %v), want (false, nil)", ok, err)
-	}
-}
-
-func TestTryGetEmptyQueue(t *testing.T) {
-	q := New[int](1)
-	_, ok, err := q.TryGet()
-	if ok || err != nil {
-		t.Fatalf("TryGet on empty = (%v, %v), want (false, nil)", ok, err)
-	}
-	q.Put(7)
-	v, ok, err := q.TryGet()
-	if !ok || err != nil || v != 7 {
-		t.Fatalf("TryGet = (%d, %v, %v), want (7, true, nil)", v, ok, err)
 	}
 }
 
@@ -146,9 +121,6 @@ func TestCloseDrainsThenErrClosed(t *testing.T) {
 	if _, err := q.Get(); err != ErrClosed {
 		t.Fatalf("Get on drained closed queue = %v, want ErrClosed", err)
 	}
-	if _, _, err := q.TryGet(); err != ErrClosed {
-		t.Fatalf("TryGet on drained closed queue err = %v, want ErrClosed", err)
-	}
 }
 
 func TestPutAfterClose(t *testing.T) {
@@ -157,16 +129,13 @@ func TestPutAfterClose(t *testing.T) {
 	if err := q.Put(1); err != ErrClosed {
 		t.Fatalf("Put after Close = %v, want ErrClosed", err)
 	}
-	if _, err := q.TryPut(1); err != ErrClosed {
-		t.Fatalf("TryPut after Close err = %v, want ErrClosed", err)
-	}
 }
 
 func TestCloseIdempotent(t *testing.T) {
 	q := New[int](1)
 	q.Close()
 	q.Close()
-	if !q.Closed() {
+	if !q.closed {
 		t.Fatal("Closed = false after Close")
 	}
 }
@@ -300,16 +269,14 @@ func TestPropertyWraparound(t *testing.T) {
 				next++
 			}
 		}
-		for {
-			v, ok, err := q.TryGet()
-			if err != nil || !ok {
-				return !ok && err == nil
-			}
-			if v != next {
+		for q.Len() > 0 {
+			v, err := q.Get()
+			if err != nil || v != next {
 				return false
 			}
 			next++
 		}
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)

@@ -36,14 +36,7 @@ func BenchmarkFilterRow(b *testing.B) {
 }
 
 func BenchmarkFBP(b *testing.B) {
-	p := tomo.RandomPhantom(5, 20)
-	sino := &Sinogram{}
-	const angles, width = 90, 256
-	for a := 0; a < angles; a++ {
-		theta := math.Pi * float64(a) / angles
-		sino.Angles = append(sino.Angles, theta)
-		sino.Rows = append(sino.Rows, tomo.SinogramRow(p, theta, 0, width))
-	}
+	sino := buildSinogram(tomo.RandomPhantom(5, 20), 90, 256)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := FBP(sino, 128, Hann); err != nil {

@@ -114,9 +114,33 @@ func FBP(s *Sinogram, size int, filter Filter) ([]float64, error) {
 	}
 
 	img := make([]float64, size*size)
-	width = len(s.Rows[0])
 	for yi := 0; yi < size; yi++ {
 		backprojectRow(img, filtered, s.Angles, size, width, yi)
 	}
 	return img, nil
+}
+
+// backprojectRow accumulates all angles into image row yi.
+func backprojectRow(img []float64, filtered [][]float64, angles []float64, size, width, yi int) {
+	du := 2.0 / float64(width)
+	scale := math.Pi / float64(len(angles))
+	y := 2*float64(yi)/float64(size) - 1 + 1.0/float64(size)
+	for ai, theta := range angles {
+		sin, cos := math.Sin(theta), math.Cos(theta)
+		row := filtered[ai]
+		for xi := 0; xi < size; xi++ {
+			x := 2*float64(xi)/float64(size) - 1 + 1.0/float64(size)
+			u := -x*sin + y*cos
+			pos := (u + 1 - du/2) / du
+			i0 := int(math.Floor(pos))
+			frac := pos - float64(i0)
+			var v float64
+			if i0 >= 0 && i0+1 < width {
+				v = row[i0]*(1-frac) + row[i0+1]*frac
+			} else if i0 == width-1 && frac == 0 {
+				v = row[i0]
+			}
+			img[yi*size+xi] += v * scale
+		}
+	}
 }

@@ -1,6 +1,7 @@
 package recon
 
 import (
+	"encoding/binary"
 	"math"
 	"math/cmplx"
 	"math/rand"
@@ -203,15 +204,36 @@ func TestFBPRejectsBadInput(t *testing.T) {
 	}
 }
 
-// buildSinogram samples the phantom's line integrals at the slice v.
-func buildSinogram(p *tomo.Phantom, v float64, angles, width int) *Sinogram {
+// buildSinogram samples the phantom's line integrals in the slice z = 0:
+// the one detector row of a noiseless projection quantized to 1e-3.
+func buildSinogram(p *tomo.Phantom, angles, width int) *Sinogram {
+	const scale = 1000
+	cfg := tomo.ProjectionConfig{Width: width, Height: 1, QuantStep: 1, Scale: scale}
 	s := &Sinogram{}
 	for a := 0; a < angles; a++ {
 		theta := math.Pi * float64(a) / float64(angles)
+		frame := tomo.Projection(p, theta, cfg)
+		row := make([]float64, width)
+		for u := range row {
+			row[u] = float64(binary.LittleEndian.Uint16(frame[2*u:])) / scale
+		}
 		s.Angles = append(s.Angles, theta)
-		s.Rows = append(s.Rows, tomo.SinogramRow(p, theta, v, width))
+		s.Rows = append(s.Rows, row)
 	}
 	return s
+}
+
+// densityAt is the phantom's density at (x, y, z): the ground truth a
+// reconstruction is compared against.
+func densityAt(p *tomo.Phantom, x, y, z float64) float64 {
+	var d float64
+	for _, s := range p.Spheres {
+		dx, dy, dz := x-s.X, y-s.Y, z-s.Z
+		if dx*dx+dy*dy+dz*dz < s.R*s.R {
+			d += s.Density
+		}
+	}
+	return d
 }
 
 // TestFBPReconstructsPhantomSlice is the end-to-end analysis check:
@@ -223,7 +245,7 @@ func TestFBPReconstructsPhantomSlice(t *testing.T) {
 		{X: 0.35, Y: 0.3, Z: 0, R: 0.18, Density: 1.5},
 	}}
 	const size, angles, width = 64, 120, 128
-	sino := buildSinogram(p, 0, angles, width)
+	sino := buildSinogram(p, angles, width)
 	img, err := FBP(sino, size, Hann)
 	if err != nil {
 		t.Fatalf("FBP: %v", err)
@@ -235,7 +257,7 @@ func TestFBPReconstructsPhantomSlice(t *testing.T) {
 		y := 2*float64(yi)/size - 1 + 1.0/size
 		for xi := 0; xi < size; xi++ {
 			x := 2*float64(xi)/size - 1 + 1.0/size
-			truth[yi*size+xi] = p.DensityAt(x, y, 0)
+			truth[yi*size+xi] = densityAt(p, x, y, 0)
 		}
 	}
 
@@ -264,7 +286,7 @@ func TestFBPReconstructsPhantomSlice(t *testing.T) {
 
 func TestFBPAllFiltersWork(t *testing.T) {
 	p := &tomo.Phantom{Spheres: []tomo.Sphere{{R: 0.4, Density: 1}}}
-	sino := buildSinogram(p, 0, 45, 64)
+	sino := buildSinogram(p, 45, 64)
 	for _, f := range []Filter{RamLak, SheppLogan, Hann} {
 		img, err := FBP(sino, 32, f)
 		if err != nil {
@@ -296,41 +318,4 @@ func correlation(a, b []float64) float64 {
 		return 0
 	}
 	return cov / math.Sqrt(va*vb)
-}
-
-// TestFBPParallelMatchesSerial: the parallel decomposition must produce
-// the identical image.
-func TestFBPParallelMatchesSerial(t *testing.T) {
-	p := tomo.RandomPhantom(12, 25)
-	sino := buildSinogram(p, 0, 60, 96)
-	serial, err := FBP(sino, 48, Hann)
-	if err != nil {
-		t.Fatalf("FBP: %v", err)
-	}
-	for _, workers := range []int{1, 2, 3, 7, 100} {
-		parallel, err := FBPParallel(sino, 48, Hann, workers)
-		if err != nil {
-			t.Fatalf("FBPParallel(%d): %v", workers, err)
-		}
-		for i := range serial {
-			if serial[i] != parallel[i] {
-				t.Fatalf("workers=%d: pixel %d differs: %v vs %v",
-					workers, i, serial[i], parallel[i])
-			}
-		}
-	}
-}
-
-func TestFBPParallelValidation(t *testing.T) {
-	if _, err := FBPParallel(&Sinogram{}, 16, RamLak, 2); err == nil {
-		t.Fatal("empty sinogram accepted")
-	}
-	sino := &Sinogram{Angles: []float64{0}, Rows: [][]float64{{1, 2}}}
-	if _, err := FBPParallel(sino, 0, RamLak, 2); err == nil {
-		t.Fatal("size 0 accepted")
-	}
-	// Degenerate worker counts are clamped, not errors.
-	if _, err := FBPParallel(sino, 4, RamLak, 0); err != nil {
-		t.Fatalf("workers=0: %v", err)
-	}
 }

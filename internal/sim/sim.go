@@ -58,21 +58,6 @@ func (e *Engine) Run() float64 {
 	return e.now
 }
 
-// RunUntil executes events with time <= t, then advances the clock to t.
-func (e *Engine) RunUntil(t float64) {
-	for len(e.events) > 0 && e.events[0].at <= t {
-		ev := heap.Pop(&e.events).(event)
-		e.now = ev.at
-		ev.fn()
-	}
-	if t > e.now {
-		e.now = t
-	}
-}
-
-// Pending returns the number of scheduled events.
-func (e *Engine) Pending() int { return len(e.events) }
-
 type event struct {
 	at  float64
 	seq int64 // FIFO tie-break for equal times
@@ -353,6 +338,3 @@ func (q *Queue) Close() {
 		q.getters = nil
 	}
 }
-
-// Closed reports whether Close has been called.
-func (q *Queue) Closed() bool { return q.closed }

@@ -65,23 +65,6 @@ func TestEngineRejectsPastEvents(t *testing.T) {
 	e.Schedule(1, func() {})
 }
 
-func TestEngineRunUntil(t *testing.T) {
-	e := NewEngine()
-	ran := 0
-	e.Schedule(1, func() { ran++ })
-	e.Schedule(10, func() { ran++ })
-	e.RunUntil(5)
-	if ran != 1 {
-		t.Fatalf("ran = %d, want 1", ran)
-	}
-	if e.Now() != 5 {
-		t.Fatalf("Now = %v, want 5", e.Now())
-	}
-	if e.Pending() != 1 {
-		t.Fatalf("Pending = %d, want 1", e.Pending())
-	}
-}
-
 func TestServerSerialService(t *testing.T) {
 	s := NewServer("core", 2) // 2 units/sec
 	if done := s.Acquire(0, 4); done != 2 {
@@ -256,8 +239,8 @@ func TestQueuePutAfterClose(t *testing.T) {
 	if accepted {
 		t.Fatal("Put after Close accepted")
 	}
-	if !q.Closed() {
-		t.Fatal("Closed() = false")
+	if !q.closed {
+		t.Fatal("closed = false after Close")
 	}
 }
 

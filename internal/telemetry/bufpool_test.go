@@ -29,9 +29,9 @@ func TestServeBufpoolGauges(t *testing.T) {
 	defer b.Release()
 	defer leak.Release()
 
-	srv, err := Serve("127.0.0.1:0", reg)
+	srv, err := ServeWith("127.0.0.1:0", reg, Options{})
 	if err != nil {
-		t.Fatalf("Serve: %v", err)
+		t.Fatalf("ServeWith: %v", err)
 	}
 	defer srv.Close()
 

@@ -33,8 +33,8 @@ func TestServeClusterEndpoints(t *testing.T) {
 	gwSrv, gwEng, gwReg := startNode("gateway")
 
 	// Give each node a window of traffic.
-	sendReg.Meter("compress").AddBytes(1 << 30)
-	gwReg.Meter("delivered_stream_0").AddBytes(1 << 28)
+	sendReg.Meter("compress").Add(1 << 30)
+	gwReg.Meter("delivered_stream_0").Add(1 << 28)
 	for tick := 0; tick < 2; tick++ {
 		sendEng.Observe(obs.Capture(sendReg, float64(tick)))
 		gwEng.Observe(obs.Capture(gwReg, float64(tick)))

@@ -51,9 +51,9 @@ func TestWritePrometheusSecondsConversion(t *testing.T) {
 
 func TestServeHealthzAndRuntimeGauges(t *testing.T) {
 	reg := metrics.NewRegistry()
-	srv, err := Serve("127.0.0.1:0", reg)
+	srv, err := ServeWith("127.0.0.1:0", reg, Options{})
 	if err != nil {
-		t.Fatalf("Serve: %v", err)
+		t.Fatalf("ServeWith: %v", err)
 	}
 	defer srv.Close()
 	base := "http://" + srv.Addr()
@@ -120,9 +120,9 @@ func TestServeTraceEndpoint(t *testing.T) {
 	}
 
 	// Without a tracer the endpoint does not exist.
-	plain, err := Serve("127.0.0.1:0", metrics.NewRegistry())
+	plain, err := ServeWith("127.0.0.1:0", metrics.NewRegistry(), Options{})
 	if err != nil {
-		t.Fatalf("Serve: %v", err)
+		t.Fatalf("ServeWith: %v", err)
 	}
 	defer plain.Close()
 	if code, _ := get(t, "http://"+plain.Addr()+"/trace"); code != http.StatusNotFound {

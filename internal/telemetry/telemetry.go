@@ -64,12 +64,12 @@ type Server struct {
 }
 
 // expvarReg is the registry the process-wide "numastream" expvar reads
-// from; the most recent Serve call owns it.
+// from; the most recent ServeWith call owns it.
 var expvarReg atomic.Pointer[metrics.Registry]
 
 var publishOnce sync.Once
 
-// Options extends Serve with optional wiring.
+// Options is ServeWith's optional wiring.
 type Options struct {
 	// Tracer, when non-nil, is exposed at /trace as a live Chrome
 	// trace-event JSON snapshot.
@@ -86,13 +86,8 @@ type Options struct {
 	Adapt *adapt.Controller
 }
 
-// Serve starts a telemetry server for reg on addr (":0" picks a free
-// port; read it back with Addr).
-func Serve(addr string, reg *metrics.Registry) (*Server, error) {
-	return ServeWith(addr, reg, Options{})
-}
-
-// ServeWith is Serve with Options. Every served registry also gains the
+// ServeWith starts a telemetry server for reg on addr (":0" picks a free
+// port; read it back with Addr). Every served registry also gains the
 // Go runtime health gauges (goroutines, heap bytes, GC pause total).
 func ServeWith(addr string, reg *metrics.Registry, opts Options) (*Server, error) {
 	ln, err := net.Listen("tcp", addr)

@@ -130,9 +130,9 @@ func get(t *testing.T, url string) (int, string) {
 
 func TestServeEndpoints(t *testing.T) {
 	reg := populatedRegistry()
-	srv, err := Serve("127.0.0.1:0", reg)
+	srv, err := ServeWith("127.0.0.1:0", reg, Options{})
 	if err != nil {
-		t.Fatalf("Serve: %v", err)
+		t.Fatalf("ServeWith: %v", err)
 	}
 	defer srv.Close()
 	base := "http://" + srv.Addr()
@@ -173,21 +173,21 @@ func TestServeEndpoints(t *testing.T) {
 }
 
 func TestServeTwiceLatestRegistryWins(t *testing.T) {
-	// expvar.Publish is process-global and panics on duplicates; Serve
+	// expvar.Publish is process-global and panics on duplicates; ServeWith
 	// must be callable repeatedly with the newest registry visible.
 	regA := metrics.NewRegistry()
 	regA.Counter("marker_a").Inc()
-	srvA, err := Serve("127.0.0.1:0", regA)
+	srvA, err := ServeWith("127.0.0.1:0", regA, Options{})
 	if err != nil {
-		t.Fatalf("Serve A: %v", err)
+		t.Fatalf("ServeWith A: %v", err)
 	}
 	defer srvA.Close()
 
 	regB := metrics.NewRegistry()
 	regB.Counter("marker_b").Inc()
-	srvB, err := Serve("127.0.0.1:0", regB)
+	srvB, err := ServeWith("127.0.0.1:0", regB, Options{})
 	if err != nil {
-		t.Fatalf("Serve B: %v", err)
+		t.Fatalf("ServeWith B: %v", err)
 	}
 	defer srvB.Close()
 

@@ -13,11 +13,3 @@ func BenchmarkProjectionQuarterScale(b *testing.B) {
 		Projection(p, float64(i)*0.01, cfg)
 	}
 }
-
-func BenchmarkSinogramRow(b *testing.B) {
-	p := RandomPhantom(2, 60)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		SinogramRow(p, float64(i)*0.01, 0, 1920)
-	}
-}

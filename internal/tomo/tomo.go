@@ -187,12 +187,6 @@ func NewGenerator(p *Phantom, cfg ProjectionConfig, angles int) *Generator {
 	return &Generator{phantom: p, cfg: cfg, angles: angles}
 }
 
-// NewDefaultGenerator returns a full-detector-size generator over a
-// default 60-sphere phantom — the standard experiment workload.
-func NewDefaultGenerator(seed int64) *Generator {
-	return NewGenerator(RandomPhantom(seed, 60), DefaultProjectionConfig(), 360)
-}
-
 // Next returns the next projection chunk. Chunks repeat after one full
 // revolution, which is fine for throughput experiments (the paper's
 // senders likewise replay a fixed 16 GB dataset).
@@ -200,9 +194,4 @@ func (g *Generator) Next() []byte {
 	theta := 2 * math.Pi * float64(g.next%g.angles) / float64(g.angles)
 	g.next++
 	return Projection(g.phantom, theta, g.cfg)
-}
-
-// ChunkSize returns the byte size of chunks produced by Next.
-func (g *Generator) ChunkSize() int {
-	return g.cfg.Width * g.cfg.Height * bytesPerPixel
 }

@@ -105,7 +105,8 @@ func TestLZ4RatioNearPaper(t *testing.T) {
 	var ratio float64
 	const n = 4
 	for i := 0; i < n; i++ {
-		ratio += lz4.Ratio(g.Next())
+		frame := g.Next()
+		ratio += float64(len(frame)) / float64(len(lz4.Compress(frame)))
 	}
 	ratio /= n
 	if ratio < 1.6 || ratio > 3.0 {
@@ -131,9 +132,9 @@ func TestGeneratorCyclesAngles(t *testing.T) {
 }
 
 func TestGeneratorChunkSize(t *testing.T) {
-	g := NewDefaultGenerator(1)
-	if g.ChunkSize() != ChunkBytes {
-		t.Fatalf("ChunkSize = %d, want %d", g.ChunkSize(), ChunkBytes)
+	g := NewGenerator(RandomPhantom(1, 60), DefaultProjectionConfig(), 360)
+	if n := len(g.Next()); n != ChunkBytes {
+		t.Fatalf("chunk size = %d, want %d", n, ChunkBytes)
 	}
 }
 

@@ -117,42 +117,6 @@ func eventLess(a, b Event) bool {
 	}
 }
 
-// Merge copies every event of o (and its drop count) into t — the
-// multi-process merge step when two nodes of a run traced into separate
-// Tracers in one process. Cross-host merging happens upstream: the
-// receiver stitches offset-corrected sender spans into its own tracer as
-// it delivers chunks.
-func (t *Tracer) Merge(o *Tracer) {
-	if o == nil || o == t {
-		return
-	}
-	events := o.Events()
-	dropped := o.Dropped()
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	for _, e := range events {
-		if t.limit > 0 && len(t.events) >= t.limit {
-			t.dropped++
-			continue
-		}
-		t.events = append(t.events, e)
-	}
-	t.dropped += dropped
-}
-
-// AdjustProcess shifts the start of every recorded event of the named
-// process by delta seconds — post-hoc clock-offset correction for spans
-// that were recorded on a remote timeline before the offset was known.
-func (t *Tracer) AdjustProcess(process string, delta float64) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	for i := range t.events {
-		if t.events[i].Process == process {
-			t.events[i].Start += delta
-		}
-	}
-}
-
 // chromeEvent is the wire format of the trace-event spec.
 type chromeEvent struct {
 	Name string         `json:"name"`

@@ -234,57 +234,6 @@ func TestWriteJSONDeterministicUnderConcurrentAdd(t *testing.T) {
 	}
 }
 
-func TestMergeCombinesEventsAndDrops(t *testing.T) {
-	a := New(0)
-	a.Add(Event{Name: "x", Process: "sender", Start: 1})
-	b := New(1)
-	b.Add(Event{Name: "y", Process: "receiver", Start: 2})
-	b.Add(Event{Name: "overflow", Start: 3}) // dropped by b's limit
-	a.Merge(b)
-	if a.Len() != 2 {
-		t.Fatalf("merged Len = %d, want 2", a.Len())
-	}
-	if a.Dropped() != 1 {
-		t.Fatalf("merged Dropped = %d, want 1 (inherited)", a.Dropped())
-	}
-	ev := a.Events()
-	if ev[0].Process != "sender" || ev[1].Process != "receiver" {
-		t.Fatalf("merged events: %+v", ev)
-	}
-	a.Merge(a) // self-merge must be a no-op
-	if a.Len() != 2 {
-		t.Fatalf("self-merge changed Len to %d", a.Len())
-	}
-}
-
-func TestMergeRespectsLimit(t *testing.T) {
-	dst := New(1)
-	dst.Add(Event{Name: "kept"})
-	src := New(0)
-	src.Add(Event{Name: "spill1"})
-	src.Add(Event{Name: "spill2"})
-	dst.Merge(src)
-	if dst.Len() != 1 || dst.Dropped() != 2 {
-		t.Fatalf("Len=%d Dropped=%d, want 1/2", dst.Len(), dst.Dropped())
-	}
-}
-
-func TestAdjustProcessShiftsOnlyThatProcess(t *testing.T) {
-	tr := New(0)
-	tr.Add(Event{Name: "a", Process: "sender", Start: 1.0})
-	tr.Add(Event{Name: "b", Process: "receiver", Start: 1.0})
-	tr.AdjustProcess("sender", -0.25)
-	for _, e := range tr.Events() {
-		want := 1.0
-		if e.Process == "sender" {
-			want = 0.75
-		}
-		if e.Start != want {
-			t.Fatalf("%s/%s Start = %v, want %v", e.Process, e.Name, e.Start, want)
-		}
-	}
-}
-
 func TestConcurrentAdd(t *testing.T) {
 	tr := New(0)
 	var wg sync.WaitGroup

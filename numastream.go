@@ -156,7 +156,7 @@ type TelemetryServer struct {
 // ServeTelemetry starts a telemetry server for reg on addr (":0" picks
 // a free port).
 func ServeTelemetry(addr string, reg *Registry) (*TelemetryServer, error) {
-	s, err := telemetry.Serve(addr, reg)
+	s, err := telemetry.ServeWith(addr, reg, telemetry.Options{})
 	if err != nil {
 		return nil, err
 	}

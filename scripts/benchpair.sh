@@ -12,10 +12,18 @@
 # alternates (ABBA), so a linear drift of the host cancels. For every
 # end-to-end metric in BENCHMARK.json it prints each pair's ratio
 # (working tree over ref), the median of the ratios, how many pairs got
-# better by the metric's own direction, each side's median value, and
-# the interquartile range of the ref's runs. Then it prints each side's
-# median cores_used = cpu_s_per_gb × goodput_mbps / 1000, the cores the
-# run kept busy.
+# better by the metric's own direction, each side's median value, the
+# interquartile range of the ref's runs, and a verdict against the
+# metric's bound in BENCHMARK.json:
+#   better        at least 9 in 10 pairs better, and the medians differ
+#                 by more than the ref's IQR;
+#   worse         the working tree's median is worse than the ref's by
+#                 more than the bound;
+#   unresolved    the ref's IQR exceeds the bound times its median, so
+#                 the runs spread too widely to tell;
+#   inside bound  otherwise.
+# Then it prints each side's median cores_used = cpu_s_per_gb ×
+# goodput_mbps / 1000, the cores the run kept busy.
 # A run that fails a chunk is reported and stops the script. There is no
 # host calibration: keep the host otherwise idle while it runs.
 set -euo pipefail
@@ -79,8 +87,8 @@ for workload in $workloads; do
 	done
 
 	echo "$workload: $pairs pairs, ratio = working tree / $ref"
-	jq -r '.end_to_end[] | "\(.name) \(.better)"' "$root/BENCHMARK.json" | while read -r name better; do
-		values "$workload" ".metrics[\"$name\"].value" | awk -v name="$name" -v better="$better" "$quantile"'
+	jq -r '.end_to_end[] | "\(.name) \(.better) \(.bound)"' "$root/BENCHMARK.json" | while read -r name better bound; do
+		values "$workload" ".metrics[\"$name\"].value" | awk -v name="$name" -v better="$better" -v bound="$bound" "$quantile"'
 			{
 				a[NR] = $1; b[NR] = $2
 				if ($1 + 0 == 0) { line = line " n/a"; next }
@@ -89,10 +97,18 @@ for workload in $workloads; do
 				if ((better == "higher" && $2 > $1) || (better == "lower" && $2 < $1)) won++
 			}
 			END {
+				iqr = quantile(a, NR, 0.75) - quantile(a, NR, 0.25)
+				ma = quantile(a, NR, 0.5); mb = quantile(b, NR, 0.5)
+				gap = mb - ma; if (gap < 0) gap = -gap
+				if (better == "higher") worse = mb < ma * (1 - bound)
+				else worse = mb > ma * (1 + bound)
+				if (10 * won >= 9 * NR && gap > iqr) verdict = "better"
+				else if (worse) verdict = "worse"
+				else if (iqr > bound * ma) verdict = "unresolved"
+				else verdict = "inside bound"
 				printf "%-22s ratios%s\n", name, line
-				printf "%-22s median ratio %s, better in %d of %d, median %.4g -> %.4g, ref IQR %.4g\n", "",
-					n ? sprintf("%.3f", quantile(r, n, 0.5)) : "n/a", won, NR,
-					quantile(a, NR, 0.5), quantile(b, NR, 0.5), quantile(a, NR, 0.75) - quantile(a, NR, 0.25)
+				printf "%-22s median ratio %s, better in %d of %d, median %.4g -> %.4g, ref IQR %.4g: %s\n", "",
+					n ? sprintf("%.3f", quantile(r, n, 0.5)) : "n/a", won, NR, ma, mb, iqr, verdict
 			}'
 	done
 	values "$workload" '.metrics.cpu_s_per_gb.value * .metrics.goodput_mbps.value / 1000' | awk "$quantile"'
