@@ -53,8 +53,6 @@ func main() {
 
 		// Telemetry (the flight recorder).
 		telemetryAddr = flag.String("telemetry-addr", "", "serve /metrics (Prometheus text), /status (live bottleneck self-diagnosis), /debug/vars and /debug/pprof on this address while the node runs")
-		timelinePath  = flag.String("timeline", "", "sample all metrics periodically and write the timeline here at exit (.csv for CSV, else JSON)")
-		sampleEvery   = flag.Duration("sample-interval", 250*time.Millisecond, "timeline sampling interval")
 		reportPath    = flag.String("report", "", "write an end-of-run self-diagnosis report here at exit (markdown when the path ends in .md, JSON otherwise)")
 		reportEvery   = flag.Duration("report-interval", 500*time.Millisecond, "snapshot-diff window width for /status and -report")
 
@@ -191,11 +189,6 @@ func main() {
 		}
 		fmt.Printf("telemetry: http://%s/metrics (also %s)\n", srv.Addr(), extra)
 	}
-	var sampler *metrics.Sampler
-	if *timelinePath != "" {
-		sampler = metrics.NewSampler(reg, *sampleEvery, 1<<16)
-		sampler.Start()
-	}
 	// A receiver that quarantined every chunk it accounted for ran to
 	// completion as a library call, but delivered nothing: the binary
 	// says so in its exit status once the reports are written.
@@ -291,26 +284,6 @@ func main() {
 			fatal(err)
 		}
 		fmt.Printf("self-diagnosis report written to %s (dominant regime: %s)\n", *reportPath, rep.Dominant)
-	}
-	if sampler != nil {
-		sampler.Stop()
-		f, err := os.Create(*timelinePath)
-		if err != nil {
-			fatal(err)
-		}
-		tl := sampler.Timeline()
-		if strings.HasSuffix(*timelinePath, ".csv") {
-			err = tl.WriteCSV(f)
-		} else {
-			err = tl.WriteJSON(f)
-		}
-		if err != nil {
-			fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("timeline (%d samples, %d evicted) written to %s\n", tl.Len(), tl.Dropped(), *timelinePath)
 	}
 	if tracer != nil {
 		f, err := os.Create(*tracePath)

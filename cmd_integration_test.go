@@ -273,7 +273,7 @@ func TestCLITelemetryEndpoint(t *testing.T) {
 	dir := t.TempDir()
 	rcvCfg := filepath.Join(dir, "rcv.json")
 	sndCfg := filepath.Join(dir, "snd.json")
-	timeline := filepath.Join(dir, "timeline.json")
+	report := filepath.Join(dir, "report.json")
 	os.WriteFile(rcvCfg, []byte(run(t, "confgen", "-role", "receiver", "-node", "gw",
 		"-sockets", "1", "-cores", "1", "-nic-socket", "0", "-compression")), 0o644)
 	os.WriteFile(sndCfg, []byte(run(t, "confgen", "-role", "sender", "-node", "src",
@@ -287,7 +287,7 @@ func TestCLITelemetryEndpoint(t *testing.T) {
 	rcv := exec.Command(filepath.Join(buildTools(t), "numastream"),
 		"-config", rcvCfg, "-bind", streamAddr, "-serve", "-scale", "16", "-synthetic",
 		"-telemetry-addr", telemetryAddr,
-		"-timeline", timeline, "-sample-interval", "20ms")
+		"-report", report, "-report-interval", "20ms")
 	rcv.Stdout = &rcvOut
 	rcv.Stderr = &rcvOut
 	if err := rcv.Start(); err != nil {
@@ -339,8 +339,8 @@ func TestCLITelemetryEndpoint(t *testing.T) {
 		}
 	}
 
-	// SIGINT drains the receiver; it must exit cleanly and dump the
-	// timeline.
+	// SIGINT drains the receiver; it must exit cleanly and write its
+	// self-diagnosis report, one verdict per window.
 	if err := rcv.Process.Signal(os.Interrupt); err != nil {
 		t.Fatalf("interrupting receiver: %v", err)
 	}
@@ -350,18 +350,25 @@ func TestCLITelemetryEndpoint(t *testing.T) {
 	if !strings.Contains(rcvOut.String(), `receiver "gw" done`) {
 		t.Fatalf("receiver output:\n%s", rcvOut.String())
 	}
-	data, err := os.ReadFile(timeline)
+	data, err := os.ReadFile(report)
 	if err != nil {
-		t.Fatalf("timeline dump: %v", err)
+		t.Fatalf("report: %v", err)
 	}
-	var dump struct {
-		Points []map[string]any `json:"points"`
+	var rep struct {
+		Windows []struct {
+			Verdict string `json:"verdict"`
+		} `json:"windows"`
 	}
-	if err := json.Unmarshal(data, &dump); err != nil {
-		t.Fatalf("timeline is not valid JSON: %v", err)
+	if err := json.Unmarshal(data, &rep); err != nil {
+		t.Fatalf("report is not valid JSON: %v", err)
 	}
-	if len(dump.Points) == 0 {
-		t.Fatal("timeline dump has no samples")
+	if len(rep.Windows) == 0 {
+		t.Fatalf("report has no windows:\n%s", data)
+	}
+	for i, w := range rep.Windows {
+		if w.Verdict == "" {
+			t.Fatalf("report window %d carries no verdict:\n%s", i, data)
+		}
 	}
 }
 

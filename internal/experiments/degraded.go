@@ -27,12 +27,11 @@ const DegradedBuckets = 24
 // DegradedSimResult is one simulated degraded-mode run.
 type DegradedSimResult struct {
 	Schedule   faults.LinkSchedule
-	BaseFinish float64           // healthy finish time (schedule derived from it)
-	Finish     float64           // faulted finish time
-	FaultDelay float64           // extra link service time the faults inflicted
-	Timeline   *metrics.Timeline // per-delivery cumulative raw bytes ("delivered")
-	BucketSecs float64           // width of each throughput bucket
-	Gbps       []float64         // raw-delivery throughput per bucket
+	BaseFinish float64   // healthy finish time (schedule derived from it)
+	Finish     float64   // faulted finish time
+	FaultDelay float64   // extra link service time the faults inflicted
+	BucketSecs float64   // width of each throughput bucket
+	Gbps       []float64 // raw-delivery throughput per bucket
 
 	// Self-diagnosis: the run's virtual-time queue and delivery state
 	// sampled into the obs snapshot-diff engine — one verdict per
@@ -72,14 +71,14 @@ func DegradedSim() (DegradedSimResult, error) {
 }
 
 // DegradedSimWithSchedule runs the faulted stream under an explicit link
-// fault schedule. The dip-and-recovery curve is recorded as a
-// metrics.Timeline of cumulative delivered bytes on virtual time and
-// bucketed by Timeline.RateGbps — the same machinery real-mode runs
-// sample their registries into. The run also self-diagnoses: a probe
-// pass learns the faulted finish time, then the measured pass samples
-// queue blocked-time and delivery state every Finish/48 virtual seconds
-// into an obs engine, yielding per-window verdicts and the regime log
-// (the simulation is deterministic, so the probe replays exactly).
+// fault schedule. The dip-and-recovery curve is one point of cumulative
+// delivered bytes per delivery on virtual time, bucketed by rateGbps —
+// the same bucketing the real loopback's curve takes. The run also
+// self-diagnoses: a probe pass learns the faulted finish time, then the
+// measured pass samples queue blocked-time and delivery state every
+// Finish/48 virtual seconds into an obs engine, yielding per-window
+// verdicts and the regime log (the simulation is deterministic, so the
+// probe replays exactly).
 func DegradedSimWithSchedule(sched faults.LinkSchedule) (DegradedSimResult, error) {
 	probe, err := degradedCell(sched).run()
 	if err != nil {
@@ -87,7 +86,7 @@ func DegradedSimWithSchedule(sched faults.LinkSchedule) (DegradedSimResult, erro
 	}
 	every := probe.FinishTime / 48
 
-	tl := metrics.NewTimeline(4096)
+	var curve []curvePoint
 	raw := int64(0)
 	items := int64(0)
 	cell := degradedCell(sched)
@@ -98,10 +97,7 @@ func DegradedSimWithSchedule(sched faults.LinkSchedule) (DegradedSimResult, erro
 	cell.onDeliver = func(t, r, _ float64) {
 		raw += int64(r)
 		items++
-		tl.Append(metrics.TimelinePoint{
-			T:      t,
-			Meters: map[string]metrics.MeterSample{"delivered": {Bytes: raw}},
-		})
+		curve = append(curve, curvePoint{T: t, Bytes: raw})
 	}
 	cell.observe = func(eng *sim.Engine, st *runtime.Stream) {
 		sampleEvery(eng, every, 1, delivered(st), func(t float64) {
@@ -116,12 +112,11 @@ func DegradedSimWithSchedule(sched faults.LinkSchedule) (DegradedSimResult, erro
 		Schedule:   sched,
 		Finish:     st.FinishTime,
 		FaultDelay: st.Path.Link().FaultDelay(),
-		Timeline:   tl,
 		Windows:    obsEng.Windows(),
 		Regimes:    obsEng.Regimes(),
 	}
 	res.Dominant = obs.BuildReport("degraded-sim", res.Windows, res.Regimes, 0).Dominant
-	res.BucketSecs, res.Gbps = tl.RateGbps("delivered", DegradedBuckets)
+	res.BucketSecs, res.Gbps = rateGbps(curve, DegradedBuckets)
 	return res, nil
 }
 
@@ -198,7 +193,6 @@ type DegradedRealResult struct {
 	Seqs        []uint64 // sequence number of every chunk the Sink saw, in delivery order
 	Faults      faults.Stats
 	E2EGbps     float64
-	Timeline    *metrics.Timeline // sampled registry state over the run
 	BucketSecs  float64
 	Gbps        []float64 // wall-clock delivery rate per bucket (raw bytes)
 }
@@ -236,13 +230,13 @@ func DegradedLoopback(reg *metrics.Registry, chunks, chunkBytes int) (DegradedRe
 	}
 	inj := faults.NewInjector(plan)
 
-	// The dip-and-recovery curve: a Sampler snapshots the shared
-	// registry every 2ms into a Timeline; the "decompress" meter's
-	// cumulative bytes resample into the bucketed rate below. This is
-	// the reusable path any run can take — no private accumulation.
-	sampler := metrics.NewSampler(reg, 2*time.Millisecond, 1<<14)
-	sampler.Start()
+	// The dip-and-recovery curve: the Sink records the cumulative raw
+	// bytes delivered at each delivery, bucketed below like the
+	// simulator's curve.
 	var seqs []uint64
+	var curve []curvePoint
+	raw := int64(0)
+	start := time.Now()
 	// Single-threaded stages keep chunk order strict, so the counter
 	// assertions (exactly one gap at the quarantined chunk) are
 	// deterministic rather than subject to worker interleaving.
@@ -255,11 +249,13 @@ func DegradedLoopback(reg *metrics.Registry, chunks, chunkBytes int) (DegradedRe
 		Cfg:     receiver("deg-gw", group(runtime.Receive, 1, runtime.OS()), group(runtime.Decompress, 1, runtime.OS())),
 		Metrics: reg,
 		Sink: func(c pipeline.Chunk) error {
-			seqs = append(seqs, c.Seq) // one stream: serialized by its delivery lane
+			// One stream: serialized by its delivery lane.
+			seqs = append(seqs, c.Seq)
+			raw += int64(len(c.Data))
+			curve = append(curve, curvePoint{T: time.Since(start).Seconds(), Bytes: raw})
 			return nil
 		},
 	}, chunks, mixedPayload(chunkBytes))
-	sampler.Stop()
 	if err != nil {
 		return DegradedRealResult{}, fmt.Errorf("degraded %w", err)
 	}
@@ -274,14 +270,13 @@ func DegradedLoopback(reg *metrics.Registry, chunks, chunkBytes int) (DegradedRe
 		SeqLate:     reg.CounterValue(pipeline.CtrSeqLate),
 		Seqs:        seqs,
 		Faults:      inj.Stats(),
-		Timeline:    sampler.Timeline(),
 	}
 	for _, s := range reg.Snapshots() {
 		if s.Name == "decompress" {
 			res.E2EGbps = s.Gbps
 		}
 	}
-	res.BucketSecs, res.Gbps = res.Timeline.RateGbps("decompress", DegradedBuckets)
+	res.BucketSecs, res.Gbps = rateGbps(curve, DegradedBuckets)
 	return res, nil
 }
 

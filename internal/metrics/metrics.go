@@ -1,9 +1,10 @@
 // Package metrics provides lightweight counters for the real-execution
 // mode of the runtime: byte/chunk throughput meters, event counters,
-// gauges, log-scale latency histograms and a periodic sampler that turns
-// a registry into a timestamped timeline. (The simulator side gets its
-// metrics from hw.CoreStats; this package is for goroutine pipelines
-// where wall-clock time rules.)
+// gauges and log-scale latency histograms. Nothing here reads a registry
+// on a clock: internal/obs scrapes it into windows, and internal/telemetry
+// serves it on /metrics. (The simulator side gets its metrics from
+// hw.CoreStats; this package is for goroutine pipelines where wall-clock
+// time rules.)
 package metrics
 
 import (
@@ -123,6 +124,10 @@ func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 type GaugeSnapshot struct {
 	Name  string
 	Value float64
+	// Gen counts the callbacks registered under Name (0 for a set-style
+	// gauge). A change between two snapshots means the callback was
+	// replaced, and the new one may read a different object.
+	Gen int
 }
 
 // CtrDupRegister counts duplicate metric registrations: the same name
@@ -175,7 +180,7 @@ type Registry struct {
 	meters     map[string]*Meter
 	counters   map[string]*Counter
 	gauges     map[string]*Gauge
-	gaugeFuncs map[string]func() float64
+	gaugeFuncs map[string]gaugeFunc
 	hists      map[string]*Histogram
 
 	kinds  map[string]metricKind
@@ -192,7 +197,7 @@ func NewRegistry() *Registry {
 		meters:     make(map[string]*Meter),
 		counters:   make(map[string]*Counter),
 		gauges:     make(map[string]*Gauge),
-		gaugeFuncs: make(map[string]func() float64),
+		gaugeFuncs: make(map[string]gaugeFunc),
 		hists:      make(map[string]*Histogram),
 		kinds:      make(map[string]metricKind),
 		streamIDs:  make(map[uint32]struct{}),
@@ -303,7 +308,14 @@ func (r *Registry) RegisterGauge(name string, fn func() float64) {
 	if !r.claimLocked(name, kindGaugeFunc) {
 		return
 	}
-	r.gaugeFuncs[name] = fn
+	r.gaugeFuncs[name] = gaugeFunc{fn: fn, gen: r.gaugeFuncs[name].gen + 1}
+}
+
+// gaugeFunc is a callback gauge and the count of callbacks registered
+// under its name so far.
+type gaugeFunc struct {
+	fn  func() float64
+	gen int
 }
 
 // Histogram returns the named histogram, creating it on first use.
@@ -349,9 +361,9 @@ func (r *Registry) GaugeSnapshots() []GaugeSnapshot {
 	}
 	funcs := make([]GaugeSnapshot, 0, len(r.gaugeFuncs))
 	fns := make([]func() float64, 0, len(r.gaugeFuncs))
-	for name, fn := range r.gaugeFuncs {
-		funcs = append(funcs, GaugeSnapshot{Name: name})
-		fns = append(fns, fn)
+	for name, gf := range r.gaugeFuncs {
+		funcs = append(funcs, GaugeSnapshot{Name: name, Gen: gf.gen})
+		fns = append(fns, gf.fn)
 	}
 	r.mu.Unlock()
 	for i, fn := range fns {

@@ -128,6 +128,54 @@ func TestDiffCounterReset(t *testing.T) {
 			t.Fatalf("stream %s Gbps = %g across a reset, want >= 0", sh.Stream, sh.Gbps)
 		}
 	}
+	// A series that went down restarted, so its window delta is what it
+	// holds now.
+	if len(w.Stages) != 1 || w.Stages[0].Items != 2 || w.Stages[0].Gbps != 4096*8/1e9 {
+		t.Fatalf("stages across a reset = %+v, want compress with the young life's 2 items and 4096 B", w.Stages)
+	}
+	if len(w.Queues) != 1 || w.Queues[0].PutBlockedShare != 0.1 {
+		t.Fatalf("queues across a reset = %+v, want sendq put-blocked 0.1 of the window", w.Queues)
+	}
+	if w.Pool.Gets != 12 || w.Pool.Misses != 2 {
+		t.Fatalf("pool across a reset = %+v, want 12 gets, 2 misses", w.Pool)
+	}
+	if w.Bytes != 4096+2048 {
+		t.Fatalf("window bytes across a reset = %d, want %d", w.Bytes, 4096+2048)
+	}
+}
+
+// TestDiffQueueReRegistered: a second pipeline run over one registry
+// registers its queues afresh under the same gauge names, so a queue's
+// blocked-seconds series restarts from 0 mid-run. The window spanning
+// the restart reads the new queue's waits, whether its total is still
+// below the old queue's or has already passed it. The run registers the
+// buffer pool's gauges again too, but one pool serves both runs, so its
+// counts keep growing and diff as growth.
+func TestDiffQueueReRegistered(t *testing.T) {
+	for _, oldTotal := range []float64{3, 0.5} {
+		reg := metrics.NewRegistry()
+		reg.RegisterGauge("compq_depth", func() float64 { return 4 })
+		reg.RegisterGauge("compq_put_blocked_secs", func() float64 { return oldTotal })
+		misses := 10.0
+		reg.RegisterGauge("bufpool_misses", func() float64 { return misses })
+		prev := Capture(reg, 10)
+
+		fresh := 0.0
+		reg.RegisterGauge("compq_put_blocked_secs", func() float64 { return fresh })
+		reg.RegisterGauge("bufpool_misses", func() float64 { return misses })
+		fresh = 0.75 // the new queue's producer waited 0.75 s of the 1 s window
+		misses = 12
+		w := Diff(prev, Capture(reg, 11), nil)
+		if len(w.Queues) != 1 || w.Queues[0].Queue != "compq" {
+			t.Fatalf("queues = %+v, want compq alone", w.Queues)
+		}
+		if got := w.Queues[0].PutBlockedShare; got != 0.75 {
+			t.Fatalf("old queue total %g: compq put-blocked share across a re-registration = %g, want 0.75", oldTotal, got)
+		}
+		if w.Pool.Misses != 2 {
+			t.Fatalf("bufpool misses across a re-registration of the same pool = %d, want 2", w.Pool.Misses)
+		}
+	}
 }
 
 // TestEngineDropCounters: the bounded rings' drop counts surface as

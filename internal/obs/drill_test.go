@@ -24,7 +24,19 @@ import (
 // compression worker behind a tiny queue, fed tomography data that LZ4
 // has real work on — compression is the engineered bottleneck — and
 // checks the window covering the run says compress-bound.
+//
+// It runs two passes over one registry, and only the second is
+// measured. Each pass registers fresh queues under the same gauge
+// names, so the window's diff base is taken either inside the measured
+// pass (against that pass's own queues) or between the passes (against
+// the first pass's final totals, which the diff must read as a reset
+// whether the second pass's totals end below them or above).
 func TestCompressStarvedVerdict(t *testing.T) {
+	t.Run("base_inside_pass", func(t *testing.T) { compressStarved(t, false) })
+	t.Run("base_between_passes", func(t *testing.T) { compressStarved(t, true) })
+}
+
+func compressStarved(t *testing.T, baseBetween bool) {
 	reg := metrics.NewRegistry()
 	eng := obs.NewEngine(reg, obs.Options{Workers: map[string]int{"compress": 1, "send": 3}})
 
@@ -49,7 +61,9 @@ func TestCompressStarvedVerdict(t *testing.T) {
 
 	pool := bufpool.New(1)
 	// stream runs one pass; seed, when set, is called at the pass's first
-	// Source call, once both ends have registered their queue gauges.
+	// Source call, once the sender has registered its queue gauges. The
+	// receiver registers decq after it reports Ready, so that one may
+	// come after the seed: the diff reads it as a new queue.
 	stream := func(seed func()) {
 		ready := make(chan string, 1)
 		recvErr := make(chan error, 1)
@@ -100,12 +114,14 @@ func TestCompressStarvedVerdict(t *testing.T) {
 	// The first pass fills the pool. A cold pool's first-touch misses
 	// rightly read as pool-starved (under -race, where sync.Pool drops a
 	// quarter of its Puts, they outweigh the hits), so only the second,
-	// steady-state pass is inside the measured window. Its diff base is
-	// taken inside that pass: each pass registers fresh queues under the
-	// same gauge names, so a base taken between passes would diff the
-	// second pass's queue waits against the first's.
+	// steady-state pass is inside the measured window.
 	stream(nil)
-	stream(func() { eng.Tick() })
+	if baseBetween {
+		eng.Tick()
+		stream(nil)
+	} else {
+		stream(func() { eng.Tick() })
+	}
 
 	w := eng.Tick()
 	if w == nil {

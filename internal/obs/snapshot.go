@@ -47,6 +47,9 @@ type Snapshot struct {
 	Counters map[string]int64
 	Gauges   map[string]float64
 	Hists    map[string]HistState
+	// GaugeGens holds each callback gauge's registration count
+	// (metrics.GaugeSnapshot.Gen); a change marks a replaced callback.
+	GaugeGens map[string]int
 }
 
 // Capture scrapes reg into a Snapshot stamped with time t. Callback
@@ -69,8 +72,10 @@ func Capture(reg *metrics.Registry, t float64) Snapshot {
 	}
 	gauges := reg.GaugeSnapshots()
 	s.Gauges = make(map[string]float64, len(gauges))
+	s.GaugeGens = make(map[string]int, len(gauges))
 	for _, g := range gauges {
 		s.Gauges[g.Name] = g.Value
+		s.GaugeGens[g.Name] = g.Gen
 	}
 	hists := reg.HistogramSnapshots()
 	s.Hists = make(map[string]HistState, len(hists))

@@ -179,6 +179,37 @@ var churnCounters = []struct {
 	{name: "ledger_abandoned", add: func(c *ChurnWindow, v int64) { c.Abandoned = v }},
 }
 
+// delta is how much a cumulative series (a meter, a counter, a gauge of
+// accumulated seconds or events) grew between two snapshots. A series
+// that went down was reset — a restarted process, or a queue registered
+// afresh under the same gauge name — so all it holds now accrued since
+// the reset, and that is the window's delta. histDiff applies the same
+// rule to histograms.
+func delta[T int64 | float64](prev, cur T) T {
+	if cur < prev {
+		return cur
+	}
+	return cur - prev
+}
+
+// gaugeDelta is delta over one gauge of two snapshots.
+func gaugeDelta(prev, cur Snapshot, name string) float64 {
+	return delta(prev.Gauges[name], cur.Gauges[name])
+}
+
+// queueDelta is gaugeDelta over a queue's blocked-seconds gauge. A queue
+// lives for one pipeline run, so a callback registered afresh under its
+// name reads a new queue, and its whole value is the window's delta even
+// where it has already passed the old queue's total. The buffer pool's
+// gauges get no such rule: one pool serves several runs, and each run
+// registers it again over the same counts.
+func queueDelta(prev, cur Snapshot, name string) float64 {
+	if prev.GaugeGens[name] != cur.GaugeGens[name] {
+		return cur.Gauges[name]
+	}
+	return gaugeDelta(prev, cur, name)
+}
+
 // Diff computes the window between two consecutive snapshots. workers
 // maps stage name → configured worker count (nil leaves Util zero).
 // The verdict and evidence are filled by the classifier.
@@ -190,9 +221,7 @@ func Diff(prev, cur Snapshot, workers map[string]int) Window {
 
 	// Total bytes moved, across every meter: the idle detector's input.
 	for name, m := range cur.Meters {
-		if d := m.Bytes - prev.Meters[name].Bytes; d > 0 {
-			w.Bytes += d
-		}
+		w.Bytes += delta(prev.Meters[name].Bytes, m.Bytes)
 	}
 
 	// Per-stage signals.
@@ -202,15 +231,9 @@ func Diff(prev, cur Snapshot, workers map[string]int) Window {
 			continue
 		}
 		pm := prev.Meters[stage]
-		sw := StageWindow{Stage: stage}
-		// Deltas clamp at zero: a counter reset (process restart,
-		// registry swap) makes cur younger than prev, and a negative
-		// rate is noise, not a signal.
-		if d := m.Items - pm.Items; d > 0 {
-			sw.Items = d
-		}
-		if d := m.Bytes - pm.Bytes; d > 0 && w.Dur > 0 {
-			sw.Gbps = float64(d) * 8 / 1e9 / w.Dur
+		sw := StageWindow{Stage: stage, Items: delta(pm.Items, m.Items)}
+		if w.Dur > 0 {
+			sw.Gbps = float64(delta(pm.Bytes, m.Bytes)) * 8 / 1e9 / w.Dur
 		}
 		if lat, ok := cur.Hists[stage+"_latency_ns"]; ok {
 			plat := prev.Hists[stage+"_latency_ns"]
@@ -245,12 +268,8 @@ func Diff(prev, cur Snapshot, workers map[string]int) Window {
 		}
 		qw := QueueWindow{Queue: q, Depth: depth}
 		if w.Dur > 0 {
-			if d := cur.Gauges[q+"_put_blocked_secs"] - prev.Gauges[q+"_put_blocked_secs"]; d > 0 {
-				qw.PutBlockedShare = d / w.Dur
-			}
-			if d := cur.Gauges[q+"_get_blocked_secs"] - prev.Gauges[q+"_get_blocked_secs"]; d > 0 {
-				qw.GetBlockedShare = d / w.Dur
-			}
+			qw.PutBlockedShare = queueDelta(prev, cur, q+"_put_blocked_secs") / w.Dur
+			qw.GetBlockedShare = queueDelta(prev, cur, q+"_get_blocked_secs") / w.Dur
 		}
 		w.Queues = append(w.Queues, qw)
 	}
@@ -266,17 +285,11 @@ func Diff(prev, cur Snapshot, workers map[string]int) Window {
 		return w.Queues[i].Queue < w.Queues[j].Queue
 	})
 
-	// Pool pressure. Deltas clamp at zero across counter resets.
-	gdelta := func(name string) int64 {
-		if d := int64(cur.Gauges[name] - prev.Gauges[name]); d > 0 {
-			return d
-		}
-		return 0
-	}
-	hits := gdelta("bufpool_hits")
-	w.Pool.Misses = gdelta("bufpool_misses")
-	w.Pool.Steals = gdelta("bufpool_steals")
-	w.Pool.Oversize = gdelta("bufpool_oversize")
+	// Pool pressure.
+	hits := int64(gaugeDelta(prev, cur, "bufpool_hits"))
+	w.Pool.Misses = int64(gaugeDelta(prev, cur, "bufpool_misses"))
+	w.Pool.Steals = int64(gaugeDelta(prev, cur, "bufpool_steals"))
+	w.Pool.Oversize = int64(gaugeDelta(prev, cur, "bufpool_oversize"))
 	w.Pool.Gets = hits + w.Pool.Misses + w.Pool.Steals
 	if w.Pool.Gets > 0 {
 		w.Pool.MissShare = float64(w.Pool.Misses+w.Pool.Steals) / float64(w.Pool.Gets)
@@ -293,7 +306,7 @@ func Diff(prev, cur Snapshot, workers map[string]int) Window {
 
 	// Churn pressure.
 	for _, cc := range churnCounters {
-		if d := cur.Counters[cc.name] - prev.Counters[cc.name]; d > 0 {
+		if d := delta(prev.Counters[cc.name], cur.Counters[cc.name]); d > 0 {
 			cc.add(&w.Churn, d)
 			if !cc.info {
 				w.Churn.Total += d
@@ -348,8 +361,8 @@ func streamHealth(prev, cur Snapshot, dur float64) []StreamHealth {
 		sh := StreamHealth{Stream: l}
 		if m, ok := cur.Meters["delivered_stream_"+l]; ok {
 			sh.Bytes, sh.Chunks = m.Bytes, m.Items
-			if d := m.Bytes - prev.Meters["delivered_stream_"+l].Bytes; d > 0 && dur > 0 {
-				sh.Gbps = float64(d) * 8 / 1e9 / dur
+			if dur > 0 {
+				sh.Gbps = float64(delta(prev.Meters["delivered_stream_"+l].Bytes, m.Bytes)) * 8 / 1e9 / dur
 			}
 		}
 		if h, ok := cur.Hists["chunk_e2e_stream_"+l+"_ns"]; ok {

@@ -34,8 +34,6 @@
 package numastream
 
 import (
-	"time"
-
 	"numastream/internal/metrics"
 	"numastream/internal/numa"
 	"numastream/internal/pipeline"
@@ -117,10 +115,6 @@ type (
 	Histogram = metrics.Histogram
 	// Gauge is an instantaneous value (queue depth, live peers).
 	Gauge = metrics.Gauge
-	// Timeline is a bounded ring of timestamped metric samples.
-	Timeline = metrics.Timeline
-	// Sampler periodically snapshots a Registry into a Timeline.
-	Sampler = metrics.Sampler
 	// HostTopology is the discovered NUMA layout of this host.
 	HostTopology = numa.HostTopology
 )
@@ -139,12 +133,6 @@ func StartForwarder(opts ForwarderOptions) error { return pipeline.RunForwarder(
 
 // NewRegistry returns an empty metrics registry.
 func NewRegistry() *Registry { return metrics.NewRegistry() }
-
-// NewSampler returns a sampler that snapshots reg every interval into a
-// timeline of at most capacity samples (the flight recorder's tape).
-func NewSampler(reg *Registry, interval time.Duration, capacity int) *Sampler {
-	return metrics.NewSampler(reg, interval, capacity)
-}
 
 // TelemetryServer serves a registry live over HTTP: /metrics in
 // Prometheus text exposition format, /debug/vars (expvar) and
