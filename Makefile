@@ -28,7 +28,7 @@ vet:
 # Race-detector pass over the concurrent transport/pipeline paths
 # (reconnect, send horizons, quarantine accounting, queues), the buffer
 # pool (lease aliasing, cross-domain steals), the telemetry layer
-# (histograms, sampler, live endpoint), and the tracing layer
+# (histograms, live endpoint), and the tracing layer
 # (concurrent Add/WriteJSON, chunk framing), the snapshot-diff
 # observer (scrape-while-streaming), and the fleet aggregator
 # (Start/Stop ticker, concurrent Status/Alerts reads, HTTP scraping),

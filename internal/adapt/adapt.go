@@ -104,8 +104,9 @@ type Policy struct {
 	// MaxStep bounds how many workers one action may move.
 	MaxStep int
 	// ActFloor is the do-nothing band's edge: a verdict acts only when
-	// its queue's blocked share is at least this (the obs classifier
-	// names queues from 0.25 up; acting needs a harder signal).
+	// the blocked share of the queue its window's limiter names is at
+	// least this (the obs classifier blames queues from 0.25 up; acting
+	// needs a harder signal).
 	ActFloor float64
 	// MaxWorkers / MinWorkers bound each stage's size (Max 0 =
 	// unbounded, Min 0 = 1).
@@ -183,21 +184,6 @@ type Step struct {
 	Reason string
 }
 
-// queueShare returns the named queue's producer blocked share, 0 when
-// absent or degenerate (NaN/Inf from a zero-width window).
-func queueShare(w obs.Window, queue string) float64 {
-	for _, q := range w.Queues {
-		if q.Queue == queue {
-			s := q.PutBlockedShare
-			if math.IsNaN(s) || math.IsInf(s, 0) {
-				return 0
-			}
-			return s
-		}
-	}
-	return 0
-}
-
 // leastLoaded picks the domain from universe with the fewest workers in
 // have (ties to the lowest id); -1 when the universe is empty.
 func leastLoaded(have map[int]int, universe []int) int {
@@ -231,103 +217,79 @@ func busiestOff(have map[int]int, keep int) (int, int) {
 	return best, bestN
 }
 
-// growRoom returns how many workers the policy allows adding to stage.
-func growRoom(pol Policy, v View, stage string) int {
+// grow is the step adding up to MaxStep workers to a running stage on
+// domain, clipped to the stage's MaxWorkers cap; none when the stage is
+// absent or full.
+func grow(pol Policy, v View, stage string, domain int, reason string) []Step {
 	n := pol.MaxStep
 	if max, ok := pol.MaxWorkers[stage]; ok && max > 0 {
 		if room := max - v.Workers[stage]; room < n {
 			n = room
 		}
 	}
-	if n < 0 {
-		return 0
+	if v.Workers[stage] <= 0 || n <= 0 {
+		return nil
 	}
-	return n
+	return []Step{{Stage: stage, Op: OpGrow, N: n, Domain: domain, Reason: reason}}
 }
 
 // Decide maps one window (after hysteresis and cooldown have been
-// satisfied by the caller) to the steps it warrants. Pure: no clocks,
-// no I/O, total on degenerate windows — the fuzz target.
+// satisfied by the caller) to the steps it warrants. A queue verdict
+// acts on the window's obs.Limiter — the queue the classifier blamed
+// and its blocked share — never on a queue of its own choosing. Pure:
+// no clocks, no I/O, total on degenerate windows — the fuzz target.
 func Decide(pol Policy, w obs.Window, v View) []Step {
 	pol = pol.normalize()
 	if v.Workers == nil {
 		v.Workers = map[string]int{}
 	}
 	switch w.Verdict {
-	case obs.VerdictCompressBound:
-		// The send queue's producers starve downstream of a thin
-		// compress pool — grow it where there is room.
-		share := queueShare(w, "compq")
-		if share < pol.ActFloor || v.Workers["compress"] <= 0 {
+	case obs.VerdictCompressBound, obs.VerdictWireBound, obs.VerdictConsumerBound:
+		// Act on the queue the classifier blamed, and only past the
+		// do-nothing band (NaN/Inf from a zero-width window reads 0).
+		queue, share := w.Limiter.Name, w.Limiter.Share
+		if math.IsNaN(share) || math.IsInf(share, 0) || share < pol.ActFloor {
 			return nil
 		}
-		n := growRoom(pol, v, "compress")
-		if n <= 0 {
-			return nil
-		}
-		return []Step{{
-			Stage: "compress", Op: OpGrow, N: n,
-			Domain: leastLoaded(v.Domains["compress"], pol.Domains),
-			Reason: fmt.Sprintf("compq producers blocked %.2f s/s", share),
-		}}
-
-	case obs.VerdictWireBound:
-		// The wire itself is physics; the only placement lever is
-		// moving send workers onto the NIC's domain so frames stop
-		// crossing the interconnect on their way out.
-		share := queueShare(w, "sendq")
-		if share < pol.ActFloor || pol.NICDomain < 0 {
-			return nil
-		}
-		from, off := busiestOff(v.Domains["send"], pol.NICDomain)
-		if from < 0 || off <= 0 {
-			return nil // already all on the NIC domain: nothing to move
-		}
-		n := pol.MaxStep
-		if off < n {
-			n = off
-		}
-		return []Step{{
-			Stage: "send", Op: OpMigrate, N: n,
-			Domain: pol.NICDomain, From: from,
-			Reason: fmt.Sprintf("sendq producers blocked %.2f s/s with %d send workers off the NIC domain", share, off),
-		}}
-
-	case obs.VerdictConsumerBound:
-		// Receive side: find which consumer queue is jammed. decq full
-		// means decompress is thin; the receive queues full mean the
-		// receive pool is thin (grow it toward the NIC domain — the
-		// frames land there).
-		if share := queueShare(w, "decq"); share >= pol.ActFloor && v.Workers["decompress"] > 0 {
-			n := growRoom(pol, v, "decompress")
-			if n <= 0 {
+		reason := fmt.Sprintf("%s producers blocked %.2f s/s", queue, share)
+		switch queue {
+		case "compq":
+			// Producers starve upstream of a thin compress pool — grow
+			// it where there is room.
+			return grow(pol, v, "compress", leastLoaded(v.Domains["compress"], pol.Domains), reason)
+		case "decq":
+			// decq full: decompress is thin.
+			return grow(pol, v, "decompress", leastLoaded(v.Domains["decompress"], pol.Domains), reason)
+		case "recvq", "rxq":
+			// The receive queues full: the receive pool is thin. Grow it
+			// toward the NIC domain — the frames land there.
+			dom := pol.NICDomain
+			if dom < 0 {
+				dom = leastLoaded(v.Domains["receive"], pol.Domains)
+			}
+			return grow(pol, v, "receive", dom, reason)
+		case "sendq":
+			// The wire itself is physics; the only placement lever is
+			// moving send workers onto the NIC's domain so frames stop
+			// crossing the interconnect on their way out.
+			if pol.NICDomain < 0 {
 				return nil
 			}
+			from, off := busiestOff(v.Domains["send"], pol.NICDomain)
+			if from < 0 || off <= 0 {
+				return nil // already all on the NIC domain: nothing to move
+			}
+			n := pol.MaxStep
+			if off < n {
+				n = off
+			}
 			return []Step{{
-				Stage: "decompress", Op: OpGrow, N: n,
-				Domain: leastLoaded(v.Domains["decompress"], pol.Domains),
-				Reason: fmt.Sprintf("decq producers blocked %.2f s/s", share),
+				Stage: "send", Op: OpMigrate, N: n,
+				Domain: pol.NICDomain, From: from,
+				Reason: fmt.Sprintf("%s with %d send workers off the NIC domain", reason, off),
 			}}
 		}
-		share := queueShare(w, "recvq")
-		if s := queueShare(w, "rxq"); s > share {
-			share = s
-		}
-		if share < pol.ActFloor || v.Workers["receive"] <= 0 {
-			return nil
-		}
-		n := growRoom(pol, v, "receive")
-		if n <= 0 {
-			return nil
-		}
-		dom := pol.NICDomain
-		if dom < 0 {
-			dom = leastLoaded(v.Domains["receive"], pol.Domains)
-		}
-		return []Step{{
-			Stage: "receive", Op: OpGrow, N: n, Domain: dom,
-			Reason: fmt.Sprintf("receive queue producers blocked %.2f s/s", share),
-		}}
+		return nil
 
 	case obs.VerdictPoolStarved:
 		// Memory-controller pressure: every buffer rental missing the

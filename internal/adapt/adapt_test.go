@@ -81,14 +81,41 @@ func (f *fakeAct) Shrink(stage string, n, domain int) int {
 	return n
 }
 
-// win builds a one-second window carrying a verdict and one jammed
-// queue.
-func win(t1 float64, v obs.Verdict, queue string, share float64) obs.Window {
-	w := obs.Window{T0: t1 - 1, T1: t1, Dur: 1, Verdict: v}
-	if queue != "" {
-		w.Queues = []obs.QueueWindow{{Queue: queue, PutBlockedShare: share}}
+// win builds the one-second window ending at t1 the way a node does —
+// obs.Diff over two snapshots in which a MiB was delivered and each
+// named series grew from 0 to its value — so it carries the verdict and
+// limiter obs's classifier gives those signals.
+func win(t1 float64, gauges map[string]float64, counters map[string]int64) obs.Window {
+	prev := obs.Snapshot{T: t1 - 1, Gauges: map[string]float64{}}
+	for g := range gauges {
+		prev.Gauges[g] = 0
 	}
-	return w
+	cur := obs.Snapshot{T: t1, Gauges: gauges, Counters: counters,
+		Meters: map[string]obs.MeterState{"delivered": {Bytes: 1 << 20, Items: 1}}}
+	return obs.Diff(prev, cur, nil)
+}
+
+// jam is the gauges of queues whose producers were blocked share
+// seconds in a one-second window.
+func jam(shares map[string]float64) map[string]float64 {
+	g := map[string]float64{}
+	for q, share := range shares {
+		g[q+"_depth"] = 1
+		g[q+"_put_blocked_secs"] = share
+	}
+	return g
+}
+
+// jammed is the window ending at t1 in which queue's producers were
+// blocked share seconds.
+func jammed(t1 float64, queue string, share float64) obs.Window {
+	return win(t1, jam(map[string]float64{queue: share}), nil)
+}
+
+// poolStarved is a window in which 40 of 60 buffer rentals missed the
+// local free list.
+func poolStarved() obs.Window {
+	return win(1, map[string]float64{"bufpool_hits": 20, "bufpool_misses": 40}, nil)
 }
 
 func testPolicy() Policy {
@@ -110,12 +137,12 @@ func TestHysteresisGate(t *testing.T) {
 	act.set("compress", map[int]int{0: 1})
 	c := New(testPolicy(), act)
 
-	c.OnWindow(win(1, obs.VerdictCompressBound, "compq", 0.9))
-	c.OnWindow(win(2, obs.VerdictCompressBound, "compq", 0.9))
+	c.OnWindow(jammed(1, "compq", 0.9))
+	c.OnWindow(jammed(2, "compq", 0.9))
 	if n := len(c.Actions()); n != 0 {
 		t.Fatalf("acted after %d windows with Hysteresis 3: %d actions", 2, n)
 	}
-	c.OnWindow(win(3, obs.VerdictCompressBound, "compq", 0.9))
+	c.OnWindow(jammed(3, "compq", 0.9))
 	got := c.Actions()
 	if len(got) != 1 {
 		t.Fatalf("want 1 action after the third consistent window, got %d", len(got))
@@ -143,13 +170,11 @@ func TestFlipFlopNeverActs(t *testing.T) {
 	c := New(pol, act)
 
 	for i := 0; i < 50; i++ {
-		v := obs.VerdictCompressBound
-		q := "compq"
+		q := "compq" // compress-bound
 		if i%2 == 1 {
-			v = obs.VerdictConsumerBound
-			q = "decq"
+			q = "decq" // consumer-bound
 		}
-		c.OnWindow(win(float64(i+1), v, q, 0.9))
+		c.OnWindow(jammed(float64(i+1), q, 0.9))
 	}
 	if n := len(c.Actions()); n != 0 {
 		t.Fatalf("flip-flopping verdicts produced %d actions, want 0:\n%s", n, FormatActions(c.Actions()))
@@ -166,14 +191,14 @@ func TestCooldownGate(t *testing.T) {
 	pol.Cooldown = 5
 	c := New(pol, act)
 
-	c.OnWindow(win(1, obs.VerdictCompressBound, "compq", 0.9)) // acts
+	c.OnWindow(jammed(1, "compq", 0.9)) // acts
 	for t1 := 2.0; t1 < 6; t1++ {
-		c.OnWindow(win(t1, obs.VerdictCompressBound, "compq", 0.9))
+		c.OnWindow(jammed(t1, "compq", 0.9))
 	}
 	if n := len(c.Actions()); n != 1 {
 		t.Fatalf("acted %d times inside the cooldown, want 1:\n%s", n, FormatActions(c.Actions()))
 	}
-	c.OnWindow(win(6.5, obs.VerdictCompressBound, "compq", 0.9)) // cooldown over
+	c.OnWindow(jammed(6.5, "compq", 0.9)) // cooldown over
 	if n := len(c.Actions()); n != 2 {
 		t.Fatalf("want a second action once the cooldown elapses, got %d", n)
 	}
@@ -192,7 +217,7 @@ func TestMaxStepAndCap(t *testing.T) {
 	c := New(pol, act)
 
 	for t1 := 1.0; t1 <= 10; t1++ {
-		c.OnWindow(win(t1, obs.VerdictCompressBound, "compq", 0.9))
+		c.OnWindow(jammed(t1, "compq", 0.9))
 	}
 	got := c.Actions()
 	if len(got) != 2 {
@@ -218,13 +243,46 @@ func TestDoNothingBand(t *testing.T) {
 		Workers: map[string]int{"compress": 1},
 		Domains: map[string]map[int]int{"compress": {0: 1}},
 	}
-	w := win(1, obs.VerdictCompressBound, "compq", 0.2) // classifier floor is 0.25; ActFloor 0.35
+	w := jammed(1, "compq", 0.2) // classifier floor is 0.25; ActFloor 0.35
+	if w.Verdict != obs.VerdictCompressBound {
+		t.Fatalf("verdict = %s, want compress-bound", w.Verdict)
+	}
 	if steps := Decide(testPolicy(), w, v); len(steps) != 0 {
 		t.Fatalf("share 0.2 < ActFloor produced steps: %+v", steps)
 	}
 	// churn-degraded is never a placement problem.
-	if steps := Decide(testPolicy(), win(1, obs.VerdictChurnDegraded, "", 0), v); len(steps) != 0 {
+	churn := win(1, jam(map[string]float64{"compq": 0.9}), map[string]int64{"reroutes": 3})
+	if churn.Verdict != obs.VerdictChurnDegraded {
+		t.Fatalf("verdict = %s, want churn-degraded", churn.Verdict)
+	}
+	if steps := Decide(testPolicy(), churn, v); len(steps) != 0 {
 		t.Fatalf("churn-degraded produced steps: %+v", steps)
+	}
+}
+
+// TestDecideActsOnObsLimiter: Decide acts on the queue obs blamed and
+// that queue's share, never on a queue of its own choosing. With decq
+// blocked 0.30 s/s and recvq 0.9, obs blames decq (the most-downstream
+// queue past its 0.25 floor), whose share sits inside the do-nothing
+// band — so nothing happens, even though recvq is jammed harder. With
+// decq under obs's floor, obs blames recvq and receive grows on the NIC
+// domain.
+func TestDecideActsOnObsLimiter(t *testing.T) {
+	v := View{
+		Workers: map[string]int{"receive": 2, "decompress": 2},
+		Domains: map[string]map[int]int{"receive": {0: 2}, "decompress": {0: 2}},
+	}
+	w := win(1, jam(map[string]float64{"decq": 0.30, "recvq": 0.9}), nil)
+	if want := (obs.Limiter{Name: "decq", Rule: obs.RuleBackpressure, Share: 0.30}); w.Verdict != obs.VerdictConsumerBound || w.Limiter != want {
+		t.Fatalf("window = %s blaming %+v, want consumer-bound blaming %+v", w.Verdict, w.Limiter, want)
+	}
+	if steps := Decide(testPolicy(), w, v); len(steps) != 0 {
+		t.Fatalf("decq 0.30 < ActFloor produced steps: %+v", steps)
+	}
+	w = win(1, jam(map[string]float64{"decq": 0.1, "recvq": 0.9}), nil)
+	steps := Decide(testPolicy(), w, v)
+	if len(steps) != 1 || steps[0].Op != OpGrow || steps[0].Stage != "receive" || steps[0].N != 2 || steps[0].Domain != 1 {
+		t.Fatalf("recvq-blamed steps = %+v, want grow receive 2 on the NIC domain 1", steps)
 	}
 }
 
@@ -238,7 +296,7 @@ func TestWireBoundMigratesToNIC(t *testing.T) {
 	pol.Hysteresis = 1
 	c := New(pol, act)
 
-	c.OnWindow(win(1, obs.VerdictWireBound, "sendq", 0.8))
+	c.OnWindow(jammed(1, "sendq", 0.8))
 	got := c.Actions()
 	if len(got) != 1 || got[0].Op != OpMigrate {
 		t.Fatalf("want one migrate action, got:\n%s", FormatActions(got))
@@ -256,11 +314,11 @@ func TestWireBoundMigratesToNIC(t *testing.T) {
 	}
 	// The second window (past cooldown) moves the remaining pair; after
 	// that everything sits on the NIC domain and the controller is done.
-	c.OnWindow(win(10, obs.VerdictWireBound, "sendq", 0.8))
+	c.OnWindow(jammed(10, "sendq", 0.8))
 	if n := len(c.Actions()); n != 2 {
 		t.Fatalf("want the remaining 2 workers migrated, got %d actions", n)
 	}
-	c.OnWindow(win(20, obs.VerdictWireBound, "sendq", 0.8))
+	c.OnWindow(jammed(20, "sendq", 0.8))
 	if n := len(c.Actions()); n != 2 {
 		t.Fatalf("migrated again with all workers on the NIC domain: %d actions", n)
 	}
@@ -277,7 +335,7 @@ func TestPoolStarvedSplitsDecompress(t *testing.T) {
 		Workers: map[string]int{"decompress": 4},
 		Domains: map[string]map[int]int{"decompress": {1: 4}},
 	}
-	steps := Decide(pol, win(1, obs.VerdictPoolStarved, "", 0), lop)
+	steps := Decide(pol, poolStarved(), lop)
 	if len(steps) != 1 || steps[0].Op != OpMigrate || steps[0].Stage != "decompress" {
 		t.Fatalf("lopsided pool-starved steps = %+v, want one decompress migrate", steps)
 	}
@@ -288,7 +346,7 @@ func TestPoolStarvedSplitsDecompress(t *testing.T) {
 		Workers: map[string]int{"decompress": 4},
 		Domains: map[string]map[int]int{"decompress": {0: 2, 1: 2}},
 	}
-	if steps := Decide(pol, win(1, obs.VerdictPoolStarved, "", 0), bal); len(steps) != 0 {
+	if steps := Decide(pol, poolStarved(), bal); len(steps) != 0 {
 		t.Fatalf("balanced pool-starved steps = %+v, want none", steps)
 	}
 }
@@ -301,16 +359,16 @@ func TestIdleShrinkGate(t *testing.T) {
 		Domains: map[string]map[int]int{"receive": {0: 3}},
 	}
 	pol := testPolicy()
-	if steps := Decide(pol, win(1, obs.VerdictIdle, "", 0), v); len(steps) != 0 {
+	if steps := Decide(pol, win(1, nil, nil), v); len(steps) != 0 {
 		t.Fatalf("idle acted with IdleShrink off: %+v", steps)
 	}
 	pol.IdleShrink = true
-	steps := Decide(pol, win(1, obs.VerdictIdle, "", 0), v)
+	steps := Decide(pol, win(1, nil, nil), v)
 	if len(steps) != 1 || steps[0].Op != OpShrink || steps[0].Stage != "receive" || steps[0].N != 1 {
 		t.Fatalf("idle steps = %+v, want shrink receive 1", steps)
 	}
 	pol.MinWorkers = map[string]int{"receive": 3}
-	if steps := Decide(pol, win(1, obs.VerdictIdle, "", 0), v); len(steps) != 0 {
+	if steps := Decide(pol, win(1, nil, nil), v); len(steps) != 0 {
 		t.Fatalf("idle shrank below MinWorkers: %+v", steps)
 	}
 }
@@ -350,7 +408,8 @@ func TestDecideOnRealDegenerateWindows(t *testing.T) {
 }
 
 // FuzzDecide hammers the decision function with arbitrary verdicts,
-// blocked shares (including NaN/Inf bit patterns), worker counts, and
+// limiters (including ones that disagree with the verdict), blocked
+// shares (including NaN/Inf bit patterns), worker counts, and
 // policy corners: it must never panic and every step must be positive
 // and within MaxStep.
 func FuzzDecide(f *testing.F) {
@@ -366,8 +425,10 @@ func FuzzDecide(f *testing.F) {
 			obs.VerdictChurnDegraded, obs.Verdict("mystery"),
 		}
 		share := math.Float64frombits(shareBits)
-		w := obs.Window{T0: 0, T1: 0, Dur: 0, Verdict: verdicts[int(vi)%len(verdicts)]}
-		for _, q := range []string{"compq", "sendq", "decq", "recvq", "rxq"} {
+		queues := []string{"compq", "sendq", "decq", "recvq", "rxq", "compress", "bufpool", ""}
+		w := obs.Window{T0: 0, T1: 0, Dur: 0, Verdict: verdicts[int(vi)%len(verdicts)],
+			Limiter: obs.Limiter{Name: queues[int(vi)/len(verdicts)%len(queues)], Rule: obs.RuleBackpressure, Share: share}}
+		for _, q := range queues[:5] {
 			w.Queues = append(w.Queues, obs.QueueWindow{Queue: q, PutBlockedShare: share, GetBlockedShare: share})
 		}
 		pol := Policy{

@@ -33,7 +33,7 @@ type FleetSimResult struct {
 	Schedule      faults.LinkSchedule
 	Topo          faults.TopoSchedule
 	Windows       []fleet.ClusterWindow
-	Regimes       []fleet.Regime
+	Regimes       []obs.Regime
 	Alerts        []fleet.Alert
 	Report        fleet.Report
 }

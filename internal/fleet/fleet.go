@@ -112,23 +112,11 @@ type Options struct {
 	Profiler *Profiler
 }
 
-// Aggregator defaults and bounds: DefaultWindowCap bounds the
-// cluster-window ring, DefaultRegimeCap the cluster regime-transition log.
-const (
-	DefaultInterval  = time.Second
-	DefaultWindowCap = 240
-	DefaultRegimeCap = 256
-)
-
-// Regime is one cluster-verdict transition: at T the cluster stopped
-// being From and became To, where both are culprit keys
-// ("verdict@node:stage").
-type Regime struct {
-	T        float64  `json:"t"`
-	From     string   `json:"from"`
-	To       string   `json:"to"`
-	Evidence []string `json:"evidence,omitempty"`
-}
+// DefaultInterval is the aggregator's tick when Options.Interval is
+// unset. Its history is bounded like a node's, at obs.DefaultWindowCap
+// cluster windows and obs.DefaultRegimeCap transitions, whose keys are
+// culprit keys ("verdict@node:stage").
+const DefaultInterval = time.Second
 
 // Aggregator collects node statuses and hop stats, aligns them into
 // ClusterWindows, attributes the cluster bottleneck, evaluates SLOs and
@@ -141,22 +129,18 @@ type Aggregator struct {
 	sources []Source
 	hops    func() []HopStat
 
-	mu             sync.Mutex
-	prevT          float64
-	haveT          bool
-	prevHop        map[string]float64
-	windows        []ClusterWindow
-	windowsDropped int64
-	regimes        []Regime
-	regimesDropped int64
-	verdict        obs.Verdict
-	culprit        string // current culprit key
-	node, stage    string
-	alerts         []*alertTracker
+	mu          sync.Mutex
+	prevT       float64
+	haveT       bool
+	prevHop     map[string]float64
+	windows     obs.Ring[ClusterWindow]
+	regimes     obs.Ring[obs.Regime]
+	verdict     obs.Verdict
+	culprit     string // current culprit key
+	node, stage string
+	alerts      []*alertTracker
 
-	stopOnce sync.Once
-	stop     chan struct{}
-	done     chan struct{}
+	loop obs.Loop
 }
 
 // New builds an aggregator. Add sources with AddSource (any time — a
@@ -171,8 +155,6 @@ func New(opts Options) *Aggregator {
 		prevHop: map[string]float64{},
 		verdict: obs.VerdictIdle,
 		culprit: string(obs.VerdictIdle),
-		stop:    make(chan struct{}),
-		done:    make(chan struct{}),
 	}
 	for _, s := range opts.SLOs {
 		a.alerts = append(a.alerts, newAlertTracker(s))
@@ -195,32 +177,12 @@ func (a *Aggregator) SetHops(fn func() []HopStat) {
 	a.hops = fn
 }
 
-// Start launches the periodic tick goroutine; Stop halts it (idempotent)
-// and folds one final tick so the tail of the run is windowed.
-func (a *Aggregator) Start() {
-	go func() {
-		defer close(a.done)
-		t := time.NewTicker(a.opts.Interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-t.C:
-				a.Tick()
-			case <-a.stop:
-				return
-			}
-		}
-	}()
-}
+// Start launches the periodic tick goroutine.
+func (a *Aggregator) Start() { a.loop.Start(a.opts.Interval, func() { a.Tick() }) }
 
-// Stop halts the tick goroutine and takes one final tick.
-func (a *Aggregator) Stop() {
-	a.stopOnce.Do(func() {
-		close(a.stop)
-		<-a.done
-		a.Tick()
-	})
-}
+// Stop halts the tick goroutine (idempotent) and folds one final tick so
+// the tail of the run is windowed.
+func (a *Aggregator) Stop() { a.loop.Stop(func() { a.Tick() }) }
 
 // Tick collects every source now, stamped with wall seconds since the
 // aggregator was built. Safe to call by hand.
@@ -293,19 +255,11 @@ func (a *Aggregator) ObserveAt(t float64) *ClusterWindow {
 	buildSignals(&cw)
 	attribute(&cw)
 
-	a.windows = append(a.windows, cw)
-	if over := len(a.windows) - DefaultWindowCap; over > 0 {
-		a.windows = append(a.windows[:0], a.windows[over:]...)
-		a.windowsDropped += int64(over)
-	}
+	a.windows.Add(cw, obs.DefaultWindowCap)
 
 	key := culpritKey(cw.Verdict, cw.Node, cw.Stage)
 	if key != a.culprit {
-		a.regimes = append(a.regimes, Regime{T: cw.T1, From: a.culprit, To: key, Evidence: cw.Evidence})
-		if over := len(a.regimes) - DefaultRegimeCap; over > 0 {
-			a.regimes = append(a.regimes[:0], a.regimes[over:]...)
-			a.regimesDropped += int64(over)
-		}
+		a.regimes.Add(obs.Regime{T: cw.T1, From: a.culprit, To: key, Evidence: cw.Evidence}, obs.DefaultRegimeCap)
 		if degradedVerdict(cw.Verdict) && !degradedVerdict(a.verdict) && a.opts.Profiler != nil {
 			a.opts.Profiler.Capture("regime-" + string(cw.Verdict))
 		}
@@ -332,14 +286,14 @@ func degradedVerdict(v obs.Verdict) bool {
 func (a *Aggregator) Windows() []ClusterWindow {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return append([]ClusterWindow(nil), a.windows...)
+	return append([]ClusterWindow(nil), a.windows.Items...)
 }
 
 // Regimes returns a copy of the retained regime transitions.
-func (a *Aggregator) Regimes() []Regime {
+func (a *Aggregator) Regimes() []obs.Regime {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return append([]Regime(nil), a.regimes...)
+	return append([]obs.Regime(nil), a.regimes.Items...)
 }
 
 // Alerts returns every SLO's current alert state.
@@ -365,7 +319,7 @@ type ClusterStatus struct {
 	Evidence []string       `json:"evidence,omitempty"`
 	Window   *ClusterWindow `json:"window,omitempty"`
 	Alerts   []Alert        `json:"alerts,omitempty"`
-	Regimes  []Regime       `json:"regimes,omitempty"`
+	Regimes  []obs.Regime   `json:"regimes,omitempty"`
 	Windows  int            `json:"windows"`
 	Dropped  int64          `json:"windows_dropped,omitempty"`
 }
@@ -379,15 +333,15 @@ func (a *Aggregator) Status() ClusterStatus {
 		Verdict: a.verdict,
 		Node:    a.node,
 		Stage:   a.stage,
-		Windows: len(a.windows),
-		Dropped: a.windowsDropped,
-		Regimes: append([]Regime(nil), a.regimes...),
+		Windows: len(a.windows.Items),
+		Dropped: a.windows.Dropped,
+		Regimes: append([]obs.Regime(nil), a.regimes.Items...),
 	}
 	for _, tr := range a.alerts {
 		st.Alerts = append(st.Alerts, tr.snapshot())
 	}
-	if n := len(a.windows); n > 0 {
-		w := a.windows[n-1]
+	if n := len(a.windows.Items); n > 0 {
+		w := a.windows.Items[n-1]
 		st.T = w.T1
 		st.Evidence = append([]string(nil), w.Evidence...)
 		st.Window = &w

@@ -38,6 +38,39 @@ func nodeWith(node string, role Role, v obs.Verdict, w *obs.Window) NodeWindow {
 	return NodeWindow{Node: node, Role: role, Verdict: v, Window: w}
 }
 
+// observed builds a node's one-second window the way the node builds it
+// — obs.Diff over two snapshots in which a MiB was delivered and each
+// named gauge grew from 0 to its value, and each stage in busy accrued
+// that many worker-seconds — so it carries the verdict, limiter and
+// evidence of obs's own classifier.
+func observed(node string, role Role, gauges, busy map[string]float64) NodeWindow {
+	prev := obs.Snapshot{T: 0, Gauges: map[string]float64{}}
+	cur := obs.Snapshot{T: 1, Gauges: gauges,
+		Meters: map[string]obs.MeterState{"delivered": {Bytes: 1 << 20, Items: 1}},
+		Hists:  map[string]obs.HistState{},
+	}
+	for g := range gauges {
+		prev.Gauges[g] = 0
+	}
+	for stage, secs := range busy {
+		cur.Meters[stage] = obs.MeterState{Bytes: 1 << 20, Items: 1}
+		cur.Hists[stage+"_latency_ns"] = obs.HistState{Count: 1, Sum: int64(secs * 1e9)}
+	}
+	w := obs.Diff(prev, cur, nil)
+	return NodeWindow{Node: node, Role: role, Verdict: w.Verdict, Evidence: w.Evidence, Window: &w}
+}
+
+// blocked is the gauges of queues whose producers were blocked share
+// seconds in a one-second window.
+func blocked(shares map[string]float64) map[string]float64 {
+	g := map[string]float64{}
+	for q, share := range shares {
+		g[q+"_depth"] = 1
+		g[q+"_put_blocked_secs"] = share
+	}
+	return g
+}
+
 func TestAttributeChurnOutranksEverything(t *testing.T) {
 	cw := ClusterWindow{Dur: 1, Nodes: []NodeWindow{
 		nodeWith("gw", RoleGateway, obs.VerdictConsumerBound, &obs.Window{
@@ -55,10 +88,8 @@ func TestAttributeChurnOutranksEverything(t *testing.T) {
 
 func TestAttributePoolStarvedBeforeSink(t *testing.T) {
 	cw := ClusterWindow{Dur: 1, Nodes: []NodeWindow{
-		nodeWith("gw", RoleGateway, obs.VerdictConsumerBound, &obs.Window{
-			Queues: []obs.QueueWindow{{Queue: "decq", PutBlockedShare: 0.9}},
-		}),
-		nodeWith("s1", RoleSender, obs.VerdictPoolStarved, &obs.Window{}),
+		observed("gw", RoleGateway, blocked(map[string]float64{"decq": 0.9}), nil),
+		observed("s1", RoleSender, map[string]float64{"bufpool_hits": 10, "bufpool_misses": 20, "bufpool_steals": 10}, nil),
 	}}
 	attribute(&cw)
 	if cw.Verdict != obs.VerdictPoolStarved || cw.Node != "s1" || cw.Stage != "bufpool" {
@@ -68,12 +99,7 @@ func TestAttributePoolStarvedBeforeSink(t *testing.T) {
 
 func TestAttributeGatewayBackpressureNamesQueue(t *testing.T) {
 	cw := ClusterWindow{Dur: 1, Nodes: []NodeWindow{
-		nodeWith("gw", RoleGateway, obs.VerdictConsumerBound, &obs.Window{
-			Queues: []obs.QueueWindow{
-				{Queue: "recvq", PutBlockedShare: 0.1},
-				{Queue: "decq", PutBlockedShare: 0.6},
-			},
-		}),
+		observed("gw", RoleGateway, blocked(map[string]float64{"recvq": 0.1, "decq": 0.6}), nil),
 	}}
 	attribute(&cw)
 	if cw.Verdict != obs.VerdictConsumerBound || cw.Node != "gw" || cw.Stage != "decq" {
@@ -87,9 +113,7 @@ func TestAttributeGatewayBackpressureNamesQueue(t *testing.T) {
 // producer actually blocked) must not outrank a hop bleeding delay.
 func TestAttributeWeakSinkVerdictLosesToHop(t *testing.T) {
 	cw := ClusterWindow{Dur: 1, Nodes: []NodeWindow{
-		nodeWith("gw", RoleGateway, obs.VerdictConsumerBound, &obs.Window{
-			Queues: []obs.QueueWindow{{Queue: "decq", Depth: 2}}, // no blocked time
-		}),
+		observed("gw", RoleGateway, blocked(map[string]float64{"decq": 0}), nil), // no blocked time
 	}, Hops: []HopWindow{{Link: "relay1-gateway", From: "relay1", To: "gateway", DelayShare: 0.8, DelaySecs: 1.2}}}
 	attribute(&cw)
 	if cw.Verdict != obs.VerdictWireBound || cw.Node != "relay1" || cw.Stage != "relay1-gateway" {
@@ -108,12 +132,8 @@ func TestAttributeWeakSinkVerdictLosesToHop(t *testing.T) {
 
 func TestAttributeHopBelowFloorFallsToSender(t *testing.T) {
 	cw := ClusterWindow{Dur: 1, Nodes: []NodeWindow{
-		nodeWith("s1", RoleSender, obs.VerdictCompressBound, &obs.Window{
-			Queues: []obs.QueueWindow{{Queue: "compq", PutBlockedShare: 0.5}},
-		}),
-		nodeWith("s2", RoleSender, obs.VerdictWireBound, &obs.Window{
-			Queues: []obs.QueueWindow{{Queue: "sendq", PutBlockedShare: 0.4}},
-		}),
+		observed("s1", RoleSender, blocked(map[string]float64{"compq": 0.5}), nil),
+		observed("s2", RoleSender, blocked(map[string]float64{"sendq": 0.4}), nil),
 	}, Hops: []HopWindow{{Link: "l1", From: "a", To: "b", DelayShare: 0.01}}}
 	attribute(&cw)
 	// Wire-bound sender outranks compress-bound sender.
@@ -124,16 +144,28 @@ func TestAttributeHopBelowFloorFallsToSender(t *testing.T) {
 
 func TestAttributeBusiestSenderWins(t *testing.T) {
 	cw := ClusterWindow{Dur: 1, Nodes: []NodeWindow{
-		nodeWith("s1", RoleSender, obs.VerdictCompressBound, &obs.Window{
-			Stages: []obs.StageWindow{{Stage: "compress", Busy: 2}},
-		}),
-		nodeWith("s2", RoleSender, obs.VerdictCompressBound, &obs.Window{
-			Stages: []obs.StageWindow{{Stage: "compress", Busy: 6}},
-		}),
+		observed("s1", RoleSender, nil, map[string]float64{"compress": 2}),
+		observed("s2", RoleSender, nil, map[string]float64{"compress": 6}),
 	}}
 	attribute(&cw)
-	if cw.Node != "s2" || cw.Stage != "compress" {
-		t.Fatalf("culprit = %s:%s, want the busier sender s2:compress", cw.Node, cw.Stage)
+	if cw.Verdict != obs.VerdictCompressBound || cw.Node != "s2" || cw.Stage != "compress" {
+		t.Fatalf("verdict = %s@%s:%s, want the busier sender compress-bound@s2:compress", cw.Verdict, cw.Node, cw.Stage)
+	}
+}
+
+// TestAttributeGatewayNamesObsLimiter: the cluster names the queue the
+// gateway's own classifier blamed. recvq's producers are blocked past
+// the floor and decq's are not, so obs blames recvq — and so must the
+// cluster, not the most-downstream queue with any blocked time.
+func TestAttributeGatewayNamesObsLimiter(t *testing.T) {
+	gw := observed("gw", RoleGateway, blocked(map[string]float64{"recvq": 0.5, "decq": 0.1}), nil)
+	if len(gw.Evidence) != 1 || !strings.Contains(gw.Evidence[0], "recvq producers blocked 0.50 s/s") {
+		t.Fatalf("gateway evidence = %v, want recvq blamed", gw.Evidence)
+	}
+	cw := ClusterWindow{Dur: 1, Nodes: []NodeWindow{gw}}
+	attribute(&cw)
+	if cw.Verdict != obs.VerdictConsumerBound || cw.Node != "gw" || cw.Stage != "recvq" {
+		t.Fatalf("verdict = %s@%s:%s, want consumer-bound@gw:recvq", cw.Verdict, cw.Node, cw.Stage)
 	}
 }
 
@@ -259,13 +291,13 @@ func TestAggregatorObserveAt(t *testing.T) {
 		t.Fatalf("regimes = %+v, want a transition to wire-bound@relay1", a.Regimes())
 	}
 
-	// Ring cap: windows up to DefaultWindowCap+2 overflow it by two.
-	for at := 4.0; at <= DefaultWindowCap+2; at++ {
+	// Ring cap: windows up to obs.DefaultWindowCap+2 overflow it by two.
+	for at := 4.0; at <= obs.DefaultWindowCap+2; at++ {
 		feed.st = gatewayStatus(at, nil)
 		a.ObserveAt(at)
 	}
-	if n := len(a.Windows()); n != DefaultWindowCap {
-		t.Fatalf("retained windows = %d, want cap %d", n, DefaultWindowCap)
+	if n := len(a.Windows()); n != obs.DefaultWindowCap {
+		t.Fatalf("retained windows = %d, want cap %d", n, obs.DefaultWindowCap)
 	}
 	st := a.Status()
 	if st.Dropped != 2 {
@@ -301,11 +333,12 @@ func TestAggregatorUnreachableNode(t *testing.T) {
 // --- HTTP scrape path ------------------------------------------------
 
 func TestHTTPSourceScrapesStatus(t *testing.T) {
+	gw := observed("gw", RoleGateway, blocked(map[string]float64{"recvq": 0.5, "decq": 0.1}), nil)
 	want := obs.Status{
 		Node:    "gw",
 		T:       12.5,
-		Verdict: obs.VerdictConsumerBound,
-		Window:  &obs.Window{T0: 11.5, T1: 12.5, Dur: 1, Verdict: obs.VerdictConsumerBound},
+		Verdict: gw.Verdict,
+		Window:  gw.Window,
 		Streams: []obs.StreamHealth{{Stream: "0", Gbps: 42}},
 	}
 	srv := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
@@ -326,6 +359,9 @@ func TestHTTPSourceScrapesStatus(t *testing.T) {
 	if got.Verdict != want.Verdict || got.T != want.T || len(got.Streams) != 1 || got.Streams[0].Gbps != 42 {
 		t.Fatalf("scraped status = %+v, want %+v", got, want)
 	}
+	if got.Window == nil || got.Window.Limiter != want.Window.Limiter {
+		t.Fatalf("scraped window = %+v, want limiter %+v", got.Window, want.Window.Limiter)
+	}
 
 	// And it aggregates end to end.
 	a := New(Options{})
@@ -337,6 +373,9 @@ func TestHTTPSourceScrapesStatus(t *testing.T) {
 	}
 	if w.Nodes[0].Window == nil || len(w.Nodes[0].Window.Streams) != 1 {
 		t.Fatalf("scoreboard did not survive the scrape: %+v", w.Nodes[0])
+	}
+	if w.Verdict != obs.VerdictConsumerBound || w.Node != "gw" || w.Stage != "recvq" {
+		t.Fatalf("cluster over HTTP = %s@%s:%s, want consumer-bound@gw:recvq", w.Verdict, w.Node, w.Stage)
 	}
 }
 

@@ -2,7 +2,6 @@ package fleet
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"numastream/internal/obs"
@@ -20,7 +19,7 @@ type Report struct {
 	DominantNode       string             `json:"dominant_node,omitempty"`
 	DominantStage      string             `json:"dominant_stage,omitempty"`
 	Shares             map[string]float64 `json:"shares,omitempty"` // culprit key → share of windowed time
-	Regimes            []Regime           `json:"regimes,omitempty"`
+	Regimes            []obs.Regime       `json:"regimes,omitempty"`
 	Alerts             []Alert            `json:"alerts,omitempty"`
 	Profiles           []string           `json:"profiles,omitempty"`
 	ProfilesSuppressed int                `json:"profiles_suppressed,omitempty"`
@@ -31,9 +30,9 @@ type Report struct {
 // Report snapshots the aggregator's full history into a Report.
 func (a *Aggregator) Report() Report {
 	a.mu.Lock()
-	windows := append([]ClusterWindow(nil), a.windows...)
-	regimes := append([]Regime(nil), a.regimes...)
-	dropped := a.windowsDropped
+	windows := append([]ClusterWindow(nil), a.windows.Items...)
+	regimes := append([]obs.Regime(nil), a.regimes.Items...)
+	dropped := a.windows.Dropped
 	fleetName := a.opts.Fleet
 	alerts := make([]Alert, 0, len(a.alerts))
 	for _, tr := range a.alerts {
@@ -50,10 +49,9 @@ func (a *Aggregator) Report() Report {
 }
 
 // BuildReport summarizes a cluster run from its windows and regime log.
-// The dominant culprit is the (verdict, node, stage) triple with the
-// most windowed time; ties break alphabetically on the culprit key for
-// determinism.
-func BuildReport(fleetName string, windows []ClusterWindow, regimes []Regime, dropped int64) Report {
+// The dominant culprit is the culprit key with the most windowed time
+// (obs.Shares: ties break alphabetically on the key).
+func BuildReport(fleetName string, windows []ClusterWindow, regimes []obs.Regime, dropped int64) Report {
 	r := Report{
 		Fleet:          fleetName,
 		Dominant:       obs.VerdictIdle,
@@ -67,35 +65,16 @@ func BuildReport(fleetName string, windows []ClusterWindow, regimes []Regime, dr
 	r.T0 = windows[0].T0
 	r.T1 = windows[len(windows)-1].T1
 
-	type triple struct {
-		verdict     obs.Verdict
-		node, stage string
-	}
 	durs := map[string]float64{}
-	triples := map[string]triple{}
-	total := 0.0
 	for _, w := range windows {
-		key := culpritKey(w.Verdict, w.Node, w.Stage)
-		durs[key] += w.Dur
-		triples[key] = triple{w.Verdict, w.Node, w.Stage}
-		total += w.Dur
+		durs[culpritKey(w.Verdict, w.Node, w.Stage)] += w.Dur
 	}
-	if total > 0 {
-		r.Shares = make(map[string]float64, len(durs))
-		keys := make([]string, 0, len(durs))
-		for k := range durs {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		best := -1.0
-		for _, k := range keys {
-			share := durs[k] / total
-			r.Shares[k] = share
-			if share > best {
-				best = share
-				tr := triples[k]
-				r.Dominant, r.DominantNode, r.DominantStage = tr.verdict, tr.node, tr.stage
-			}
+	var dominant string
+	r.Shares, dominant = obs.Shares(durs)
+	for _, w := range windows {
+		if dominant != "" && culpritKey(w.Verdict, w.Node, w.Stage) == dominant {
+			r.Dominant, r.DominantNode, r.DominantStage = w.Verdict, w.Node, w.Stage
+			break
 		}
 	}
 	return r
@@ -120,23 +99,7 @@ func (r Report) Markdown() string {
 		fmt.Fprintf(&b, " (%d early windows dropped from the ring)", r.WindowsDropped)
 	}
 	fmt.Fprintf(&b, "\n")
-	if len(r.Shares) > 0 {
-		keys := make([]string, 0, len(r.Shares))
-		for k := range r.Shares {
-			keys = append(keys, k)
-		}
-		sort.Slice(keys, func(i, j int) bool {
-			if r.Shares[keys[i]] != r.Shares[keys[j]] {
-				return r.Shares[keys[i]] > r.Shares[keys[j]]
-			}
-			return keys[i] < keys[j]
-		})
-		fmt.Fprintf(&b, "\n")
-		for _, k := range keys {
-			fmt.Fprintf(&b, "- %s: %.0f%% of windowed time\n", k, r.Shares[k]*100)
-		}
-	}
-
+	obs.WriteSharesAndRegimes(&b, r.Shares, r.Regimes)
 	if len(r.Alerts) > 0 {
 		fmt.Fprintf(&b, "\n## SLO alerts\n\n")
 		fmt.Fprintf(&b, "| slo | state | fired | resolved | last value | burn |\n|---|---|---:|---:|---:|---:|\n")
@@ -153,17 +116,6 @@ func (r Report) Markdown() string {
 		}
 		if r.ProfilesSuppressed > 0 {
 			fmt.Fprintf(&b, "- (%d captures suppressed by the rate limit)\n", r.ProfilesSuppressed)
-		}
-	}
-
-	if len(r.Regimes) > 0 {
-		fmt.Fprintf(&b, "\n## Regime transitions\n\n")
-		for _, t := range r.Regimes {
-			fmt.Fprintf(&b, "- t=%.2fs: %s → %s", t.T, t.From, t.To)
-			if len(t.Evidence) > 0 {
-				fmt.Fprintf(&b, " — %s", strings.Join(t.Evidence, "; "))
-			}
-			fmt.Fprintf(&b, "\n")
 		}
 	}
 

@@ -81,12 +81,6 @@ func culpritKey(v obs.Verdict, node, stage string) string {
 // the window.
 const hopDelayShareFloor = 0.05
 
-// blockedShareFloor mirrors the per-node classifier's backpressure
-// floor: the sink only claims the cluster verdict on real producer
-// backpressure, not on its weak deepest-queue fallback (a queue holding
-// two items at the gateway must not outrank a hop bleeding delay).
-const blockedShareFloor = 0.25
-
 // buildSignals distills the cluster scalars from the gateway's
 // scoreboard and every node's churn counters. Streams that moved no
 // bytes in the window (finished, or not yet started) are excluded from
@@ -140,25 +134,40 @@ func buildSignals(cw *ClusterWindow) {
 	}
 }
 
+// limiter is what a node's own classifier blamed in its latest window
+// (zero when the node has no window yet).
+func limiter(nw *NodeWindow) obs.Limiter {
+	if nw.Window == nil {
+		return obs.Limiter{}
+	}
+	return nw.Window.Limiter
+}
+
 // attribute fills the cluster verdict: the dominant node + stage, with
-// per-hop evidence. Priority order walks the graph from pathology to
-// sink to source:
+// per-hop evidence. Each node's stage label, and its rank among nodes
+// that share a verdict, is what its own classifier blamed (its
+// obs.Limiter), so the cluster verdict never contradicts the node's.
+// Priority order walks the graph from pathology to sink to source:
 //
 //  1. churn-degraded — any node reporting churn events; correctness
 //     work outranks steady-state tuning, exactly as in the per-node
 //     classifier. Named at the node with the most events.
 //  2. pool-starved — any node whose own verdict is pool starvation;
 //     remote-memory cost pollutes everything downstream of it.
-//  3. consumer-bound at the gateway — the sink exerts backpressure;
-//     everything upstream is a symptom.
+//  3. consumer-bound at the gateway on producer backpressure (the
+//     gateway's limiter came from obs's backpressure rule, not its weak
+//     deepest-queue fallback); everything upstream is a symptom.
 //  4. wire-bound at a hop — the hop whose fault-inflicted delay grew
 //     fastest (≥ hopDelayShareFloor s/s) names the link and its From
 //     node: "the cluster is slow because relay1's uplink is saturated".
-//  5. wire-bound at a sender — sendq backpressure with no single hop to
-//     blame (a healthy-but-full wire).
+//  5. wire-bound at a sender — with no single hop to blame (a
+//     healthy-but-full wire).
 //  6. compress-bound at a sender.
-//  7. any remaining non-idle node verdict, busiest node first.
+//  7. any remaining non-idle node verdict.
 //  8. idle.
+//
+// Rules 5–7 pick, among the nodes they consider, the one whose limiter
+// share is largest.
 func attribute(cw *ClusterWindow) {
 	ev := func(lines ...string) { cw.Evidence = append(cw.Evidence, lines...) }
 	nodeEv := func(nw *NodeWindow) {
@@ -185,26 +194,38 @@ func attribute(cw *ClusterWindow) {
 		return
 	}
 
+	blame := func(nw *NodeWindow) {
+		cw.Verdict, cw.Node, cw.Stage = nw.Verdict, nw.Node, limiter(nw).Name
+		nodeEv(nw)
+	}
+	// pick returns the node with the largest limiter share among those
+	// keep accepts (the first on ties), or nil.
+	pick := func(keep func(*NodeWindow) bool) *NodeWindow {
+		var best *NodeWindow
+		for i := range cw.Nodes {
+			nw := &cw.Nodes[i]
+			if keep(nw) && (best == nil || limiter(nw).Share > limiter(best).Share) {
+				best = nw
+			}
+		}
+		return best
+	}
+
 	// 2. Pool starvation anywhere.
 	for i := range cw.Nodes {
-		nw := &cw.Nodes[i]
-		if nw.Verdict != obs.VerdictPoolStarved {
-			continue
+		if nw := &cw.Nodes[i]; nw.Verdict == obs.VerdictPoolStarved {
+			blame(nw)
+			return
 		}
-		cw.Verdict, cw.Node, cw.Stage = obs.VerdictPoolStarved, nw.Node, "bufpool"
-		nodeEv(nw)
-		return
 	}
 
 	// 3. The sink pushing back — only on hard backpressure evidence.
 	for i := range cw.Nodes {
 		nw := &cw.Nodes[i]
-		if nw.Role != RoleGateway || nw.Verdict != obs.VerdictConsumerBound || !hasBackpressure(nw.Window) {
-			continue
+		if nw.Role == RoleGateway && nw.Verdict == obs.VerdictConsumerBound && limiter(nw).Rule == obs.RuleBackpressure {
+			blame(nw)
+			return
 		}
-		cw.Verdict, cw.Node, cw.Stage = obs.VerdictConsumerBound, nw.Node, blockedQueue(nw.Window)
-		nodeEv(nw)
-		return
 	}
 
 	// 4. The hop bleeding the most delay.
@@ -233,42 +254,17 @@ func attribute(cw *ClusterWindow) {
 
 	// 5/6. Sender-side verdicts, wire before compress.
 	for _, want := range []obs.Verdict{obs.VerdictWireBound, obs.VerdictCompressBound} {
-		var pick *NodeWindow
-		for i := range cw.Nodes {
-			nw := &cw.Nodes[i]
-			if nw.Verdict != want {
-				continue
-			}
-			if pick == nil || nodeBusy(nw) > nodeBusy(pick) {
-				pick = nw
-			}
-		}
-		if pick != nil {
-			cw.Verdict, cw.Node = want, pick.Node
-			if want == obs.VerdictWireBound {
-				cw.Stage = "sendq"
-			} else {
-				cw.Stage = "compress"
-			}
-			nodeEv(pick)
+		if nw := pick(func(nw *NodeWindow) bool { return nw.Verdict == want }); nw != nil {
+			blame(nw)
 			return
 		}
 	}
 
 	// 7. Anything else non-idle (e.g. consumer-bound on a relay).
-	var pick *NodeWindow
-	for i := range cw.Nodes {
-		nw := &cw.Nodes[i]
-		if nw.Verdict == "" || nw.Verdict == obs.VerdictIdle || nw.Err != "" {
-			continue
-		}
-		if pick == nil || nodeBusy(nw) > nodeBusy(pick) {
-			pick = nw
-		}
-	}
-	if pick != nil {
-		cw.Verdict, cw.Node, cw.Stage = pick.Verdict, pick.Node, blockedQueue(pick.Window)
-		nodeEv(pick)
+	if nw := pick(func(nw *NodeWindow) bool {
+		return nw.Verdict != "" && nw.Verdict != obs.VerdictIdle && nw.Err == ""
+	}); nw != nil {
+		blame(nw)
 		return
 	}
 
@@ -285,57 +281,6 @@ func attribute(cw *ClusterWindow) {
 	} else {
 		ev("every node idle")
 	}
-}
-
-// hasBackpressure reports whether any queue in the window cleared the
-// producer-blocked floor.
-func hasBackpressure(w *obs.Window) bool {
-	if w == nil {
-		return false
-	}
-	for _, q := range w.Queues {
-		if q.PutBlockedShare >= blockedShareFloor {
-			return true
-		}
-	}
-	return false
-}
-
-// blockedQueue names the most-downstream backpressured (or deepest)
-// queue of a node window — the stage label for queue-driven verdicts.
-func blockedQueue(w *obs.Window) string {
-	if w == nil || len(w.Queues) == 0 {
-		return ""
-	}
-	for i := len(w.Queues) - 1; i >= 0; i-- {
-		if w.Queues[i].PutBlockedShare > 0 {
-			return w.Queues[i].Queue
-		}
-	}
-	deepest := w.Queues[0]
-	for _, q := range w.Queues[1:] {
-		if q.Depth > deepest.Depth {
-			deepest = q
-		}
-	}
-	return deepest.Queue
-}
-
-// nodeBusy ranks nodes sharing a verdict: total stage busy share, with
-// queue backpressure as a tiebreaking proxy when no stage timing
-// exists (simulated feeds).
-func nodeBusy(nw *NodeWindow) float64 {
-	if nw.Window == nil {
-		return 0
-	}
-	busy := 0.0
-	for _, st := range nw.Window.Stages {
-		busy += st.Busy
-	}
-	for _, q := range nw.Window.Queues {
-		busy += q.PutBlockedShare
-	}
-	return busy
 }
 
 // WriteText renders the cluster status as a terminal-friendly summary.

@@ -29,18 +29,14 @@ type Options struct {
 	OnWindow func(Window)
 }
 
-// Engine defaults and bounds. DefaultWindowCap bounds the in-memory
-// window ring: old windows fall off the front (the drop count is
-// retained, so reports state what they no longer show).
-// DefaultRegimeCap bounds the regime-transition log.
-// DefaultScoreboardMax bounds the per-stream health rows retained in each
-// window (Window.LimitStreams): at gateway scale the full scoreboard is
-// the status payload's bulk, and the cap keeps every unhealthy stream and
-// the slowest healthy ones, with the rest counted in StreamsOmitted.
+// Engine defaults (the history bounds are DefaultWindowCap and
+// DefaultRegimeCap). DefaultScoreboardMax bounds the per-stream health
+// rows retained in each window (Window.LimitStreams): at gateway scale
+// the full scoreboard is the status payload's bulk, and the cap keeps
+// every unhealthy stream and the slowest healthy ones, with the rest
+// counted in StreamsOmitted.
 const (
 	DefaultInterval      = 500 * time.Millisecond
-	DefaultWindowCap     = 240 // 2 minutes of history at the default interval
-	DefaultRegimeCap     = 256
 	DefaultScoreboardMax = 64
 )
 
@@ -54,15 +50,6 @@ const (
 	CtrRegimeDrops = "obs_regime_drops"
 )
 
-// Regime is one verdict transition: at T seconds on the run's clock the
-// pipeline stopped being From-bound and became To-bound.
-type Regime struct {
-	T        float64  `json:"t"`
-	From     Verdict  `json:"from"`
-	To       Verdict  `json:"to"`
-	Evidence []string `json:"evidence,omitempty"`
-}
-
 // Engine is the snapshot-diff observer: it captures a registry
 // periodically (or accepts snapshots by hand via Observe), turns
 // consecutive pairs into Windows, and tracks the verdict regime. All
@@ -73,18 +60,14 @@ type Engine struct {
 	opts  Options
 	start time.Time
 
-	mu             sync.Mutex
-	prev           Snapshot
-	havePrev       bool
-	windows        []Window
-	windowsDropped int64
-	regimes        []Regime
-	regimesDropped int64
-	verdict        Verdict
+	mu       sync.Mutex
+	prev     Snapshot
+	havePrev bool
+	windows  Ring[Window]
+	regimes  Ring[Regime]
+	verdict  Verdict
 
-	stopOnce sync.Once
-	stop     chan struct{}
-	done     chan struct{}
+	loop Loop
 }
 
 // NewEngine builds an engine over reg. reg may be nil for Observe-only
@@ -98,38 +81,15 @@ func NewEngine(reg *metrics.Registry, opts Options) *Engine {
 		opts:    opts,
 		start:   time.Now(),
 		verdict: VerdictIdle,
-		stop:    make(chan struct{}),
-		done:    make(chan struct{}),
 	}
 }
 
-// Start launches the periodic capture goroutine. Stop flushes a final
-// window and waits for it to exit.
-func (e *Engine) Start() {
-	go func() {
-		defer close(e.done)
-		t := time.NewTicker(e.opts.Interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-t.C:
-				e.Tick()
-			case <-e.stop:
-				return
-			}
-		}
-	}()
-}
+// Start launches the periodic capture goroutine.
+func (e *Engine) Start() { e.loop.Start(e.opts.Interval, func() { e.Tick() }) }
 
 // Stop halts the capture goroutine (idempotent) and takes one final
 // snapshot so the tail of the run is windowed.
-func (e *Engine) Stop() {
-	e.stopOnce.Do(func() {
-		close(e.stop)
-		<-e.done
-		e.Tick()
-	})
-}
+func (e *Engine) Stop() { e.loop.Stop(func() { e.Tick() }) }
 
 // Tick captures the registry now, stamped with wall seconds since the
 // engine was built, and observes it. Safe to call by hand between (or
@@ -160,26 +120,20 @@ func (e *Engine) observe(s Snapshot) *Window {
 	w := Diff(e.prev, s, e.opts.Workers)
 	w.LimitStreams(DefaultScoreboardMax)
 	e.prev = s
-	e.windows = append(e.windows, w)
-	if over := len(e.windows) - DefaultWindowCap; over > 0 {
-		e.windows = append(e.windows[:0], e.windows[over:]...)
-		e.windowsDropped += int64(over)
-		if e.reg != nil {
-			e.reg.Counter(CtrWindowDrops).Add(int64(over))
-		}
-	}
+	e.count(CtrWindowDrops, e.windows.Add(w, DefaultWindowCap))
 	if w.Verdict != e.verdict {
-		e.regimes = append(e.regimes, Regime{T: w.T1, From: e.verdict, To: w.Verdict, Evidence: w.Evidence})
-		if over := len(e.regimes) - DefaultRegimeCap; over > 0 {
-			e.regimes = append(e.regimes[:0], e.regimes[over:]...)
-			e.regimesDropped += int64(over)
-			if e.reg != nil {
-				e.reg.Counter(CtrRegimeDrops).Add(int64(over))
-			}
-		}
+		r := Regime{T: w.T1, From: string(e.verdict), To: string(w.Verdict), Evidence: w.Evidence}
+		e.count(CtrRegimeDrops, e.regimes.Add(r, DefaultRegimeCap))
 		e.verdict = w.Verdict
 	}
 	return &w
+}
+
+// count adds n to one of the engine's own registry counters.
+func (e *Engine) count(name string, n int64) {
+	if n > 0 && e.reg != nil {
+		e.reg.Counter(name).Add(n)
+	}
 }
 
 // SetWorkers updates one stage's configured worker count — the
@@ -202,7 +156,7 @@ func (e *Engine) SetWorkers(stage string, n int) {
 func (e *Engine) Windows() []Window {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return append([]Window(nil), e.windows...)
+	return append([]Window(nil), e.windows.Items...)
 }
 
 // Regimes returns a copy of the retained regime transitions, oldest
@@ -210,7 +164,7 @@ func (e *Engine) Windows() []Window {
 func (e *Engine) Regimes() []Regime {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return append([]Regime(nil), e.regimes...)
+	return append([]Regime(nil), e.regimes.Items...)
 }
 
 // Status is the live self-diagnosis served by /status: the current
@@ -237,12 +191,12 @@ func (e *Engine) Status(withStreams bool) Status {
 	st := Status{
 		Node:    e.opts.Node,
 		Verdict: e.verdict,
-		Windows: len(e.windows),
-		Dropped: e.windowsDropped,
-		Regimes: append([]Regime(nil), e.regimes...),
+		Windows: len(e.windows.Items),
+		Dropped: e.windows.Dropped,
+		Regimes: append([]Regime(nil), e.regimes.Items...),
 	}
-	if n := len(e.windows); n > 0 {
-		w := e.windows[n-1]
+	if n := len(e.windows.Items); n > 0 {
+		w := e.windows.Items[n-1]
 		st.T = w.T1
 		st.Evidence = append([]string(nil), w.Evidence...)
 		if withStreams {

@@ -109,6 +109,9 @@ func TestVerdictPoolStarved(t *testing.T) {
 	if w.Pool.Gets != 40 || w.Pool.MissShare != 0.75 {
 		t.Fatalf("pool window = %+v", w.Pool)
 	}
+	if want := (Limiter{Name: "bufpool", Rule: RulePool, Share: 0.75}); w.Limiter != want {
+		t.Fatalf("limiter = %+v, want %+v", w.Limiter, want)
+	}
 }
 
 // queueGauges builds the three per-queue series for one queue.
@@ -131,19 +134,24 @@ func TestVerdictBackpressureWalkPicksDownstreamMost(t *testing.T) {
 		queueGauges(cur.Gauges, "decq", 4, dec, 0)
 		return Diff(prev, cur, nil)
 	}
-	if w := mk(0.9, 0, 0); w.Verdict != VerdictCompressBound {
-		t.Fatalf("compq blocked: verdict = %s (evidence %v)", w.Verdict, w.Evidence)
-	}
-	if w := mk(0.9, 0.9, 0); w.Verdict != VerdictWireBound {
-		t.Fatalf("sendq downstream of compq: verdict = %s", w.Verdict)
-	}
-	if w := mk(0.9, 0.9, 0.9); w.Verdict != VerdictConsumerBound {
-		t.Fatalf("decq most downstream: verdict = %s", w.Verdict)
-	}
-	// Below the floor nothing is "blocked"; the deepest-queue fallback
-	// names the consumer of the deepest queue instead.
-	if w := mk(0.1, 0.1, 0.1); w.Verdict == VerdictChurnDegraded || w.Verdict == VerdictPoolStarved {
-		t.Fatalf("sub-floor shares escalated to %s", w.Verdict)
+	for _, c := range []struct {
+		comp, send, dec float64
+		verdict         Verdict
+		limiter         Limiter
+	}{
+		{0.9, 0, 0, VerdictCompressBound, Limiter{Name: "compq", Rule: RuleBackpressure, Share: 0.9}},
+		{0.9, 0.9, 0, VerdictWireBound, Limiter{Name: "sendq", Rule: RuleBackpressure, Share: 0.9}},
+		{0.9, 0.9, 0.9, VerdictConsumerBound, Limiter{Name: "decq", Rule: RuleBackpressure, Share: 0.9}},
+		// Below the floor nothing is "blocked"; the deepest-queue
+		// fallback names the consumer of the deepest queue instead
+		// (equal depths: the first in pipeline order).
+		{0.1, 0.1, 0.1, VerdictCompressBound, Limiter{Name: "compq", Rule: RuleDeepestQueue, Share: 0.1}},
+	} {
+		w := mk(c.comp, c.send, c.dec)
+		if w.Verdict != c.verdict || w.Limiter != c.limiter {
+			t.Fatalf("compq/sendq/decq blocked %.1f/%.1f/%.1f: %s blaming %+v, want %s blaming %+v (evidence %v)",
+				c.comp, c.send, c.dec, w.Verdict, w.Limiter, c.verdict, c.limiter, w.Evidence)
+		}
 	}
 }
 
@@ -160,8 +168,8 @@ func TestVerdictBusiestStageFallback(t *testing.T) {
 		}},
 	}
 	w := Diff(prev, cur, map[string]int{"compress": 1})
-	if w.Verdict != VerdictCompressBound {
-		t.Fatalf("verdict = %s (evidence %v)", w.Verdict, w.Evidence)
+	if w.Verdict != VerdictCompressBound || w.Limiter.Name != "compress" || w.Limiter.Rule != RuleBusiestStage {
+		t.Fatalf("verdict = %s blaming %+v (evidence %v)", w.Verdict, w.Limiter, w.Evidence)
 	}
 	st := w.Stages[0]
 	if st.Busy < 0.79 || st.Busy > 0.81 {
@@ -372,7 +380,7 @@ func TestReportShapeAndDominant(t *testing.T) {
 		{T0: 1, T1: 2, Dur: 1, Verdict: VerdictWireBound},
 		{T0: 2, T1: 4, Dur: 2, Verdict: VerdictWireBound},
 	}
-	regimes := []Regime{{T: 1, From: VerdictCompressBound, To: VerdictWireBound}}
+	regimes := []Regime{{T: 1, From: string(VerdictCompressBound), To: string(VerdictWireBound)}}
 	rep := BuildReport("n1", windows, regimes, 3)
 	if rep.Dominant != VerdictWireBound {
 		t.Fatalf("dominant = %s", rep.Dominant)
@@ -407,6 +415,27 @@ func TestReportShapeAndDominant(t *testing.T) {
 
 	if rep := BuildReport("", nil, nil, 0); rep.Dominant != VerdictIdle {
 		t.Fatalf("empty report dominant = %s", rep.Dominant)
+	}
+}
+
+// TestReportMarkdownTiedShares: tied shares render in key order, so one
+// report renders the same bytes every time.
+func TestReportMarkdownTiedShares(t *testing.T) {
+	rep := BuildReport("n1", []Window{
+		{T0: 0, T1: 1, Dur: 1, Verdict: VerdictWireBound},
+		{T0: 1, T1: 2, Dur: 1, Verdict: VerdictCompressBound},
+	}, nil, 0)
+	if rep.Dominant != VerdictCompressBound {
+		t.Fatalf("dominant = %s, want compress-bound (ties go to the first key)", rep.Dominant)
+	}
+	first := rep.Markdown()
+	if i, j := strings.Index(first, "- compress-bound: 50%"), strings.Index(first, "- wire-bound: 50%"); i < 0 || j < i {
+		t.Fatalf("tied shares not in key order:\n%s", first)
+	}
+	for i := 0; i < 200; i++ {
+		if md := rep.Markdown(); md != first {
+			t.Fatalf("render %d differs from the first:\n%s\n---\n%s", i, md, first)
+		}
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"sort"
 	"strings"
 )
 
@@ -36,28 +35,13 @@ func BuildReport(node string, windows []Window, regimes []Regime, dropped int64)
 	}
 	r.T0 = windows[0].T0
 	r.T1 = windows[len(windows)-1].T1
-	durs := map[Verdict]float64{}
-	total := 0.0
+	durs := map[string]float64{}
 	for _, w := range windows {
-		durs[w.Verdict] += w.Dur
-		total += w.Dur
+		durs[string(w.Verdict)] += w.Dur
 	}
-	if total > 0 {
-		r.Shares = make(map[string]float64, len(durs))
-		best := -1.0
-		// Deterministic tie-break: alphabetical verdict order.
-		keys := make([]string, 0, len(durs))
-		for v := range durs {
-			keys = append(keys, string(v))
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			share := durs[Verdict(k)] / total
-			r.Shares[k] = share
-			if share > best {
-				best, r.Dominant = share, Verdict(k)
-			}
-		}
+	var dominant string
+	if r.Shares, dominant = Shares(durs); dominant != "" {
+		r.Dominant = Verdict(dominant)
 	}
 	return r
 }
@@ -65,9 +49,9 @@ func BuildReport(node string, windows []Window, regimes []Regime, dropped int64)
 // Report snapshots the engine's full history into a Report.
 func (e *Engine) Report() Report {
 	e.mu.Lock()
-	windows := append([]Window(nil), e.windows...)
-	regimes := append([]Regime(nil), e.regimes...)
-	dropped := e.windowsDropped
+	windows := append([]Window(nil), e.windows.Items...)
+	regimes := append([]Regime(nil), e.regimes.Items...)
+	dropped := e.windows.Dropped
 	node := e.opts.Node
 	e.mu.Unlock()
 	return BuildReport(node, windows, regimes, dropped)
@@ -86,27 +70,7 @@ func (r Report) Markdown() string {
 		fmt.Fprintf(&b, " (%d early windows dropped from the ring)", r.WindowsDropped)
 	}
 	fmt.Fprintf(&b, "\n")
-	if len(r.Shares) > 0 {
-		keys := make([]string, 0, len(r.Shares))
-		for k := range r.Shares {
-			keys = append(keys, k)
-		}
-		sort.Slice(keys, func(i, j int) bool { return r.Shares[keys[i]] > r.Shares[keys[j]] })
-		fmt.Fprintf(&b, "\n")
-		for _, k := range keys {
-			fmt.Fprintf(&b, "- %s: %.0f%% of windowed time\n", k, r.Shares[k]*100)
-		}
-	}
-	if len(r.Regimes) > 0 {
-		fmt.Fprintf(&b, "\n## Regime transitions\n\n")
-		for _, t := range r.Regimes {
-			fmt.Fprintf(&b, "- t=%.2fs: %s → %s", t.T, t.From, t.To)
-			if len(t.Evidence) > 0 {
-				fmt.Fprintf(&b, " — %s", strings.Join(t.Evidence, "; "))
-			}
-			fmt.Fprintf(&b, "\n")
-		}
-	}
+	WriteSharesAndRegimes(&b, r.Shares, r.Regimes)
 	fmt.Fprintf(&b, "\n## Windows\n\n")
 	fmt.Fprintf(&b, "| t0 | t1 | verdict | Gbps | evidence |\n|---:|---:|---|---:|---|\n")
 	for _, w := range r.Windows {

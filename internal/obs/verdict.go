@@ -32,6 +32,32 @@ const (
 	VerdictChurnDegraded Verdict = "churn-degraded"
 )
 
+// Limiter is what classify blamed for a window's verdict — the one
+// answer to "what limits this node?" that the fleet's cluster verdict
+// and the adaptive controller read instead of working it out again.
+// Idle and churn-degraded windows blame nothing and leave it zero.
+type Limiter struct {
+	// Name is the blamed queue (compq, sendq, recvq, rxq, decq), the
+	// busiest stage (compress, send, receive, decompress) or "bufpool".
+	Name string `json:"name,omitempty"`
+	// Rule is the classify rule that decided: RuleBackpressure,
+	// RuleBusiestStage, RuleDeepestQueue or RulePool.
+	Rule string `json:"rule,omitempty"`
+	// Share is the signal the rule weighed: the queue's producer
+	// blocked seconds per second (under blockedShareFloor for
+	// RuleDeepestQueue), the stage's busy worker-seconds per second, or
+	// the pool's miss share.
+	Share float64 `json:"share,omitempty"`
+}
+
+// The classify rules a Limiter can name.
+const (
+	RulePool         = "pool"
+	RuleBackpressure = "backpressure"
+	RuleBusiestStage = "busiest-stage"
+	RuleDeepestQueue = "deepest-queue"
+)
+
 // Classifier thresholds. Shares are per wall-second of the window.
 const (
 	// blockedShareFloor: a queue counts as exerting backpressure when its
@@ -75,8 +101,8 @@ func stageVerdict(stage string) Verdict {
 	}
 }
 
-// classify fills w.Verdict and w.Evidence from the window's signals, in
-// strict priority order:
+// classify fills w.Verdict, w.Limiter and w.Evidence from the window's
+// signals, in strict priority order:
 //
 //  1. idle — no bytes moved, no churn, nothing blocked.
 //  2. churn-degraded — any churn events: correctness work (rerouting,
@@ -115,6 +141,7 @@ func classify(w *Window) {
 
 	if w.Pool.Gets >= poolMinGets && w.Pool.MissShare > poolMissShareFloor {
 		w.Verdict = VerdictPoolStarved
+		w.Limiter = Limiter{Name: "bufpool", Rule: RulePool, Share: w.Pool.MissShare}
 		w.Evidence = append(w.Evidence, fmt.Sprintf(
 			"pool miss share %.0f%% over %d gets (misses=%d steals=%d)",
 			w.Pool.MissShare*100, w.Pool.Gets, w.Pool.Misses, w.Pool.Steals))
@@ -127,6 +154,7 @@ func classify(w *Window) {
 		q := w.Queues[i]
 		if q.PutBlockedShare >= blockedShareFloor {
 			w.Verdict = queueVerdict(q.Queue)
+			w.Limiter = Limiter{Name: q.Queue, Rule: RuleBackpressure, Share: q.PutBlockedShare}
 			w.Evidence = append(w.Evidence, fmt.Sprintf(
 				"%s producers blocked %.2f s/s (depth %.0f)", q.Queue, q.PutBlockedShare, q.Depth))
 			return
@@ -142,6 +170,7 @@ func classify(w *Window) {
 	}
 	if busiest != nil && busiest.Busy >= busyShareFloor {
 		w.Verdict = stageVerdict(busiest.Stage)
+		w.Limiter = Limiter{Name: busiest.Stage, Rule: RuleBusiestStage, Share: busiest.Busy}
 		ev := fmt.Sprintf("%s is the busiest stage: %.2f worker-s/s", busiest.Stage, busiest.Busy)
 		if busiest.Util > 0 {
 			ev += fmt.Sprintf(" (util %.0f%%)", busiest.Util*100)
@@ -156,6 +185,7 @@ func classify(w *Window) {
 		sort.SliceStable(qs, func(i, j int) bool { return qs[i].Depth > qs[j].Depth })
 		if qs[0].Depth > 0 {
 			w.Verdict = queueVerdict(qs[0].Queue)
+			w.Limiter = Limiter{Name: qs[0].Queue, Rule: RuleDeepestQueue, Share: qs[0].PutBlockedShare}
 			w.Evidence = append(w.Evidence, fmt.Sprintf(
 				"weak signals; deepest queue %s holds %.0f items", qs[0].Queue, qs[0].Depth))
 			return

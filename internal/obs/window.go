@@ -88,7 +88,8 @@ type StreamHealth struct {
 
 // Window is the diff of two consecutive snapshots: every derived signal
 // over [T0, T1), plus the verdict naming the window's dominant
-// bottleneck and the evidence lines that produced it. StreamsTotal is
+// bottleneck, the limiter it blamed and the evidence lines that
+// produced it. StreamsTotal is
 // the scoreboard's full row count before any LimitStreams cap;
 // StreamsOmitted counts rows dropped by the cap (healthy, not-slowest
 // streams — never an unhealthy row).
@@ -97,6 +98,7 @@ type Window struct {
 	T1             float64        `json:"t1"`
 	Dur            float64        `json:"dur"`
 	Verdict        Verdict        `json:"verdict"`
+	Limiter        Limiter        `json:"limiter"`
 	Evidence       []string       `json:"evidence,omitempty"`
 	Bytes          int64          `json:"bytes"` // bytes moved across all meters
 	Stages         []StageWindow  `json:"stages,omitempty"`
@@ -212,7 +214,7 @@ func queueDelta(prev, cur Snapshot, name string) float64 {
 
 // Diff computes the window between two consecutive snapshots. workers
 // maps stage name → configured worker count (nil leaves Util zero).
-// The verdict and evidence are filled by the classifier.
+// The verdict, limiter and evidence are filled by the classifier.
 func Diff(prev, cur Snapshot, workers map[string]int) Window {
 	w := Window{T0: prev.T, T1: cur.T, Dur: cur.T - prev.T}
 	if w.Dur <= 0 {
