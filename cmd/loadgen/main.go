@@ -134,9 +134,6 @@ func main() {
 			obsOpts.OnWindow = ctrl.OnWindow
 		}
 		obsEng = obs.NewEngine(reg, obsOpts)
-		if ctrl != nil {
-			ctrl.BindEngine(obsEng)
-		}
 		obsEng.Start()
 		agg = fleet.New(fleet.Options{Fleet: "loadgen", Interval: *statusInterval, SLOs: slos})
 		agg.AddSource(fleet.EngineSource("thousand-gw", fleet.RoleGateway, obsEng))

@@ -139,18 +139,11 @@ func main() {
 	}
 	var obsEng *obs.Engine
 	if *telemetryAddr != "" || *reportPath != "" || fleetActive || *adaptOn {
-		opts := obs.Options{
-			Interval: *reportEvery,
-			Node:     cfg.Node,
-			Workers:  stageWorkers(cfg),
-		}
+		opts := obs.Options{Interval: *reportEvery, Node: cfg.Node}
 		if ctrl != nil {
 			opts.OnWindow = ctrl.OnWindow
 		}
 		obsEng = obs.NewEngine(reg, opts)
-		if ctrl != nil {
-			ctrl.BindEngine(obsEng)
-		}
 		obsEng.Start()
 	}
 	var agg *fleet.Aggregator
@@ -388,20 +381,10 @@ func adaptPolicy(cfg runtime.NodeConfig, topo numa.HostTopology, nicDomain int) 
 		pol.Domains = append(pol.Domains, n.ID)
 	}
 	pol.MaxWorkers = map[string]int{}
-	for stage, n := range stageWorkers(cfg) {
-		pol.MaxWorkers[stage] = 2 * n
+	for _, g := range cfg.Groups {
+		pol.MaxWorkers[string(g.Type)] += 2 * g.Count
 	}
 	return pol
-}
-
-// stageWorkers maps stage name → configured worker count from the node
-// config, giving the self-diagnosis engine its utilization denominator.
-func stageWorkers(cfg runtime.NodeConfig) map[string]int {
-	w := make(map[string]int, len(cfg.Groups))
-	for _, g := range cfg.Groups {
-		w[string(g.Type)] += g.Count
-	}
-	return w
 }
 
 func fatal(err error) {

@@ -355,7 +355,6 @@ type Controller struct {
 	mu      sync.Mutex
 	pol     Policy
 	act     Actuator
-	eng     *obs.Engine // optional: utilization denominators follow resizes
 	verdict obs.Verdict
 	streak  int
 	acted   bool
@@ -366,14 +365,6 @@ type Controller struct {
 // New builds a controller driving act under pol.
 func New(pol Policy, act Actuator) *Controller {
 	return &Controller{pol: pol.normalize(), act: act}
-}
-
-// BindEngine lets the controller push updated worker counts back into
-// the engine after each action (keeping Util denominators honest).
-func (c *Controller) BindEngine(e *obs.Engine) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.eng = e
 }
 
 // stages the controller manages.
@@ -423,14 +414,10 @@ func (c *Controller) OnWindow(w obs.Window) {
 			continue // clipped to nothing (cap reached, pool sealed): not an action
 		}
 		actedNow = true
-		workers := c.act.Workers(s.Stage)
 		c.actions = append(c.actions, Action{
 			T: w.T1, Stage: s.Stage, Op: s.Op, N: applied,
-			Domain: s.Domain, From: from, Workers: workers, Reason: s.Reason,
+			Domain: s.Domain, From: from, Workers: c.act.Workers(s.Stage), Reason: s.Reason,
 		})
-		if c.eng != nil {
-			c.eng.SetWorkers(s.Stage, workers)
-		}
 	}
 	if actedNow {
 		c.acted, c.lastT = true, w.T1

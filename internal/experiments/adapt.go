@@ -163,7 +163,6 @@ func runAdaptCell(seed int64, snd, rcv runtime.NodeConfig, every float64, withCo
 		tailN = 2
 	}
 	var times []float64
-	var rawBytes, items int64
 	var obsEng *obs.Engine
 	var ctl *adapt.Controller
 
@@ -174,23 +173,18 @@ func runAdaptCell(seed int64, snd, rcv runtime.NodeConfig, every float64, withCo
 		rcv:  rcv,
 		onDeliver: func(t, raw, wire float64) {
 			times = append(times, t)
-			rawBytes += int64(raw)
-			items++
 		},
 	}
 	if every > 0 {
 		cell.observe = func(eng *sim.Engine, st *runtime.Stream) {
-			opts := obs.Options{Node: "adapt-sim", Workers: stageWorkers(snd, rcv)}
+			opts := obs.Options{Node: "adapt-sim"}
 			if withController {
 				ctl = adapt.New(adaptPolicy(every), simActuator{st})
 				opts.OnWindow = ctl.OnWindow
 			}
 			obsEng = obs.NewEngine(nil, opts)
-			if ctl != nil {
-				ctl.BindEngine(obsEng)
-			}
 			sampleEvery(eng, every, 1, delivered(st), func(t float64) {
-				obsEng.Observe(simSnapshot(t, st, rawBytes, items))
+				obsEng.Observe(st.Snapshot(t))
 			})
 		}
 	}

@@ -4,14 +4,12 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
-	"slices"
 	"time"
 
 	"numastream/internal/cluster"
 	"numastream/internal/faults"
 	"numastream/internal/hw"
 	"numastream/internal/netsim"
-	"numastream/internal/obs"
 	"numastream/internal/pipeline"
 	"numastream/internal/runtime"
 	"numastream/internal/sim"
@@ -60,18 +58,6 @@ func drillSender(node string) runtime.NodeConfig {
 
 func drillReceiver() runtime.NodeConfig {
 	return receiver("lynxdtn", group(runtime.Receive, 4, runtime.PinTo(0)), group(runtime.Decompress, 8, runtime.PinTo(1)))
-}
-
-// stageWorkers is the per-stage worker count of the given configs, the
-// obs engine's denominator for utilization shares.
-func stageWorkers(cfgs ...runtime.NodeConfig) map[string]int {
-	out := map[string]int{}
-	for _, cfg := range cfgs {
-		for _, g := range cfg.Groups {
-			out[string(g.Type)] = g.Count
-		}
-	}
-	return out
 }
 
 // newMachine builds a machine from cfg after mutate (nil: as calibrated).
@@ -134,33 +120,6 @@ func delivered(streams ...*runtime.Stream) func() bool {
 	}
 }
 
-// addQueues adds a simulated stream's queue depths and blocked times to
-// s under the series names a real registry scrape carries; keep limits
-// it to the named queues. Values add, so several streams' queues sum.
-func addQueues(s obs.Snapshot, st *runtime.Stream, keep ...string) {
-	for _, q := range st.SampleQueues() {
-		if len(keep) > 0 && !slices.Contains(keep, q.Queue) {
-			continue
-		}
-		s.Gauges[q.Queue+"_depth"] += float64(q.Depth)
-		s.Gauges[q.Queue+"_put_blocked_secs"] += q.PutBlockedSecs
-		s.Gauges[q.Queue+"_get_blocked_secs"] += q.GetBlockedSecs
-	}
-}
-
-// simSnapshot synthesizes an obs.Snapshot from a simulated stream's
-// live state: the same series names a real registry scrape produces, on
-// virtual time — which is all the diff engine needs.
-func simSnapshot(t float64, st *runtime.Stream, rawBytes, items int64) obs.Snapshot {
-	s := obs.Snapshot{
-		T:      t,
-		Meters: map[string]obs.MeterState{"delivered": {Bytes: rawBytes, Items: items}},
-		Gauges: map[string]float64{},
-	}
-	addQueues(s, st)
-	return s
-}
-
 // pairCell is one stream on the Fig 11/12 testbed: updraft1 and lynxdtn
 // on one 100 Gbps "aps" link, the sender's noise seeded with seed and
 // the receiver's with seed+1.
@@ -219,9 +178,8 @@ type hopSpec struct {
 }
 
 // hopSample is the sampler of a relayed run: virtual time, the
-// deployment, the live streams, and each stream's delivered raw bytes
-// and chunks.
-type hopSample func(t float64, mh *cluster.MultiHop, streams []*runtime.Stream, raw, items []int64)
+// deployment and the live streams.
+type hopSample func(t float64, mh *cluster.MultiHop, streams []*runtime.Stream)
 
 type hopCell struct {
 	mh     *cluster.MultiHop
@@ -247,8 +205,6 @@ func runHopCell(h hopSpec) (hopCell, error) {
 			return hopCell{}, err
 		}
 	}
-	raw := make([]int64, len(h.senders))
-	items := make([]int64, len(h.senders))
 	var streams []*runtime.Stream
 	for i, s := range mh.Senders {
 		node := s.Sim.M.Cfg.Name
@@ -258,14 +214,10 @@ func runHopCell(h hopSpec) (hopCell, error) {
 		if err != nil {
 			return hopCell{}, err
 		}
-		st.OnDeliver = func(_, r, _ float64) {
-			raw[i] += int64(r)
-			items[i]++
-		}
 		streams = append(streams, st)
 	}
 	if h.every > 0 && h.onSample != nil {
-		sampleEvery(eng, h.every, 8, delivered(streams...), func(t float64) { h.onSample(t, mh, streams, raw, items) })
+		sampleEvery(eng, h.every, 8, delivered(streams...), func(t float64) { h.onSample(t, mh, streams) })
 	}
 	if err := mh.Run(streams); err != nil {
 		return hopCell{}, err

@@ -88,20 +88,15 @@ func DegradedSimWithSchedule(sched faults.LinkSchedule) (DegradedSimResult, erro
 
 	var curve []curvePoint
 	raw := int64(0)
-	items := int64(0)
 	cell := degradedCell(sched)
-	obsEng := obs.NewEngine(nil, obs.Options{
-		Node:    "degraded-sim",
-		Workers: stageWorkers(cell.snd, cell.rcv),
-	})
+	obsEng := obs.NewEngine(nil, obs.Options{Node: "degraded-sim"})
 	cell.onDeliver = func(t, r, _ float64) {
 		raw += int64(r)
-		items++
 		curve = append(curve, curvePoint{T: t, Bytes: raw})
 	}
 	cell.observe = func(eng *sim.Engine, st *runtime.Stream) {
 		sampleEvery(eng, every, 1, delivered(st), func(t float64) {
-			obsEng.Observe(simSnapshot(t, st, raw, items))
+			obsEng.Observe(st.Snapshot(t))
 		})
 	}
 	st, err := cell.run()

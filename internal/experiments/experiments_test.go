@@ -467,7 +467,8 @@ func TestRSSStudyCrossover(t *testing.T) {
 
 // TestFig12BottleneckShifts asserts the paper's qualitative §4.1 claim:
 // the binding stage moves from compression (A at any thread count) to
-// later stages as compression threads grow.
+// later stages as compression threads grow. The column is the limiter
+// obs blames: the queue in front of the binding stage.
 func TestFig12BottleneckShifts(t *testing.T) {
 	res, err := Fig12EndToEnd([]int{8})
 	if err != nil {
@@ -482,13 +483,13 @@ func TestFig12BottleneckShifts(t *testing.T) {
 		t.Fatalf("missing config %s", cfg)
 		return ""
 	}
-	if b := get("A"); b != "compress" {
-		t.Errorf("config A bottleneck = %q, want compress", b)
+	if b := get("A"); b != "compq" {
+		t.Errorf("config A bottleneck = %q, want compq", b)
 	}
 	// E has only 4 decompression threads against 32 compressors: the
 	// bottleneck has shifted to decompression.
-	if b := get("E"); b != "decompress" {
-		t.Errorf("config E bottleneck = %q, want decompress", b)
+	if b := get("E"); b != "decq" {
+		t.Errorf("config E bottleneck = %q, want decq", b)
 	}
 }
 

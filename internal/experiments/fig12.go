@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"numastream/internal/hw"
+	"numastream/internal/obs"
 	"numastream/internal/runtime"
 )
 
@@ -17,10 +18,11 @@ import (
 // Fig12ThreadCounts is the send/receive thread-pair sweep.
 var Fig12ThreadCounts = []int{1, 2, 4, 8}
 
-// Fig12Result is one bar of Figure 12, annotated with the stage whose
-// input queue ran fullest — §4.1's observation that "the bottlenecks
+// Fig12Result is one bar of Figure 12, annotated with the limiter obs
+// blames over the whole run — §4.1's observation that "the bottlenecks
 // within the end-to-end pipeline shift across different segments" as
-// thread counts change.
+// thread counts change, named as /status names it on a live node (the
+// queue in front of the limiting stage).
 type Fig12Result struct {
 	Config     string
 	Threads    int // send/receive thread pairs
@@ -69,12 +71,13 @@ func runFig12Cell(cfg ThreadsConfig, threads, recvDomain int) (Fig12Result, erro
 	if err != nil {
 		return Fig12Result{}, err
 	}
+	w := obs.Diff(obs.Snapshot{}, st.Snapshot(st.FinishTime), nil)
 	return Fig12Result{
 		Config:     cfg.Label,
 		Threads:    threads,
 		RecvDomain: recvDomain,
 		E2EGbps:    hw.Gbps(st.EndToEndBps()),
 		NetGbps:    hw.Gbps(st.NetworkBps()),
-		Bottleneck: st.Bottleneck(),
+		Bottleneck: w.Limiter.Name,
 	}, nil
 }

@@ -173,7 +173,7 @@ func newFleetObserver(name string, senders []cluster.SenderKind, slos []fleet.SL
 	source(cluster.GatewayName, fleet.RoleGateway)
 
 	hopsSet := false
-	sampler := func(t float64, mh *cluster.MultiHop, streams []*runtime.Stream, raw, items []int64) {
+	sampler := func(t float64, mh *cluster.MultiHop, streams []*runtime.Stream) {
 		if !hopsSet {
 			hopsSet = true
 			links := mh.Links()
@@ -188,7 +188,7 @@ func newFleetObserver(name string, senders []cluster.SenderKind, slos []fleet.SL
 		for i, st := range streams {
 			engines[names[i]].Observe(fleetSenderSnapshot(t, st))
 		}
-		engines[cluster.GatewayName].Observe(fleetGatewaySnapshot(t, streams, raw, items))
+		engines[cluster.GatewayName].Observe(fleetGatewaySnapshot(t, streams))
 		agg.ObserveAt(t)
 	}
 	return agg, sampler
@@ -211,8 +211,8 @@ func fleetSenderNames(senders []cluster.SenderKind) []string {
 // fleetSenderSnapshot synthesizes sender node i's obs snapshot: its
 // stream's compress- and send-side queues, on virtual time.
 func fleetSenderSnapshot(t float64, st *runtime.Stream) obs.Snapshot {
-	s := obs.Snapshot{T: t, Gauges: map[string]float64{}}
-	addQueues(s, st, "compq", "sendq")
+	s := st.Snapshot(t, "compq", "sendq")
+	s.Meters = nil // the gateway delivers; a sender node has no such meter
 	return s
 }
 
@@ -220,7 +220,7 @@ func fleetSenderSnapshot(t float64, st *runtime.Stream) obs.Snapshot {
 // receive-side queues plus total and per-stream delivery meters — the
 // same series names a real gateway registry produces, so the fleet
 // scoreboard and fair-share signal read identically in both modes.
-func fleetGatewaySnapshot(t float64, streams []*runtime.Stream, raw, items []int64) obs.Snapshot {
+func fleetGatewaySnapshot(t float64, streams []*runtime.Stream) obs.Snapshot {
 	s := obs.Snapshot{
 		T:      t,
 		Meters: map[string]obs.MeterState{},
@@ -228,10 +228,14 @@ func fleetGatewaySnapshot(t float64, streams []*runtime.Stream, raw, items []int
 	}
 	var totB, totI int64
 	for i, st := range streams {
-		s.Meters[fmt.Sprintf("delivered_stream_%d", i)] = obs.MeterState{Bytes: raw[i], Items: items[i]}
-		totB += raw[i]
-		totI += items[i]
-		addQueues(s, st, "recvq", "decq")
+		one := st.Snapshot(t, "recvq", "decq")
+		d := one.Meters["delivered"]
+		s.Meters[fmt.Sprintf("delivered_stream_%d", i)] = d
+		totB += d.Bytes
+		totI += d.Items
+		for name, v := range one.Gauges {
+			s.Gauges[name] += v
+		}
 	}
 	s.Meters["delivered"] = obs.MeterState{Bytes: totB, Items: totI}
 	return s

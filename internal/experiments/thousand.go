@@ -46,9 +46,11 @@ type ThousandStreamConfig struct {
 	MaxConcurrency int   // cap on concurrently active streams; 0 = all at once
 	Seed           int64 // drives victim choice, jitter, and fault randomness
 	Plan           faults.Plan
-	// Registry, when non-nil, is the metrics registry the loopback drill
-	// records into instead of a private one — the hook that lets loadgen
-	// serve live /metrics, /status and /cluster while a soak runs. The
+	// Registry, when non-nil, is the metrics registry the loopback
+	// drill's gateway records into instead of a private one — the hook
+	// that lets loadgen serve live /metrics, /status and /cluster while a
+	// soak runs. Each sender keeps a registry of its own, as a separate
+	// process would, so the gateway's series are the gateway's alone. The
 	// sim ignores it (virtual time has nothing live to scrape).
 	Registry *metrics.Registry
 	// Controls, when non-nil, receives the loopback gateway's elastic
@@ -510,7 +512,6 @@ func ThousandStreamLoopback(cfg ThousandStreamConfig) (ThousandStreamResult, err
 			opts := pipeline.SenderOptions{
 				Cfg:  sender(fmt.Sprintf("thousand-src%d", id), group(runtime.Compress, 1, runtime.OS()), group(runtime.Send, 1, runtime.OS())),
 				Topo: topo, Peers: []string{addr}, StreamID: id,
-				Metrics:     reg,
 				QueueCap:    4,
 				SendHorizon: 20 * time.Second,
 			}

@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	"numastream/internal/faults"
+	"numastream/internal/metrics"
+	"numastream/internal/obs"
 )
 
 // TestThousandStreamSimDeterministic: the sim drill is a pure function
@@ -95,16 +97,30 @@ func TestThousandStreamSimAdmissionAndFaults(t *testing.T) {
 
 // TestThousandStreamLoopback runs the real-socket drill at a size CI
 // can afford: every stream's ledger must close exactly-once and the
-// fairness floor must hold.
+// fairness floor must hold. An engine on the drill's registry, as
+// loadgen's live soak runs one, watches the gateway alone: its stage
+// rows are the gateway's, each at most fully used.
 func TestThousandStreamLoopback(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loopback drill in -short mode")
 	}
+	reg := metrics.NewRegistry()
+	eng := obs.NewEngine(reg, obs.Options{})
+	eng.Tick()
 	res, err := ThousandStreamLoopback(ThousandStreamConfig{
-		Streams: 48, Chunks: 12, ChunkBytes: 8 << 10, Seed: 42,
+		Streams: 48, Chunks: 12, ChunkBytes: 8 << 10, Seed: 42, Registry: reg,
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	w := eng.Tick()
+	for _, st := range w.Stages {
+		if st.Stage != "receive" && st.Stage != "decompress" {
+			t.Errorf("gateway engine has a %s row: %+v", st.Stage, st)
+		}
+		if st.Util > 1 {
+			t.Errorf("%s util = %.2f, want at most 1 (%+v)", st.Stage, st.Util, st)
+		}
 	}
 	if res.Admitted != 48 {
 		t.Fatalf("admitted %d streams, want 48", res.Admitted)

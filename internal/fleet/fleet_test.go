@@ -41,20 +41,22 @@ func nodeWith(node string, role Role, v obs.Verdict, w *obs.Window) NodeWindow {
 // observed builds a node's one-second window the way the node builds it
 // — obs.Diff over two snapshots in which a MiB was delivered and each
 // named gauge grew from 0 to its value, and each stage in busy accrued
-// that many worker-seconds — so it carries the verdict, limiter and
-// evidence of obs's own classifier.
+// that many worker-seconds out of its eight workers' eight live seconds
+// — so it carries the verdict, limiter and evidence of obs's own
+// classifier.
 func observed(node string, role Role, gauges, busy map[string]float64) NodeWindow {
 	prev := obs.Snapshot{T: 0, Gauges: map[string]float64{}}
-	cur := obs.Snapshot{T: 1, Gauges: gauges,
+	cur := obs.Snapshot{T: 1, Gauges: map[string]float64{},
 		Meters: map[string]obs.MeterState{"delivered": {Bytes: 1 << 20, Items: 1}},
 		Hists:  map[string]obs.HistState{},
 	}
-	for g := range gauges {
-		prev.Gauges[g] = 0
+	for g, v := range gauges {
+		prev.Gauges[g], cur.Gauges[g] = 0, v
 	}
 	for stage, secs := range busy {
 		cur.Meters[stage] = obs.MeterState{Bytes: 1 << 20, Items: 1}
 		cur.Hists[stage+"_latency_ns"] = obs.HistState{Count: 1, Sum: int64(secs * 1e9)}
+		prev.Gauges[stage+"_worker_secs"], cur.Gauges[stage+"_worker_secs"] = 0, 8
 	}
 	w := obs.Diff(prev, cur, nil)
 	return NodeWindow{Node: node, Role: role, Verdict: w.Verdict, Evidence: w.Evidence, Window: &w}

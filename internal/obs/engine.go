@@ -16,16 +16,13 @@ type Options struct {
 	// <= 0 means DefaultInterval. Irrelevant for Observe-only use
 	// (simulations feed snapshots by hand).
 	Interval time.Duration
-	// Workers maps stage name → configured worker count, enabling
-	// per-stage utilization. Optional.
-	Workers map[string]int
 	// Node labels this engine's reports (hostname, role, drill name).
 	Node string
 	// OnWindow, when non-nil, is called with every completed window
 	// after it is folded into the ring — the adaptive placement
 	// controller's subscription point. It runs on the observing
 	// goroutine, outside the engine's lock, so the callback may call
-	// back into the engine (e.g. SetWorkers after resizing a pool).
+	// back into the engine.
 	OnWindow func(Window)
 }
 
@@ -117,7 +114,7 @@ func (e *Engine) observe(s Snapshot) *Window {
 		e.prev, e.havePrev = s, true
 		return nil
 	}
-	w := Diff(e.prev, s, e.opts.Workers)
+	w := Diff(e.prev, s, nil)
 	w.LimitStreams(DefaultScoreboardMax)
 	e.prev = s
 	e.count(CtrWindowDrops, e.windows.Add(w, DefaultWindowCap))
@@ -134,22 +131,6 @@ func (e *Engine) count(name string, n int64) {
 	if n > 0 && e.reg != nil {
 		e.reg.Counter(name).Add(n)
 	}
-}
-
-// SetWorkers updates one stage's configured worker count — the
-// utilization denominator Diff divides busy-seconds by. The adaptive
-// controller calls it after growing or shrinking a pool so later
-// windows report utilization against the new size. Copy-on-write: the
-// map handed to Options is never mutated.
-func (e *Engine) SetWorkers(stage string, n int) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	m := make(map[string]int, len(e.opts.Workers)+1)
-	for k, v := range e.opts.Workers {
-		m[k] = v
-	}
-	m[stage] = n
-	e.opts.Workers = m
 }
 
 // Windows returns a copy of the retained window ring, oldest first.

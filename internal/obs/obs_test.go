@@ -122,35 +122,40 @@ func queueGauges(dst map[string]float64, q string, depth, putBlocked, getBlocked
 }
 
 func TestVerdictBackpressureWalkPicksDownstreamMost(t *testing.T) {
-	mk := func(comp, send, dec float64) Window {
+	mk := func(depth, comp, send, dec float64) Window {
 		prev := Snapshot{T: 0, Gauges: map[string]float64{}}
 		queueGauges(prev.Gauges, "compq", 0, 0, 0)
 		queueGauges(prev.Gauges, "sendq", 0, 0, 0)
 		queueGauges(prev.Gauges, "decq", 0, 0, 0)
 		cur := Snapshot{T: 1, Gauges: map[string]float64{},
 			Meters: map[string]MeterState{"send": {Bytes: 1 << 30}}}
-		queueGauges(cur.Gauges, "compq", 4, comp, 0)
-		queueGauges(cur.Gauges, "sendq", 4, send, 0)
-		queueGauges(cur.Gauges, "decq", 4, dec, 0)
+		queueGauges(cur.Gauges, "compq", depth, comp, 0)
+		queueGauges(cur.Gauges, "sendq", depth, send, 0)
+		queueGauges(cur.Gauges, "decq", depth, dec, 0)
 		return Diff(prev, cur, nil)
 	}
 	for _, c := range []struct {
-		comp, send, dec float64
-		verdict         Verdict
-		limiter         Limiter
+		depth, comp, send, dec float64
+		verdict                Verdict
+		limiter                Limiter
 	}{
-		{0.9, 0, 0, VerdictCompressBound, Limiter{Name: "compq", Rule: RuleBackpressure, Share: 0.9}},
-		{0.9, 0.9, 0, VerdictWireBound, Limiter{Name: "sendq", Rule: RuleBackpressure, Share: 0.9}},
-		{0.9, 0.9, 0.9, VerdictConsumerBound, Limiter{Name: "decq", Rule: RuleBackpressure, Share: 0.9}},
+		{4, 0.9, 0, 0, VerdictCompressBound, Limiter{Name: "compq", Rule: RuleBackpressure, Share: 0.9}},
+		{4, 0.9, 0.9, 0, VerdictWireBound, Limiter{Name: "sendq", Rule: RuleBackpressure, Share: 0.9}},
+		{4, 0.9, 0.9, 0.9, VerdictConsumerBound, Limiter{Name: "decq", Rule: RuleBackpressure, Share: 0.9}},
 		// Below the floor nothing is "blocked"; the deepest-queue
 		// fallback names the consumer of the deepest queue instead
-		// (equal depths: the first in pipeline order).
-		{0.1, 0.1, 0.1, VerdictCompressBound, Limiter{Name: "compq", Rule: RuleDeepestQueue, Share: 0.1}},
+		// (equal depths and shares: the first in pipeline order).
+		{4, 0.1, 0.1, 0.1, VerdictCompressBound, Limiter{Name: "compq", Rule: RuleDeepestQueue, Share: 0.1}},
+		// Every queue drained, as at the end of a finished run: the
+		// queue whose producers blocked longest stands in for the
+		// deepest; with nothing blocked there is nothing to blame.
+		{0, 0.1, 0.2, 0.05, VerdictWireBound, Limiter{Name: "sendq", Rule: RuleDeepestQueue, Share: 0.2}},
+		{0, 0, 0, 0, VerdictIdle, Limiter{}},
 	} {
-		w := mk(c.comp, c.send, c.dec)
+		w := mk(c.depth, c.comp, c.send, c.dec)
 		if w.Verdict != c.verdict || w.Limiter != c.limiter {
-			t.Fatalf("compq/sendq/decq blocked %.1f/%.1f/%.1f: %s blaming %+v, want %s blaming %+v (evidence %v)",
-				c.comp, c.send, c.dec, w.Verdict, w.Limiter, c.verdict, c.limiter, w.Evidence)
+			t.Fatalf("depth %.0f, compq/sendq/decq blocked %.2f/%.2f/%.2f: %s blaming %+v, want %s blaming %+v (evidence %v)",
+				c.depth, c.comp, c.send, c.dec, w.Verdict, w.Limiter, c.verdict, c.limiter, w.Evidence)
 		}
 	}
 }
@@ -158,16 +163,18 @@ func TestVerdictBackpressureWalkPicksDownstreamMost(t *testing.T) {
 func TestVerdictBusiestStageFallback(t *testing.T) {
 	prev := Snapshot{T: 0,
 		Meters: map[string]MeterState{"compress": {}},
+		Gauges: map[string]float64{"compress_worker_secs": 0},
 		Hists:  map[string]HistState{"compress_latency_ns": {}},
 	}
 	cur := Snapshot{T: 1,
 		Meters: map[string]MeterState{"compress": {Bytes: 1 << 28, Items: 10}},
+		Gauges: map[string]float64{"compress_worker_secs": 1},
 		Hists: map[string]HistState{"compress_latency_ns": {
 			Count: 10, Sum: int64(800 * time.Millisecond),
 			Buckets: cumBuckets(int64(1<<27)-1, 10),
 		}},
 	}
-	w := Diff(prev, cur, map[string]int{"compress": 1})
+	w := Diff(prev, cur, nil)
 	if w.Verdict != VerdictCompressBound || w.Limiter.Name != "compress" || w.Limiter.Rule != RuleBusiestStage {
 		t.Fatalf("verdict = %s blaming %+v (evidence %v)", w.Verdict, w.Limiter, w.Evidence)
 	}
@@ -180,6 +187,36 @@ func TestVerdictBusiestStageFallback(t *testing.T) {
 	}
 	if st.LatP99Ms <= 0 {
 		t.Fatalf("windowed latency quantile missing: %+v", st)
+	}
+}
+
+// TestVerdictBusiestStageRanksByUtil: three mostly idle send workers
+// (0.92 worker-s/s over three live workers, util 31%) beside one compress
+// worker at util 68%. Summed busy time would blame the wire; the
+// compress worker is the one near saturation.
+func TestVerdictBusiestStageRanksByUtil(t *testing.T) {
+	prev := Snapshot{T: 0, Meters: map[string]MeterState{}, Gauges: map[string]float64{}, Hists: map[string]HistState{}}
+	cur := Snapshot{T: 1, Meters: map[string]MeterState{}, Gauges: map[string]float64{}, Hists: map[string]HistState{}}
+	for _, st := range []struct {
+		stage      string
+		busy, live float64
+	}{{"compress", 0.68, 1}, {"send", 0.92, 3}} {
+		prev.Meters[st.stage] = MeterState{}
+		prev.Gauges[st.stage+"_worker_secs"] = 0
+		prev.Hists[st.stage+"_latency_ns"] = HistState{}
+		cur.Meters[st.stage] = MeterState{Bytes: 1 << 26, Items: 64}
+		cur.Gauges[st.stage+"_worker_secs"] = st.live
+		cur.Hists[st.stage+"_latency_ns"] = HistState{
+			Count: 64, Sum: int64(st.busy * 1e9), Buckets: cumBuckets(int64(1<<25)-1, 64),
+		}
+	}
+	w := Diff(prev, cur, nil)
+	if w.Verdict != VerdictCompressBound || w.Limiter.Name != "compress" || w.Limiter.Rule != RuleBusiestStage {
+		t.Fatalf("verdict = %s blaming %+v, want compress-bound blaming compress (evidence %v, stages %+v)",
+			w.Verdict, w.Limiter, w.Evidence, w.Stages)
+	}
+	if w.Limiter.Share < 0.67 || w.Limiter.Share > 0.69 {
+		t.Fatalf("limiter share = %v, want compress util ~0.68", w.Limiter.Share)
 	}
 }
 

@@ -45,8 +45,8 @@ type Limiter struct {
 	Rule string `json:"rule,omitempty"`
 	// Share is the signal the rule weighed: the queue's producer
 	// blocked seconds per second (under blockedShareFloor for
-	// RuleDeepestQueue), the stage's busy worker-seconds per second, or
-	// the pool's miss share.
+	// RuleDeepestQueue), the stage's utilization, or the pool's miss
+	// share.
 	Share float64 `json:"share,omitempty"`
 }
 
@@ -65,7 +65,8 @@ const (
 	// second.
 	blockedShareFloor = 0.25
 	// busyShareFloor: a stage counts as meaningfully busy when its
-	// workers accrued at least this many worker-seconds per second.
+	// workers accrued at least this many worker-seconds per second;
+	// only such stages are ranked by utilization.
 	busyShareFloor = 0.05
 	// poolMissShareFloor / poolMinGets: the pool counts as starved when
 	// at least half the window's rentals (and at least this many of
@@ -111,10 +112,15 @@ func stageVerdict(stage string) Verdict {
 //     pollutes every downstream signal, so it is named before them.
 //  4. backpressure walk — the most-downstream queue whose producers
 //     were blocked ≥ blockedShareFloor names its consumer.
-//  5. busiest stage — no queue is blocked; the stage with the highest
-//     busy share ≥ busyShareFloor is the limit.
+//  5. busiest stage — no queue is blocked; of the stages whose busy
+//     share clears busyShareFloor, the one with the highest utilization
+//     is the limit. Utilization, not summed busy time: three mostly idle
+//     send workers do not outrank one saturated compress worker.
 //  6. deepest queue — signals too weak for 4/5; the deepest non-empty
-//     queue's consumer gets the verdict.
+//     queue's consumer gets the verdict. Equal depths go to the queue
+//     whose producers blocked longest, so once every queue has drained
+//     (a window over a whole finished run) that queue stands in for the
+//     deepest.
 //  7. idle — nothing to say.
 func classify(w *Window) {
 	blockedAny := false
@@ -161,16 +167,20 @@ func classify(w *Window) {
 		}
 	}
 
-	// Busiest stage.
+	// Busiest stage: the most utilized of the meaningfully busy ones.
 	var busiest *StageWindow
 	for i := range w.Stages {
-		if busiest == nil || w.Stages[i].Busy > busiest.Busy {
-			busiest = &w.Stages[i]
+		s := &w.Stages[i]
+		if s.Busy < busyShareFloor {
+			continue
+		}
+		if busiest == nil || s.Util > busiest.Util {
+			busiest = s
 		}
 	}
-	if busiest != nil && busiest.Busy >= busyShareFloor {
+	if busiest != nil {
 		w.Verdict = stageVerdict(busiest.Stage)
-		w.Limiter = Limiter{Name: busiest.Stage, Rule: RuleBusiestStage, Share: busiest.Busy}
+		w.Limiter = Limiter{Name: busiest.Stage, Rule: RuleBusiestStage, Share: busiest.Util}
 		ev := fmt.Sprintf("%s is the busiest stage: %.2f worker-s/s", busiest.Stage, busiest.Busy)
 		if busiest.Util > 0 {
 			ev += fmt.Sprintf(" (util %.0f%%)", busiest.Util*100)
@@ -179,15 +189,24 @@ func classify(w *Window) {
 		return
 	}
 
-	// Deepest queue.
+	// Deepest queue, ties to the one whose producers blocked longest (a
+	// queue that blocked a producer ran full).
 	if len(w.Queues) > 0 {
 		qs := append([]QueueWindow(nil), w.Queues...)
-		sort.SliceStable(qs, func(i, j int) bool { return qs[i].Depth > qs[j].Depth })
-		if qs[0].Depth > 0 {
-			w.Verdict = queueVerdict(qs[0].Queue)
-			w.Limiter = Limiter{Name: qs[0].Queue, Rule: RuleDeepestQueue, Share: qs[0].PutBlockedShare}
-			w.Evidence = append(w.Evidence, fmt.Sprintf(
-				"weak signals; deepest queue %s holds %.0f items", qs[0].Queue, qs[0].Depth))
+		sort.SliceStable(qs, func(i, j int) bool {
+			if qs[i].Depth != qs[j].Depth {
+				return qs[i].Depth > qs[j].Depth
+			}
+			return qs[i].PutBlockedShare > qs[j].PutBlockedShare
+		})
+		if q := qs[0]; q.Depth > 0 || q.PutBlockedShare > 0 {
+			w.Verdict = queueVerdict(q.Queue)
+			w.Limiter = Limiter{Name: q.Queue, Rule: RuleDeepestQueue, Share: q.PutBlockedShare}
+			ev := fmt.Sprintf("weak signals; deepest queue %s holds %.0f items", q.Queue, q.Depth)
+			if q.Depth == 0 {
+				ev = fmt.Sprintf("weak signals; every queue drained, %s producers blocked longest (%.2f s/s)", q.Queue, q.PutBlockedShare)
+			}
+			w.Evidence = append(w.Evidence, ev)
 			return
 		}
 	}

@@ -8,14 +8,14 @@ import (
 // StageWindow is one pipeline stage's windowed view: throughput over
 // the window, busy time (worker-seconds of service time per wall
 // second, from the stage latency histogram's sum delta), utilization
-// against the configured worker count when known, and windowed
-// latency/queue-wait quantiles.
+// (busy time over the seconds the stage's workers were live, from its
+// <stage>_worker_secs series) and windowed latency/queue-wait quantiles.
 type StageWindow struct {
 	Stage      string  `json:"stage"`
 	Gbps       float64 `json:"gbps"`
 	Items      int64   `json:"items"`
 	Busy       float64 `json:"busy"`           // worker-seconds per second
-	Util       float64 `json:"util,omitempty"` // Busy / workers (Workers hint set)
+	Util       float64 `json:"util,omitempty"` // busy seconds / live-worker seconds
 	LatP50Ms   float64 `json:"lat_p50_ms,omitempty"`
 	LatP99Ms   float64 `json:"lat_p99_ms,omitempty"`
 	QwaitP50Ms float64 `json:"qwait_p50_ms,omitempty"`
@@ -199,12 +199,13 @@ func gaugeDelta(prev, cur Snapshot, name string) float64 {
 	return delta(prev.Gauges[name], cur.Gauges[name])
 }
 
-// queueDelta is gaugeDelta over a queue's blocked-seconds gauge. A queue
-// lives for one pipeline run, so a callback registered afresh under its
-// name reads a new queue, and its whole value is the window's delta even
-// where it has already passed the old queue's total. The buffer pool's
-// gauges get no such rule: one pool serves several runs, and each run
-// registers it again over the same counts.
+// queueDelta is gaugeDelta over a gauge of something that lives for one
+// pipeline run: a queue's blocked seconds, a stage pool's live-worker
+// seconds. A callback registered afresh under the name reads a new queue
+// or pool, and its whole value is the window's delta even where it has
+// already passed the old one's total. The buffer pool's gauges get no
+// such rule: one pool serves several runs, and each run registers it
+// again over the same counts.
 func queueDelta(prev, cur Snapshot, name string) float64 {
 	if prev.GaugeGens[name] != cur.GaugeGens[name] {
 		return cur.Gauges[name]
@@ -212,10 +213,12 @@ func queueDelta(prev, cur Snapshot, name string) float64 {
 	return gaugeDelta(prev, cur, name)
 }
 
-// Diff computes the window between two consecutive snapshots. workers
-// maps stage name → configured worker count (nil leaves Util zero).
-// The verdict, limiter and evidence are filled by the classifier.
-func Diff(prev, cur Snapshot, workers map[string]int) Window {
+// Diff computes the window between two consecutive snapshots. The
+// verdict, limiter and evidence are filled by the classifier. The third
+// argument is ignored: utilization reads each stage's worker series from
+// the snapshots. The parameter stays while the benchmark harness
+// (benchmark/layers.go) still passes nil to it.
+func Diff(prev, cur Snapshot, _ map[string]int) Window {
 	w := Window{T0: prev.T, T1: cur.T, Dur: cur.T - prev.T}
 	if w.Dur <= 0 {
 		w.Dur = 0
@@ -247,8 +250,8 @@ func Diff(prev, cur Snapshot, workers map[string]int) Window {
 				sw.LatP50Ms = barsQuantile(bars, n, 0.50) / 1e6
 				sw.LatP99Ms = barsQuantile(bars, n, 0.99) / 1e6
 			}
-			if workers[stage] > 0 {
-				sw.Util = sw.Busy / float64(workers[stage])
+			if live := queueDelta(prev, cur, stage+"_worker_secs"); live > 0 {
+				sw.Util = float64(sum) / 1e9 / live
 			}
 		}
 		if qw, ok := cur.Hists[stage+"_qwait_ns"]; ok {

@@ -143,7 +143,6 @@ func TestSteadyStateZeroChunkAllocs(t *testing.T) {
 	pol.Domains = []int{0, 1}
 	ctrl := adapt.New(pol, ctl)
 	eng := obs.NewEngine(reg, obs.Options{Interval: 25 * time.Millisecond, Node: "alloc-drill", OnWindow: ctrl.OnWindow})
-	ctrl.BindEngine(eng)
 	eng.Start()
 	defer eng.Stop()
 

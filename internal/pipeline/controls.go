@@ -1,10 +1,6 @@
 package pipeline
 
-import (
-	"sync"
-
-	"numastream/internal/metrics"
-)
+import "sync"
 
 // Controls exposes a running sender or receiver's elastic worker pools
 // to the adaptive placement controller (package adapt). RunSender and
@@ -23,38 +19,14 @@ func NewControls() *Controls {
 	return &Controls{pools: make(map[string]*Pool)}
 }
 
-// attach registers (or replaces) the pool for a stage and publishes a
-// pool_<stage>_workers gauge when a registry is given. With or without
-// a controller (nil c) it publishes <stage>_workers_pinned — how many
-// of the stage's workers own a pinned OS thread — so a /status reader
-// can tell a run whose placement took effect from one where the host
-// left nothing to place.
-func (c *Controls) attach(stage string, p *Pool, reg *metrics.Registry) {
-	if p == nil {
-		return
-	}
-	if reg != nil {
-		reg.RegisterGauge(stage+"_workers_pinned", func() float64 { return float64(p.Pinned()) })
-	}
+// attach registers (or replaces) the pool for a stage.
+func (c *Controls) attach(stage string, p *Pool) {
 	if c == nil {
 		return
 	}
 	c.mu.Lock()
 	c.pools[stage] = p
 	c.mu.Unlock()
-	if reg != nil {
-		stage := stage
-		reg.RegisterGauge("pool_"+stage+"_workers", func() float64 {
-			return float64(c.pool(stage).liveOrZero())
-		})
-	}
-}
-
-func (p *Pool) liveOrZero() int {
-	if p == nil {
-		return 0
-	}
-	return p.Live()
 }
 
 // pool returns the stage's pool or nil.

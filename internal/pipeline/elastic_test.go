@@ -12,6 +12,7 @@ import (
 
 	"numastream/internal/metrics"
 	"numastream/internal/msgq"
+	"numastream/internal/queue"
 )
 
 // The elastic-pool property suite: pools must survive Grow/Shrink
@@ -139,27 +140,42 @@ func TestPoolSealAndOnDrained(t *testing.T) {
 	}
 }
 
-// TestControlsRegistersGauges: attaching pools to Controls registers
-// live-count gauges that track elasticity, and the Actuator view
-// answers through the same registry the obs engine scrapes.
+// TestControlsRegistersGauges: every stage the kit starts publishes its
+// live-worker seconds and pinned-worker count, with or without Controls;
+// the worker-seconds series accrues at the live count and follows a
+// Grow, and the Actuator view answers for the attached pool.
 func TestControlsRegistersGauges(t *testing.T) {
 	reg := metrics.NewRegistry()
 	c := NewControls()
+	n := &node{reg: reg, ctl: c}
 	stop := make(chan struct{})
-	p := parkedPool(PoolConfig{Name: "compress", Workers: 2}, stop)
-	c.attach("compress", p, reg)
-	defer func() { close(stop); _ = p.Wait() }()
+	start(n, stage{name: "compress", workers: 2}, nil, func(*Worker, *stageObserver) stageLoop[int, int] {
+		return stageLoop[int, int]{next: func() (int, error) { <-stop; return 0, queue.ErrClosed }}
+	})
+	defer func() { close(stop); _ = n.wait() }()
+	p := c.pool("compress")
 
-	waitLive(t, p, 2)
-	if got := gaugeValue(t, reg, "pool_compress_workers"); got != 2 {
-		t.Fatalf("pool_compress_workers = %g, want 2", got)
+	// accrues checks the series grows by live × the wall time between
+	// two reads: at least live × the sleep, at most live × the bracket.
+	accrues := func(live int) {
+		t.Helper()
+		waitLive(t, p, live)
+		t0 := time.Now()
+		a := gaugeValue(t, reg, "compress_worker_secs")
+		time.Sleep(20 * time.Millisecond)
+		b := gaugeValue(t, reg, "compress_worker_secs")
+		bracket := time.Since(t0).Seconds()
+		if d := b - a; d < float64(live)*0.020 || d > float64(live)*bracket {
+			t.Fatalf("compress_worker_secs grew %.4f s over %.4f s with %d live workers", d, bracket, live)
+		}
 	}
+	accrues(2)
 	if got := c.Grow("compress", 2, 1); got != 2 {
 		t.Fatalf("Controls.Grow = %d, want 2", got)
 	}
-	waitLive(t, p, 4)
-	if got := gaugeValue(t, reg, "pool_compress_workers"); got != 4 {
-		t.Fatalf("pool_compress_workers = %g after Grow, want 4", got)
+	accrues(4)
+	if got := gaugeValue(t, reg, "compress_workers_pinned"); got != float64(p.Pinned()) {
+		t.Fatalf("compress_workers_pinned = %g, want %d", got, p.Pinned())
 	}
 	if c.Workers("compress") != 4 {
 		t.Fatalf("Controls.Workers = %d, want 4", c.Workers("compress"))
@@ -321,7 +337,8 @@ func TestElasticLoopbackStorm(t *testing.T) {
 		t.Fatalf("dup_drops = %d under the storm, want 0", v)
 	}
 
-	// No worker leaks: every pool drained, and the live gauges agree.
+	// No worker leaks: every pool drained, and its worker-seconds series
+	// stopped accruing.
 	for _, c := range []*Controls{rCtl, sCtl} {
 		for _, stage := range c.Stages() {
 			p := c.pool(stage)
@@ -331,8 +348,10 @@ func TestElasticLoopbackStorm(t *testing.T) {
 		}
 	}
 	for _, stage := range rCtl.Stages() {
-		if v := gaugeValue(t, reg, "pool_"+stage+"_workers"); v != 0 {
-			t.Fatalf("pool_%s_workers gauge = %g after drain, want 0", stage, v)
+		a := gaugeValue(t, reg, stage+"_worker_secs")
+		time.Sleep(5 * time.Millisecond)
+		if b := gaugeValue(t, reg, stage+"_worker_secs"); a <= 0 || b != a {
+			t.Fatalf("%s_worker_secs = %g then %g after drain, want one positive value", stage, a, b)
 		}
 	}
 }

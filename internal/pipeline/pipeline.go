@@ -20,6 +20,7 @@ import (
 	"runtime"
 	"sort"
 	"sync"
+	"time"
 
 	"numastream/internal/numa"
 )
@@ -155,6 +156,10 @@ type Pool struct {
 	domains  map[int]int     // target view: domain → active workers
 	sealed   bool            // drained: no worker will ever run again
 	drained  bool            // OnDrained already ran
+	// workerSecs is the live-worker seconds accrued up to since; the
+	// live workers keep accruing from there (WorkerSecs).
+	workerSecs float64
+	since      time.Time
 }
 
 // StartPool launches cfg.Workers workers running body. A worker whose
@@ -204,6 +209,7 @@ func (p *Pool) spawnLocked(domain int, cpus []int, body func(w *Worker) error) {
 		p.pinFails++
 	}
 	p.nextID++
+	p.accrueLocked()
 	p.workers[w.id] = w
 	p.domains[domain]++
 	p.wg.Add(1)
@@ -236,6 +242,7 @@ func (p *Pool) spawnLocked(domain int, cpus []int, body func(w *Worker) error) {
 // the downstream queue is already closed (matching the old semantics).
 func (p *Pool) exit(w *Worker) {
 	p.mu.Lock()
+	p.accrueLocked()
 	delete(p.workers, w.id)
 	if w.pinned {
 		p.pinned--
@@ -347,6 +354,27 @@ func (p *Pool) Live() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return len(p.workers)
+}
+
+// accrueLocked charges the live workers for the time since the last
+// change in their number. Caller holds p.mu.
+func (p *Pool) accrueLocked() {
+	now := time.Now()
+	if len(p.workers) > 0 {
+		p.workerSecs += float64(len(p.workers)) * now.Sub(p.since).Seconds()
+	}
+	p.since = now
+}
+
+// WorkerSecs returns the seconds the pool's workers have been live,
+// summed over workers: the denominator of a stage's utilisation. It is
+// cumulative, so a window in which a pool started and drained still
+// reads the seconds its workers ran.
+func (p *Pool) WorkerSecs() float64 {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.accrueLocked()
+	return p.workerSecs
 }
 
 // Active returns the target worker count: live workers minus those

@@ -83,7 +83,11 @@ type stageLoop[In, Out any] struct {
 
 // start runs s as an elastic pool whose workers each run the loop build
 // makes for them. onDrained runs once, after the last worker is out: a
-// stage closes its downstream queue there.
+// stage closes its downstream queue there. Every stage publishes two
+// pool series beside its observer's: <stage>_worker_secs, the live-worker
+// seconds obs divides busy time by, and <stage>_workers_pinned, how many
+// workers own a pinned OS thread — what tells a run whose placement took
+// effect from one where the host left nothing to place.
 func start[In, Out any](n *node, s stage, onDrained func(), build func(w *Worker, obs *stageObserver) stageLoop[In, Out]) {
 	obs := newStageObserver(n.reg, n.trc, s.name)
 	p := StartPool(PoolConfig{
@@ -100,7 +104,9 @@ func start[In, Out any](n *node, s stage, onDrained func(), build func(w *Worker
 		return err
 	})
 	n.pools = append(n.pools, p)
-	n.ctl.attach(s.name, p, n.reg)
+	n.reg.RegisterGauge(s.name+"_worker_secs", p.WorkerSecs)
+	n.reg.RegisterGauge(s.name+"_workers_pinned", func() float64 { return float64(p.Pinned()) })
+	n.ctl.attach(s.name, p)
 }
 
 // runStage is the one worker loop. At every item boundary it honours a

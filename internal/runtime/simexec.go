@@ -3,9 +3,11 @@ package runtime
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"numastream/internal/hw"
 	"numastream/internal/netsim"
+	"numastream/internal/obs"
 	"numastream/internal/sim"
 )
 
@@ -121,7 +123,7 @@ type Stream struct {
 	warmRaw       float64
 	warmWire      float64
 
-	// queues, captured at build time for bottleneck analysis.
+	// queues, captured at build time for Snapshot.
 	compQ, sendQ, rxQ, decQ *sim.Queue
 
 	// stages, captured at build time: per-stage elastic controls for
@@ -270,106 +272,34 @@ func (s *Stream) StageDomains(t TaskType) map[int]int {
 	return out
 }
 
-// QueueSample is one inter-stage queue's live state at a sample
-// instant, on virtual time: depth plus cumulative operation counts and
-// blocked seconds (including waits in progress). Queue names follow the
-// real pipeline's registry convention — compq, sendq, recvq, decq — so
-// the snapshot-diff observer (internal/obs) reads simulated and real
-// runs through the same signal names.
-type QueueSample struct {
-	Queue          string
-	Depth          int
-	Puts, Gets     uint64
-	PutBlocks      uint64
-	GetBlocks      uint64
-	PutBlockedSecs float64
-	GetBlockedSecs float64
-}
-
-// SampleQueues captures each existing inter-stage queue at the current
-// virtual time. Call it from a scheduled event during a run (the
-// degraded-mode sampler does); the slice is freshly allocated.
-func (s *Stream) SampleQueues() []QueueSample {
-	var out []QueueSample
+// Snapshot is the stream at virtual time t as a receiving node's
+// registry scrape reads it: the "delivered" meter (raw bytes, chunks)
+// and, for each inter-stage queue, <q>_depth, <q>_put_blocked_secs and
+// <q>_get_blocked_secs (blocked seconds include waits in progress).
+// Queue names follow the real pipeline's — compq, sendq, recvq, decq —
+// so the snapshot-diff observer (internal/obs) reads simulated and real
+// runs through the same series; keep limits the queues to the named
+// ones. Call it from a scheduled event during a run, or at FinishTime
+// after one; the maps are freshly allocated.
+func (s *Stream) Snapshot(t float64, keep ...string) obs.Snapshot {
+	snap := obs.Snapshot{
+		T:      t,
+		Meters: map[string]obs.MeterState{"delivered": {Bytes: int64(s.rawDelivered), Items: int64(s.Delivered)}},
+		Gauges: map[string]float64{},
+	}
 	add := func(name string, q *sim.Queue) {
-		if q == nil {
+		if q == nil || len(keep) > 0 && !slices.Contains(keep, name) {
 			return
 		}
-		out = append(out, QueueSample{
-			Queue:          name,
-			Depth:          q.Len(),
-			Puts:           q.Puts(),
-			Gets:           q.Gets(),
-			PutBlocks:      q.PutBlocks(),
-			GetBlocks:      q.GetBlocks(),
-			PutBlockedSecs: q.PutBlockedSecs(),
-			GetBlockedSecs: q.GetBlockedSecs(),
-		})
+		snap.Gauges[name+"_depth"] = float64(q.Len())
+		snap.Gauges[name+"_put_blocked_secs"] = q.PutBlockedSecs()
+		snap.Gauges[name+"_get_blocked_secs"] = q.GetBlockedSecs()
 	}
 	add("compq", s.compQ)
 	add("sendq", s.sendQ)
 	add("recvq", s.rxQ)
 	add("decq", s.decQ)
-	return out
-}
-
-// StageQueueStats is one inter-stage queue's occupancy profile.
-type StageQueueStats struct {
-	Stage     string // the consuming stage ("compress", "send", ...)
-	MaxDepth  int
-	Capacity  int
-	Puts      uint64
-	PutBlocks uint64 // producers that had to wait (backpressure events)
-}
-
-// QueueStats reports each inter-stage queue's high-water occupancy
-// after a run. A persistently full queue marks its consumer as the
-// pipeline's bottleneck — §4.1's "bottlenecks shift across different
-// segments" made observable.
-func (s *Stream) QueueStats() []StageQueueStats {
-	var out []StageQueueStats
-	add := func(stage string, q *sim.Queue) {
-		if q == nil {
-			return
-		}
-		out = append(out, StageQueueStats{
-			Stage:     stage,
-			MaxDepth:  q.MaxDepth(),
-			Capacity:  s.Spec.QueueCap,
-			Puts:      q.Puts(),
-			PutBlocks: q.PutBlocks(),
-		})
-	}
-	add("compress", s.compQ)
-	add("send", s.sendQ)
-	add("receive", s.rxQ)
-	add("decompress", s.decQ)
-	return out
-}
-
-// Bottleneck names the binding stage: a slow stage exerts sustained
-// backpressure on its input queue's producers, and that backpressure
-// propagates upstream, so the bottleneck is the *last* stage (in
-// pipeline order) whose input queue blocked a substantial share (a
-// quarter) of its puts. Startup transients (a burst filling a queue
-// once) stay below that bar. If no queue blocked persistently, the
-// deepest one wins.
-func (s *Stream) Bottleneck() string {
-	stats := s.QueueStats()
-	for i := len(stats) - 1; i >= 0; i-- {
-		if stats[i].Puts > 0 && stats[i].PutBlocks*4 >= stats[i].Puts {
-			return stats[i].Stage
-		}
-	}
-	best := ""
-	depth := -1
-	for _, qs := range stats {
-		if qs.MaxDepth > depth {
-			depth = qs.MaxDepth
-			best = qs.Stage
-		}
-	}
-	return best
+	return snap
 }
 
 // EndToEndBps returns the steady-state end-to-end (uncompressed) rate.

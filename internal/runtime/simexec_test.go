@@ -6,6 +6,7 @@ import (
 
 	"numastream/internal/hw"
 	"numastream/internal/netsim"
+	"numastream/internal/obs"
 	"numastream/internal/sim"
 )
 
@@ -350,31 +351,43 @@ func TestDefaultRatesMatchCalibration(t *testing.T) {
 	}
 }
 
+// limiter is what obs blames over the whole of a finished run.
+func limiter(st *Stream) obs.Limiter {
+	return obs.Diff(obs.Snapshot{}, st.Snapshot(st.FinishTime), nil).Limiter
+}
+
 // TestQueueStatsLocateBottleneck: when compression is the slow stage,
-// its input queue runs full while downstream queues stay shallow — the
-// §4.1 bottleneck analysis.
+// its input queue's producers block while the send queue's hardly do,
+// and obs blames compq — the §4.1 bottleneck analysis. With the default
+// 64 slots an 80-chunk source is mostly queue fill: the producer blocks
+// for the last 16 chunks, under obs's backpressure floor, and compq is
+// named as the drained queue whose producers blocked longest. With 8
+// slots the producer blocks for most of the run.
 func TestQueueStatsLocateBottleneck(t *testing.T) {
-	tb := newTestbed(100)
-	st := tb.run(t, defaultSpec(80),
-		senderCfg(2, 4, SplitAll(), SplitAll()), // starved: 2 compressors
-		receiverCfg(4, 8, PinTo(1), PinTo(0)))
-	stats := st.QueueStats()
-	if len(stats) != 4 {
-		t.Fatalf("stats = %+v", stats)
-	}
-	if b := st.Bottleneck(); b != "compress" {
-		t.Fatalf("Bottleneck = %q, want compress (stats %+v)", b, stats)
-	}
-	byStage := map[string]StageQueueStats{}
-	for _, qs := range stats {
-		byStage[qs.Stage] = qs
-	}
-	if byStage["compress"].MaxDepth < byStage["send"].MaxDepth {
-		t.Fatalf("compress queue (%d) not deeper than send queue (%d)",
-			byStage["compress"].MaxDepth, byStage["send"].MaxDepth)
-	}
-	if byStage["compress"].Puts != 80 {
-		t.Fatalf("compress queue saw %d puts, want 80", byStage["compress"].Puts)
+	for _, tc := range []struct {
+		queueCap int
+		rule     string
+	}{
+		{64, obs.RuleDeepestQueue}, // the default
+		{8, obs.RuleBackpressure},
+	} {
+		tb := newTestbed(100)
+		spec := defaultSpec(80)
+		spec.QueueCap = tc.queueCap
+		st := tb.run(t, spec,
+			senderCfg(2, 4, SplitAll(), SplitAll()), // starved: 2 compressors
+			receiverCfg(4, 8, PinTo(1), PinTo(0)))
+		g := st.Snapshot(st.FinishTime).Gauges
+		if len(g) != 12 {
+			t.Fatalf("%d-slot queues: gauges = %v, want 3 for each of 4 queues", spec.QueueCap, g)
+		}
+		if l := limiter(st); l.Name != "compq" || l.Rule != tc.rule {
+			t.Fatalf("%d-slot queues: limiter = %+v, want compq by %s (gauges %v)", spec.QueueCap, l, tc.rule, g)
+		}
+		if g["compq_put_blocked_secs"] <= g["sendq_put_blocked_secs"] {
+			t.Fatalf("%d-slot queues: compq producers blocked %.3f s, not more than sendq's %.3f s",
+				spec.QueueCap, g["compq_put_blocked_secs"], g["sendq_put_blocked_secs"])
+		}
 	}
 }
 
@@ -385,7 +398,7 @@ func TestBottleneckShiftsWithDecompression(t *testing.T) {
 	st := tb.run(t, defaultSpec(80),
 		senderCfg(32, 8, SplitAll(), SplitAll()),
 		receiverCfg(8, 1, PinTo(1), PinTo(0))) // starved: 1 decompressor
-	if b := st.Bottleneck(); b != "decompress" {
-		t.Fatalf("Bottleneck = %q, want decompress (stats %+v)", b, st.QueueStats())
+	if l := limiter(st); l.Name != "decq" {
+		t.Fatalf("limiter = %+v, want decq (gauges %v)", l, st.Snapshot(st.FinishTime).Gauges)
 	}
 }

@@ -171,10 +171,6 @@ type Queue struct {
 	putters  []pendingPut
 	closed   bool
 
-	puts, gets uint64
-	maxDepth   int
-	putBlocks  uint64
-	getBlocks  uint64
 	// Cumulative virtual seconds producers/consumers spent blocked on
 	// this queue (completed waits; the accessors add in-progress waits).
 	putBlockedAccrued float64
@@ -202,23 +198,6 @@ func NewQueue(eng *Engine, capacity int) *Queue {
 
 // Len returns current occupancy.
 func (q *Queue) Len() int { return len(q.items) }
-
-// Puts and Gets return cumulative successful operation counts.
-func (q *Queue) Puts() uint64 { return q.puts }
-
-// Gets returns the number of successful dequeues.
-func (q *Queue) Gets() uint64 { return q.gets }
-
-// MaxDepth returns the occupancy high-water mark.
-func (q *Queue) MaxDepth() int { return q.maxDepth }
-
-// PutBlocks returns how many Puts had to wait for space — the queue's
-// backpressure count.
-func (q *Queue) PutBlocks() uint64 { return q.putBlocks }
-
-// GetBlocks returns how many Gets had to wait for an item — the queue's
-// starvation count.
-func (q *Queue) GetBlocks() uint64 { return q.getBlocks }
 
 // PutBlockedSecs returns cumulative virtual seconds producers spent
 // blocked on a full queue, including waits still in progress at the
@@ -258,22 +237,15 @@ func (q *Queue) Put(item any, k func(ok bool)) {
 		g := q.getters[0]
 		q.getters = q.getters[1:]
 		q.getBlockedAccrued += q.eng.now - g.since
-		q.puts++
-		q.gets++
 		q.eng.After(0, func() { g.k(item, true) })
 		q.eng.After(0, func() { k(true) })
 		return
 	}
 	if len(q.items) < q.capacity {
 		q.items = append(q.items, item)
-		q.puts++
-		if len(q.items) > q.maxDepth {
-			q.maxDepth = len(q.items)
-		}
 		q.eng.After(0, func() { k(true) })
 		return
 	}
-	q.putBlocks++
 	q.putters = append(q.putters, pendingPut{item: item, k: k, since: q.eng.now})
 }
 
@@ -283,14 +255,12 @@ func (q *Queue) Get(k func(item any, ok bool)) {
 	if len(q.items) > 0 {
 		item := q.items[0]
 		q.items = q.items[1:]
-		q.gets++
 		// Admit a blocked producer into the freed slot.
 		if len(q.putters) > 0 {
 			p := q.putters[0]
 			q.putters = q.putters[1:]
 			q.putBlockedAccrued += q.eng.now - p.since
 			q.items = append(q.items, p.item)
-			q.puts++
 			q.eng.After(0, func() { p.k(true) })
 		}
 		q.eng.After(0, func() { k(item, true) })
@@ -302,8 +272,6 @@ func (q *Queue) Get(k func(item any, ok bool)) {
 		p := q.putters[0]
 		q.putters = q.putters[1:]
 		q.putBlockedAccrued += q.eng.now - p.since
-		q.puts++
-		q.gets++
 		q.eng.After(0, func() { p.k(true) })
 		q.eng.After(0, func() { k(p.item, true) })
 		return
@@ -312,7 +280,6 @@ func (q *Queue) Get(k func(item any, ok bool)) {
 		q.eng.After(0, func() { k(nil, false) })
 		return
 	}
-	q.getBlocks++
 	q.getters = append(q.getters, pendingGet{k: k, since: q.eng.now})
 }
 

@@ -244,15 +244,22 @@ func TestQueuePutAfterClose(t *testing.T) {
 	}
 }
 
+// TestQueueStats: two puts and a get on a roomy queue leave it two deep,
+// then one deep, in FIFO order, and no operation waited.
 func TestQueueStats(t *testing.T) {
 	e := NewEngine()
 	q := NewQueue(e, 4)
 	q.Put(1, nil)
 	q.Put(2, nil)
-	q.Get(func(any, bool) {})
+	peak := q.Len()
+	var got any
+	q.Get(func(item any, _ bool) { got = item })
 	e.Run()
-	if q.Puts() != 2 || q.Gets() != 1 || q.MaxDepth() != 2 || q.Len() != 1 {
-		t.Fatalf("stats: puts=%d gets=%d max=%d len=%d", q.Puts(), q.Gets(), q.MaxDepth(), q.Len())
+	if peak != 2 || q.Len() != 1 || got != 1 {
+		t.Fatalf("stats: peak=%d len=%d first=%v, want 2, 1, 1", peak, q.Len(), got)
+	}
+	if q.PutBlockedSecs() != 0 || q.GetBlockedSecs() != 0 {
+		t.Fatalf("blocked put/get = %v/%v s, want 0: nothing waited", q.PutBlockedSecs(), q.GetBlockedSecs())
 	}
 }
 
@@ -402,7 +409,8 @@ func TestQueueBlockedVirtualTime(t *testing.T) {
 	e.Schedule(1, func() {
 		q.Put("b", func(ok bool) { putDone = e.Now() })
 	})
-	midPut := 0.0
+	earlyPut, midPut := 0.0, 0.0
+	e.Schedule(2, func() { earlyPut = q.PutBlockedSecs() })
 	e.Schedule(3, func() { midPut = q.PutBlockedSecs() })
 	e.Schedule(4, func() { q.Get(func(item any, ok bool) {}) })
 	e.Run()
@@ -415,8 +423,8 @@ func TestQueueBlockedVirtualTime(t *testing.T) {
 	if got := q.PutBlockedSecs(); got != 3 {
 		t.Fatalf("PutBlockedSecs = %v, want 3", got)
 	}
-	if q.PutBlocks() != 1 {
-		t.Fatalf("PutBlocks = %d, want 1", q.PutBlocks())
+	if midPut-earlyPut != 1 {
+		t.Fatalf("PutBlockedSecs grew %v over t=2..3, want 1: one producer parked", midPut-earlyPut)
 	}
 
 	// Drain the admitted item, park a consumer at t=5, hand off at t=9
@@ -427,7 +435,8 @@ func TestQueueBlockedVirtualTime(t *testing.T) {
 	e2.Schedule(5, func() {
 		q2.Get(func(item any, ok bool) { getDone = e2.Now() })
 	})
-	midGet := 0.0
+	earlyGet, midGet := 0.0, 0.0
+	e2.Schedule(6, func() { earlyGet = q2.GetBlockedSecs() })
 	e2.Schedule(7, func() { midGet = q2.GetBlockedSecs() })
 	e2.Schedule(9, func() { q2.Put("c", func(ok bool) {}) })
 	e2.Run()
@@ -440,8 +449,8 @@ func TestQueueBlockedVirtualTime(t *testing.T) {
 	if got := q2.GetBlockedSecs(); got != 4 {
 		t.Fatalf("GetBlockedSecs = %v, want 4", got)
 	}
-	if q2.GetBlocks() != 1 {
-		t.Fatalf("GetBlocks = %d, want 1", q2.GetBlocks())
+	if midGet-earlyGet != 1 {
+		t.Fatalf("GetBlockedSecs grew %v over t=6..7, want 1: one consumer parked", midGet-earlyGet)
 	}
 }
 

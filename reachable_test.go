@@ -53,6 +53,7 @@ var reachAllowlist = map[string]string{
 	"faults.TopoSchedule.Format":   "the round-trip oracle of ParseTopoSchedule's tests",
 
 	"pipeline.Pool.PinFailures": "fault counter that the pinning tests read",
+	"pipeline.Pool.Live":        "live-worker count that BenchmarkElasticPoolGrowShrink and the elastic-pool tests wait on",
 	"msgq.Pull.ReadErrors":      "fault counter that the msgq interop tests read",
 	"metrics.Histogram.Count":   "counter that the histogram tests read",
 	"metrics.Histogram.Sum":     "counter that the histogram tests read",
