@@ -36,7 +36,7 @@ vet:
 # resizes; the elastic-pool storm tests live in internal/pipeline), and
 # thread placement (internal/numa).
 race:
-	$(GO) test -race ./internal/adapt/... ./internal/bufpool/... ./internal/chunk/... ./internal/faults/... ./internal/fleet/... ./internal/metrics/... ./internal/msgq/... ./internal/numa/... ./internal/obs/... ./internal/pipeline/... ./internal/queue/... ./internal/telemetry/... ./internal/trace/...
+	$(GO) test -race ./internal/adapt/... ./internal/bufpool/... ./internal/faults/... ./internal/fleet/... ./internal/metrics/... ./internal/msgq/... ./internal/numa/... ./internal/obs/... ./internal/pipeline/... ./internal/queue/... ./internal/telemetry/... ./internal/trace/...
 	$(GO) test -race -run 'TestChurn|TestMultiHop|TestThousand|TestAdapt' ./internal/cluster/... ./internal/experiments/...
 
 # Churn drill: the seeded netsim churn storm (multi-hop topology events,
@@ -115,7 +115,7 @@ adapt-drill:
 # regenerate the file with
 #   go run ./cmd/experiments $(SIM_GOLDEN_FLAGS) > internal/experiments/testdata/quick.golden
 # and say in the change's description why they moved.
-SIM_GOLDEN_FLAGS = -quick -fig all -rss 8 -dual-nic -degraded -churn -fleet -adapt
+SIM_GOLDEN_FLAGS = -quick -fig all -degraded -churn -fleet -adapt
 sim-golden:
 	$(GO) run ./cmd/experiments $(SIM_GOLDEN_FLAGS) | diff -u internal/experiments/testdata/quick.golden -
 	@echo "sim-golden: simulated figures and drills match internal/experiments/testdata/quick.golden"

@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"time"
 
@@ -26,10 +27,17 @@ import (
 	"numastream/internal/telemetry"
 )
 
+// figures are the -fig names that select one figure; "all" selects
+// every one and "none" none.
+var figures = []string{"5", "6", "7", "8", "9", "11", "12", "14"}
+
 type figList []string
 
 func (f *figList) String() string { return strings.Join(*f, ",") }
 func (f *figList) Set(v string) error {
+	if v != "all" && v != "none" && !slices.Contains(figures, v) {
+		return fmt.Errorf("unknown figure %q: want one of %s, all or none", v, strings.Join(figures, ", "))
+	}
 	*f = append(*f, v)
 	return nil
 }
@@ -39,9 +47,6 @@ func main() {
 	quick := flag.Bool("quick", false, "reduced sweeps for a fast run")
 	tracePath := flag.String("trace", "", "write a Chrome trace of the Fig 14 gateway to this file")
 	csvDir := flag.String("csv", "", "also write figN.csv files into this directory")
-	rssStreams := flag.Int("rss", 0, "run the RSS steering study with this many streams (extension)")
-	real := flag.Bool("real", false, "run the real-execution loopback sweep on this machine")
-	dualNIC := flag.Bool("dual-nic", false, "run the dual-NIC gateway study (extension)")
 	degraded := flag.Bool("degraded", false, "run the degraded-mode link fault simulation (robustness)")
 	degradedReal := flag.Bool("degraded-real", false, "run the real-mode fault injection loopback (robustness)")
 	churn := flag.Bool("churn", false, "run the churn-storm simulation: a seeded topology schedule crashes senders and relays on a multi-hop deployment (robustness)")
@@ -56,7 +61,7 @@ func main() {
 	traceWire := flag.String("trace-wire", "", "run the wire-journey loopback (real pipeline, WireTrace on) and write the merged cross-process Chrome trace to this file")
 	telemetryAddr := flag.String("telemetry-addr", "", "serve /metrics, /status, /debug/vars and /debug/pprof on this address; real-mode harnesses record into the served registry")
 	report := flag.String("report", "", "write an end-of-run self-diagnosis report to this file (markdown when the path ends in .md, JSON otherwise); -degraded reports the simulation's virtual-time windows")
-	flag.Var(&figs, "fig", "figure to regenerate (5,6,7,8,9,11,12,14 or all); repeatable")
+	flag.Var(&figs, "fig", "figure to regenerate (5,6,7,8,9,11,12,14, all or none); repeatable")
 	flag.Parse()
 
 	if len(figs) == 0 {
@@ -65,7 +70,7 @@ func main() {
 	want := map[string]bool{}
 	for _, f := range figs {
 		if f == "all" {
-			for _, k := range []string{"5", "6", "7", "8", "9", "11", "12", "14"} {
+			for _, k := range figures {
 				want[k] = true
 			}
 			continue
@@ -200,20 +205,6 @@ func main() {
 		fmt.Println(experiments.FormatFig12(res))
 		writeCSV("fig12.csv", func(w *os.File) error { return experiments.CSVFig12(w, res) })
 	}
-	if *real {
-		res, err := experiments.RealScaling([]int{1, 2, 4}, 48, 512<<10)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Println(experiments.FormatReal(res))
-	}
-	if *dualNIC {
-		res, err := experiments.DualNICStudy()
-		if err != nil {
-			fail(err)
-		}
-		fmt.Println(experiments.FormatDualNIC(res))
-	}
 	if *degraded {
 		res, err := experiments.DegradedSim()
 		if err != nil {
@@ -332,13 +323,6 @@ func main() {
 			fail(err)
 		}
 		fmt.Printf("merged journey trace (%d events) written to %s — open at ui.perfetto.dev\n", tr.Len(), *traceWire)
-	}
-	if *rssStreams > 0 {
-		res, err := experiments.RSSStudy(*rssStreams)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Println(experiments.FormatRSS(res))
 	}
 	if want["14"] {
 		rt, osr, factor, err := experiments.Fig14Speedup()

@@ -1,10 +1,10 @@
 // Tomostream: the paper's motivating workload end to end. Synthetic
 // X-ray projections of a sphere phantom (the tomobank-spheres stand-in)
-// are written into a chunked dataset container, streamed through the
-// compression pipeline over loopback TCP, decompressed at the gateway
-// and verified bit-for-bit — with the achieved wire ratio (LZ4, of the
-// bit-planes where the sender's bitshuffle filter pays) and stage
-// throughputs reported.
+// are streamed straight from the generator through the compression
+// pipeline over loopback TCP, decompressed at the gateway and verified
+// bit-for-bit — with the achieved wire ratio (LZ4, of the bit-planes
+// where the sender's bitshuffle filter pays) and stage throughputs
+// reported.
 package main
 
 import (
@@ -14,7 +14,6 @@ import (
 	"sync"
 
 	"numastream"
-	"numastream/internal/chunk"
 	"numastream/internal/pipeline"
 	"numastream/internal/tomo"
 )
@@ -22,37 +21,13 @@ import (
 const projections = 24
 
 func main() {
-	// Generate a small-detector scan (1/8 scale keeps the example
-	// quick; pass the full DefaultProjectionConfig for 11.06 MB
-	// chunks).
+	// A small-detector scan (1/8 scale keeps the example quick; pass
+	// the full DefaultProjectionConfig for 11.06 MB chunks).
 	cfg := tomo.DefaultProjectionConfig()
 	cfg.Width /= 8
 	cfg.Height /= 8
 	gen := tomo.NewGenerator(tomo.RandomPhantom(7, 60), cfg, projections)
-
-	// Store the scan in the chunked container (the HDF5 stand-in), as
-	// the beamline DAQ would.
-	var dataset bytes.Buffer
-	cw, err := chunk.NewWriter(&dataset)
-	if err != nil {
-		log.Fatal(err)
-	}
-	cw.SetAttr("detector", fmt.Sprintf("%dx%d", cfg.Width, cfg.Height))
-	cw.SetAttr("dtype", "uint16")
-	for i := 0; i < projections; i++ {
-		if err := cw.WriteChunk(gen.Next()); err != nil {
-			log.Fatal(err)
-		}
-	}
-	if err := cw.Close(); err != nil {
-		log.Fatal(err)
-	}
-	reader, err := chunk.NewReader(bytes.NewReader(dataset.Bytes()), int64(dataset.Len()))
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("dataset: %d projections, %.1f MiB total\n",
-		reader.NumChunks(), float64(dataset.Len())/(1<<20))
+	fmt.Printf("scan: %d projections of %dx%d uint16\n", projections, cfg.Width, cfg.Height)
 
 	// Stream it.
 	host, _ := numastream.DiscoverTopology()
@@ -94,7 +69,9 @@ func main() {
 	}()
 
 	addr := <-ready
-	next := 0
+	// The sender leaves a yielded buffer untouched, so the projections
+	// it was handed are the reference the gateway's copies must match.
+	var sent [][]byte
 	sndMetrics := numastream.NewRegistry()
 	err = numastream.StartSender(numastream.SenderOptions{
 		Cfg:     sndCfg,
@@ -102,14 +79,11 @@ func main() {
 		Peers:   []string{addr},
 		Metrics: sndMetrics,
 		Source: func() []byte {
-			if next >= reader.NumChunks() {
+			if len(sent) >= projections {
 				return nil
 			}
-			p, err := reader.ReadChunk(next)
-			if err != nil {
-				log.Fatalf("reading chunk %d: %v", next, err)
-			}
-			next++
+			p := gen.Next()
+			sent = append(sent, p)
 			return p
 		},
 	})
@@ -122,11 +96,7 @@ func main() {
 
 	// Verify every projection survived compression, transport and
 	// decompression bit-for-bit.
-	for i := 0; i < projections; i++ {
-		want, err := reader.ReadChunk(i)
-		if err != nil {
-			log.Fatal(err)
-		}
+	for i, want := range sent {
 		if !bytes.Equal(got[uint64(i)], want) {
 			log.Fatalf("projection %d corrupted in flight", i)
 		}

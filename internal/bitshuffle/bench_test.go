@@ -110,7 +110,12 @@ func BenchmarkLZ4Unshuffle(b *testing.B) {
 			planes := make([]byte, s.n)
 			for _, blk := range slices(p, s.n) {
 				Encode(planes, blk)
-				packed = append(packed, lz4.Compress(planes))
+				block := make([]byte, lz4.CompressBound(len(planes)))
+				n, err := lz4.CompressBlock(planes, block)
+				if err != nil {
+					b.Fatal(err)
+				}
+				packed = append(packed, block[:n])
 			}
 			out := make([]byte, s.n)
 			b.SetBytes(int64(s.n))

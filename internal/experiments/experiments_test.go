@@ -397,74 +397,6 @@ func TestHeatCell(t *testing.T) {
 	}
 }
 
-func TestRSSStudyShape(t *testing.T) {
-	res, err := RSSStudy(2)
-	if err != nil {
-		t.Fatalf("RSSStudy: %v", err)
-	}
-	get := func(mode RSSMode) float64 {
-		for _, r := range res {
-			if r.Mode == mode {
-				return r.Gbps
-			}
-		}
-		t.Fatalf("missing mode %s", mode)
-		return 0
-	}
-	local, scattered, none := get(RSSLocal), get(RSSScattered), get(RSSNone)
-	// Explicit softIRQ modelling costs something relative to the
-	// calibrated default (which folds it into the receive rate).
-	if local > none {
-		t.Errorf("local RSS (%.1f) above the folded baseline (%.1f)", local, none)
-	}
-	// Coordinated steering beats scattered: half the scattered queues
-	// read packets across the interconnect.
-	if local <= scattered {
-		t.Errorf("local steering (%.1f Gbps) not above scattered (%.1f Gbps)", local, scattered)
-	}
-	if s := FormatRSS(res); !strings.Contains(s, "scattered") {
-		t.Errorf("FormatRSS output:\n%s", s)
-	}
-}
-
-func TestRSSStudyValidation(t *testing.T) {
-	if _, err := RSSStudy(0); err == nil {
-		t.Fatal("zero streams accepted")
-	}
-}
-
-// TestRSSStudyCrossover: at gateway saturation (4 streams, 16 busy
-// NIC-domain cores), scattering softIRQ work to the idle domain can
-// relieve the receive cores — the coordinated-steering advantage holds
-// when the NIC domain has slack, not unconditionally.
-func TestRSSStudyCrossover(t *testing.T) {
-	res, err := RSSStudy(4)
-	if err != nil {
-		t.Fatalf("RSSStudy: %v", err)
-	}
-	var local, scattered, none float64
-	for _, r := range res {
-		switch r.Mode {
-		case RSSLocal:
-			local = r.Gbps
-		case RSSScattered:
-			scattered = r.Gbps
-		case RSSNone:
-			none = r.Gbps
-		}
-	}
-	// Explicit softIRQ accounting always costs something.
-	if local > none || scattered > none {
-		t.Errorf("explicit softIRQ (%.1f/%.1f) above folded baseline %.1f", local, scattered, none)
-	}
-	// At saturation the two policies are close (within 15%), unlike
-	// the low-load case where local clearly wins.
-	if diff := math.Abs(local-scattered) / scattered; diff > 0.15 {
-		t.Errorf("local %.1f vs scattered %.1f differ by %.0f%%, expected convergence at saturation",
-			local, scattered, diff*100)
-	}
-}
-
 // TestFig12BottleneckShifts asserts the paper's qualitative §4.1 claim:
 // the binding stage moves from compression (A at any thread count) to
 // later stages as compression threads grow. The column is the limiter
@@ -490,59 +422,5 @@ func TestFig12BottleneckShifts(t *testing.T) {
 	// bottleneck has shifted to decompression.
 	if b := get("E"); b != "decq" {
 		t.Errorf("config E bottleneck = %q, want decq", b)
-	}
-}
-
-func TestRealLoopback(t *testing.T) {
-	res, err := RealLoopback(2, 16, 64<<10)
-	if err != nil {
-		t.Fatalf("RealLoopback: %v", err)
-	}
-	if res.E2EGbps <= 0 {
-		t.Fatalf("no measured throughput: %+v", res)
-	}
-	if res.Ratio < 1.2 {
-		t.Fatalf("compression ratio = %.2f, payload should compress", res.Ratio)
-	}
-	if res.WireGbps >= res.E2EGbps {
-		t.Fatalf("wire rate %.2f not below e2e %.2f despite compression", res.WireGbps, res.E2EGbps)
-	}
-	if s := FormatReal([]RealResult{res}); !strings.Contains(s, "wall clock") {
-		t.Fatalf("FormatReal:\n%s", s)
-	}
-}
-
-func TestRealLoopbackValidation(t *testing.T) {
-	if _, err := RealLoopback(0, 1, 1); err == nil {
-		t.Fatal("zero threads accepted")
-	}
-}
-
-func TestDualNICStudyShape(t *testing.T) {
-	res, err := DualNICStudy()
-	if err != nil {
-		t.Fatalf("DualNICStudy: %v", err)
-	}
-	get := func(mode DualNICMode) float64 {
-		for _, r := range res {
-			if r.Mode == mode {
-				return r.Gbps
-			}
-		}
-		t.Fatalf("missing mode %s", mode)
-		return 0
-	}
-	single, aligned, misaligned := get(SingleNIC), get(DualNICAligned), get(DualNICMisaligned)
-	// Two NICs beat one substantially.
-	if aligned < single*1.5 {
-		t.Errorf("dual-aligned (%.1f) not well above single NIC (%.1f)", aligned, single)
-	}
-	// Aligning receive threads with each NIC's domain beats pinning
-	// them all opposite half the traffic.
-	if aligned <= misaligned {
-		t.Errorf("aligned (%.1f) not above misaligned (%.1f)", aligned, misaligned)
-	}
-	if s := FormatDualNIC(res); !strings.Contains(s, "dual-aligned") {
-		t.Errorf("FormatDualNIC:\n%s", s)
 	}
 }

@@ -48,7 +48,7 @@ func BenchmarkCompressBlock(b *testing.B) {
 
 func BenchmarkDecompressBlock(b *testing.B) {
 	src := benchCorpus(1 << 20)
-	packed := Compress(src)
+	packed := compressGuarded(b, src)
 	dst := make([]byte, len(src))
 	b.SetBytes(int64(len(src)))
 	b.ResetTimer()

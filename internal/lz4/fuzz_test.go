@@ -68,13 +68,13 @@ func FuzzDecompressNeverPanics(f *testing.F) {
 	f.Add([]byte{0x1f, 'a', 0x01, 0x00, 0x00}, 20)
 	f.Add([]byte{0xff, 0xff, 0xff}, 100)
 	// Valid blocks to mutate, long enough for the fast loop to run.
-	f.Add(Compress(corpora()["projection"][:512]), 512)
-	f.Add(Compress(bytes.Repeat([]byte("abcabcd"), 40)), 280)
+	f.Add(compressGuarded(f, corpora()["projection"][:512]), 512)
+	f.Add(compressGuarded(f, bytes.Repeat([]byte("abcabcd"), 40)), 280)
 	// Bit-planes: long zero runs (extended match lengths) between short
 	// noisy stretches, the shape the pipeline ships.
 	planes := make([]byte, 4096)
 	bitshuffle.Encode(planes, corpora()["projection"][:len(planes)])
-	f.Add(Compress(planes), len(planes))
+	f.Add(compressGuarded(f, planes), len(planes))
 	f.Fuzz(func(t *testing.T, junk []byte, size int) {
 		if size < 0 || size > 1<<20 {
 			return

@@ -202,7 +202,7 @@ func TestRegionCosts(t *testing.T) {
 	// Regions past len(costs) are not charged; a literal run straddling
 	// regions is split between them.
 	src := []byte("0123456789abcdefghijklmnopqrstuv")
-	block := Compress(src) // one literal run: no repeats
+	block := compressGuarded(t, src) // one literal run: no repeats
 	costs := make([]int, 3)
 	if err := RegionCosts(block, 10, costs); err != nil {
 		t.Fatal(err)

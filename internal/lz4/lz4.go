@@ -564,15 +564,3 @@ func readLenExt(src []byte, si, base int) (int, int, error) {
 		}
 	}
 }
-
-// Compress is a convenience wrapper that allocates an output buffer of
-// exactly the compressed size.
-func Compress(src []byte) []byte {
-	dst := make([]byte, CompressBound(len(src)))
-	n, err := CompressBlock(src, dst)
-	if err != nil {
-		// Unreachable: dst is sized by CompressBound.
-		panic(err)
-	}
-	return dst[:n]
-}

@@ -83,18 +83,6 @@ type Path struct {
 	links  []*Link
 	dst    *hw.Machine
 	dstNIC *hw.NIC
-
-	rss  *RSS
-	flow int
-}
-
-// SetRSS enables explicit softIRQ modelling on this path: every
-// delivered message is processed by the RSS queue its flow id hashes to
-// before arrival completes. Flow identifies this path's stream in the
-// steering table.
-func (p *Path) SetRSS(r *RSS, flow int) {
-	p.rss = r
-	p.flow = flow
 }
 
 // NewPath wires a single-link path together. Multiple paths may share
@@ -144,12 +132,6 @@ func (p *Path) Send(now, bytes float64, k func(arrival float64)) {
 	}
 	p.eng.Schedule(t, func() {
 		done := p.dst.DMAWrite(p.eng.Now(), p.dstNIC.Socket, bytes)
-		if p.rss != nil {
-			d := p.rss.Deliver(p.eng.Now(), p.flow, bytes, p.dstNIC.Socket)
-			if d > done {
-				done = d
-			}
-		}
 		if done > p.eng.Now() {
 			p.eng.Schedule(done, func() { k(done) })
 			return

@@ -148,10 +148,15 @@ func TestBitshuffleSelection(t *testing.T) {
 }
 
 // shuffledMessage is a well-formed bitshuffled frame carrying raw.
-func shuffledMessage(seq uint64, raw []byte) msgq.Message {
+func shuffledMessage(t *testing.T, seq uint64, raw []byte) msgq.Message {
 	planes := make([]byte, len(raw))
 	bitshuffle.Encode(planes, raw)
-	block := lz4.Compress(planes)
+	block := make([]byte, lz4.CompressBound(len(planes)))
+	n, err := lz4.CompressBlock(planes, block)
+	if err != nil {
+		t.Fatalf("CompressBlock: %v", err)
+	}
+	block = block[:n]
 	c := Chunk{Seq: seq, RawLen: len(raw), Packed: true, Shuffled: true}
 	return msgq.Message{encodeHeader(c, wireCRC(block, c.flags())), block}
 }
@@ -167,7 +172,7 @@ func TestReceiverPortableDecode(t *testing.T) {
 	for i, n := range sizes {
 		raw := projectionChunk(i, n)
 		want = append(want, raw)
-		msgs = append(msgs, shuffledMessage(uint64(i), raw))
+		msgs = append(msgs, shuffledMessage(t, uint64(i), raw))
 	}
 	defer bitshuffle.ForcePortable()()
 	pool := bufpool.New(1)
